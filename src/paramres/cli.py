@@ -2,13 +2,14 @@
 
 Every command reads one INI run configuration (--config; keys carry unit
 suffixes), writes its artifacts into an output directory, and prints a
-one-line key=value summary.  Summary floats are printed at round-trip
-precision (the shortest ``repr``), so each value parses back to the exact
-float the command computed and wrote to its JSON artifacts.  Output files
-start with a metadata header (tool version, hash of the effective settings,
-timestamp); rerunning with the same configuration and seed reproduces every
-byte except the timestamp, which sits on its own ``generated`` line.  Exit
-codes: 0 success, 1 labeled failure, 2 usage.
+one-line key=value summary.  Summary floats and CSV cells are written at
+round-trip precision (the shortest ``repr``), so each value parses back to
+the exact float the command computed and wrote to its JSON artifacts.
+``--format ini`` only applies to ``device show``; other commands reject
+it.  Output files start with a metadata header (tool version, hash of the
+effective settings, timestamp); rerunning with the same configuration and
+seed reproduces every byte except the timestamp, which sits on its own
+``generated`` line.  Exit codes: 0 success, 1 labeled failure, 2 usage.
 """
 
 import argparse
@@ -38,9 +39,10 @@ from .tomography import (CZ, ISWAP, CoherenceTimes, average_fidelity,
                          coherence_fidelity_cz, coherence_fidelity_iswap,
                          confusion_matrix, dressed_computational_basis,
                          fit_fsim, phase_error, ptm_of_unitary, save_ptm,
-                         simulate_qpt, virtual_z_correct)
+                         simulate_qpt, virtual_z_correct, _wrap_angle)
 
 OUT_DIR_ENV = "PARAMRES_OUT_DIR"
+FORMATS = ("csv", "json", "ini")
 
 # CLI gate tokens -> calibration kinds ("cz" is the CZ20 gate)
 _KIND_ALIAS = {"iswap": "iswap", "cz": "cz20", "cz20": "cz20", "cz02": "cz02"}
@@ -49,10 +51,6 @@ _TARGET_PHI = {"iswap": 0.0, "cz20": math.pi}
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _wrap_angle(a: float) -> float:
-    return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def _jsonable(x):
@@ -113,7 +111,8 @@ def _meta_lines(meta: dict):
 
 
 def _fmt_cell(v) -> str:
-    return v if isinstance(v, str) else f"{float(v):.10g}"
+    # repr(float) is the shortest string that parses back to the same float
+    return v if isinstance(v, str) else repr(float(v))
 
 
 def _write_json(path, payload) -> None:
@@ -157,6 +156,9 @@ class RunConfig:
                         or os.environ.get(OUT_DIR_ENV)
                         or self.get("run", "out_dir", "."))
         self.format = getattr(args, "format", None) or self.get("run", "format", "csv")
+        if self.format not in FORMATS:
+            raise ValueError(f"config [run] format: must be one of {FORMATS}, "
+                             f"got {self.format!r}")
         seed = getattr(args, "seed", None)
         self.seed = self.getint("run", "seed", 0) if seed is None else seed
         self.device_file = self.get("device", "file", None)
@@ -317,7 +319,7 @@ def cmd_chevron(cfg: RunConfig, args) -> int:
             fh.write(f"# {line}\n")
         fh.write("# rows: amplitudes_phi0; columns: durations_ns (see sidecar)\n")
         for row in chev.populations:
-            fh.write(",".join(f"{v:.8g}" for v in row) + "\n")
+            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
     sidecar = cfg.outpath("chevron_grid.json")
     _write_json(sidecar, {
         "meta": meta,
@@ -495,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "and [run] out_dir)")
     common.add_argument("--seed", type=int,
                         help="random seed for shot sampling (overrides [run] seed)")
-    common.add_argument("--format", choices=("csv", "json", "ini"),
+    common.add_argument("--format", choices=FORMATS,
                         help="table format; 'ini' echoes the device file "
                              "(device show only)")
 
@@ -560,6 +562,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         cfg = RunConfig(args)
+        if cfg.format == "ini" and args.func is not cmd_device_show:
+            raise ValueError("--format ini is only supported by 'device show'")
         return args.func(cfg, args)
     except CalibrationError as exc:
         print(f"error: calibration failed at stage {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import schur
 
 from .circuit import squid_energy
 from .effective import (DIM, NUM_1, NUM_2, NUM_C, P2_1, P2_2, P2_C,
@@ -53,8 +54,8 @@ def _ej_ratio_quarter(squid, phi_dc, flux_t):
     return (np.asarray(ej_t) / ej_dc) ** 0.25
 
 
-def _parameter_series(p, q2_pulse, coupler_pulse, specs, t_mid, flux2=None):
-    """Midpoint samples of the time-dependent model parameters.
+def _parameter_series(p, q2_pulse, coupler_pulse, specs, t_mid):
+    """Samples of the time-dependent model parameters at the times t_mid.
 
     specs is (q2_spec, coupler_spec).  f1 and the anharmonicities stay at
     their DC values.  The pulses contribute deviations from the DC point:
@@ -63,32 +64,50 @@ def _parameter_series(p, q2_pulse, coupler_pulse, specs, t_mid, flux2=None):
     EJ^(1/4) of the modulated elements relative to their DC values.
     """
     q2_spec, coupler_spec = specs
-    flux2 = instantaneous_flux(q2_pulse, t_mid) if flux2 is None else flux2
-    f2_band = transition_frequency(q2_spec, 2.0 * math.pi * np.asarray(flux2))
+    flux2 = instantaneous_flux(q2_pulse, t_mid)
+    f2_band = transition_frequency(q2_spec, 2.0 * math.pi * flux2)
     f2_dc = transition_frequency(q2_spec, 2.0 * math.pi * q2_pulse.phi_dc)
     f2 = p.f2 + (f2_band - f2_dc)
     r2 = _ej_ratio_quarter(q2_spec.squid, q2_pulse.phi_dc, flux2)
     if coupler_pulse is not None and coupler_pulse.amplitude != 0.0:
         fluxc = instantaneous_flux(coupler_pulse, t_mid)
-        fc_band = transition_frequency(coupler_spec, 2.0 * math.pi * np.asarray(fluxc))
+        fc_band = transition_frequency(coupler_spec, 2.0 * math.pi * fluxc)
         fc_dc = transition_frequency(coupler_spec, 2.0 * math.pi * coupler_pulse.phi_dc)
         fc = p.fc + (fc_band - fc_dc)
         rc = _ej_ratio_quarter(coupler_spec.squid, coupler_pulse.phi_dc, fluxc)
     else:
-        fc = np.full_like(np.asarray(f2), p.fc)
-        rc = np.ones_like(np.asarray(f2))
-    return {
-        "f2": np.atleast_1d(f2),
-        "fc": np.atleast_1d(fc),
-        "g1c": p.g1c * np.atleast_1d(rc),
-        "g2c": p.g2c * np.atleast_1d(r2) * np.atleast_1d(rc),
-        "g12": p.g12 * np.atleast_1d(r2),
-    }
+        fc = np.full_like(f2, p.fc)
+        rc = np.ones_like(f2)
+    return {"f2": f2, "fc": fc, "g1c": p.g1c * rc, "g2c": p.g2c * r2 * rc,
+            "g12": p.g12 * r2}
 
 
-def _is_static(pulse) -> bool:
-    return pulse is None or pulse.amplitude == 0.0 or (
-        pulse.mod_freq == 0.0 and pulse.ramp == 0.0)
+# steps diagonalized per batched np.linalg.eigh call; bounds the work arrays
+_EIGH_BATCH = 64
+
+
+def _step_products(terms, series, dts, u):
+    """Yield the running propagator after each midpoint step, starting from u.
+
+    terms = (xx_1c, xx_c2, xx_12, diag_const, numc, num2) define the real
+    symmetric Hamiltonian, series holds its parameters at the step
+    midpoints (see _parameter_series) and dts the step lengths.  Each step
+    applies exp(-i*2*pi*H*dt) through the eigendecomposition of H.
+    """
+    xx_1c, xx_c2, xx_12, diag_const, numc, num2 = terms
+    diag = np.arange(len(diag_const))
+    for a in range(0, len(dts), _EIGH_BATCH):
+        c = slice(a, a + _EIGH_BATCH)
+        h = (np.multiply.outer(series["g1c"][c], xx_1c)
+             + np.multiply.outer(series["g2c"][c], xx_c2)
+             + np.multiply.outer(series["g12"][c], xx_12))
+        h[:, diag, diag] += (diag_const + np.outer(series["fc"][c], numc)
+                             + np.outer(series["f2"][c], num2))
+        evals, vecs = np.linalg.eigh(h)
+        phases = np.exp(-2j * math.pi * evals * dts[c, None])
+        for step in (vecs * phases[:, None, :]) @ vecs.swapaxes(1, 2):
+            u = step @ u
+            yield u
 
 
 def default_dt(p: DeviceParams) -> float:
@@ -105,8 +124,8 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, coupler_pulse, specs,
     calibration.operating_point).  specs is (q2_spec, coupler_spec), used to
     convert instantaneous fluxes to frequencies and coupling scale factors.
     With n_samples > 0 and an initial_state (bare basis index or vector),
-    the state trajectory is recorded at evenly spaced times, which gives a
-    chevron duration axis from a single propagation.
+    the state trajectory is recorded at evenly spaced step boundaries, which
+    gives a chevron duration axis from a single propagation.
 
     unitary_times requests snapshots of the running propagator, taken at the
     nearest step boundaries (the actual times come back in unitary_times).
@@ -114,6 +133,19 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, coupler_pulse, specs,
     with the leading steps of the full one, so the snapshot at time t is the
     final unitary of the same pulse with duration t; a duration scan then
     costs one propagation instead of one per duration.
+
+    Period reuse: dt is snapped to m steps per modulation period (m = 1
+    for an unmodulated flat top), so the flat-top Hamiltonian repeats
+    every m steps.  The m steps of one period are diagonalized once and
+    their running products P_j kept; after s = k0 + n*m + j steps into the
+    flat top the propagator is P_j U_P^n U_head, with U_P = P_m raised to
+    the n-th power through its complex Schur form.  Ramps, a moving coupler
+    flux and a trailing partial step are stepped directly.  The final
+    unitary, the snapshots and the trajectory all read from that rule, so
+    the cost grows with the steps per period, the ramps and the samples,
+    not with duration/dt.  Sample and snapshot times are s*dt (the pulse
+    duration at the last boundary); snapshots of a static pulse snap to
+    step boundaries like those of a modulated one.
 
     subspace restricts the propagation to a tuple of bare basis indices;
     combined with rwa=True this is exact for dynamics that start inside one
@@ -128,56 +160,45 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, coupler_pulse, specs,
     if dt is None:
         dt = default_dt(p)
 
-    # Snap dt to an integer fraction of the modulation period: flat-top steps
-    # then repeat exactly period over period, so their eigendecompositions can
-    # be cached (a trailing partial step absorbs the incommensurate remainder).
-    period = (1.0 / q2_pulse.mod_freq
-              if q2_pulse.mod_freq > 0 and q2_pulse.amplitude != 0.0 else 0.0)
+    # Snap dt to m steps per modulation period; a trailing partial step
+    # absorbs the incommensurate remainder.  An unmodulated flat top repeats
+    # every step; a pulse shorter than its period never repeats.
+    modulated = q2_pulse.mod_freq > 0 and q2_pulse.amplitude != 0.0
+    period = 1.0 / q2_pulse.mod_freq if modulated else 0.0
     if 0.0 < period < duration:
-        m_period = math.ceil(period / dt)
-        dt = period / m_period
+        m = math.ceil(period / dt)
+        dt = period / m
         n_full = int(duration / dt + 1e-9)
-        step_dt = np.full(n_full, dt)
         rem = duration - n_full * dt
         # Durations produced by the snapping itself sit within summation
         # noise of an exact multiple; only keep remainders that are real.
-        if rem > 1e-4 * dt:
-            step_dt = np.append(step_dt, rem)
+        rem = rem if rem > 1e-4 * dt else 0.0
     else:
-        m_period = 0
         n_full = max(1, math.ceil(duration / dt))
         dt = duration / n_full
-        step_dt = np.full(n_full, dt)
-    n_steps = len(step_dt)
-    edges = np.concatenate(([0.0], np.cumsum(step_dt)))
-    edges[-1] = duration
-    t_mid = np.clip(0.5 * (edges[:-1] + edges[1:]), 0.0, duration)
-
-    flux2_tiled = None
-    if m_period > 0:
-        flux2_tiled = np.asarray(instantaneous_flux(q2_pulse, t_mid),
-                                 dtype=float).copy()
-        j = np.arange(m_period)
-        pattern = q2_pulse.phi_dc + q2_pulse.amplitude * np.sin(
-            2.0 * math.pi * q2_pulse.mod_freq * (j + 0.5) * dt + q2_pulse.phase)
-        k = np.arange(n_steps)
-        flat = ((edges[:-1] >= q2_pulse.ramp)
-                & (edges[1:] <= duration - q2_pulse.ramp) & (k < n_full))
-        flux2_tiled[flat] = pattern[k[flat] % m_period]
+        m = n_full if modulated else 1
+        rem = 0.0
+    n_steps = n_full + (rem > 0.0)
+    # Steps [k0, k1) lie on the flat top, where the Hamiltonian repeats.
+    k0 = math.ceil(q2_pulse.ramp / dt - 1e-9)
+    k1 = max(k0, min(n_full, int((duration - q2_pulse.ramp) / dt + 1e-9)))
+    if coupler_pulse is not None and coupler_pulse.amplitude != 0.0 and (
+            coupler_pulse.mod_freq > 0 or coupler_pulse.ramp > 0):
+        k1 = k0  # a moving coupler flux breaks the repetition
 
     idx = tuple(range(DIM)) if subspace is None else tuple(subspace)
     sub = np.asarray(idx, dtype=int)
     dim = len(idx)
     if rwa:
-        xx_1c, xx_c2, xx_12 = (m[np.ix_(sub, sub)] for m in
+        xx_1c, xx_c2, xx_12 = (op[np.ix_(sub, sub)] for op in
                                (XX_1C_RWA, XX_C2_RWA, XX_12_RWA))
     else:
         if subspace is not None:
             raise ValueError("subspace restriction is only exact with rwa=True")
         xx_1c, xx_c2, xx_12 = XX_1C, XX_C2, XX_12
-    num1, numc, num2 = NUM_1[sub], NUM_C[sub], NUM_2[sub]
-    p21, p2c, p22 = P2_1[sub], P2_C[sub], P2_2[sub]
-    diag_const = p.f1 * num1 - p.eta1 * p21 - p.etac * p2c - p.eta2 * p22
+    diag_const = (p.f1 * NUM_1[sub] - p.eta1 * P2_1[sub]
+                  - p.etac * P2_C[sub] - p.eta2 * P2_2[sub])
+    terms = (xx_1c, xx_c2, xx_12, diag_const, NUM_C[sub], NUM_2[sub])
 
     psi = None
     if initial_state is not None:
@@ -189,84 +210,81 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, coupler_pulse, specs,
             psi[:] = vec[sub] if vec.size == DIM else vec
 
     sample_steps = np.array([], dtype=int)
-    times = np.array([])
-    trajectory = np.zeros((0, dim), dtype=complex)
     if n_samples > 0:
         if psi is None:
             raise ValueError("trajectory sampling requires an initial state")
         sample_steps = np.unique(np.linspace(1, n_steps, n_samples).round().astype(int))
-        times = edges[sample_steps]
-        trajectory = np.zeros((len(sample_steps), dim), dtype=complex)
-
-    u_steps = np.array([], dtype=int)
-    u_times = np.array([])
-    unitaries = np.zeros((0, dim, dim), dtype=complex)
     want_u = (np.array([], dtype=float) if unitary_times is None
               else np.atleast_1d(np.asarray(unitary_times, dtype=float)))
     if want_u.size and (np.any(want_u <= 0.0) or np.any(want_u > duration + 1e-9)):
         raise ValueError("unitary sample times must lie in (0, duration]")
+    snap = np.clip(np.floor(want_u / dt + 0.5), 1, n_full).astype(int)
+    snap[want_u - n_full * dt > 0.5 * rem] = n_steps
+    u_steps = np.unique(snap)
+    trajectory = np.zeros((len(sample_steps), dim), dtype=complex)
+    unitaries = np.zeros((len(u_steps), dim, dim), dtype=complex)
+    sample_row = {s: i for i, s in enumerate(sample_steps.tolist())}
+    snap_row = {s: i for i, s in enumerate(u_steps.tolist())}
 
-    series = _parameter_series(p, q2_pulse, coupler_pulse, specs, t_mid,
-                               flux2=flux2_tiled)
-    static = _is_static(q2_pulse) and _is_static(coupler_pulse)
+    def record(s, u):
+        if s in sample_row:
+            trajectory[sample_row[s]] = u @ psi
+        if s in snap_row:
+            unitaries[snap_row[s]] = u
+
+    def steps(a, b, u):
+        """Running propagator after each of the steps [a, b), from u."""
+        if a == b:
+            return iter(())
+        k = np.arange(a, b)
+        full = k < n_full
+        t_mid = np.where(full, (k + 0.5) * dt, n_full * dt + 0.5 * rem)
+        series = _parameter_series(p, q2_pulse, coupler_pulse, specs, t_mid)
+        return _step_products(terms, series, np.where(full, dt, rem), u)
 
     u = np.eye(dim, dtype=complex)
-    if static:
-        # constant Hamiltonian: one eigendecomposition, exact for any dt
-        h = (series["g1c"][0] * xx_1c + series["g2c"][0] * xx_c2
-             + series["g12"][0] * xx_12)
-        h[np.diag_indices(dim)] += (diag_const + series["fc"][0] * numc
-                                    + series["f2"][0] * num2)
-        evals, vecs = np.linalg.eigh(h)
-        u = (vecs * np.exp(-2j * math.pi * evals * duration)) @ vecs.conj().T
-        if len(sample_steps):
-            phases = np.exp(-2j * math.pi * np.outer(times, evals))
-            trajectory = (phases * (vecs.conj().T @ psi)) @ vecs.T
-        if want_u.size:
-            u_times = np.unique(want_u)
-            uph = np.exp(-2j * math.pi * np.outer(u_times, evals))
-            unitaries = np.einsum("ak,tk,bk->tab", vecs, uph, vecs.conj())
-    else:
-        diag_series = (diag_const[None, :] + np.outer(series["fc"], numc)
-                       + np.outer(series["f2"], num2))
-        di = np.diag_indices(dim)
-        if want_u.size:
-            pos = np.searchsorted(edges, want_u).clip(1, n_steps)
-            left = (want_u - edges[pos - 1]) < (edges[pos] - want_u)
-            u_steps = np.unique(np.where(left, pos - 1, pos).clip(1, n_steps))
-            u_times = edges[u_steps]
-            unitaries = np.zeros((len(u_steps), dim, dim), dtype=complex)
-        cache = {}
-        k_sample = 0
-        k_unitary = 0
-        for k in range(n_steps):
-            key = (series["f2"][k], series["fc"][k], series["g1c"][k],
-                   series["g2c"][k], series["g12"][k], step_dt[k])
-            step = cache.get(key)
-            if step is None:
-                h = (series["g1c"][k] * xx_1c + series["g2c"][k] * xx_c2
-                     + series["g12"][k] * xx_12)
-                h[di] += diag_series[k]
-                evals, vecs = np.linalg.eigh(h)
-                step = (vecs * np.exp(-2j * math.pi * evals
-                                      * step_dt[k])) @ vecs.conj().T
-                cache[key] = step
-            u = step @ u
-            if k_sample < len(sample_steps) and sample_steps[k_sample] == k + 1:
-                trajectory[k_sample] = u @ psi
-                k_sample += 1
-            if k_unitary < len(u_steps) and u_steps[k_unitary] == k + 1:
-                unitaries[k_unitary] = u
-                k_unitary += 1
+    for s, u in enumerate(steps(0, k0, u), 1):
+        record(s, u)
+    if k1 > k0:
+        m = min(m, k1 - k0)
+        prefix = np.empty((m, dim, dim), dtype=complex)
+        for j, u_j in enumerate(steps(k0, k0 + m, np.eye(dim, dtype=complex))):
+            prefix[j] = u_j
+        # U_P is unitary, so its complex Schur form is diagonal and
+        # U_P^n = Z diag(exp(i*n*theta)) Z^H.
+        schur_t, z = schur(prefix[-1], output="complex")
+        theta = np.angle(np.diag(schur_t))
+        w = z.conj().T @ u
+        v = None if psi is None else w @ psi[:, None]
+
+        def flat_top(s, x):
+            """U(s) y for x = Z^H U_head y, with s in (k0, k1]."""
+            n, j = divmod(s - k0 - 1, m)
+            return prefix[j] @ (z @ (np.exp(1j * n * theta)[:, None] * x))
+
+        for s, row in sample_row.items():
+            if k0 < s < k1:
+                trajectory[row] = flat_top(s, v)[:, 0]
+        for s, row in snap_row.items():
+            if k0 < s < k1:
+                unitaries[row] = flat_top(s, w)
+        u = flat_top(k1, w)
+        record(k1, u)
+    for s, u in enumerate(steps(k1, n_steps, u), k1 + 1):
+        record(s, u)
 
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
     if defect > UNITARITY_TOL:
         raise ValueError(
             f"unitarity drift {defect:.2e} exceeds {UNITARITY_TOL}; reduce dt")
-    return Propagation(unitary=u, dt=dt, n_steps=n_steps, times=times,
-                       trajectory=trajectory, unitary_times=u_times,
-                       unitaries=unitaries, subspace=idx,
-                       unitarity_defect=defect)
+
+    def times(s):
+        return np.where(s < n_steps, s * dt, duration)
+
+    return Propagation(unitary=u, dt=dt, n_steps=n_steps,
+                       times=times(sample_steps), trajectory=trajectory,
+                       unitary_times=times(u_steps), unitaries=unitaries,
+                       subspace=idx, unitarity_defect=defect)
 
 
 @dataclass(frozen=True)

@@ -89,19 +89,14 @@ class ThreeBodyHamiltonian:
             raise ValueError("Hamiltonian is not Hermitian")
 
 
-def hamiltonian_diagonal(f1, fc, f2, eta1, etac, eta2) -> np.ndarray:
-    """Diagonal (bare) part of the three-body Hamiltonian as a length-27 vector."""
-    return (f1 * NUM_1 + fc * NUM_C + f2 * NUM_2
-            - eta1 * P2_1 - etac * P2_C - eta2 * P2_2)
-
-
 def build_hamiltonian(p: DeviceParams, rwa: bool = False) -> ThreeBodyHamiltonian:
     """Assemble the static three-body Hamiltonian from device parameters.
 
     With rwa=True the counter-rotating parts of the charge-charge couplings
     are dropped and the total excitation number is conserved.
     """
-    diag = hamiltonian_diagonal(p.f1, p.fc, p.f2, p.eta1, p.etac, p.eta2)
+    diag = (p.f1 * NUM_1 + p.fc * NUM_C + p.f2 * NUM_2
+            - p.eta1 * P2_1 - p.etac * P2_C - p.eta2 * P2_2)
     if rwa:
         pair_1c, pair_c2, pair_12 = XX_1C_RWA, XX_C2_RWA, XX_12_RWA
     else:

@@ -182,7 +182,7 @@ def save_crosstalk_csv(path, ct: CrosstalkMatrix, header_lines=()):
             fh.write(f"# {line}\n")
         fh.write("line," + ",".join(ct.labels) + "\n")
         for label, row in zip(ct.labels, ct.matrix):
-            fh.write(label + "," + ",".join(f"{v:.6g}" for v in row) + "\n")
+            fh.write(label + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
 def load_transfer_csv(path) -> TransferTable:

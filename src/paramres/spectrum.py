@@ -147,10 +147,3 @@ def coupling_strengths(e1c: float, e2c: float, e12: float,
         * (1.0 - (xi1 + xi2) / 8.0)
     return g1c, g2c, g12
 
-
-def frequency_vs_flux(spec: TransmonSpec, phi_grid) -> np.ndarray:
-    """f01 evaluated on a grid of external fluxes (radians)."""
-    phi_grid = np.asarray(phi_grid, dtype=float)
-    if phi_grid.size == 0:
-        raise ValueError("flux grid is empty")
-    return np.asarray(transition_frequency(spec, phi_grid))

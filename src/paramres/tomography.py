@@ -565,9 +565,10 @@ def simulate_qpt(
 def save_ptm(path, pt: ProcessTensor, metadata: dict | None = None) -> None:
     """Write a ProcessTensor to CSV with a JSON header line.
 
-    A ``generated`` timestamp in the metadata is written on its own
-    ``# generated: ...`` line after the header, so tools can strip it and
-    compare the rest of two files byte for byte.
+    Entries are written at round-trip precision.  A ``generated``
+    timestamp in the metadata is written on its own ``# generated: ...``
+    line after the header, so tools can strip it and compare the rest of
+    two files byte for byte.
     """
     header = {"basis": list(PAULI_LABELS), "leakage": pt.leakage}
     if metadata:
@@ -578,7 +579,7 @@ def save_ptm(path, pt: ProcessTensor, metadata: dict | None = None) -> None:
         if generated is not None:
             fh.write(f"# generated: {generated}\n")
         for row in pt.ptm:
-            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 def load_ptm(path):

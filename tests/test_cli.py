@@ -122,6 +122,42 @@ def test_flux_invert_config_errors(capsys, tmp_path):
     assert "need 3 entries" in err
 
 
+def test_flux_invert_csv_and_json_hold_the_same_floats(capsys, tmp_path):
+    csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
+    code, out, _ = run(capsys, "flux", "invert", "--out-dir", str(csv_dir))
+    assert code == 0
+    assert run(capsys, "flux", "invert", "--out-dir", str(json_dir),
+               "--format", "json")[0] == 0
+    lines = [ln.split(",") for ln in
+             (csv_dir / "compensation.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    csv_columns = dict(zip(lines[0], zip(*lines[1:])))
+    json_columns = json.loads((json_dir / "compensation.json").read_text())["columns"]
+    assert csv_columns.keys() == json_columns.keys()
+    assert list(csv_columns.pop("line")) == json_columns.pop("line")
+    for name, cells in csv_columns.items():
+        assert [float(c) for c in cells] == json_columns[name]  # bit for bit
+    vals = summary_values(out)
+    assert vals["q1_phi0"] == json_columns["setting_phi0"][0]
+
+
+def test_format_ini_is_rejected_outside_device_show(capsys, tmp_path):
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "sweep", "coupling", "--out-dir", str(out_dir),
+                       "--format", "ini")
+    assert code == 1
+    assert "--format ini" in err
+    assert not out_dir.exists()
+
+    cfgf = tmp_path / "run.ini"
+    cfgf.write_text("[run]\nformat = xml\n")
+    code, _, err = run(capsys, "flux", "invert", "--config", str(cfgf),
+                       "--out-dir", str(out_dir))
+    assert code == 1
+    assert "config [run] format" in err
+    assert not out_dir.exists()
+
+
 def test_transfer_apply_defaults(capsys, tmp_path):
     code, out, _ = run(capsys, "transfer", "apply", "--out-dir", str(tmp_path))
     assert code == 0

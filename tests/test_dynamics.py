@@ -1,19 +1,25 @@
 """Time-domain propagation against closed-form exchange dynamics."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from paramres.calibration import find_resonance_amplitude
 from paramres.device import device_params
 from paramres.dynamics import (
     SINGLE_EXCITATION,
     UNITARITY_TOL,
+    _parameter_series,
     chevron,
     coupling_vs_bias,
     default_dt,
     fit_exchange,
     propagate,
 )
+from paramres.effective import build_hamiltonian
 from paramres.fluxcontrol import FluxPulse
 from paramres.spectrum import DeviceParams
 
@@ -116,14 +122,85 @@ def test_unitary_snapshots_match_truncated_pulses(device):
     specs = (device.q2, device.coupler)
     dt = PERIOD / 128
     times = [128 * dt, 256 * dt, 512 * dt]
-    pulse = flat_pulse(512 * dt, amplitude=0.154, mod_freq=MOD_FREQ)
-    prop = propagate(p, pulse, None, specs, dt=dt, unitary_times=times)
-    np.testing.assert_allclose(prop.unitary_times, times, atol=1e-12)
+    for amplitude, mod_freq in ((0.154, MOD_FREQ), (0.0, 0.0)):  # modulated, static
+        pulse = flat_pulse(512 * dt, amplitude=amplitude, mod_freq=mod_freq)
+        prop = propagate(p, pulse, None, specs, dt=dt, unitary_times=times)
+        np.testing.assert_allclose(prop.unitary_times, times, atol=1e-12)
+        for t, u in zip(prop.unitary_times, prop.unitaries):
+            solo = propagate(
+                p, flat_pulse(float(t), amplitude=amplitude, mod_freq=mod_freq),
+                None, specs, dt=dt)
+            assert np.max(np.abs(u - solo.unitary)) < 1e-10
+
+
+def stepped_propagators(p, q2_pulse, coupler_pulse, specs, prop):
+    """Propagator after each step of prop's midpoint grid, stepped one by one.
+
+    The grid has steps of prop.dt, the last one ending at the pulse
+    duration; each step multiplies exp(-2*pi*i*H(t_mid)*dt_k) with H from
+    build_hamiltonian at that step's midpoint parameters.
+    """
+    edges = np.arange(prop.n_steps + 1) * prop.dt
+    edges[-1] = q2_pulse.duration
+    t_mid = 0.5 * (edges[:-1] + edges[1:])
+    series = _parameter_series(p, q2_pulse, coupler_pulse, specs, t_mid)
+    u = np.eye(27, dtype=complex)
+    out = np.zeros((prop.n_steps, 27, 27), dtype=complex)
+    for k in range(prop.n_steps):
+        pk = replace(p, **{key: float(series[key][k]) for key in series})
+        u = expm(-2j * np.pi * build_hamiltonian(pk).matrix
+                 * (edges[k + 1] - edges[k])) @ u
+        out[k] = u
+    return edges, out
+
+
+@pytest.mark.parametrize("q2_pulse, coupler_pulse", [
+    # ramped modulated: ramps, 5 whole periods plus 20 steps, a partial step
+    (FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, phase=0.3,
+               duration=25.4, ramp=3.0), None),
+    # ramped DC pulse: a constant flat top between the ramps
+    (FluxPulse(phi_dc=0.0, amplitude=0.05, duration=25.4, ramp=3.0), None),
+    # a modulated coupler flux breaks the period: every step is direct
+    (FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=25.4,
+               ramp=0.0),
+     FluxPulse(phi_dc=0.29472, amplitude=0.01, mod_freq=0.1, duration=25.4,
+               ramp=0.0)),
+], ids=["ramped_modulated", "ramped_dc", "modulated_coupler"])
+def test_period_reuse_matches_direct_stepping(device, q2_pulse, coupler_pulse):
+    p = device_params(device, phic=0.29472)
+    specs = (device.q2, device.coupler)
+    psi = np.zeros(27, dtype=complex)
+    psi[9] = 1.0
+    prop = propagate(p, q2_pulse, coupler_pulse, specs, dt=PERIOD / 48,
+                     initial_state=psi, n_samples=40,
+                     unitary_times=[1.0, 3.1, 10.0, 20.0, 24.0, 25.4])
+    edges, ref = stepped_propagators(p, q2_pulse, coupler_pulse, specs, prop)
+    assert np.max(np.abs(prop.unitary - ref[-1])) < 1e-9
     for t, u in zip(prop.unitary_times, prop.unitaries):
-        solo = propagate(
-            p, flat_pulse(float(t), amplitude=0.154, mod_freq=MOD_FREQ),
-            None, specs, dt=dt)
-        assert np.max(np.abs(u - solo.unitary)) < 1e-10
+        s = int(np.argmin(np.abs(edges - t)))
+        assert edges[s] == pytest.approx(t, abs=1e-12)
+        assert np.max(np.abs(u - ref[s - 1])) < 1e-9
+    steps = [int(np.argmin(np.abs(edges - t))) for t in prop.times]
+    assert np.max(np.abs(prop.trajectory - ref[np.array(steps) - 1] @ psi)) < 1e-9
+
+
+def test_long_static_pulse_needs_no_per_step_arrays(device, zero_bias_params):
+    # 2 us at the default step is ~473k steps; period reuse makes the cost
+    # independent of that count
+    specs = (device.q2, device.coupler)
+    tracemalloc.start()
+    try:
+        prop = propagate(zero_bias_params, flat_pulse(2000.0), None, specs,
+                         initial_state=9, n_samples=720)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prop.n_steps > 400_000
+    assert peak < 5e6
+    evals, vecs = np.linalg.eigh(build_hamiltonian(zero_bias_params).matrix)
+    exact = (vecs * np.exp(-2j * np.pi * evals * 2000.0)) @ vecs.conj().T
+    assert np.max(np.abs(prop.unitary - exact)) < 1e-8
+    assert prop.times[-1] == 2000.0
 
 
 def test_propagate_validation(device, zero_bias_params):

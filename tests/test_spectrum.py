@@ -11,7 +11,6 @@ from paramres.spectrum import (
     DeviceParams,
     TransmonSpec,
     anharmonicity,
-    frequency_vs_flux,
     level_energies,
     transition_frequency,
     zero_point,
@@ -107,15 +106,10 @@ def test_transition_frequency_vectorizes():
 def test_frequency_vs_flux_band_shape():
     spec = make_transmon(0.235, 9.66, d=0.5)
     grid = np.linspace(0.0, np.pi, 101)
-    band = frequency_vs_flux(spec, grid)
+    band = np.asarray(transition_frequency(spec, grid))
     assert band[0] == band.max()
     assert band[-1] == band.min()
     assert np.all(np.diff(band) < 0)
-
-
-def test_frequency_vs_flux_rejects_empty_grid():
-    with pytest.raises(ValueError, match="flux grid is empty"):
-        frequency_vs_flux(make_transmon(0.235, 9.66), np.array([]))
 
 
 def test_symmetric_squid_rejected_at_half_flux():
