@@ -89,6 +89,9 @@ class GateSpec:
             raise ValueError("mod_freq must be positive")
         if abs(self.resonance_residual) > _RESIDUAL_TOL:
             raise ValueError("resonance residual exceeds the 1 kHz tolerance")
+        if len(self.virtual_z) != 2:
+            raise ValueError("virtual_z needs exactly two angles (qubit 1, qubit 2), "
+                             f"got {len(self.virtual_z)}")
         object.__setattr__(self, "virtual_z", tuple(float(z) for z in self.virtual_z))
 
     def to_dict(self) -> dict:
@@ -104,6 +107,8 @@ class GateSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GateSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"gate spec must be a JSON object, got {type(d).__name__}")
         try:
             return cls(
                 kind=d["kind"],
@@ -132,21 +137,24 @@ def load_gatespec(path) -> GateSpec:
         return GateSpec.from_dict(json.load(fh))
 
 
-def gate_pulse(spec: GateSpec) -> FluxPulse:
-    """The qubit-2 flux pulse realizing a GateSpec.
+def sweet_spot_pulse(amplitude: float, mod_freq: float,
+                     duration: float = 100.0) -> FluxPulse:
+    """Ramp-free q2 flux modulation about the upper sweet spot.
 
     Gates run from the upper sweet spot with no ramp: the modulated
     flux is continuous at turn-on there, and a raised-cosine ramp would
     drag the average frequency through the sideband collisions mapped
-    out during calibration.
+    out during calibration.  The default duration suits probes of the
+    flat top (average frequency, sideband weights), which do not depend
+    on it.
     """
-    return FluxPulse(
-        phi_dc=0.0,
-        amplitude=spec.amplitude,
-        mod_freq=spec.mod_freq,
-        duration=spec.duration,
-        ramp=0.0,
-    )
+    return FluxPulse(phi_dc=0.0, amplitude=amplitude, mod_freq=mod_freq,
+                     duration=duration, ramp=0.0)
+
+
+def gate_pulse(spec: GateSpec) -> FluxPulse:
+    """The qubit-2 flux pulse realizing a GateSpec."""
+    return sweet_spot_pulse(spec.amplitude, spec.mod_freq, spec.duration)
 
 
 def gate_unitary(device: Device, spec: GateSpec, dt: float | None = None):
@@ -167,25 +175,16 @@ def _resonance_target(kind: str, p) -> float:
 
 
 def _average_frequency(q2_spec, amplitude: float, mod_freq: float) -> float:
-    pulse = FluxPulse(
-        phi_dc=0.0, amplitude=amplitude, mod_freq=mod_freq, duration=100.0, ramp=0.0
-    )
-    return average_and_excursion(q2_spec, pulse)[0]
+    return average_and_excursion(q2_spec, sweet_spot_pulse(amplitude, mod_freq))[0]
 
 
-def find_resonance_amplitude(
-    kind: str,
-    q2_spec,
-    p,
-    mod_freq: float,
-    a_max: float = _AMPLITUDE_MAX,
-) -> float:
+def find_resonance_amplitude(kind: str, q2_spec, p, mod_freq: float) -> float:
     """Modulation amplitude putting the average q2 frequency on resonance.
 
-    Solves fbar(A) = target by bracketed Brent over A in [0, a_max],
+    Solves fbar(A) = target by bracketed Brent over A in [0, 0.45],
     where the target is f1 (iswap), f1 - eta1 (cz20) or f1 + eta2
     (cz02).  fbar is monotone decreasing from the sweet spot, so the
-    root is unique when it exists; a target outside [fbar(a_max),
+    root is unique when it exists; a target outside [fbar(0.45),
     fbar(0)] raises "resonance unreachable", which is how a cz02
     request on this device fails.
     """
@@ -195,7 +194,7 @@ def find_resonance_amplitude(
     top = _average_frequency(q2_spec, 0.0, mod_freq)
     if abs(top - target) < _RESIDUAL_TOL:
         return 0.0
-    bottom = _average_frequency(q2_spec, a_max, mod_freq)
+    bottom = _average_frequency(q2_spec, _AMPLITUDE_MAX, mod_freq)
     if not bottom <= target <= top:
         raise ValueError(
             f"resonance unreachable: {kind} needs an average frequency of "
@@ -205,7 +204,7 @@ def find_resonance_amplitude(
     amplitude = brentq(
         lambda a: _average_frequency(q2_spec, a, mod_freq) - target,
         0.0,
-        a_max,
+        _AMPLITUDE_MAX,
         xtol=1e-12,
     )
     residual = _average_frequency(q2_spec, amplitude, mod_freq) - target
@@ -267,14 +266,14 @@ def sideband_collision_map(
     )
 
 
-def default_collision_grid(p, q2_spec, n: int = 48, margin: float = 0.030) -> np.ndarray:
-    """Amplitude grid from zero to just past the CZ20 resonance.
+def default_collision_grid(p, q2_spec) -> np.ndarray:
+    """48 amplitudes from zero to just past the CZ20 resonance.
 
-    The far edge is the amplitude pulling the average frequency
-    ``margin`` GHz below the deepest gate target, so the map covers
-    every amplitude a calibration could visit.
+    The far edge is the amplitude pulling the average frequency 30 MHz
+    below the deepest gate target, so the map covers every amplitude a
+    calibration could visit.
     """
-    floor = p.f1 - p.eta1 - margin
+    floor = p.f1 - p.eta1 - 0.030
     bottom = _average_frequency(q2_spec, _AMPLITUDE_MAX, 0.3)
     if floor < bottom:
         edge = _AMPLITUDE_MAX
@@ -285,7 +284,7 @@ def default_collision_grid(p, q2_spec, n: int = 48, margin: float = 0.030) -> np
             _AMPLITUDE_MAX,
             xtol=1e-10,
         )
-    return np.linspace(0.0, edge, n)
+    return np.linspace(0.0, edge, 48)
 
 
 def set_duration(kind: str, g_eff: float) -> float:
@@ -307,10 +306,7 @@ def effective_coupling(device: Device, kind: str, amplitude: float,
                        mod_freq: float, coupler_bias: float) -> complex:
     """n = 0 sideband effective coupling of the gate transition (GHz)."""
     p = device_params(device, phic=coupler_bias)
-    pulse = FluxPulse(
-        phi_dc=0.0, amplitude=amplitude, mod_freq=mod_freq, duration=100.0, ramp=0.0
-    )
-    mc = modulated_couplings(p, pulse, device.q2)
+    mc = modulated_couplings(p, sweet_spot_pulse(amplitude, mod_freq), device.q2)
     key = "g01" if kind == "iswap" else "g20"
     return mc.sideband(0)[key]
 
@@ -456,11 +452,9 @@ def calibrate_gate(
     except ValueError as exc:
         raise CalibrationError("resonance", str(exc)) from exc
     target = _resonance_target(kind, p)
-    residual = _average_frequency(device.q2, amplitude, mod_freq) - target
-    probe = FluxPulse(
-        phi_dc=0.0, amplitude=amplitude, mod_freq=mod_freq, duration=100.0, ramp=0.0
-    )
+    probe = sweet_spot_pulse(amplitude, mod_freq)
     f2_avg, f2_exc = average_and_excursion(device.q2, probe)
+    residual = f2_avg - target
     report["resonance"] = {
         "target_ghz": target,
         "amplitude_phi0": amplitude,

@@ -61,10 +61,6 @@ class SquidSpec:
             raise ValueError("junction energies must be > 0")
 
     @property
-    def symmetric(self) -> bool:
-        return self.ejs == self.ejl
-
-    @property
     def ej_total(self) -> float:
         """Maximum Josephson energy, reached at zero flux."""
         return self.ejs + self.ejl

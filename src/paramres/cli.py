@@ -28,12 +28,12 @@ from .calibration import (DEFAULT_COUPLER_BIAS, DEFAULT_MOD_FREQ,
                           CalibrationError, calibrate_gate,
                           effective_coupling, find_resonance_amplitude,
                           gate_unitary, load_gatespec, save_gatespec,
-                          set_duration)
+                          set_duration, sweet_spot_pulse)
 from .device import (bundled_path, device_params, load_bundled_device,
                      load_device, save_device)
 from .dynamics import chevron
 from .effective import static_couplings
-from .fluxcontrol import (FluxPulse, apply_transfer, compensate_crosstalk,
+from .fluxcontrol import (apply_transfer, compensate_crosstalk,
                           load_crosstalk_csv, load_transfer_csv)
 from .tomography import (CZ, ISWAP, CoherenceTimes, average_fidelity,
                          coherence_fidelity_cz, coherence_fidelity_iswap,
@@ -91,23 +91,9 @@ def _file_fingerprint(path) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def _config_hash(settings: dict) -> str:
-    blob = json.dumps(_jsonable(settings), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
-
-
-def _meta(settings: dict) -> dict:
-    return {
-        "tool": f"paramres {__version__}",
-        "config_hash": _config_hash(settings),
-        "generated": _utc_now(),
-    }
-
-
-def _meta_lines(meta: dict):
-    return (meta["tool"],
-            f"config_hash: {meta['config_hash']}",
-            f"generated: {meta['generated']}")
+def _input_fingerprint(path) -> str:
+    """Fingerprint of an optional input file; "bundled" when none is set."""
+    return _file_fingerprint(path) if path else "bundled"
 
 
 def _fmt_cell(v) -> str:
@@ -121,12 +107,12 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_csv(path, meta: dict, columns: dict) -> None:
+def _write_csv(path, meta: dict, header: str, rows) -> None:
+    """Metadata comment lines, one header line, then one line per row."""
     with open(path, "w", encoding="utf-8") as fh:
-        for line in _meta_lines(meta):
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in zip(*columns.values()):
+        fh.write(f"# {meta['tool']}\n# config_hash: {meta['config_hash']}\n"
+                 f"# generated: {meta['generated']}\n{header}\n")
+        for row in rows:
             fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
 
 
@@ -166,39 +152,37 @@ class RunConfig:
     def get(self, section, key, fallback=None):
         return self.cp.get(section, key, fallback=fallback)
 
-    def getfloat(self, section, key, fallback=None):
+    def _typed(self, getter, what, section, key, fallback):
         try:
-            return self.cp.getfloat(section, key, fallback=fallback)
+            return getter(section, key, fallback=fallback)
         except ValueError:
             raise ValueError(
-                f"config [{section}] {key}: not a number: "
+                f"config [{section}] {key}: not {what}: "
                 f"{self.cp.get(section, key)!r}") from None
+
+    def getfloat(self, section, key, fallback=None):
+        return self._typed(self.cp.getfloat, "a number", section, key, fallback)
 
     def getint(self, section, key, fallback=None):
-        try:
-            return self.cp.getint(section, key, fallback=fallback)
-        except ValueError:
-            raise ValueError(
-                f"config [{section}] {key}: not an integer: "
-                f"{self.cp.get(section, key)!r}") from None
+        return self._typed(self.cp.getint, "an integer", section, key, fallback)
 
     def getbool(self, section, key, fallback=None):
-        try:
-            return self.cp.getboolean(section, key, fallback=fallback)
-        except ValueError:
-            raise ValueError(
-                f"config [{section}] {key}: not a boolean: "
-                f"{self.cp.get(section, key)!r}") from None
+        return self._typed(self.cp.getboolean, "a boolean", section, key, fallback)
 
     def load_device(self):
         if self.device_file is None:
             return load_bundled_device()
         return load_device(self.device_file)
 
-    def common_settings(self) -> dict:
-        device = (_file_fingerprint(self.device_file)
-                  if self.device_file else "bundled")
-        return {"device": device, "format": self.format, "seed": self.seed}
+    def meta(self, cmd: str, **settings) -> dict:
+        """Output metadata; config_hash covers the run and command settings."""
+        settings = {"device": _input_fingerprint(self.device_file),
+                    "format": self.format, "seed": self.seed, "cmd": cmd,
+                    **settings}
+        blob = json.dumps(_jsonable(settings), sort_keys=True)
+        return {"tool": f"paramres {__version__}",
+                "config_hash": hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12],
+                "generated": _utc_now()}
 
     def outpath(self, name: str) -> str:
         os.makedirs(self.out_dir, exist_ok=True)
@@ -210,7 +194,7 @@ class RunConfig:
             _write_json(path, {"meta": meta, "columns": columns})
         else:
             path = self.outpath(stem + ".csv")
-            _write_csv(path, meta, columns)
+            _write_csv(path, meta, ",".join(columns), zip(*columns.values()))
         return path
 
 
@@ -240,10 +224,8 @@ def cmd_sweep_coupling(cfg: RunConfig, args) -> int:
     phi2 = cfg.getfloat("sweep", "phi2_phi0", 0.0)
     if points < 2:
         raise ValueError("config [sweep] points: need at least 2")
-    settings = {**cfg.common_settings(), "cmd": "sweep coupling",
-                "phic_start_phi0": start, "phic_stop_phi0": stop,
-                "points": points, "phi1_phi0": phi1, "phi2_phi0": phi2}
-    meta = _meta(settings)
+    meta = cfg.meta("sweep coupling", phic_start_phi0=start, phic_stop_phi0=stop,
+                    points=points, phi1_phi0=phi1, phi2_phi0=phi2)
 
     phics = np.linspace(start, stop, points)
     fcs, effs = [], []
@@ -301,25 +283,18 @@ def cmd_chevron(cfg: RunConfig, args) -> int:
     durs = np.linspace(cfg.getfloat("chevron", "dur_start_ns", 0.25 * tau0),
                        cfg.getfloat("chevron", "dur_stop_ns", 1.75 * tau0),
                        cfg.getint("chevron", "dur_points", 49))
-    settings = {**cfg.common_settings(), "cmd": "chevron", "gate": gate,
-                "coupler_bias_phi0": coupler_bias, "mod_freq_ghz": mod_freq,
-                "basis": basis_kind, "initial": initial,
-                "amplitudes_phi0": amps, "durations_ns": durs}
-    meta = _meta(settings)
+    meta = cfg.meta("chevron", gate=gate, coupler_bias_phi0=coupler_bias,
+                    mod_freq_ghz=mod_freq, basis=basis_kind, initial=initial,
+                    amplitudes_phi0=amps, durations_ns=durs)
 
     basis = dressed_computational_basis(p) if basis_kind == "dressed" else None
-    template = FluxPulse(phi_dc=0.0, amplitude=a0, mod_freq=mod_freq,
-                         duration=float(durs[-1]), ramp=0.0)
-    chev = chevron(p, (device.q2, device.coupler), template, None,
-                   amps, durs, initial=initial, basis=basis)
+    chev = chevron(p, (device.q2, device.coupler), sweet_spot_pulse(a0, mod_freq),
+                   None, amps, durs, initial=initial, basis=basis)
 
     path = cfg.outpath("chevron.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in _meta_lines(meta):
-            fh.write(f"# {line}\n")
-        fh.write("# rows: amplitudes_phi0; columns: durations_ns (see sidecar)\n")
-        for row in chev.populations:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
+    _write_csv(path, meta,
+               "# rows: amplitudes_phi0; columns: durations_ns (see sidecar)",
+               chev.populations)
     sidecar = cfg.outpath("chevron_grid.json")
     _write_json(sidecar, {
         "meta": meta,
@@ -348,10 +323,8 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
     mod_freq = cfg.getfloat(section, "mod_freq_ghz", None)
     guard_band = cfg.getfloat(section, "guard_band_ghz", 0.020)
     refine = cfg.getbool(section, "refine", True)
-    settings = {**cfg.common_settings(), "cmd": "calibrate", "kind": kind,
-                "coupler_bias_phi0": coupler_bias, "mod_freq_ghz": mod_freq,
-                "guard_band_ghz": guard_band, "refine": refine}
-    meta = _meta(settings)
+    meta = cfg.meta("calibrate", kind=kind, coupler_bias_phi0=coupler_bias,
+                    mod_freq_ghz=mod_freq, guard_band_ghz=guard_band, refine=refine)
 
     device = cfg.load_device()
     spec, report = calibrate_gate(device, kind, coupler_bias=coupler_bias,
@@ -394,10 +367,8 @@ def cmd_tomo(cfg: RunConfig, args) -> int:
     shots = cfg.getint("tomo", "shots", 0)
     fids = {key: cfg.getfloat("tomo", f"readout_{key}", 1.0)
             for key in ("f0_q1", "f1_q1", "f0_q2", "f1_q2")}
-    settings = {**cfg.common_settings(), "cmd": "tomo",
-                "gatespec": _file_fingerprint(spec_file), "shots": shots,
-                **{f"readout_{k}": v for k, v in fids.items()}}
-    meta = _meta(settings)
+    meta = cfg.meta("tomo", gatespec=_file_fingerprint(spec_file), shots=shots,
+                    **{f"readout_{k}": v for k, v in fids.items()})
 
     spec = load_gatespec(spec_file)
     device = cfg.load_device()
@@ -434,7 +405,7 @@ def cmd_tomo(cfg: RunConfig, args) -> int:
 
 def cmd_flux_invert(cfg: RunConfig, args) -> int:
     path = cfg.get("flux", "crosstalk_file", None)
-    ct = load_crosstalk_csv(path if path else str(bundled_path("crosstalk.csv")))
+    ct = load_crosstalk_csv(path or str(bundled_path("crosstalk.csv")))
     raw = cfg.get("flux", "target_phi0", "0, 0.29472, 0")
     try:
         target = [float(tok) for tok in raw.split(",")]
@@ -446,10 +417,8 @@ def cmd_flux_invert(cfg: RunConfig, args) -> int:
         raise ValueError(
             f"config [flux] target_phi0: need {ct.matrix.shape[0]} entries "
             f"(one per line {ct.labels}), got {len(target)}")
-    settings = {**cfg.common_settings(), "cmd": "flux invert",
-                "crosstalk": (_file_fingerprint(path) if path else "bundled"),
-                "target_phi0": target}
-    meta = _meta(settings)
+    meta = cfg.meta("flux invert", crosstalk=_input_fingerprint(path),
+                    target_phi0=target)
 
     setting = compensate_crosstalk(ct, target)
     residual = float(np.max(np.abs(ct.matrix @ setting - np.asarray(target))))
@@ -465,13 +434,11 @@ def cmd_flux_invert(cfg: RunConfig, args) -> int:
 
 def cmd_transfer_apply(cfg: RunConfig, args) -> int:
     path = cfg.get("transfer", "file", None)
-    table = load_transfer_csv(path if path else str(bundled_path("transfer.csv")))
+    table = load_transfer_csv(path or str(bundled_path("transfer.csv")))
     requested = cfg.getfloat("transfer", "requested_amp_phi0", 0.155)
     mod_freq = cfg.getfloat("transfer", "mod_freq_ghz", 0.28)
-    settings = {**cfg.common_settings(), "cmd": "transfer apply",
-                "transfer": (_file_fingerprint(path) if path else "bundled"),
-                "requested_amp_phi0": requested, "mod_freq_ghz": mod_freq}
-    meta = _meta(settings)
+    meta = cfg.meta("transfer apply", transfer=_input_fingerprint(path),
+                    requested_amp_phi0=requested, mod_freq_ghz=mod_freq)
 
     ratio = apply_transfer(table, 1.0, mod_freq)
     result = {

@@ -51,7 +51,10 @@ def _assemble(network: CapacitanceNetwork, squids) -> Device:
 def load_device(path) -> Device:
     """Read a device INI file; see data/device.ini for the documented schema."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"cannot parse device file {path}: {exc}") from None
     if not read:
         raise ValueError(f"device file not found: {path}")
     squids = []

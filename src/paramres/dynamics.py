@@ -121,7 +121,7 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, coupler_pulse, specs,
     """Propagate over the q2 pulse window and return the final unitary.
 
     p holds the model parameters at the DC biases of the pulses (see
-    calibration.operating_point).  specs is (q2_spec, coupler_spec), used to
+    device.device_params).  specs is (q2_spec, coupler_spec), used to
     convert instantaneous fluxes to frequencies and coupling scale factors.
     With n_samples > 0 and an initial_state (bare basis index or vector),
     the state trajectory is recorded at evenly spaced step boundaries, which
@@ -307,7 +307,7 @@ _CHEVRON_STATES = {
 
 
 def chevron(p: DeviceParams, specs, q2_pulse: FluxPulse, coupler_pulse,
-            amplitudes, durations, initial="10", rwa=False, dt=None,
+            amplitudes, durations, initial="10", dt=None,
             basis=None) -> ChevronMap:
     """Population map versus q2 drive amplitude and pulse duration.
 
@@ -347,12 +347,12 @@ def chevron(p: DeviceParams, specs, q2_pulse: FluxPulse, coupler_pulse,
         pulse = replace(q2_pulse, amplitude=float(amp), duration=t_max)
         cpulse = None if coupler_pulse is None else replace(coupler_pulse,
                                                             duration=t_max)
-        prop = propagate(p, pulse, cpulse, specs, dt=dt, rwa=rwa,
+        prop = propagate(p, pulse, cpulse, specs, dt=dt,
                          initial_state=state_init, n_samples=n_dense)
         if basis is not None:
             dense = np.abs(prop.trajectory @ bra_target) ** 2
         else:
-            dense = np.abs(prop.trajectory[:, prop.subspace.index(idx_target)]) ** 2
+            dense = np.abs(prop.trajectory[:, idx_target]) ** 2
         pops[i] = np.interp(durations, prop.times, dense)
     return ChevronMap(amplitudes=amplitudes, durations=durations,
                       populations=pops, initial=initial, target=target_label)
@@ -406,9 +406,14 @@ def fit_exchange(times, populations) -> ExchangeFit:
                        amplitude=float(a), offset=float(b), residual=rms)
 
 
-def coupling_vs_bias(device, phic_grid, phi1=0.0, n_periods=3.0,
-                     n_samples=720, detuning_span=8e-4, n_detunings=9,
-                     rwa=False):
+#: coupling_vs_bias: swap periods per trace, samples per trace, and the q2
+#: flux offsets (flux quanta) spanning the crossing at each coupler bias
+_SWEEP_PERIODS = 3.0
+_SWEEP_SAMPLES = 720
+_SWEEP_OFFSETS = np.linspace(-0.5, 0.5, 9) * 8e-4
+
+
+def coupling_vs_bias(device, phic_grid):
     """Dynamically extracted |g01| versus coupler flux bias.
 
     For each coupler bias, q2 is flux-tuned so the dressed qubit
@@ -418,12 +423,11 @@ def coupling_vs_bias(device, phic_grid, phi1=0.0, n_periods=3.0,
     vertex, the slowest oscillation over the grid, runs at the exact
     level splitting 2*g.  Pulse durations scale with the expected swap
     period, so weakly coupled points get the longer traces they need.
+    q1 stays at its upper sweet spot and the propagation keeps the full
+    27-level space.
 
     Returns (measured |g01| array, static-model g01 array).  The static
-    prediction is evaluated at the same resonant operating point; with
-    rwa=True the propagation keeps only the rotating-wave
-    single-excitation block and the static model drops its
-    counter-rotating corrections to match.
+    prediction is evaluated at the same resonant operating point.
     """
     from scipy.optimize import brentq
 
@@ -432,36 +436,30 @@ def coupling_vs_bias(device, phic_grid, phi1=0.0, n_periods=3.0,
 
     phic_grid = np.asarray(phic_grid, dtype=float)
     specs = (device.q2, device.coupler)
-    offsets = np.linspace(-0.5, 0.5, n_detunings) * detuning_span
+    idx_01 = basis_index(0, 0, 1)
     g_dyn = np.zeros(phic_grid.size)
     g_stat = np.zeros(phic_grid.size)
     for i, phic in enumerate(phic_grid):
         def dressed_mismatch(phi2):
-            st = static_couplings(
-                device_params(device, phi1=phi1, phic=phic, phi2=phi2),
-                include_counter_rotating=not rwa)
+            st = static_couplings(device_params(device, phic=phic, phi2=phi2))
             return st.f01_2 - st.f01_1
 
         lo, hi = 0.0, 0.26
         if dressed_mismatch(lo) * dressed_mismatch(hi) > 0:
             raise ValueError(f"cannot tune q2 onto q1 at coupler bias {phic}")
         phi2_res = brentq(dressed_mismatch, lo, hi, xtol=1e-12)
-        st = static_couplings(
-            device_params(device, phi1=phi1, phic=phic, phi2=phi2_res),
-            include_counter_rotating=not rwa)
+        st = static_couplings(device_params(device, phic=phic, phi2=phi2_res))
         g_stat[i] = st.g01
-        duration = n_periods / max(2.0 * abs(st.g01), 4e-5)
+        duration = _SWEEP_PERIODS / max(2.0 * abs(st.g01), 4e-5)
         fits = []
-        for phi2 in phi2_res + offsets:
-            p = device_params(device, phi1=phi1, phic=phic, phi2=phi2)
+        for phi2 in phi2_res + _SWEEP_OFFSETS:
+            p = device_params(device, phic=phic, phi2=phi2)
             pulse = FluxPulse(phi_dc=phi2, amplitude=0.0, duration=duration,
                               ramp=0.0)
-            prop = propagate(p, pulse, None, specs, rwa=rwa,
+            prop = propagate(p, pulse, None, specs,
                              initial_state=basis_index(1, 0, 0),
-                             n_samples=n_samples,
-                             subspace=SINGLE_EXCITATION if rwa else None)
-            col = (prop.subspace.index(basis_index(0, 0, 1)))
-            pop01 = np.abs(prop.trajectory[:, col]) ** 2
+                             n_samples=_SWEEP_SAMPLES)
+            pop01 = np.abs(prop.trajectory[:, idx_01]) ** 2
             try:
                 fits.append(fit_exchange(prop.times, pop01).g)
             except ValueError:

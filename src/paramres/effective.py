@@ -9,7 +9,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, trapezoid
-from scipy.special import jv
 
 from .fluxcontrol import FluxPulse
 from .spectrum import DeviceParams, TransmonSpec, transition_frequency
@@ -21,9 +20,6 @@ DIM = LEVELS**3
 def basis_index(n1: int, nc: int, n2: int) -> int:
     return 9 * n1 + 3 * nc + n2
 
-
-BASIS_LABELS = tuple(f"|{n1}{nc}{n2}>" for n1 in range(3)
-                     for nc in range(3) for n2 in range(3))
 
 # Two-qubit computational subspace |q1 q2> with the coupler in |0>,
 # ordered 00, 01, 10, 11.
@@ -75,11 +71,9 @@ TOTAL_EXCITATION = NUM_1 + NUM_C + NUM_2
 
 @dataclass(frozen=True)
 class ThreeBodyHamiltonian:
-    """Dense 27x27 Hamiltonian in GHz with its basis-ordering descriptor."""
+    """Dense 27x27 Hamiltonian in GHz in the product basis |n1 nc n2>."""
 
     matrix: np.ndarray
-    basis: tuple = BASIS_LABELS
-    rwa: bool = False
 
     def __post_init__(self):
         h = self.matrix
@@ -102,7 +96,7 @@ def build_hamiltonian(p: DeviceParams, rwa: bool = False) -> ThreeBodyHamiltonia
     else:
         pair_1c, pair_c2, pair_12 = XX_1C, XX_C2, XX_12
     h = np.diag(diag) + p.g1c * pair_1c + p.g2c * pair_c2 + p.g12 * pair_12
-    return ThreeBodyHamiltonian(matrix=h, rwa=rwa)
+    return ThreeBodyHamiltonian(matrix=h)
 
 
 @dataclass(frozen=True)
@@ -125,12 +119,11 @@ class StaticEffective:
 _RESONANCE_TOL = 1e-6  # GHz
 
 
-def static_couplings(p: DeviceParams,
-                     include_counter_rotating: bool = True) -> StaticEffective:
+def static_couplings(p: DeviceParams) -> StaticEffective:
     """Second-order effective couplings with the coupler adiabatically eliminated.
 
-    include_counter_rotating=False drops all 1/Sigma terms, which is the
-    variant used for coupler-flux sweeps of the zero-coupling point.
+    Both the rotating (1/Delta) and the counter-rotating (1/Sigma) terms
+    of the qubit-coupler exchange are kept.
     """
     d1 = p.fc - p.f1
     d2 = p.fc - p.f2
@@ -144,26 +137,25 @@ def static_couplings(p: DeviceParams,
         warnings.warn("qubit-coupler system is far from dispersive "
                       f"(g/Delta = {abs(p.g1c / d1):.2f}, {abs(p.g2c / d2):.2f})")
 
-    cr = 1.0 if include_counter_rotating else 0.0
     gg = p.g1c * p.g2c
-    g01 = p.g12 - 0.5 * gg * (1.0 / d1 + 1.0 / d2 + cr * (1.0 / s1 + 1.0 / s2))
+    g01 = p.g12 - 0.5 * gg * (1.0 / d1 + 1.0 / d2 + (1.0 / s1 + 1.0 / s2))
     g02 = np.sqrt(2.0) * p.g12 - gg / np.sqrt(2.0) * (
-        1.0 / d1 + 1.0 / (d2 + p.eta2) + cr * (1.0 / s1 + 1.0 / (s2 - p.eta2)))
+        1.0 / d1 + 1.0 / (d2 + p.eta2) + (1.0 / s1 + 1.0 / (s2 - p.eta2)))
     g20 = np.sqrt(2.0) * p.g12 - gg / np.sqrt(2.0) * (
-        1.0 / (d1 + p.eta1) + 1.0 / d2 + cr * (1.0 / (s1 - p.eta1) + 1.0 / s2))
+        1.0 / (d1 + p.eta1) + 1.0 / d2 + (1.0 / (s1 - p.eta1) + 1.0 / s2))
 
-    f01_1 = p.f1 + p.g1c**2 / d1 + cr * p.g1c**2 / s1
-    f01_2 = p.f2 + p.g2c**2 / d2 + cr * p.g2c**2 / s2
+    f01_1 = p.f1 + p.g1c**2 / d1 + p.g1c**2 / s1
+    f01_2 = p.f2 + p.g2c**2 / d2 + p.g2c**2 / s2
     f02_1 = 2 * p.f1 - p.eta1 + 2 * p.g1c**2 / (d1 + p.eta1) \
-        + cr * 2 * p.g1c**2 / (s1 - p.eta1)
+        + 2 * p.g1c**2 / (s1 - p.eta1)
     f02_2 = 2 * p.f2 - p.eta2 + 2 * p.g2c**2 / (d2 + p.eta2) \
-        + cr * 2 * p.g2c**2 / (s2 - p.eta2)
+        + 2 * p.g2c**2 / (s2 - p.eta2)
     return StaticEffective(f01_1=f01_1, f01_2=f01_2, f02_1=f02_1, f02_2=f02_2,
                            g01=g01, g02=g02, g20=g20,
                            delta1=d1, delta2=d2, sigma1=s1, sigma2=s2)
 
 
-def exact_g01(p: DeviceParams, window: float = 0.05, rwa: bool = False) -> float:
+def exact_g01(p: DeviceParams, window: float = 0.05) -> float:
     """Half the minimum single-excitation avoided-crossing gap, by eigensolver.
 
     Sweeps the bare qubit-2 frequency through qubit 1 and tracks the gap
@@ -174,7 +166,7 @@ def exact_g01(p: DeviceParams, window: float = 0.05, rwa: bool = False) -> float
     idx_01 = basis_index(0, 0, 1)
 
     def gap(f2):
-        h = build_hamiltonian(replace(p, f2=f2), rwa=rwa).matrix
+        h = build_hamiltonian(replace(p, f2=f2)).matrix
         vals, vecs = np.linalg.eigh(h)
         weight = np.abs(vecs[idx_10, :])**2 + np.abs(vecs[idx_01, :])**2
         a, b = np.argsort(weight)[-2:]
@@ -198,17 +190,16 @@ class ModulatedCouplings:
     Index n runs over [-n_max, n_max]; at a flux sweet spot the qubit
     frequency oscillates at twice the modulation frequency, so sideband n
     sits at a shift of 2*n*mod_freq (spacing = 2), otherwise n*mod_freq.
-    The weights eps are the numeric Fourier coefficients (authoritative);
-    eps_bessel is the single-harmonic closed form J_n(f2_exc / 2 mod_freq),
-    which keeps only the 2*mod_freq component of the qubit frequency.  At a
-    sweet spot |eps_n| = |eps_-n| therefore holds only to first order: the
-    4*mod_freq harmonic interferes with J_2 and breaks the symmetry from
-    n = 2 on (eps_n then follows the two-harmonic generalized Bessel sum).
+    The weights eps are the numeric Fourier coefficients of the phase
+    factor.  Keeping only the 2*mod_freq component of the qubit frequency
+    would give the Bessel weights J_n(f2_exc / 2 mod_freq); the 4*mod_freq
+    harmonic interferes with J_2, so at a sweet spot |eps_n| = |eps_-n|
+    holds only to first order and breaks from n = 2 on (eps_n then
+    follows the two-harmonic generalized Bessel sum).
     """
 
     n: np.ndarray
     eps: np.ndarray          # complex
-    eps_bessel: np.ndarray   # real
     g01: np.ndarray          # complex, GHz
     g02: np.ndarray
     g20: np.ndarray
@@ -294,8 +285,7 @@ def _spacing_for(pulse: FluxPulse) -> int:
 
 
 def modulated_couplings(p: DeviceParams, pulse: FluxPulse, q2_spec: TransmonSpec,
-                        n_max: int = 5,
-                        include_counter_rotating: bool = True) -> ModulatedCouplings:
+                        n_max: int = 5) -> ModulatedCouplings:
     """Effective couplings g01_n, g02_n, g20_n for sidebands n in [-n_max, n_max].
 
     Detunings use the average modulated frequency, Delta2 = fc - f2_avg; each
@@ -307,15 +297,12 @@ def modulated_couplings(p: DeviceParams, pulse: FluxPulse, q2_spec: TransmonSpec
     """
     f_avg, f_exc = average_and_excursion(q2_spec, pulse)
     n, eps, spacing = numeric_fourier_weights(q2_spec, pulse, n_max)
-    eps_bessel = jv(n, f_exc / (2.0 * pulse.mod_freq)) if pulse.mod_freq > 0 \
-        else (n == 0).astype(float)
 
     d1 = p.fc - p.f1
     s1 = p.fc + p.f1
     d2 = p.fc - f_avg
     s2 = p.fc + f_avg
     shift = n * spacing * pulse.mod_freq
-    cr = 1.0 if include_counter_rotating else 0.0
 
     guard = 1e-3  # GHz
     for name, dens in (("g01", d2 - shift), ("g02", d2 + p.eta2 - shift),
@@ -329,15 +316,14 @@ def modulated_couplings(p: DeviceParams, pulse: FluxPulse, q2_spec: TransmonSpec
 
     gg = p.g1c * p.g2c
     g01 = eps * p.g12 - 0.5 * gg * eps * (
-        1.0 / d1 + 1.0 / (d2 - shift) + cr * (1.0 / s1 + 1.0 / (s2 + shift)))
+        1.0 / d1 + 1.0 / (d2 - shift) + (1.0 / s1 + 1.0 / (s2 + shift)))
     g02 = np.sqrt(2.0) * eps * p.g12 - gg * eps / np.sqrt(2.0) * (
         1.0 / d1 + 1.0 / (d2 + p.eta2 - shift)
-        + cr * (1.0 / s1 + 1.0 / (s2 - p.eta2 + shift)))
+        + (1.0 / s1 + 1.0 / (s2 - p.eta2 + shift)))
     g20 = np.sqrt(2.0) * eps * p.g12 - gg * eps / np.sqrt(2.0) * (
         1.0 / (d1 + p.eta1) + 1.0 / (d2 - shift)
-        + cr * (1.0 / (s1 - p.eta1) + 1.0 / (s2 + shift)))
+        + (1.0 / (s1 - p.eta1) + 1.0 / (s2 + shift)))
 
-    return ModulatedCouplings(n=n, eps=eps, eps_bessel=np.asarray(eps_bessel),
-                              g01=g01, g02=g02, g20=g20,
+    return ModulatedCouplings(n=n, eps=eps, g01=g01, g02=g02, g20=g20,
                               f2_avg=f_avg, f2_exc=f_exc,
                               mod_freq=pulse.mod_freq, spacing=spacing)

@@ -19,7 +19,6 @@ class FluxPulse:
     phase: float = 0.0
     duration: float = 0.0
     ramp: float = 5.0
-    line: str = ""
 
     def __post_init__(self):
         if self.ramp < 0:
@@ -159,7 +158,7 @@ def load_crosstalk_csv(path) -> CrosstalkMatrix:
     rows = []
     header = None
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -168,7 +167,11 @@ def load_crosstalk_csv(path) -> CrosstalkMatrix:
                 header = cells[1:]
                 continue
             labels.append(cells[0])
-            rows.append([float(c) for c in cells[1:]])
+            try:
+                rows.append([float(c) for c in cells[1:]])
+            except ValueError:
+                raise ValueError(f"{path} line {lineno}: expected a label and "
+                                 f"numbers, got {line!r}") from None
     if header is None or not rows:
         raise ValueError(f"no crosstalk data found in {path}")
     if labels != header:
@@ -190,13 +193,17 @@ def load_transfer_csv(path) -> TransferTable:
     freqs = []
     ratios = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#") or line.startswith("mod_freq"):
                 continue
-            f, r = line.split(",")
-            freqs.append(float(f))
-            ratios.append(float(r))
+            try:
+                f, r = (float(c) for c in line.split(","))
+            except ValueError:
+                raise ValueError(f"{path} line {lineno}: expected mod_freq_ghz,"
+                                 f"amplitude_ratio, got {line!r}") from None
+            freqs.append(f)
+            ratios.append(r)
     if not freqs:
         raise ValueError(f"no transfer data found in {path}")
     return TransferTable(mod_freqs=np.array(freqs), ratios=np.array(ratios))

@@ -59,65 +59,40 @@ class DeviceParams:
                 abs(self.g2c / (self.fc - self.f2)))
 
 
-@dataclass(frozen=True)
-class Levels:
-    """Lowest three level energies of one transmon and derived quantities (GHz)."""
-
-    e0: float
-    e1: float
-    e2: float
-    f01: float
-    eta: float
-
-
-def _ej_or_raise(spec: TransmonSpec, phi_e):
+def _ej_xi(spec: TransmonSpec, phi_e):
+    """(EJ, xi = sqrt(2 EC/EJ)) at external flux phi_e (radians), vectorized."""
     ej, _ = squid_energy(spec.squid, phi_e)
     if np.any(np.asarray(ej) <= 1e-12):
         raise ValueError("vanishing Josephson energy")
-    return ej
+    return ej, np.sqrt(2.0 * spec.ec / ej)
 
 
-def level_energies(spec: TransmonSpec, phi_e: float, xi_correction: bool = True) -> Levels:
-    """Number-diagonal level energies E(n) for n = 0, 1, 2.
+def transition_frequency(spec: TransmonSpec, phi_e):
+    """|0> -> |1> frequency in GHz; vectorized over phi_e.
 
-    Uses the sixth-order expansion of the cosine; xi_correction=False drops
-    the sqrt(2EC/EJ) corrections, leaving the leading-order transmon result.
+    From the sixth-order expansion of the cosine, the number-diagonal
+    levels are E(n) = [omega + EC/2 (1 + xi/4) - EC/2 (1 + 9 xi/16) n] n
+    with omega = sqrt(8 EJ EC) - EC (1 + xi/4), so
+    f01 = E(1) - E(0) = omega - 5 xi EC/32.
     """
-    ej = _ej_or_raise(spec, phi_e)
+    ej, xi = _ej_xi(spec, phi_e)
     ec = spec.ec
-    xi = np.sqrt(2.0 * ec / ej) if xi_correction else 0.0
-    omega = np.sqrt(8.0 * ej * ec) - ec * (1.0 + xi / 4.0)
-
-    def level(n):
-        return (omega + 0.5 * ec * (1.0 + xi / 4.0)
-                - 0.5 * ec * (1.0 + 9.0 * xi / 16.0) * n) * n
-
-    e0, e1, e2 = level(0), level(1), level(2)
-    return Levels(e0=float(e0), e1=float(e1), e2=float(e2),
-                  f01=float(e1 - e0), eta=float((e1 - e0) - (e2 - e1)))
-
-
-def transition_frequency(spec: TransmonSpec, phi_e, xi_correction: bool = True):
-    """|0> -> |1> frequency in GHz; vectorized over phi_e."""
-    ej = _ej_or_raise(spec, phi_e)
-    ec = spec.ec
-    xi = np.sqrt(2.0 * ec / ej) if xi_correction else 0.0
     omega = np.sqrt(8.0 * ej * ec) - ec * (1.0 + xi / 4.0)
     return omega - 5.0 * xi * ec / 32.0
 
 
-def anharmonicity(spec: TransmonSpec, phi_e, xi_correction: bool = True):
-    """Positive anharmonicity magnitude eta = f01 - f12 in GHz."""
-    ej = _ej_or_raise(spec, phi_e)
-    if not xi_correction:
-        return spec.ec * np.ones_like(np.asarray(ej, dtype=float))
-    xi = np.sqrt(2.0 * spec.ec / ej)
+def anharmonicity(spec: TransmonSpec, phi_e):
+    """Positive anharmonicity magnitude eta = f01 - f12 = EC (1 + 9 xi/16) in GHz.
+
+    Same level ladder E(n) as transition_frequency.
+    """
+    _, xi = _ej_xi(spec, phi_e)
     return spec.ec * (1.0 + 9.0 * xi / 16.0)
 
 
 def zero_point(spec: TransmonSpec, phi_e=0.0) -> tuple:
     """(n_zpf, phi_zpf) of the transmon oscillator mode; product is exactly 1/2."""
-    ej = _ej_or_raise(spec, phi_e)
+    ej, _ = _ej_xi(spec, phi_e)
     n_zpf = (ej / (8.0 * spec.ec)) ** 0.25 / np.sqrt(2.0)
     phi_zpf = (8.0 * spec.ec / ej) ** 0.25 / np.sqrt(2.0)
     return n_zpf, phi_zpf
@@ -133,12 +108,9 @@ def coupling_strengths(e1c: float, e2c: float, e12: float,
     charge fluctuations of each mode; phi_e1/phi_e2/phi_ec are the external
     fluxes (radians) at which the respective EJ values are taken.
     """
-    ej1 = _ej_or_raise(spec1, phi_e1)
-    ej2 = _ej_or_raise(spec2, phi_e2)
-    ejc = _ej_or_raise(specc, phi_ec)
-    xi1 = np.sqrt(2.0 * spec1.ec / ej1)
-    xi2 = np.sqrt(2.0 * spec2.ec / ej2)
-    xic = np.sqrt(2.0 * specc.ec / ejc)
+    ej1, xi1 = _ej_xi(spec1, phi_e1)
+    ej2, xi2 = _ej_xi(spec2, phi_e2)
+    ejc, xic = _ej_xi(specc, phi_ec)
     g1c = (e1c / np.sqrt(2.0)) * (ej1 / spec1.ec * ejc / specc.ec) ** 0.25 \
         * (1.0 - (xic + xi1) / 8.0)
     g2c = (e2c / np.sqrt(2.0)) * (ej2 / spec2.ec * ejc / specc.ec) ** 0.25 \

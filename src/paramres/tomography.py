@@ -504,6 +504,8 @@ def simulate_qpt(
     ``qubit_subspace_ptm`` up to the trace-normalization of leaked
     population.
     """
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
     m = project_computational(u, basis)
     leak = subspace_leakage(m)
     rng = np.random.default_rng(seed)

@@ -215,6 +215,56 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "calibrate")[0] == 2
 
 
+def test_device_file_without_section_header_is_a_labelled_error(capsys, tmp_path):
+    dev = tmp_path / "headless.ini"
+    dev.write_text("ejs_ghz = 1.0\n")
+    cfgf = tmp_path / "run.ini"
+    cfgf.write_text(f"[device]\nfile = {dev}\n")
+    code, _, err = run(capsys, "device", "show", "--config", str(cfgf))
+    assert code == 1
+    assert err.startswith("error: cannot parse device file")
+    assert str(dev) in err
+
+
+# A hand-written iSWAP gate spec; the cases below break one field of it.
+_GATESPEC = {"kind": "iswap", "amplitude_phi0": 0.1566, "mod_freq_ghz": 0.28,
+             "duration_ns": 57.1, "coupler_bias_phi0": 0.29472}
+
+
+@pytest.mark.parametrize("doc,tomo,message", [
+    ([1, 2], "", "gate spec must be a JSON object, got list"),
+    ({**_GATESPEC, "virtual_z_rad": [0.1, 0.2, 0.3]}, "",
+     "virtual_z needs exactly two angles"),
+    (_GATESPEC, "shots = -5\n", "shots must be >= 0"),
+], ids=["not_an_object", "three_virtual_z", "negative_shots"])
+def test_tomo_bad_input_is_a_labelled_error(capsys, tmp_path, doc, tomo, message):
+    spec = tmp_path / "gatespec.json"
+    spec.write_text(json.dumps(doc))
+    cfgf = tmp_path / "run.ini"
+    cfgf.write_text(f"[tomo]\ngatespec_file = {spec}\n{tomo}")
+    code, _, err = run(capsys, "tomo", "--config", str(cfgf),
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+
+
+def test_default_config_hashes_are_pinned(capsys, tmp_path):
+    # Values written by the tool before its metadata code was refactored;
+    # the hash covers the device, format, seed, command and its settings.
+    def meta_line(path):
+        return next(ln for ln in path.read_text().splitlines()
+                    if ln.startswith("# config_hash:"))
+
+    out = str(tmp_path)
+    assert run(capsys, "sweep", "coupling", "--out-dir", out)[0] == 0
+    assert meta_line(tmp_path / "sweep_coupling.csv") == "# config_hash: 2d2b23978ecd"
+    assert run(capsys, "flux", "invert", "--out-dir", out)[0] == 0
+    assert meta_line(tmp_path / "compensation.csv") == "# config_hash: b38fe28f201f"
+    assert run(capsys, "transfer", "apply", "--out-dir", out)[0] == 0
+    doc = json.loads((tmp_path / "transfer_apply.json").read_text())
+    assert doc["meta"]["config_hash"] == "c9e7280dda2b"
+
+
 def test_calibrate_and_tomo_chain(capsys, tmp_path):
     cfgf = tmp_path / "run.ini"
     cfgf.write_text(

@@ -142,6 +142,10 @@ def test_crosstalk_csv_error_paths(tmp_path):
     bad.write_text("label,a,b\nb,1.0,0.1\na,0.2,1.0\n")
     with pytest.raises(ValueError, match="row labels do not match"):
         load_crosstalk_csv(bad)
+    not_number = tmp_path / "ct.csv"
+    not_number.write_text("line,a,b\na,1.0,0.1\n# comment\nb,x,1.0\n")
+    with pytest.raises(ValueError, match=r"ct\.csv line 4: .*'b,x,1\.0'"):
+        load_crosstalk_csv(not_number)
 
 
 def test_transfer_table_validation():
@@ -176,4 +180,12 @@ def test_load_transfer_csv_rejects_empty(tmp_path):
     f = tmp_path / "t.csv"
     f.write_text("# header only\nmod_freq_ghz,ratio\n")
     with pytest.raises(ValueError, match="no transfer data"):
+        load_transfer_csv(f)
+
+
+@pytest.mark.parametrize("row", ["0.2,0.9,0.1", "0.2", "0.2,high"])
+def test_transfer_csv_names_file_and_line_of_a_bad_row(tmp_path, row):
+    f = tmp_path / "t.csv"
+    f.write_text(f"mod_freq_ghz,amplitude_ratio\n0.1,1.0\n{row}\n")
+    with pytest.raises(ValueError, match=rf"t\.csv line 3: .*'{row}'"):
         load_transfer_csv(f)

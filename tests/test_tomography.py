@@ -229,6 +229,11 @@ def test_simulate_qpt_shot_noise_is_seeded():
     assert np.max(np.abs(a.ptm - c.ptm)) > 0.0
 
 
+def test_simulate_qpt_rejects_negative_shots():
+    with pytest.raises(ValueError, match="shots must be >= 0"):
+        simulate_qpt(embed_in_27(ISWAP), shots=-5)
+
+
 def test_simulate_qpt_with_readout_errors_recovers_gate():
     u = embed_in_27(ISWAP)
     confusions = (confusion_matrix(0.97, 0.94), confusion_matrix(0.96, 0.95))
