@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .device import Device, device_params
-from .dynamics import ChevronMap, chevron, fit_exchange, propagate
+from .dynamics import _CHEVRON_STATES, ChevronMap, chevron, fit_exchange, propagate
 from .effective import average_and_excursion, modulated_couplings
 from .fluxcontrol import FluxPulse
 from .tomography import (
@@ -81,6 +81,10 @@ class GateSpec:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"kind must be one of {GATE_KINDS}, got {self.kind!r}")
+        for name in ("amplitude", "mod_freq", "duration", "coupler_bias",
+                     "resonance_residual"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
         if self.amplitude < 0.0:
@@ -93,6 +97,8 @@ class GateSpec:
             raise ValueError("virtual_z needs exactly two angles (qubit 1, qubit 2), "
                              f"got {len(self.virtual_z)}")
         object.__setattr__(self, "virtual_z", tuple(float(z) for z in self.virtual_z))
+        if not all(math.isfinite(z) for z in self.virtual_z):
+            raise ValueError(f"virtual_z must be finite, got {self.virtual_z}")
 
     def to_dict(self) -> dict:
         return {
@@ -109,18 +115,25 @@ class GateSpec:
     def from_dict(cls, d: dict) -> "GateSpec":
         if not isinstance(d, dict):
             raise ValueError(f"gate spec must be a JSON object, got {type(d).__name__}")
-        try:
-            return cls(
-                kind=d["kind"],
-                amplitude=float(d["amplitude_phi0"]),
-                mod_freq=float(d["mod_freq_ghz"]),
-                duration=float(d["duration_ns"]),
-                coupler_bias=float(d["coupler_bias_phi0"]),
-                virtual_z=tuple(d.get("virtual_z_rad", (0.0, 0.0))),
-                resonance_residual=float(d.get("resonance_residual_ghz", 0.0)),
-            )
-        except KeyError as exc:
-            raise ValueError(f"gate spec is missing field {exc}") from None
+
+        def field(key, convert, *default):
+            if key not in d and not default:
+                raise ValueError(f"gate spec is missing field {key!r}")
+            try:
+                return convert(d.get(key, *default))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"gate spec field {key!r}: {exc}") from None
+
+        return cls(
+            kind=field("kind", lambda kind: kind),
+            amplitude=field("amplitude_phi0", float),
+            mod_freq=field("mod_freq_ghz", float),
+            duration=field("duration_ns", float),
+            coupler_bias=field("coupler_bias_phi0", float),
+            virtual_z=field("virtual_z_rad", lambda zs: tuple(map(float, zs)),
+                            (0.0, 0.0)),
+            resonance_residual=field("resonance_residual_ghz", float, 0.0),
+        )
 
 
 def save_gatespec(path, spec: GateSpec, metadata: dict | None = None) -> None:
@@ -157,10 +170,10 @@ def gate_pulse(spec: GateSpec) -> FluxPulse:
     return sweet_spot_pulse(spec.amplitude, spec.mod_freq, spec.duration)
 
 
-def gate_unitary(device: Device, spec: GateSpec, dt: float | None = None):
+def gate_unitary(device: Device, spec: GateSpec):
     """Propagate a calibrated gate; returns (device params, 27x27 unitary)."""
     p = device_params(device, phic=spec.coupler_bias)
-    prop = propagate(p, gate_pulse(spec), None, (device.q2, device.coupler), dt=dt)
+    prop = propagate(p, gate_pulse(spec), device.q2)
     return p, prop.unitary
 
 
@@ -422,7 +435,6 @@ def calibrate_gate(
     mod_freq: float | None = None,
     guard_band: float = 0.020,
     refine: bool = True,
-    dt: float | None = None,
 ):
     """Full calibration pipeline; returns (GateSpec, report dict).
 
@@ -440,7 +452,6 @@ def calibrate_gate(
     if coupler_bias is None:
         coupler_bias = DEFAULT_COUPLER_BIAS[gate_key]
     p = device_params(device, phic=coupler_bias)
-    specs = (device.q2, device.coupler)
     report: dict = {
         "kind": kind,
         "mod_freq_ghz": mod_freq,
@@ -506,15 +517,15 @@ def calibrate_gate(
     report["duration"] = {"analytic_ns": tau}
 
     basis = dressed_computational_basis(p)
+    initial = "10" if kind == "iswap" else "11"
     if refine:
-        initial = "10" if kind == "iswap" else "11"
         template = gate_pulse(spec)
         try:
             for stage_no, (amps, durs) in enumerate(_refine_grids(kind, amplitude, tau)):
                 if stage_no > 0:  # fine pass is a window around the coarse result
                     amps = spec.amplitude + amps
-                chev = chevron(p, specs, template, None, amps, durs,
-                               initial=initial, dt=dt, basis=basis)
+                chev = chevron(p, template, device.q2, amps, durs,
+                               initial=initial, basis=basis)
                 spec = refine_on_chevron(spec, chev)
         except ValueError as exc:
             raise CalibrationError("chevron", str(exc)) from exc
@@ -538,7 +549,7 @@ def calibrate_gate(
     def scored(tau_c, u):
         m = basis.conj().T @ u @ basis
         z1, z2 = extract_virtual_z(m, target_u)
-        pt = qubit_subspace_ptm(u, basis=basis)
+        pt = qubit_subspace_ptm(m)
         corrected = virtual_z_correct(pt, z1, z2)
         f_avg = average_fidelity(corrected, ideal_pt)
         fit = fit_fsim(corrected)
@@ -549,7 +560,7 @@ def calibrate_gate(
         grid = spec.duration + np.arange(-4.0, 4.0001, 0.0625)
         grid = grid[grid > 0.0]
         trim = propagate(p, replace(gate_pulse(spec), duration=float(grid[-1])),
-                         None, specs, dt=dt, unitary_times=grid)
+                         device.q2, unitary_times=grid)
         rows = [scored(t, u) for t, u
                 in zip(trim.unitary_times, trim.unitaries)]
         on_target = [r for r in rows if r[-1] <= 0.015]
@@ -574,10 +585,9 @@ def calibrate_gate(
     # should tie the duration to tau*4g = 1 (iswap) or tau*2g = 1 (cz).
     try:
         trace_pulse = replace(gate_pulse(spec), duration=3.0 * spec.duration)
-        idx_init = 9 if kind == "iswap" else 10
-        idx_watch = 1 if kind == "iswap" else 10
-        tr = propagate(p, trace_pulse, None, specs, initial_state=idx_init,
-                       n_samples=720, dt=dt)
+        idx_init, idx_watch = _CHEVRON_STATES[initial][:2]
+        tr = propagate(p, trace_pulse, device.q2, initial_state=idx_init,
+                       n_samples=720)
         pop = np.abs(tr.trajectory[:, idx_watch]) ** 2
         ef = fit_exchange(tr.times, pop)
         product = spec.duration * (4.0 if kind == "iswap" else 2.0) * ef.g

@@ -288,15 +288,10 @@ def cmd_chevron(cfg: RunConfig, args) -> int:
                     amplitudes_phi0=amps, durations_ns=durs)
 
     basis = dressed_computational_basis(p) if basis_kind == "dressed" else None
-    chev = chevron(p, (device.q2, device.coupler), sweet_spot_pulse(a0, mod_freq),
-                   None, amps, durs, initial=initial, basis=basis)
+    chev = chevron(p, sweet_spot_pulse(a0, mod_freq), device.q2, amps, durs,
+                   initial=initial, basis=basis)
 
-    path = cfg.outpath("chevron.csv")
-    _write_csv(path, meta,
-               "# rows: amplitudes_phi0; columns: durations_ns (see sidecar)",
-               chev.populations)
-    sidecar = cfg.outpath("chevron_grid.json")
-    _write_json(sidecar, {
+    grid = {
         "meta": meta,
         "amplitudes_phi0": chev.amplitudes,
         "durations_ns": chev.durations,
@@ -308,7 +303,16 @@ def cmd_chevron(cfg: RunConfig, args) -> int:
             "f1_ghz": p.f1, "f2_ghz": p.f2, "fc_ghz": p.fc,
             "analytic_amplitude_phi0": a0, "analytic_duration_ns": tau0,
         },
-    })
+    }
+    if cfg.format == "json":
+        path = cfg.outpath("chevron.json")
+        _write_json(path, {**grid, "populations": chev.populations})
+    else:
+        path = cfg.outpath("chevron.csv")
+        _write_csv(path, meta,
+                   "# rows: amplitudes_phi0; columns: durations_ns (see sidecar)",
+                   chev.populations)
+        _write_json(cfg.outpath("chevron_grid.json"), grid)
     i, j = np.unravel_index(int(np.argmax(chev.populations)),
                             chev.populations.shape)
     return _summary(max_population=float(chev.populations[i, j]),

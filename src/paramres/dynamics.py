@@ -5,6 +5,11 @@ sampled at step midpoints and each step applies exp(-i*2*pi*H(t_mid)*dt)
 through an exact eigendecomposition, so every step is exactly unitary and
 the global error is second order in dt.  Propagation happens in the lab
 frame; single-qubit phases are stripped afterwards (see tomography).
+
+Only qubit 2 is flux-modulated.  The coupler stays at the DC bias that
+set the parameters p (see device.device_params), so its frequency and
+its q1 coupling are static terms of the Hamiltonian; the sideband picture
+of Didier et al., PRA 97, 022330 (2018).
 """
 
 import math
@@ -54,32 +59,19 @@ def _ej_ratio_quarter(squid, phi_dc, flux_t):
     return (np.asarray(ej_t) / ej_dc) ** 0.25
 
 
-def _parameter_series(p, q2_pulse, coupler_pulse, specs, t_mid):
-    """Samples of the time-dependent model parameters at the times t_mid.
+def _parameter_series(p, q2_pulse, q2_spec, t_mid):
+    """Samples of the q2-dependent model parameters at the times t_mid.
 
-    specs is (q2_spec, coupler_spec).  f1 and the anharmonicities stay at
-    their DC values.  The pulses contribute deviations from the DC point:
     f2(t) = p.f2 + [band(flux(t)) - band(flux_dc)], so p remains the exact
-    operating point at zero pulse amplitude, and the couplings scale with
-    EJ^(1/4) of the modulated elements relative to their DC values.
+    operating point at zero pulse amplitude, and the two couplings of q2
+    scale with its EJ^(1/4) relative to the DC value.  f1, fc, g1c and the
+    anharmonicities stay at their values in p.
     """
-    q2_spec, coupler_spec = specs
     flux2 = instantaneous_flux(q2_pulse, t_mid)
     f2_band = transition_frequency(q2_spec, 2.0 * math.pi * flux2)
     f2_dc = transition_frequency(q2_spec, 2.0 * math.pi * q2_pulse.phi_dc)
-    f2 = p.f2 + (f2_band - f2_dc)
     r2 = _ej_ratio_quarter(q2_spec.squid, q2_pulse.phi_dc, flux2)
-    if coupler_pulse is not None and coupler_pulse.amplitude != 0.0:
-        fluxc = instantaneous_flux(coupler_pulse, t_mid)
-        fc_band = transition_frequency(coupler_spec, 2.0 * math.pi * fluxc)
-        fc_dc = transition_frequency(coupler_spec, 2.0 * math.pi * coupler_pulse.phi_dc)
-        fc = p.fc + (fc_band - fc_dc)
-        rc = _ej_ratio_quarter(coupler_spec.squid, coupler_pulse.phi_dc, fluxc)
-    else:
-        fc = np.full_like(f2, p.fc)
-        rc = np.ones_like(f2)
-    return {"f2": f2, "fc": fc, "g1c": p.g1c * rc, "g2c": p.g2c * r2 * rc,
-            "g12": p.g12 * r2}
+    return {"f2": p.f2 + (f2_band - f2_dc), "g2c": p.g2c * r2, "g12": p.g12 * r2}
 
 
 # steps diagonalized per batched np.linalg.eigh call; bounds the work arrays
@@ -89,20 +81,19 @@ _EIGH_BATCH = 64
 def _step_products(terms, series, dts, u):
     """Yield the running propagator after each midpoint step, starting from u.
 
-    terms = (xx_1c, xx_c2, xx_12, diag_const, numc, num2) define the real
-    symmetric Hamiltonian, series holds its parameters at the step
-    midpoints (see _parameter_series) and dts the step lengths.  Each step
-    applies exp(-i*2*pi*H*dt) through the eigendecomposition of H.
+    terms = (static_xx, xx_c2, xx_12, static_diag, num2) define the real
+    symmetric Hamiltonian: static_xx and static_diag hold the terms that do
+    not move with q2, series the q2 parameters at the step midpoints (see
+    _parameter_series) and dts the step lengths.  Each step applies
+    exp(-i*2*pi*H*dt) through the eigendecomposition of H.
     """
-    xx_1c, xx_c2, xx_12, diag_const, numc, num2 = terms
-    diag = np.arange(len(diag_const))
+    static_xx, xx_c2, xx_12, static_diag, num2 = terms
+    diag = np.arange(len(static_diag))
     for a in range(0, len(dts), _EIGH_BATCH):
         c = slice(a, a + _EIGH_BATCH)
-        h = (np.multiply.outer(series["g1c"][c], xx_1c)
-             + np.multiply.outer(series["g2c"][c], xx_c2)
+        h = (static_xx + np.multiply.outer(series["g2c"][c], xx_c2)
              + np.multiply.outer(series["g12"][c], xx_12))
-        h[:, diag, diag] += (diag_const + np.outer(series["fc"][c], numc)
-                             + np.outer(series["f2"][c], num2))
+        h[:, diag, diag] += static_diag + np.outer(series["f2"][c], num2)
         evals, vecs = np.linalg.eigh(h)
         phases = np.exp(-2j * math.pi * evals * dts[c, None])
         for step in (vecs * phases[:, None, :]) @ vecs.swapaxes(1, 2):
@@ -115,14 +106,15 @@ def default_dt(p: DeviceParams) -> float:
     return 1.0 / (40.0 * max(p.f1, p.f2, p.fc))
 
 
-def propagate(p: DeviceParams, q2_pulse: FluxPulse, coupler_pulse, specs,
-              dt=None, rwa=False, initial_state=None, n_samples=0,
-              subspace=None, unitary_times=None) -> Propagation:
+def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
+              rwa=False, initial_state=None, n_samples=0, subspace=None,
+              unitary_times=None) -> Propagation:
     """Propagate over the q2 pulse window and return the final unitary.
 
-    p holds the model parameters at the DC biases of the pulses (see
-    device.device_params).  specs is (q2_spec, coupler_spec), used to
-    convert instantaneous fluxes to frequencies and coupling scale factors.
+    p holds the model parameters at the DC biases (see
+    device.device_params); the coupler stays at its bias in p.  q2_spec
+    converts the instantaneous q2 flux to its frequency and coupling scale
+    factors.
     With n_samples > 0 and an initial_state (bare basis index or vector),
     the state trajectory is recorded at evenly spaced step boundaries, which
     gives a chevron duration axis from a single propagation.
@@ -139,11 +131,10 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, coupler_pulse, specs,
     every m steps.  The m steps of one period are diagonalized once and
     their running products P_j kept; after s = k0 + n*m + j steps into the
     flat top the propagator is P_j U_P^n U_head, with U_P = P_m raised to
-    the n-th power through its complex Schur form.  Ramps, a moving coupler
-    flux and a trailing partial step are stepped directly.  The final
-    unitary, the snapshots and the trajectory all read from that rule, so
-    the cost grows with the steps per period, the ramps and the samples,
-    not with duration/dt.  Sample and snapshot times are s*dt (the pulse
+    the n-th power through its complex Schur form.  Ramps and a trailing
+    partial step are stepped directly.  The final unitary, the snapshots
+    and the trajectory all read from that rule, so the cost grows with the
+    steps per period, the ramps and the samples, not with duration/dt.  Sample and snapshot times are s*dt (the pulse
     duration at the last boundary); snapshots of a static pulse snap to
     step boundaries like those of a modulated one.
 
@@ -155,8 +146,6 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, coupler_pulse, specs,
     duration = q2_pulse.duration
     if duration <= 0:
         raise ValueError("pulse duration must be > 0")
-    if coupler_pulse is not None and coupler_pulse.duration != duration:
-        raise ValueError("qubit and coupler pulses must share one duration")
     if dt is None:
         dt = default_dt(p)
 
@@ -182,9 +171,6 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, coupler_pulse, specs,
     # Steps [k0, k1) lie on the flat top, where the Hamiltonian repeats.
     k0 = math.ceil(q2_pulse.ramp / dt - 1e-9)
     k1 = max(k0, min(n_full, int((duration - q2_pulse.ramp) / dt + 1e-9)))
-    if coupler_pulse is not None and coupler_pulse.amplitude != 0.0 and (
-            coupler_pulse.mod_freq > 0 or coupler_pulse.ramp > 0):
-        k1 = k0  # a moving coupler flux breaks the repetition
 
     idx = tuple(range(DIM)) if subspace is None else tuple(subspace)
     sub = np.asarray(idx, dtype=int)
@@ -196,9 +182,9 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, coupler_pulse, specs,
         if subspace is not None:
             raise ValueError("subspace restriction is only exact with rwa=True")
         xx_1c, xx_c2, xx_12 = XX_1C, XX_C2, XX_12
-    diag_const = (p.f1 * NUM_1[sub] - p.eta1 * P2_1[sub]
-                  - p.etac * P2_C[sub] - p.eta2 * P2_2[sub])
-    terms = (xx_1c, xx_c2, xx_12, diag_const, NUM_C[sub], NUM_2[sub])
+    static_diag = (p.f1 * NUM_1[sub] - p.eta1 * P2_1[sub] - p.etac * P2_C[sub]
+                   - p.eta2 * P2_2[sub] + p.fc * NUM_C[sub])
+    terms = (p.g1c * xx_1c, xx_c2, xx_12, static_diag, NUM_2[sub])
 
     psi = None
     if initial_state is not None:
@@ -239,7 +225,7 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, coupler_pulse, specs,
         k = np.arange(a, b)
         full = k < n_full
         t_mid = np.where(full, (k + 0.5) * dt, n_full * dt + 0.5 * rem)
-        series = _parameter_series(p, q2_pulse, coupler_pulse, specs, t_mid)
+        series = _parameter_series(p, q2_pulse, q2_spec, t_mid)
         return _step_products(terms, series, np.where(full, dt, rem), u)
 
     u = np.eye(dim, dtype=complex)
@@ -306,15 +292,16 @@ _CHEVRON_STATES = {
 }
 
 
-def chevron(p: DeviceParams, specs, q2_pulse: FluxPulse, coupler_pulse,
-            amplitudes, durations, initial="10", dt=None,
-            basis=None) -> ChevronMap:
+def chevron(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, amplitudes,
+            durations, initial="10", basis=None) -> ChevronMap:
     """Population map versus q2 drive amplitude and pulse duration.
 
     q2_pulse acts as a template: its amplitude and duration are replaced by
     the grid values (one propagation per amplitude; the duration axis comes
-    from trajectory samples).  From |10> the map records the |01> population
-    (energy exchange); from |11> it records the |11> return population.
+    from trajectory samples), while the coupler stays at its bias in p.
+    From |10> the map records the |01> population (energy exchange); from
+    |11> it records the |11> return population.  Durations must be
+    positive and finite.
 
     With ``basis`` (a 27x4 isometry onto the dressed computational
     states, columns ordered 00, 01, 10, 11) the prepared and recorded
@@ -327,6 +314,8 @@ def chevron(p: DeviceParams, specs, q2_pulse: FluxPulse, coupler_pulse,
     durations = np.asarray(durations, dtype=float)
     if amplitudes.size == 0 or durations.size == 0:
         raise ValueError("chevron grids must be nonempty")
+    if not np.all(np.isfinite(durations) & (durations > 0.0)):
+        raise ValueError("chevron durations must be positive and finite")
     try:
         idx_init, idx_target, cols, target_label = _CHEVRON_STATES[initial]
     except KeyError:
@@ -345,10 +334,8 @@ def chevron(p: DeviceParams, specs, q2_pulse: FluxPulse, coupler_pulse,
     pops = np.zeros((amplitudes.size, durations.size))
     for i, amp in enumerate(amplitudes):
         pulse = replace(q2_pulse, amplitude=float(amp), duration=t_max)
-        cpulse = None if coupler_pulse is None else replace(coupler_pulse,
-                                                            duration=t_max)
-        prop = propagate(p, pulse, cpulse, specs, dt=dt,
-                         initial_state=state_init, n_samples=n_dense)
+        prop = propagate(p, pulse, q2_spec, initial_state=state_init,
+                         n_samples=n_dense)
         if basis is not None:
             dense = np.abs(prop.trajectory @ bra_target) ** 2
         else:
@@ -435,7 +422,6 @@ def coupling_vs_bias(device, phic_grid):
     from .effective import static_couplings
 
     phic_grid = np.asarray(phic_grid, dtype=float)
-    specs = (device.q2, device.coupler)
     idx_01 = basis_index(0, 0, 1)
     g_dyn = np.zeros(phic_grid.size)
     g_stat = np.zeros(phic_grid.size)
@@ -456,7 +442,7 @@ def coupling_vs_bias(device, phic_grid):
             p = device_params(device, phic=phic, phi2=phi2)
             pulse = FluxPulse(phi_dc=phi2, amplitude=0.0, duration=duration,
                               ramp=0.0)
-            prop = propagate(p, pulse, None, specs,
+            prop = propagate(p, pulse, device.q2,
                              initial_state=basis_index(1, 0, 0),
                              n_samples=_SWEEP_SAMPLES)
             pop01 = np.abs(prop.trajectory[:, idx_01]) ** 2

@@ -102,7 +102,7 @@ def coupling_strengths(e1c: float, e2c: float, e12: float,
                        spec1: TransmonSpec, spec2: TransmonSpec,
                        specc: TransmonSpec,
                        phi_e1=0.0, phi_e2=0.0, phi_ec=0.0) -> tuple:
-    """(g1c, g2c, g12) in GHz from coupling energies and transmon specs.
+    """(g1c, g2c, g12) in GHz from coupling energies and TransmonSpec inputs.
 
     The couplings inherit an EJ^(1/4) flux dependence from the zero-point
     charge fluctuations of each mode; phi_e1/phi_e2/phi_ec are the external

@@ -212,15 +212,14 @@ def test_criterion_10_property_suites(device, zero_bias_params, rng):
     period = 1.0 / 0.28
     pulse = FluxPulse(phi_dc=0.0, amplitude=0.155, mod_freq=0.28,
                       duration=20 * period, ramp=0.0)
-    specs = (device.q2, device.coupler)
-    prop = propagate(zero_bias_params, pulse, None, specs)
+    prop = propagate(zero_bias_params, pulse, device.q2)
     assert prop.unitarity_defect < 1e-8
 
     # step-halving convergence of the stepped propagator
     def unitary(m):
         short = FluxPulse(phi_dc=0.0, amplitude=0.155, mod_freq=0.28,
                           duration=8 * period, ramp=0.0)
-        return propagate(zero_bias_params, short, None, specs,
+        return propagate(zero_bias_params, short, device.q2,
                          dt=period / m).unitary
 
     ref = unitary(2048)

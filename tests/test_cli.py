@@ -201,6 +201,43 @@ def test_tomo_requires_gatespec(capsys, tmp_path):
     assert "config [tomo] gatespec_file is required" in err
 
 
+def test_chevron_csv_json_and_bad_durations(capsys, tmp_path):
+    cfgf = tmp_path / "run.ini"
+    cfgf.write_text("[chevron]\namp_points = 3\ndur_points = 7\n")
+    csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
+    code, out, err = run(capsys, "chevron", "--config", str(cfgf),
+                         "--out-dir", str(csv_dir))
+    assert code == 0, err
+    rows = [[float(c) for c in ln.split(",")] for ln in
+            (csv_dir / "chevron.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    assert [len(r) for r in rows] == [7, 7, 7]
+    grid = json.loads((csv_dir / "chevron_grid.json").read_text())
+    assert len(grid["amplitudes_phi0"]) == 3 and len(grid["durations_ns"]) == 7
+    vals = summary_values(out)
+    assert vals["max_population"] == max(map(max, rows))  # bit for bit
+    assert vals["file"] == str(csv_dir / "chevron.csv")
+
+    code, out, err = run(capsys, "chevron", "--config", str(cfgf),
+                         "--out-dir", str(json_dir), "--format", "json")
+    assert code == 0, err
+    assert sorted(p.name for p in json_dir.iterdir()) == ["chevron.json"]
+    doc = json.loads((json_dir / "chevron.json").read_text())
+    assert doc["populations"] == rows
+    for key in ("amplitudes_phi0", "durations_ns", "initial", "target", "basis",
+                "operating_point"):
+        assert doc[key] == grid[key]
+    assert summary_values(out)["file"] == str(json_dir / "chevron.json")
+
+    cfgf.write_text("[chevron]\namp_points = 3\ndur_points = 7\n"
+                    "dur_start_ns = -20\n")
+    code, _, err = run(capsys, "chevron", "--config", str(cfgf),
+                       "--out-dir", str(tmp_path / "bad"))
+    assert code == 1
+    assert "durations must be positive and finite" in err
+    assert not (tmp_path / "bad").exists()
+
+
 def test_calibrate_cz02_fails_with_stage(capsys, tmp_path):
     code, _, err = run(capsys, "calibrate", "cz02", "--out-dir", str(tmp_path))
     assert code == 1
@@ -236,7 +273,12 @@ _GATESPEC = {"kind": "iswap", "amplitude_phi0": 0.1566, "mod_freq_ghz": 0.28,
     ({**_GATESPEC, "virtual_z_rad": [0.1, 0.2, 0.3]}, "",
      "virtual_z needs exactly two angles"),
     (_GATESPEC, "shots = -5\n", "shots must be >= 0"),
-], ids=["not_an_object", "three_virtual_z", "negative_shots"])
+    ({**_GATESPEC, "duration_ns": None}, "", "gate spec field 'duration_ns'"),
+    ({**_GATESPEC, "virtual_z_rad": 3.0}, "", "gate spec field 'virtual_z_rad'"),
+    ({**_GATESPEC, "duration_ns": float("inf")}, "", "duration must be finite"),
+    ({**_GATESPEC, "amplitude_phi0": float("nan")}, "", "amplitude must be finite"),
+], ids=["not_an_object", "three_virtual_z", "negative_shots", "null_duration",
+        "scalar_virtual_z", "infinite_duration", "nan_amplitude"])
 def test_tomo_bad_input_is_a_labelled_error(capsys, tmp_path, doc, tomo, message):
     spec = tmp_path / "gatespec.json"
     spec.write_text(json.dumps(doc))

@@ -42,8 +42,8 @@ def flat_pulse(duration: float, amplitude: float = 0.0,
 def test_resonant_exchange_matches_analytic(device):
     g = 0.004
     p = exchange_params(g)
-    prop = propagate(p, flat_pulse(1.5 / (2 * g)), None,
-                     (device.q2, device.coupler), rwa=True, initial_state=9,
+    prop = propagate(p, flat_pulse(1.5 / (2 * g)), device.q2,
+                     rwa=True, initial_state=9,
                      n_samples=300, subspace=SINGLE_EXCITATION)
     pop = prop.state_populations()[:, prop.subspace.index(1)]
     analytic = np.sin(2 * np.pi * g * prop.times) ** 2
@@ -54,8 +54,8 @@ def test_detuned_exchange_matches_generalized_rabi(device):
     g, delta = 0.004, 0.003
     p = exchange_params(g, delta)
     omega = np.hypot(g, delta / 2.0)
-    prop = propagate(p, flat_pulse(1.5 / (2 * g)), None,
-                     (device.q2, device.coupler), rwa=True, initial_state=9,
+    prop = propagate(p, flat_pulse(1.5 / (2 * g)), device.q2,
+                     rwa=True, initial_state=9,
                      n_samples=300, subspace=SINGLE_EXCITATION)
     pop = prop.state_populations()[:, prop.subspace.index(1)]
     analytic = (g / omega) ** 2 * np.sin(2 * np.pi * omega * prop.times) ** 2
@@ -67,31 +67,29 @@ def test_full_model_reduces_to_exchange_when_couplings_vanish(device):
     # frame result is the tiny Bloch-Siegert shift of the direct coupling
     g = 0.004
     p = exchange_params(g)
-    prop = propagate(p, flat_pulse(1.5 / (2 * g)), None,
-                     (device.q2, device.coupler), initial_state=9, n_samples=300)
+    prop = propagate(p, flat_pulse(1.5 / (2 * g)), device.q2,
+                     initial_state=9, n_samples=300)
     pop = prop.state_populations()[:, 1]
     analytic = np.sin(2 * np.pi * g * prop.times) ** 2
     assert np.max(np.abs(pop - analytic)) < 1e-4
 
 
 def test_static_branch_agrees_with_stepped_propagation(device, zero_bias_params):
-    specs = (device.q2, device.coupler)
     dur = 20 * PERIOD
-    static = propagate(zero_bias_params, flat_pulse(dur), None, specs)
+    static = propagate(zero_bias_params, flat_pulse(dur), device.q2)
     stepped = propagate(zero_bias_params,
                         flat_pulse(dur, amplitude=1e-12, mod_freq=MOD_FREQ),
-                        None, specs)
+                        device.q2)
     assert np.max(np.abs(static.unitary - stepped.unitary)) < 1e-8
 
 
 def test_step_halving_error_ratio_is_second_order(device, zero_bias_params):
-    specs = (device.q2, device.coupler)
     dur = 8 * PERIOD
 
     def unitary(m):
         prop = propagate(zero_bias_params,
                          flat_pulse(dur, amplitude=0.1546, mod_freq=MOD_FREQ),
-                         None, specs, dt=PERIOD / m)
+                         device.q2, dt=PERIOD / m)
         assert prop.unitarity_defect < UNITARITY_TOL
         return prop.unitary
 
@@ -104,7 +102,7 @@ def test_step_halving_error_ratio_is_second_order(device, zero_bias_params):
 def test_rwa_conserves_subspace_population(device, zero_bias_params):
     prop = propagate(zero_bias_params,
                      flat_pulse(30 * PERIOD, amplitude=0.15, mod_freq=MOD_FREQ),
-                     None, (device.q2, device.coupler), rwa=True,
+                     device.q2, rwa=True,
                      initial_state=9, n_samples=200, subspace=SINGLE_EXCITATION)
     totals = prop.state_populations().sum(axis=1)
     np.testing.assert_allclose(totals, 1.0, atol=1e-10)
@@ -113,27 +111,26 @@ def test_rwa_conserves_subspace_population(device, zero_bias_params):
 
 def test_subspace_requires_rwa(device, zero_bias_params):
     with pytest.raises(ValueError, match="only exact with rwa=True"):
-        propagate(zero_bias_params, flat_pulse(10.0), None,
-                  (device.q2, device.coupler), subspace=SINGLE_EXCITATION)
+        propagate(zero_bias_params, flat_pulse(10.0), device.q2,
+                  subspace=SINGLE_EXCITATION)
 
 
 def test_unitary_snapshots_match_truncated_pulses(device):
     p = device_params(device, phic=0.29472)
-    specs = (device.q2, device.coupler)
     dt = PERIOD / 128
     times = [128 * dt, 256 * dt, 512 * dt]
     for amplitude, mod_freq in ((0.154, MOD_FREQ), (0.0, 0.0)):  # modulated, static
         pulse = flat_pulse(512 * dt, amplitude=amplitude, mod_freq=mod_freq)
-        prop = propagate(p, pulse, None, specs, dt=dt, unitary_times=times)
+        prop = propagate(p, pulse, device.q2, dt=dt, unitary_times=times)
         np.testing.assert_allclose(prop.unitary_times, times, atol=1e-12)
         for t, u in zip(prop.unitary_times, prop.unitaries):
             solo = propagate(
                 p, flat_pulse(float(t), amplitude=amplitude, mod_freq=mod_freq),
-                None, specs, dt=dt)
+                device.q2, dt=dt)
             assert np.max(np.abs(u - solo.unitary)) < 1e-10
 
 
-def stepped_propagators(p, q2_pulse, coupler_pulse, specs, prop):
+def stepped_propagators(p, q2_pulse, q2_spec, prop):
     """Propagator after each step of prop's midpoint grid, stepped one by one.
 
     The grid has steps of prop.dt, the last one ending at the pulse
@@ -143,7 +140,7 @@ def stepped_propagators(p, q2_pulse, coupler_pulse, specs, prop):
     edges = np.arange(prop.n_steps + 1) * prop.dt
     edges[-1] = q2_pulse.duration
     t_mid = 0.5 * (edges[:-1] + edges[1:])
-    series = _parameter_series(p, q2_pulse, coupler_pulse, specs, t_mid)
+    series = _parameter_series(p, q2_pulse, q2_spec, t_mid)
     u = np.eye(27, dtype=complex)
     out = np.zeros((prop.n_steps, 27, 27), dtype=complex)
     for k in range(prop.n_steps):
@@ -154,27 +151,25 @@ def stepped_propagators(p, q2_pulse, coupler_pulse, specs, prop):
     return edges, out
 
 
-@pytest.mark.parametrize("q2_pulse, coupler_pulse", [
+@pytest.mark.parametrize("q2_pulse", [
     # ramped modulated: ramps, 5 whole periods plus 20 steps, a partial step
-    (FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, phase=0.3,
-               duration=25.4, ramp=3.0), None),
+    FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, phase=0.3,
+              duration=25.4, ramp=3.0),
     # ramped DC pulse: a constant flat top between the ramps
-    (FluxPulse(phi_dc=0.0, amplitude=0.05, duration=25.4, ramp=3.0), None),
-    # a modulated coupler flux breaks the period: every step is direct
-    (FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=25.4,
-               ramp=0.0),
-     FluxPulse(phi_dc=0.29472, amplitude=0.01, mod_freq=0.1, duration=25.4,
-               ramp=0.0)),
-], ids=["ramped_modulated", "ramped_dc", "modulated_coupler"])
-def test_period_reuse_matches_direct_stepping(device, q2_pulse, coupler_pulse):
-    p = device_params(device, phic=0.29472)
-    specs = (device.q2, device.coupler)
+    FluxPulse(phi_dc=0.0, amplitude=0.05, duration=25.4, ramp=3.0),
+    # modulation about a biased q2: f2 and EJ^(1/4) deviate from the DC
+    # point with both signs of the flux excursion
+    FluxPulse(phi_dc=0.08, amplitude=0.02, mod_freq=MOD_FREQ, duration=25.4,
+              ramp=0.0),
+], ids=["ramped_modulated", "ramped_dc", "off_sweet_spot"])
+def test_period_reuse_matches_direct_stepping(device, q2_pulse):
+    p = device_params(device, phic=0.29472, phi2=q2_pulse.phi_dc)
     psi = np.zeros(27, dtype=complex)
     psi[9] = 1.0
-    prop = propagate(p, q2_pulse, coupler_pulse, specs, dt=PERIOD / 48,
+    prop = propagate(p, q2_pulse, device.q2, dt=PERIOD / 48,
                      initial_state=psi, n_samples=40,
                      unitary_times=[1.0, 3.1, 10.0, 20.0, 24.0, 25.4])
-    edges, ref = stepped_propagators(p, q2_pulse, coupler_pulse, specs, prop)
+    edges, ref = stepped_propagators(p, q2_pulse, device.q2, prop)
     assert np.max(np.abs(prop.unitary - ref[-1])) < 1e-9
     for t, u in zip(prop.unitary_times, prop.unitaries):
         s = int(np.argmin(np.abs(edges - t)))
@@ -187,10 +182,9 @@ def test_period_reuse_matches_direct_stepping(device, q2_pulse, coupler_pulse):
 def test_long_static_pulse_needs_no_per_step_arrays(device, zero_bias_params):
     # 2 us at the default step is ~473k steps; period reuse makes the cost
     # independent of that count
-    specs = (device.q2, device.coupler)
     tracemalloc.start()
     try:
-        prop = propagate(zero_bias_params, flat_pulse(2000.0), None, specs,
+        prop = propagate(zero_bias_params, flat_pulse(2000.0), device.q2,
                          initial_state=9, n_samples=720)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -204,17 +198,12 @@ def test_long_static_pulse_needs_no_per_step_arrays(device, zero_bias_params):
 
 
 def test_propagate_validation(device, zero_bias_params):
-    specs = (device.q2, device.coupler)
     with pytest.raises(ValueError, match="duration must be > 0"):
-        propagate(zero_bias_params, flat_pulse(0.0), None, specs)
-    with pytest.raises(ValueError, match="share one duration"):
-        propagate(zero_bias_params, flat_pulse(20.0),
-                  FluxPulse(phi_dc=0.1, amplitude=0.0, duration=30.0, ramp=0.0),
-                  specs)
+        propagate(zero_bias_params, flat_pulse(0.0), device.q2)
     with pytest.raises(ValueError, match="requires an initial state"):
-        propagate(zero_bias_params, flat_pulse(20.0), None, specs, n_samples=50)
+        propagate(zero_bias_params, flat_pulse(20.0), device.q2, n_samples=50)
     with pytest.raises(ValueError, match="lie in \\(0, duration\\]"):
-        propagate(zero_bias_params, flat_pulse(20.0), None, specs,
+        propagate(zero_bias_params, flat_pulse(20.0), device.q2,
                   unitary_times=[25.0])
 
 
@@ -241,14 +230,11 @@ def test_fit_exchange_error_paths():
 
 def test_chevron_peaks_at_the_resonant_amplitude(device):
     p = device_params(device, phic=0.29472)
-    specs = (device.q2, device.coupler)
     a_res = find_resonance_amplitude("iswap", device.q2, p, MOD_FREQ)
     amps = a_res + np.linspace(-0.002, 0.002, 5)
     durs = np.arange(20.0, 75.0, 10.0)
     q2_pulse = flat_pulse(durs[-1], amplitude=a_res, mod_freq=MOD_FREQ)
-    coupler_pulse = FluxPulse(phi_dc=0.29472, amplitude=0.0,
-                              duration=durs[-1], ramp=0.0)
-    cm = chevron(p, specs, q2_pulse, coupler_pulse, amps, durs)
+    cm = chevron(p, q2_pulse, device.q2, amps, durs)
     assert cm.populations.shape == (5, 6)
     assert cm.initial == "10" and cm.target == "01"
     assert cm.populations.max() > 0.9
@@ -257,16 +243,18 @@ def test_chevron_peaks_at_the_resonant_amplitude(device):
 
 
 def test_chevron_validation(device, zero_bias_params):
-    specs = (device.q2, device.coupler)
     pulse = flat_pulse(30.0, amplitude=0.1, mod_freq=MOD_FREQ)
     with pytest.raises(ValueError, match="grids must be nonempty"):
-        chevron(zero_bias_params, specs, pulse, None, [], [10.0])
+        chevron(zero_bias_params, pulse, device.q2, [], [10.0])
     with pytest.raises(ValueError, match="initial state must be"):
-        chevron(zero_bias_params, specs, pulse, None, [0.1], [10.0],
+        chevron(zero_bias_params, pulse, device.q2, [0.1], [10.0],
                 initial="20")
     with pytest.raises(ValueError, match="27x4 isometry"):
-        chevron(zero_bias_params, specs, pulse, None, [0.1], [10.0],
+        chevron(zero_bias_params, pulse, device.q2, [0.1], [10.0],
                 basis=np.eye(4))
+    for bad in ([-20.0, 10.0], [-3.3], [0.0], [np.nan, 10.0], [np.inf]):
+        with pytest.raises(ValueError, match="durations must be positive and finite"):
+            chevron(zero_bias_params, pulse, device.q2, [0.1], bad)
 
 
 def test_dynamic_coupling_matches_static_prediction_at_one_bias(device):
