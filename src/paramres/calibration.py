@@ -14,8 +14,7 @@ The calibration chain mirrors how the gates are tuned up on hardware:
 ``calibrate_gate`` runs the whole chain and returns a GateSpec plus a
 JSON-ready report.  Durations are ns, frequencies GHz, fluxes flux
 quanta.  The modulated qubit is always qubit 2; the coupler bias is a
-static input (see ``coupler_bias_for_coupling`` for the documented
-sweep helper).
+static input (``DEFAULT_COUPLER_BIAS`` by default).
 """
 
 from __future__ import annotations
@@ -322,41 +321,6 @@ def effective_coupling(device: Device, kind: str, amplitude: float,
     mc = modulated_couplings(p, sweet_spot_pulse(amplitude, mod_freq), device.q2)
     key = "g01" if kind == "iswap" else "g20"
     return mc.sideband(0)[key]
-
-
-def coupler_bias_for_coupling(
-    device: Device,
-    kind: str,
-    target_g: float | None = None,
-    mod_freq: float | None = None,
-    bracket=(0.10, 0.42),
-) -> float:
-    """Coupler bias giving a requested effective coupling magnitude.
-
-    The documented sweep helper: |g_eff| grows monotonically as the
-    coupler bias approaches the qubits, so a bracketed root on
-    |g_eff(bias)| - target picks the bias.  Defaults target a 44 ns
-    iSWAP (g01 = 5.68 MHz) and a 124 ns CZ20 (g20 = 4.03 MHz).
-    """
-    if kind not in GATE_KINDS:
-        raise ValueError(f"kind must be one of {GATE_KINDS}, got {kind!r}")
-    if target_g is None:
-        target_g = 1.0 / (4.0 * 44.0) if kind == "iswap" else 1.0 / (2.0 * 124.0)
-    if mod_freq is None:
-        mod_freq = DEFAULT_MOD_FREQ[kind]
-    p0 = device_params(device)
-    amplitude = find_resonance_amplitude(kind, device.q2, p0, mod_freq)
-
-    def mismatch(phic):
-        return abs(effective_coupling(device, kind, amplitude, mod_freq, phic)) - target_g
-
-    lo, hi = bracket
-    if mismatch(lo) * mismatch(hi) > 0:
-        raise ValueError(
-            f"target coupling {target_g * 1e3:.2f} MHz is not bracketed by "
-            f"coupler biases [{lo}, {hi}]"
-        )
-    return float(brentq(mismatch, lo, hi, xtol=1e-8))
 
 
 def _grid_population(chev: ChevronMap, amplitude: float, duration: float) -> float:

@@ -35,11 +35,12 @@ from .dynamics import chevron
 from .effective import static_couplings
 from .fluxcontrol import (apply_transfer, compensate_crosstalk,
                           load_crosstalk_csv, load_transfer_csv)
-from .tomography import (CZ, ISWAP, CoherenceTimes, average_fidelity,
-                         coherence_fidelity_cz, coherence_fidelity_iswap,
-                         confusion_matrix, dressed_computational_basis,
-                         fit_fsim, phase_error, ptm_of_unitary, save_ptm,
-                         simulate_qpt, virtual_z_correct, _wrap_angle)
+from .tomography import (CZ, ISWAP, PAULI_LABELS, CoherenceTimes,
+                         average_fidelity, coherence_fidelity_cz,
+                         coherence_fidelity_iswap, confusion_matrix,
+                         dressed_computational_basis, fit_fsim, phase_error,
+                         ptm_of_unitary, save_ptm, simulate_qpt,
+                         virtual_z_correct, _wrap_angle)
 
 OUT_DIR_ENV = "PARAMRES_OUT_DIR"
 FORMATS = ("csv", "json", "ini")
@@ -161,10 +162,18 @@ class RunConfig:
                 f"{self.cp.get(section, key)!r}") from None
 
     def getfloat(self, section, key, fallback=None):
-        return self._typed(self.cp.getfloat, "a number", section, key, fallback)
+        value = self._typed(self.cp.getfloat, "a number", section, key, fallback)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"config [{section}] {key}: not a finite number: "
+                             f"{self.cp.get(section, key)!r}")
+        return value
 
-    def getint(self, section, key, fallback=None):
-        return self._typed(self.cp.getint, "an integer", section, key, fallback)
+    def getint(self, section, key, fallback=None, minimum=None):
+        value = self._typed(self.cp.getint, "an integer", section, key, fallback)
+        if minimum is not None and value < minimum:
+            raise ValueError(f"config [{section}] {key}: need at least {minimum}, "
+                             f"got {value}")
+        return value
 
     def getbool(self, section, key, fallback=None):
         return self._typed(self.cp.getboolean, "a boolean", section, key, fallback)
@@ -219,11 +228,9 @@ def cmd_sweep_coupling(cfg: RunConfig, args) -> int:
     device = cfg.load_device()
     start = cfg.getfloat("sweep", "phic_start_phi0", 0.0)
     stop = cfg.getfloat("sweep", "phic_stop_phi0", 0.32)
-    points = cfg.getint("sweep", "points", 65)
+    points = cfg.getint("sweep", "points", 65, minimum=2)
     phi1 = cfg.getfloat("sweep", "phi1_phi0", 0.0)
     phi2 = cfg.getfloat("sweep", "phi2_phi0", 0.0)
-    if points < 2:
-        raise ValueError("config [sweep] points: need at least 2")
     meta = cfg.meta("sweep coupling", phic_start_phi0=start, phic_stop_phi0=stop,
                     points=points, phi1_phi0=phi1, phi2_phi0=phi2)
 
@@ -272,6 +279,8 @@ def cmd_chevron(cfg: RunConfig, args) -> int:
         raise ValueError(
             f"config [chevron] basis: must be dressed or bare, got {basis_kind!r}")
     initial = cfg.get("chevron", "initial", "10" if kind == "iswap" else "11")
+    amp_points = cfg.getint("chevron", "amp_points", 9, minimum=1)
+    dur_points = cfg.getint("chevron", "dur_points", 49, minimum=1)
 
     p = device_params(device, phic=coupler_bias)
     a0 = find_resonance_amplitude(kind, device.q2, p, mod_freq)
@@ -279,10 +288,10 @@ def cmd_chevron(cfg: RunConfig, args) -> int:
         device, kind, a0, mod_freq, coupler_bias)))
     amps = np.linspace(cfg.getfloat("chevron", "amp_start_phi0", a0 - 0.006),
                        cfg.getfloat("chevron", "amp_stop_phi0", a0 + 0.006),
-                       cfg.getint("chevron", "amp_points", 9))
+                       amp_points)
     durs = np.linspace(cfg.getfloat("chevron", "dur_start_ns", 0.25 * tau0),
                        cfg.getfloat("chevron", "dur_stop_ns", 1.75 * tau0),
-                       cfg.getint("chevron", "dur_points", 49))
+                       dur_points)
     meta = cfg.meta("chevron", gate=gate, coupler_bias_phi0=coupler_bias,
                     mod_freq_ghz=mod_freq, basis=basis_kind, initial=initial,
                     amplitudes_phi0=amps, durations_ns=durs)
@@ -371,6 +380,10 @@ def cmd_tomo(cfg: RunConfig, args) -> int:
     shots = cfg.getint("tomo", "shots", 0)
     fids = {key: cfg.getfloat("tomo", f"readout_{key}", 1.0)
             for key in ("f0_q1", "f1_q1", "f0_q2", "f1_q2")}
+    for key, value in fids.items():
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"config [tomo] readout_{key}: must lie in [0, 1], "
+                             f"got {value!r}")
     meta = cfg.meta("tomo", gatespec=_file_fingerprint(spec_file), shots=shots,
                     **{f"readout_{k}": v for k, v in fids.items()})
 
@@ -390,10 +403,16 @@ def cmd_tomo(cfg: RunConfig, args) -> int:
     f_avg = average_fidelity(corrected, ptm_of_unitary(target))
     phase_err = phase_error(_wrap_angle(fit.phi - _TARGET_PHI[spec.kind]))
 
-    ptm_path = cfg.outpath(f"ptm_{spec.kind}.csv")
-    save_ptm(ptm_path, corrected, metadata={
-        **meta, "kind": spec.kind, "shots": shots,
-        "virtual_z_rad": list(spec.virtual_z)})
+    header = {**meta, "kind": spec.kind, "shots": shots,
+              "virtual_z_rad": list(spec.virtual_z)}
+    ptm_path = cfg.outpath(f"ptm_{spec.kind}.{cfg.format}")
+    if cfg.format == "json":
+        # the save_ptm header fields, with the 16 PTM rows under "ptm"
+        _write_json(ptm_path, {"basis": list(PAULI_LABELS),
+                               "leakage": corrected.leakage, **header,
+                               "ptm": corrected.ptm})
+    else:
+        save_ptm(ptm_path, corrected, metadata=header)
     report = {
         "meta": meta, "kind": spec.kind, "shots": shots,
         "f_avg": float(f_avg), "theta_rad": fit.theta, "phi_rad": fit.phi,
@@ -417,6 +436,9 @@ def cmd_flux_invert(cfg: RunConfig, args) -> int:
         raise ValueError(
             f"config [flux] target_phi0: not a comma-separated number list: "
             f"{raw!r}") from None
+    if not all(map(math.isfinite, target)):
+        raise ValueError(f"config [flux] target_phi0: not a finite number list: "
+                         f"{raw!r}")
     if len(target) != ct.matrix.shape[0]:
         raise ValueError(
             f"config [flux] target_phi0: need {ct.matrix.shape[0]} entries "

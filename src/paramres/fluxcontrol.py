@@ -94,28 +94,6 @@ def compensate_crosstalk(ct: CrosstalkMatrix, target) -> np.ndarray:
     return out
 
 
-def crosstalk_from_periods(ref_periods, cross_periods, signs=None,
-                           labels=()) -> CrosstalkMatrix:
-    """Build the crosstalk matrix from measured flux periods.
-
-    ref_periods[i] is the period of loop i driven by its own line and
-    cross_periods[i][j] the (larger) period of loop i driven by line j;
-    C_ij = sign_ij * ref_periods[i] / cross_periods[i][j].  Infinite cross
-    period (no response) gives C_ij = 0.
-    """
-    ref = np.asarray(ref_periods, dtype=float)
-    cross = np.asarray(cross_periods, dtype=float)
-    n = len(ref)
-    if np.any(ref <= 0) or np.any(cross[np.isfinite(cross)] <= 0):
-        raise ValueError("flux periods must be > 0")
-    signs = np.ones((n, n)) if signs is None else np.asarray(signs, dtype=float)
-    with np.errstate(divide="ignore"):
-        c = signs * ref[:, None] / cross
-    c[~np.isfinite(c)] = 0.0
-    np.fill_diagonal(c, 1.0)
-    return CrosstalkMatrix(matrix=c, labels=tuple(labels))
-
-
 @dataclass(frozen=True)
 class TransferTable:
     """Achieved/requested flux-amplitude ratio versus modulation frequency."""
@@ -177,15 +155,6 @@ def load_crosstalk_csv(path) -> CrosstalkMatrix:
     if labels != header:
         raise ValueError("crosstalk CSV row labels do not match header order")
     return CrosstalkMatrix(matrix=np.array(rows), labels=tuple(labels))
-
-
-def save_crosstalk_csv(path, ct: CrosstalkMatrix, header_lines=()):
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("line," + ",".join(ct.labels) + "\n")
-        for label, row in zip(ct.labels, ct.matrix):
-            fh.write(label + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
 def load_transfer_csv(path) -> TransferTable:

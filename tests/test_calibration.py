@@ -5,11 +5,11 @@ import pytest
 
 from paramres.calibration import (
     DEFAULT_COUPLER_BIAS,
+    DEFAULT_MOD_FREQ,
     GATE_KINDS,
     CalibrationError,
     GateSpec,
     calibrate_gate,
-    coupler_bias_for_coupling,
     default_collision_grid,
     effective_coupling,
     find_resonance_amplitude,
@@ -102,20 +102,15 @@ def test_resonance_amplitude_unreachable_target(device):
         find_resonance_amplitude("cz02", device.q2, p, MOD_FREQ)
 
 
-def test_coupler_bias_reproduces_target_coupling(device):
-    bias = coupler_bias_for_coupling(device, "iswap", target_g=4.5e-3,
-                                     mod_freq=MOD_FREQ)
-    assert bias == pytest.approx(DEFAULT_COUPLER_BIAS["iswap"], abs=5e-4)
+@pytest.mark.parametrize("kind,g_target", [("iswap", 4.5e-3), ("cz20", 4.03e-3)],
+                         ids=["iswap", "cz20"])
+def test_default_coupler_biases_give_documented_couplings(device, kind, g_target):
+    # the targets stated with DEFAULT_COUPLER_BIAS, to 5 kHz
+    bias, mod_freq = DEFAULT_COUPLER_BIAS[kind], DEFAULT_MOD_FREQ[kind]
     p = device_params(device, phic=bias)
-    amp = find_resonance_amplitude("iswap", device.q2, p, MOD_FREQ)
-    g = effective_coupling(device, "iswap", amp, MOD_FREQ, bias)
-    assert abs(g) == pytest.approx(4.5e-3, abs=1e-6)
-
-
-def test_coupler_bias_bracket_error(device):
-    with pytest.raises(ValueError, match="not bracketed"):
-        coupler_bias_for_coupling(device, "iswap", target_g=50e-3,
-                                  mod_freq=MOD_FREQ)
+    amp = find_resonance_amplitude(kind, device.q2, p, mod_freq)
+    g = effective_coupling(device, kind, amp, mod_freq, bias)
+    assert abs(g) == pytest.approx(g_target, abs=5e-6)
 
 
 def test_collision_map_recommendation(device):

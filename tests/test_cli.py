@@ -121,6 +121,14 @@ def test_flux_invert_config_errors(capsys, tmp_path):
     assert code == 1
     assert "need 3 entries" in err
 
+    not_finite = tmp_path / "nan.ini"
+    not_finite.write_text("[flux]\ntarget_phi0 = nan, 0.29, 0\n")
+    code, _, err = run(capsys, "flux", "invert", "--config", str(not_finite),
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert "config [flux] target_phi0: not a finite number list: 'nan, 0.29, 0'" in err
+    assert not (tmp_path / "out").exists()
+
 
 def test_flux_invert_csv_and_json_hold_the_same_floats(capsys, tmp_path):
     csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
@@ -188,11 +196,23 @@ def test_missing_config_file(capsys, tmp_path):
 
 def test_malformed_config_value(capsys, tmp_path):
     cfgf = tmp_path / "c.ini"
-    cfgf.write_text("[sweep]\npoints = many\n")
-    code, _, err = run(capsys, "sweep", "coupling", "--config", str(cfgf),
-                       "--out-dir", str(tmp_path))
-    assert code == 1
-    assert "config [sweep] points: not an integer" in err
+    out_dir = tmp_path / "out"
+    for command, text, message in [
+        (("sweep", "coupling"), "[sweep]\npoints = many\n",
+         "config [sweep] points: not an integer"),
+        (("sweep", "coupling"), "[sweep]\nphic_stop_phi0 = inf\n",
+         "config [sweep] phic_stop_phi0: not a finite number: 'inf'"),
+        (("calibrate", "iswap"), "[gate.iswap]\nguard_band_ghz = nan\n",
+         "config [gate.iswap] guard_band_ghz: not a finite number: 'nan'"),
+        (("calibrate", "iswap"), "[gate.iswap]\ncoupler_bias_phi0 = nan\n",
+         "config [gate.iswap] coupler_bias_phi0: not a finite number: 'nan'"),
+    ]:
+        cfgf.write_text(text)
+        code, _, err = run(capsys, *command, "--config", str(cfgf),
+                           "--out-dir", str(out_dir))
+        assert code == 1
+        assert message in err
+        assert not out_dir.exists()
 
 
 def test_tomo_requires_gatespec(capsys, tmp_path):
@@ -237,6 +257,14 @@ def test_chevron_csv_json_and_bad_durations(capsys, tmp_path):
     assert "durations must be positive and finite" in err
     assert not (tmp_path / "bad").exists()
 
+    for key, n in (("amp_points", -1), ("dur_points", 0)):
+        cfgf.write_text(f"[chevron]\n{key} = {n}\n")
+        code, _, err = run(capsys, "chevron", "--config", str(cfgf),
+                           "--out-dir", str(tmp_path / "bad"))
+        assert code == 1
+        assert f"config [chevron] {key}: need at least 1, got {n}" in err
+        assert not (tmp_path / "bad").exists()
+
 
 def test_calibrate_cz02_fails_with_stage(capsys, tmp_path):
     code, _, err = run(capsys, "calibrate", "cz02", "--out-dir", str(tmp_path))
@@ -277,8 +305,15 @@ _GATESPEC = {"kind": "iswap", "amplitude_phi0": 0.1566, "mod_freq_ghz": 0.28,
     ({**_GATESPEC, "virtual_z_rad": 3.0}, "", "gate spec field 'virtual_z_rad'"),
     ({**_GATESPEC, "duration_ns": float("inf")}, "", "duration must be finite"),
     ({**_GATESPEC, "amplitude_phi0": float("nan")}, "", "amplitude must be finite"),
+    (_GATESPEC, "readout_f0_q1 = 1.5\n",
+     "config [tomo] readout_f0_q1: must lie in [0, 1], got 1.5"),
+    (_GATESPEC, "readout_f1_q2 = -0.1\n",
+     "config [tomo] readout_f1_q2: must lie in [0, 1], got -0.1"),
+    (_GATESPEC, "readout_f0_q2 = nan\n",
+     "config [tomo] readout_f0_q2: not a finite number: 'nan'"),
 ], ids=["not_an_object", "three_virtual_z", "negative_shots", "null_duration",
-        "scalar_virtual_z", "infinite_duration", "nan_amplitude"])
+        "scalar_virtual_z", "infinite_duration", "nan_amplitude",
+        "readout_above_one", "readout_below_zero", "readout_nan"])
 def test_tomo_bad_input_is_a_labelled_error(capsys, tmp_path, doc, tomo, message):
     spec = tmp_path / "gatespec.json"
     spec.write_text(json.dumps(doc))
@@ -288,6 +323,28 @@ def test_tomo_bad_input_is_a_labelled_error(capsys, tmp_path, doc, tomo, message
                        "--out-dir", str(tmp_path / "out"))
     assert code == 1
     assert err.startswith("error: ") and message in err
+
+
+def test_tomo_json_format_writes_the_ptm_as_json(capsys, tmp_path):
+    spec = tmp_path / "gatespec.json"
+    spec.write_text(json.dumps(_GATESPEC))
+    cfgf = tmp_path / "run.ini"
+    cfgf.write_text(f"[tomo]\ngatespec_file = {spec}\nshots = 0\n")
+    csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
+    assert run(capsys, "tomo", "--config", str(cfgf), "--out-dir", str(csv_dir))[0] == 0
+    code, out, err = run(capsys, "tomo", "--config", str(cfgf),
+                         "--out-dir", str(json_dir), "--format", "json")
+    assert code == 0, err
+    assert sorted(p.name for p in json_dir.iterdir()) == [
+        "ptm_iswap.json", "tomo_report_iswap.json"]
+    assert summary_values(out)["file"] == str(json_dir / "ptm_iswap.json")
+    doc = json.loads((json_dir / "ptm_iswap.json").read_text())
+    pt, header = load_ptm(csv_dir / "ptm_iswap.csv")
+    assert doc.pop("ptm") == pt.ptm.tolist()  # bit for bit
+    assert len(pt.ptm) == 16
+    for key in ("basis", "leakage", "kind", "shots", "virtual_z_rad", "tool"):
+        assert doc[key] == header[key]
+    assert doc["config_hash"] != header["config_hash"]  # the format is hashed
 
 
 def test_default_config_hashes_are_pinned(capsys, tmp_path):
@@ -359,8 +416,10 @@ def test_tomo_shot_noise_reproducible_by_seed(capsys, tmp_path, monkeypatch):
 
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     for out_dir, seed in ((a, "7"), (b, "7"), (c, "8")):
-        code, _, err = run(capsys, "tomo", "--config", str(cfgf),
-                           "--seed", seed, "--out-dir", str(out_dir))
+        # 300 shots with readout errors give a visibly non-unitary channel
+        with pytest.warns(UserWarning, match="far from unitary"):
+            code, _, err = run(capsys, "tomo", "--config", str(cfgf),
+                               "--seed", seed, "--out-dir", str(out_dir))
         assert code == 0, err
     assert stable_lines(a / "ptm_iswap.csv") == stable_lines(b / "ptm_iswap.csv")
     assert stable_lines(a / "ptm_iswap.csv") != stable_lines(c / "ptm_iswap.csv")

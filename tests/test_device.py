@@ -8,10 +8,6 @@ import pytest
 from paramres.device import (
     bundled_path,
     device_params,
-    fit_network,
-    fit_symmetric_squid,
-    fit_transmon_band,
-    load_bundled_device,
     load_device,
     save_device,
 )
@@ -29,17 +25,28 @@ def test_bundled_device_hits_measured_targets(device):
     assert float(anharmonicity(device.q2, 0.0)) == pytest.approx(0.233, abs=1e-9)
 
 
-def test_bundled_device_coupling_targets(zero_bias_params):
+def test_bundled_device_coupling_targets(device, zero_bias_params):
+    # the fit targets recorded in the data/device.ini header
     p = zero_bias_params
     assert np.sqrt(p.g1c * p.g2c) == pytest.approx(0.0923, abs=1e-9)
     assert p.g1c == pytest.approx(p.g2c, abs=1e-9)
+    for value, target in ((p.f1, 3.803), (p.f2, 3.862), (p.fc, 5.915),
+                          (p.eta1, 0.235), (p.eta2, 0.233),
+                          (p.g1c, 0.0923), (p.g2c, 0.0923)):
+        assert value == pytest.approx(target, abs=1e-6)
+    half = device_params(device, phi1=0.5, phi2=0.5)
+    assert half.f1 == pytest.approx(3.173, abs=1e-6)
+    assert half.f2 == pytest.approx(3.207, abs=1e-6)
+    assert device.coupler.squid.ejs == device.coupler.squid.ejl
+    net = device.network
+    assert (net.c01, net.c02, net.c04, net.c05, net.c03) == (35, 35, 35, 35, 80)
     # net static qubit-qubit coupling at zero bias: +0.25 MHz
     assert static_couplings(p).g01 * 1e3 == pytest.approx(0.25, abs=0.001)
 
 
 def test_device_ini_round_trip(tmp_path, device):
     path = tmp_path / "dev.ini"
-    save_device(path, device, header_lines=("round trip",))
+    save_device(path, device)
     again = load_device(path)
     for attr in ("q1", "q2", "coupler"):
         a, b = getattr(device, attr), getattr(again, attr)
@@ -51,9 +58,9 @@ def test_device_ini_round_trip(tmp_path, device):
 
 def test_save_device_accepts_stream(device):
     buf = io.StringIO()
-    save_device(buf, device, header_lines=("streamed",))
+    save_device(buf, device)
     text = buf.getvalue()
-    assert text.startswith("# streamed")
+    assert text.startswith("[qubit1]")
     assert "[network]" in text and "[coupler]" in text
 
 
@@ -66,36 +73,6 @@ def test_bundled_path_points_at_package_data():
     assert bundled_path("device.ini").exists()
     assert bundled_path("crosstalk.csv").exists()
     assert bundled_path("transfer.csv").exists()
-
-
-@pytest.mark.filterwarnings("ignore::UserWarning")
-def test_fit_transmon_band_recovers_targets():
-    band = fit_transmon_band(3.90, 3.20, 0.24)
-    assert float(transition_frequency(band, 0.0)) == pytest.approx(3.90, abs=1e-9)
-    assert float(transition_frequency(band, np.pi)) == pytest.approx(3.20, abs=1e-9)
-    assert float(anharmonicity(band, 0.0)) == pytest.approx(0.24, abs=1e-9)
-
-
-def test_fit_symmetric_squid_recovers_frequency():
-    from paramres.spectrum import TransmonSpec
-
-    squid = fit_symmetric_squid(5.915, 0.155)
-    assert squid.ejs == squid.ejl
-    spec = TransmonSpec(ec=0.155, squid=squid)
-    assert float(transition_frequency(spec, 0.0)) == pytest.approx(5.915, abs=1e-9)
-
-
-@pytest.mark.filterwarnings("ignore::UserWarning")
-def test_fit_network_recovers_coupling_targets():
-    dev = fit_network((3.80, 3.17, 0.235), (3.86, 3.21, 0.233),
-                      fc_max=5.90, g1c=0.090, g2c=0.090, g12=0.0048)
-    p = device_params(dev)
-    assert p.g1c == pytest.approx(0.090, abs=1e-6)
-    assert p.g2c == pytest.approx(0.090, abs=1e-6)
-    assert p.g12 == pytest.approx(0.0048, abs=1e-6)
-    assert p.fc == pytest.approx(5.90, abs=1e-6)
-    assert p.f1 == pytest.approx(3.80, abs=1e-9)
-    assert p.f2 == pytest.approx(3.86, abs=1e-9)
 
 
 def test_device_params_flux_dependence(device):

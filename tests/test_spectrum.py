@@ -63,6 +63,8 @@ def test_accuracy_improves_deeper_in_transmon_regime():
     assert rel_err(25.0) < rel_err(12.5) < rel_err(6.25)
 
 
+# at ratio = 20.0, float rounding can put EJ/EC just below the warning limit
+@pytest.mark.filterwarnings("ignore:transmon.*EJ/EC:UserWarning")
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(ec=st.floats(0.05, 0.5), ratio=st.floats(20.0, 200.0),
        phi=st.floats(0.0, 1.2))
