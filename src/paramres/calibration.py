@@ -31,17 +31,20 @@ from .dynamics import _CHEVRON_STATES, ChevronMap, chevron, fit_exchange, propag
 from .effective import average_and_excursion, modulated_couplings
 from .fluxcontrol import FluxPulse
 from .tomography import (
-    CZ,
-    ISWAP,
     average_fidelity,
     dressed_computational_basis,
     extract_virtual_z,
     fit_fsim,
+    fsim_unitary,
     qubit_subspace_ptm,
     virtual_z_correct,
 )
 
 GATE_KINDS = ("iswap", "cz20")
+
+#: Ideal fSim angles (theta, phi) of each gate kind; the target unitary
+#: is ``fsim_unitary(*TARGET_FSIM[kind])``.
+TARGET_FSIM = {"iswap": (-0.5 * math.pi, 0.0), "cz20": (0.0, math.pi)}
 
 #: Default modulation frequencies (GHz), sitting above the sideband
 #: collision band of the bundled device with margin to the n = +/-2
@@ -261,6 +264,8 @@ def sideband_collision_map(
     amplitudes = np.asarray(amplitudes, dtype=float)
     if amplitudes.size == 0:
         raise ValueError("amplitude grid must be nonempty")
+    if guard_band < 0.0:
+        raise ValueError(f"guard band must be >= 0, got {guard_band!r}")
     fbar = np.array([_average_frequency(q2_spec, a, 0.3) for a in amplitudes])
     curves = {
         "iswap": np.abs(fbar - p.f1) / 2.0,
@@ -482,6 +487,7 @@ def calibrate_gate(
 
     basis = dressed_computational_basis(p)
     initial = "10" if kind == "iswap" else "11"
+    idx_init, idx_watch, (col_init, col_watch), _ = _CHEVRON_STATES[initial]
     if refine:
         template = gate_pulse(spec)
         try:
@@ -506,19 +512,18 @@ def calibrate_gate(
     # nearly flat across them.  Trim the duration to the best fidelity
     # among grid points where the swap angle is on target.  Propagator
     # snapshots make the whole grid cost a single propagation.
-    target_u = ISWAP if kind == "iswap" else CZ
+    theta_target, phi_target = TARGET_FSIM[gate_key]
+    target_u = fsim_unitary(theta_target, phi_target)
     ideal_pt = qubit_subspace_ptm(target_u)
-    theta_target = -0.5 * math.pi if kind == "iswap" else 0.0
 
     def scored(tau_c, u):
         m = basis.conj().T @ u @ basis
         z1, z2 = extract_virtual_z(m, target_u)
-        pt = qubit_subspace_ptm(m)
-        corrected = virtual_z_correct(pt, z1, z2)
+        corrected = qubit_subspace_ptm(virtual_z_correct(m, z1, z2))
         f_avg = average_fidelity(corrected, ideal_pt)
         fit = fit_fsim(corrected)
         theta_err = abs(math.remainder(fit.theta - theta_target, math.tau))
-        return (f_avg, float(tau_c), z1, z2, pt, corrected, m, fit, theta_err)
+        return (f_avg, float(tau_c), z1, z2, corrected, m, fit, theta_err)
 
     try:
         grid = spec.duration + np.arange(-4.0, 4.0001, 0.0625)
@@ -530,16 +535,16 @@ def calibrate_gate(
         on_target = [r for r in rows if r[-1] <= 0.015]
         pool = on_target or [min(rows, key=lambda r: r[-1])]
         best = max(pool, key=lambda r: r[0])
-        f_avg, tau_best, z1, z2, pt, corrected, m, fit, _ = best
+        f_avg, tau_best, z1, z2, corrected, m, fit, _ = best
         spec = replace(spec, duration=tau_best, virtual_z=(z1, z2))
-        transfer = abs(m[1, 2]) ** 2 if kind == "iswap" else abs(m[3, 3]) ** 2
+        transfer = abs(m[col_watch, col_init]) ** 2
     except ValueError as exc:
         raise CalibrationError("tomography", str(exc)) from exc
     report["tomography"] = {
         "f_avg": float(f_avg),
         "theta_rad": fit.theta,
         "phi_rad": fit.phi,
-        "leakage": pt.leakage,
+        "leakage": corrected.leakage,
         "virtual_z_rad": [z1, z2],
         "target_population": float(transfer),
         "duration_ns": tau_best,
@@ -549,7 +554,6 @@ def calibrate_gate(
     # should tie the duration to tau*4g = 1 (iswap) or tau*2g = 1 (cz).
     try:
         trace_pulse = replace(gate_pulse(spec), duration=3.0 * spec.duration)
-        idx_init, idx_watch = _CHEVRON_STATES[initial][:2]
         tr = propagate(p, trace_pulse, device.q2, initial_state=idx_init,
                        n_samples=720)
         pop = np.abs(tr.trajectory[:, idx_watch]) ** 2

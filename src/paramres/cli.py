@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .calibration import (DEFAULT_COUPLER_BIAS, DEFAULT_MOD_FREQ,
+from .calibration import (DEFAULT_COUPLER_BIAS, DEFAULT_MOD_FREQ, TARGET_FSIM,
                           CalibrationError, calibrate_gate,
                           effective_coupling, find_resonance_amplitude,
                           gate_unitary, load_gatespec, save_gatespec,
@@ -35,19 +35,18 @@ from .dynamics import chevron
 from .effective import static_couplings
 from .fluxcontrol import (apply_transfer, compensate_crosstalk,
                           load_crosstalk_csv, load_transfer_csv)
-from .tomography import (CZ, ISWAP, PAULI_LABELS, CoherenceTimes,
-                         average_fidelity, coherence_fidelity_cz,
-                         coherence_fidelity_iswap, confusion_matrix,
-                         dressed_computational_basis, fit_fsim, phase_error,
-                         ptm_of_unitary, save_ptm, simulate_qpt,
-                         virtual_z_correct, _wrap_angle)
+from .tomography import (PAULI_LABELS, CoherenceTimes, average_fidelity,
+                         coherence_fidelity_cz, coherence_fidelity_iswap,
+                         confusion_matrix, dressed_computational_basis,
+                         fit_fsim, fsim_unitary, phase_error, ptm_of_unitary,
+                         save_ptm, simulate_qpt, virtual_z_correct,
+                         _wrap_angle)
 
 OUT_DIR_ENV = "PARAMRES_OUT_DIR"
 FORMATS = ("csv", "json", "ini")
 
 # CLI gate tokens -> calibration kinds ("cz" is the CZ20 gate)
 _KIND_ALIAS = {"iswap": "iswap", "cz": "cz20", "cz20": "cz20", "cz02": "cz02"}
-_TARGET_PHI = {"iswap": 0.0, "cz20": math.pi}
 
 
 def _utc_now() -> str:
@@ -399,9 +398,9 @@ def cmd_tomo(cfg: RunConfig, args) -> int:
                       basis=basis)
     corrected = virtual_z_correct(pt, *spec.virtual_z)
     fit = fit_fsim(corrected)
-    target = ISWAP if spec.kind == "iswap" else CZ
-    f_avg = average_fidelity(corrected, ptm_of_unitary(target))
-    phase_err = phase_error(_wrap_angle(fit.phi - _TARGET_PHI[spec.kind]))
+    target = TARGET_FSIM[spec.kind]
+    f_avg = average_fidelity(corrected, ptm_of_unitary(fsim_unitary(*target)))
+    phase_err = phase_error(_wrap_angle(fit.phi - target[1]))
 
     header = {**meta, "kind": spec.kind, "shots": shots,
               "virtual_z_rad": list(spec.virtual_z)}
@@ -462,6 +461,9 @@ def cmd_transfer_apply(cfg: RunConfig, args) -> int:
     path = cfg.get("transfer", "file", None)
     table = load_transfer_csv(path or str(bundled_path("transfer.csv")))
     requested = cfg.getfloat("transfer", "requested_amp_phi0", 0.155)
+    if requested < 0.0:
+        raise ValueError(f"config [transfer] requested_amp_phi0: must be >= 0, "
+                         f"got {requested!r}")
     mod_freq = cfg.getfloat("transfer", "mod_freq_ghz", 0.28)
     meta = cfg.meta("transfer apply", transfer=_input_fingerprint(path),
                     requested_amp_phi0=requested, mod_freq_ghz=mod_freq)

@@ -62,8 +62,11 @@ class DeviceParams:
 def _ej_xi(spec: TransmonSpec, phi_e):
     """(EJ, xi = sqrt(2 EC/EJ)) at external flux phi_e (radians), vectorized."""
     ej, _ = squid_energy(spec.squid, phi_e)
-    if np.any(np.asarray(ej) <= 1e-12):
-        raise ValueError("vanishing Josephson energy")
+    vanishing = np.asarray(ej) <= 1e-12
+    if np.any(vanishing):
+        flux = np.broadcast_to(phi_e, vanishing.shape)[vanishing][0] / (2.0 * np.pi)
+        raise ValueError(f"{spec.label or 'transmon'}: vanishing Josephson energy "
+                         f"at external flux {flux:.6g} flux quanta")
     return ej, np.sqrt(2.0 * spec.ec / ej)
 
 

@@ -25,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .effective import COMPUTATIONAL_INDICES, build_hamiltonian
 
@@ -44,6 +45,21 @@ PAULI_LABELS = tuple(a + b for a in _LABELS1 for b in _LABELS1)
 TWO_QUBIT_PAULIS = np.stack(
     [np.kron(PAULIS[a], PAULIS[b]) for a in _LABELS1 for b in _LABELS1]
 )
+
+# The fSim gate is sum_k v_k E_k over these four terms, with
+# v = (1, cos theta, sin theta, e^{-i phi}).
+_FSIM_TERMS = np.zeros((4, 4, 4), dtype=complex)
+_FSIM_TERMS[0, 0, 0] = 1.0
+_FSIM_TERMS[1, 1, 1] = _FSIM_TERMS[1, 2, 2] = 1.0
+_FSIM_TERMS[2, 1, 2] = _FSIM_TERMS[2, 2, 1] = -1.0j
+_FSIM_TERMS[3, 3, 3] = 1.0
+
+# F_pro(fSim) = sum_ij R[i, j] Tr(P_i F P_j F^dag) / 64 = v^T H v*, where
+# H[k, l] = sum_ij R[i, j] Tr(P_i E_k P_j E_l^dag) / 64 is
+# (R.ravel() @ _FSIM_FORM).reshape(4, 4).
+_FSIM_FORM = np.einsum("iab,kbc,jcd,lad->ijkl", TWO_QUBIT_PAULIS, _FSIM_TERMS,
+                       TWO_QUBIT_PAULIS, _FSIM_TERMS.conj(),
+                       optimize=True).reshape(256, 16) / 64.0
 
 # How far PTM entries may poke out of [-1, 1] before we call it a bug
 # rather than roundoff.
@@ -199,8 +215,8 @@ def ptm_of_unitary(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 block, got {m.shape}")
-    conj = np.einsum("iab,bc,jcd,ad->ij", TWO_QUBIT_PAULIS, m, TWO_QUBIT_PAULIS, m.conj())
-    return conj.real / 4.0
+    conjugated = m @ TWO_QUBIT_PAULIS @ m.conj().T
+    return np.einsum("iab,jba->ij", TWO_QUBIT_PAULIS, conjugated).real / 4.0
 
 
 def subspace_leakage(m: np.ndarray) -> float:
@@ -340,8 +356,13 @@ def fit_fsim(ptm) -> FSimFit:
     """Closest fSim(theta, phi) to a measured channel.
 
     Maximizes the average fidelity between the channel and the fSim
-    family over a 121x121 grid covering (-pi, pi]^2, then refines the
-    best cell with two zoomed grids (final resolution below 1e-3 rad).
+    family.  The process fidelity is the quadratic form v^T H v* in
+    v = (1, cos theta, sin theta, e^{-i phi}), with H linear in the PTM.
+    For fixed theta the phi terms reduce to 2 Re(e^{i phi} z(theta)),
+    z = sum_{k<3} v_k H[k, 3], so the best phi is -arg z and contributes
+    2|z|.  What remains is a smooth function of theta alone: its maximum
+    is bracketed on a dense grid over (-pi, pi] and polished by bounded
+    Brent iteration, leaving the angles accurate to about 1e-8 rad.
     A channel whose unital block is far from orthogonal is fit anyway,
     with a warning, since the fSim family is unitary.
     """
@@ -351,45 +372,26 @@ def fit_fsim(ptm) -> FSimFit:
             "channel is far from unitary; the fSim fit may not be meaningful",
             stacklevel=2,
         )
-    # F_pro(theta, phi) = sum_j Tr(Q_j F P_j F^dag) / 64 with
-    # Q_j = sum_i R[i, j] P_i.  The gate is linear in the four terms of
-    # v = (1, cos theta, sin theta, e^{-i phi}), so F_pro is the quadratic
-    # form v^dag H v with a 4x4 H computed once; each grid point is O(1).
-    q = np.einsum("ij,iab->jab", r, TWO_QUBIT_PAULIS)
-    e = np.zeros((4, 4, 4), dtype=complex)
-    e[0, 0, 0] = 1.0
-    e[1, 1, 1] = e[1, 2, 2] = 1.0
-    e[2, 1, 2] = e[2, 2, 1] = -1.0j
-    e[3, 3, 3] = 1.0
-    h = np.einsum("jab,kbc,jcd,lad->kl",
-                  q, e, TWO_QUBIT_PAULIS, e.conj()) / 64.0
+    h = (r.ravel() @ _FSIM_FORM).reshape(4, 4)
+    quad, z_coef = h[:3, :3].real, h[:3, 3]
 
-    def batch_fidelity(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-        v = np.stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas),
-                      np.exp(-1.0j * phis)], axis=-1)
-        f_pro = np.einsum("gk,kl,gl->g", v, h, v.conj()).real
-        return (4.0 * f_pro + 1.0) / 5.0
+    def best_over_phi(theta):
+        """(max over phi of F_pro, z) at theta, a scalar or a 1-D array."""
+        v = np.array([np.ones_like(theta), np.cos(theta), np.sin(theta)])
+        z = z_coef @ v
+        return (v * (quad @ v)).sum(axis=0) + h[3, 3].real + 2.0 * np.abs(z), z
 
-    n = 121
-    theta_axis = -np.pi + 2.0 * np.pi * (np.arange(n) + 1) / n
-    phi_axis = theta_axis.copy()
-    spacing = 2.0 * np.pi / n
-    best_theta, best_phi, best_f = 0.0, 0.0, -np.inf
-    for stage in range(3):
-        tg, pg = np.meshgrid(theta_axis, phi_axis, indexing="ij")
-        f = batch_fidelity(tg.ravel(), pg.ravel())
-        k = int(np.argmax(f))
-        if f[k] > best_f:
-            best_f = float(f[k])
-            best_theta = float(tg.ravel()[k])
-            best_phi = float(pg.ravel()[k])
-        theta_axis = best_theta + np.linspace(-spacing, spacing, 21)
-        phi_axis = best_phi + np.linspace(-spacing, spacing, 21)
-        spacing /= 10.0
+    step = 2.0 * np.pi / 128
+    grid = -np.pi + step * np.arange(1, 129)
+    start = grid[np.argmax(best_over_phi(grid)[0])]
+    theta = minimize_scalar(lambda t: -best_over_phi(t)[0], method="bounded",
+                            bounds=(start - step, start + step),
+                            options={"xatol": 1e-12}).x
+    f_pro, z = best_over_phi(theta)
     return FSimFit(
-        theta=_wrap_angle(best_theta),
-        phi=_wrap_angle(best_phi),
-        fidelity_to_fit=min(1.0, best_f),
+        theta=_wrap_angle(theta),
+        phi=_wrap_angle(-np.angle(z)),
+        fidelity_to_fit=min(1.0, float((4.0 * f_pro + 1.0) / 5.0)),
     )
 
 

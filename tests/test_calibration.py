@@ -130,6 +130,12 @@ def test_collision_map_rejects_empty_grid(device, zero_bias_params):
         sideband_collision_map(zero_bias_params, device.q2, np.array([]))
 
 
+def test_collision_map_rejects_negative_guard_band(device, zero_bias_params):
+    with pytest.raises(ValueError, match="guard band must be >= 0, got -0.001"):
+        sideband_collision_map(zero_bias_params, device.q2, np.array([0.1]),
+                               guard_band=-0.001)
+
+
 def synthetic_chevron(amps, durs, peak_amp):
     pops = (np.exp(-((amps[:, None] - peak_amp) / 0.006) ** 2)
             * np.sin(np.pi * durs[None, :] / 80.0) ** 2)

@@ -206,6 +206,13 @@ def test_malformed_config_value(capsys, tmp_path):
          "config [gate.iswap] guard_band_ghz: not a finite number: 'nan'"),
         (("calibrate", "iswap"), "[gate.iswap]\ncoupler_bias_phi0 = nan\n",
          "config [gate.iswap] coupler_bias_phi0: not a finite number: 'nan'"),
+        (("calibrate", "iswap"), "[gate.iswap]\nguard_band_ghz = -1\nrefine = false\n",
+         "error: calibration failed at stage collision: guard band must be >= 0, "
+         "got -1.0"),
+        (("transfer", "apply"), "[transfer]\nrequested_amp_phi0 = -1\n",
+         "config [transfer] requested_amp_phi0: must be >= 0, got -1.0"),
+        (("sweep", "coupling"), "[sweep]\nphic_stop_phi0 = 0.5\npoints = 3\n",
+         "coupler: vanishing Josephson energy at external flux 0.5 flux quanta"),
     ]:
         cfgf.write_text(text)
         code, _, err = run(capsys, *command, "--config", str(cfgf),

@@ -1,9 +1,11 @@
 """Process tomography, fSim extraction, and coherence-limited fidelities."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from paramres.effective import COMPUTATIONAL_INDICES
 from paramres.tomography import (
@@ -118,7 +120,42 @@ def test_fit_fsim_round_trip(rng):
         d_phi = abs(np.remainder(fit.phi - phi + np.pi, 2 * np.pi) - np.pi)
         worst = max(worst, d_theta, d_phi)
         assert fit.fidelity_to_fit > 0.999
-    assert worst <= 0.01
+    assert worst <= 1e-6
+
+
+def _shot_sampled_ptm(target):
+    confusions = (confusion_matrix(0.97, 0.94), confusion_matrix(0.96, 0.95))
+    return simulate_qpt(target, shots=500, confusions=confusions, seed=3).ptm
+
+
+def _perturbed_fsim_ptm():
+    u = haar_unitary(4, np.random.default_rng(11))
+    kick = expm(0.05j * (u + u.conj().T) / 2.0)
+    return ptm_of_unitary(kick @ fsim_unitary(0.7, -1.9))
+
+
+@pytest.mark.parametrize("make_ptm", [
+    lambda: _shot_sampled_ptm(ISWAP),
+    lambda: _shot_sampled_ptm(CZ),
+    _perturbed_fsim_ptm,
+], ids=["iswap_shots", "cz_shots", "perturbed_fsim"])
+def test_fit_fsim_is_the_global_optimum(make_ptm):
+    r = make_ptm()
+    with warnings.catch_warnings():
+        # the shot-sampled channels are far from unitary on purpose
+        warnings.filterwarnings("ignore", "channel is far from unitary")
+        fit = fit_fsim(r)
+
+    def fidelity(theta, phi):
+        return average_fidelity(r, ptm_of_unitary(fsim_unitary(theta, phi)))
+
+    assert fit.fidelity_to_fit == pytest.approx(fidelity(fit.theta, fit.phi), abs=1e-12)
+    coarse = np.linspace(-np.pi, np.pi, 64, endpoint=False)
+    local = np.linspace(-2e-3, 2e-3, 21)
+    best = max(max(fidelity(t, p) for t in coarse for p in coarse),
+               max(fidelity(fit.theta + dt, fit.phi + dp)
+                   for dt in local for dp in local))
+    assert best <= fit.fidelity_to_fit + 1e-12
 
 
 def test_fit_fsim_warns_for_nonunitary_channel():
