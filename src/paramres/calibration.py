@@ -154,17 +154,17 @@ def load_gatespec(path) -> GateSpec:
 
 def sweet_spot_pulse(amplitude: float, mod_freq: float,
                      duration: float = 100.0) -> FluxPulse:
-    """Ramp-free q2 flux modulation about the upper sweet spot.
+    """Square q2 flux modulation about the upper sweet spot.
 
     Gates run from the upper sweet spot with no ramp: the modulated
     flux is continuous at turn-on there, and a raised-cosine ramp would
     drag the average frequency through the sideband collisions mapped
     out during calibration.  The default duration suits probes of the
-    flat top (average frequency, sideband weights), which do not depend
-    on it.
+    steady modulation (average frequency, sideband weights), which do
+    not depend on it.
     """
     return FluxPulse(phi_dc=0.0, amplitude=amplitude, mod_freq=mod_freq,
-                     duration=duration, ramp=0.0)
+                     duration=duration)
 
 
 def gate_pulse(spec: GateSpec) -> FluxPulse:

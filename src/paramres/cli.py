@@ -147,6 +147,8 @@ class RunConfig:
                              f"got {self.format!r}")
         seed = getattr(args, "seed", None)
         self.seed = self.getint("run", "seed", 0) if seed is None else seed
+        if self.seed < 0:
+            raise ValueError(f"config [run] seed: need at least 0, got {self.seed}")
         self.device_file = self.get("device", "file", None)
 
     def get(self, section, key, fallback=None):

@@ -19,16 +19,12 @@ import numpy as np
 from scipy.linalg import schur
 
 from .circuit import squid_energy
-from .effective import (DIM, NUM_1, NUM_2, NUM_C, P2_1, P2_2, P2_C,
-                        TOTAL_EXCITATION, XX_12, XX_12_RWA, XX_1C, XX_1C_RWA,
-                        XX_C2, XX_C2_RWA, basis_index)
+from .effective import (DIM, NUM_1, NUM_2, NUM_C, P2_1, P2_2, P2_C, XX_12,
+                        XX_1C, XX_C2, basis_index)
 from .fluxcontrol import FluxPulse, instantaneous_flux
 from .spectrum import DeviceParams, transition_frequency
 
 UNITARITY_TOL = 1e-8
-
-# indices of the n1 + nc + n2 = 1 block, ascending: (|001>, |010>, |100>)
-SINGLE_EXCITATION = tuple(int(i) for i in np.flatnonzero(TOTAL_EXCITATION == 1))
 
 
 @dataclass(frozen=True)
@@ -42,7 +38,6 @@ class Propagation:
     trajectory: np.ndarray       # sampled states (n_times x dim), empty likewise
     unitary_times: np.ndarray    # snapshot times (ns), empty unless requested
     unitaries: np.ndarray        # propagator snapshots (n x dim x dim), empty likewise
-    subspace: tuple              # basis indices propagated (full space by default)
     unitarity_defect: float
 
     def state_populations(self) -> np.ndarray:
@@ -107,8 +102,7 @@ def default_dt(p: DeviceParams) -> float:
 
 
 def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
-              rwa=False, initial_state=None, n_samples=0, subspace=None,
-              unitary_times=None) -> Propagation:
+              initial_state=None, n_samples=0, unitary_times=None) -> Propagation:
     """Propagate over the q2 pulse window and return the final unitary.
 
     p holds the model parameters at the DC biases (see
@@ -121,27 +115,23 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
 
     unitary_times requests snapshots of the running propagator, taken at the
     nearest step boundaries (the actual times come back in unitary_times).
-    For a ramp-free flat-top pulse the steps of a truncated pulse coincide
-    with the leading steps of the full one, so the snapshot at time t is the
+    The pulse is square, so the steps of a truncated pulse coincide with
+    the leading steps of the full one and the snapshot at time t is the
     final unitary of the same pulse with duration t; a duration scan then
     costs one propagation instead of one per duration.
 
     Period reuse: dt is snapped to m steps per modulation period (m = 1
-    for an unmodulated flat top), so the flat-top Hamiltonian repeats
-    every m steps.  The m steps of one period are diagonalized once and
-    their running products P_j kept; after s = k0 + n*m + j steps into the
-    flat top the propagator is P_j U_P^n U_head, with U_P = P_m raised to
-    the n-th power through its complex Schur form.  Ramps and a trailing
-    partial step are stepped directly.  The final unitary, the snapshots
-    and the trajectory all read from that rule, so the cost grows with the
-    steps per period, the ramps and the samples, not with duration/dt.  Sample and snapshot times are s*dt (the pulse
-    duration at the last boundary); snapshots of a static pulse snap to
-    step boundaries like those of a modulated one.
-
-    subspace restricts the propagation to a tuple of bare basis indices;
-    combined with rwa=True this is exact for dynamics that start inside one
-    excitation block (the rotating-wave Hamiltonian conserves total
-    excitation number), and much faster than the full 27-dim stepping.
+    for an unmodulated pulse), so the Hamiltonian repeats every m steps.
+    The m steps of one period are diagonalized once and the running
+    products P_j of its first j steps kept; after s = n*m + j steps
+    (0 < j <= m) the propagator is P_j U_P^n, with U_P = P_m raised to
+    the n-th power through its complex Schur form.  A trailing partial
+    step is stepped directly.  The final unitary, the snapshots and the
+    trajectory all read from that rule, so the cost grows with the steps
+    per period and the samples, not with duration/dt.  Sample and
+    snapshot times are s*dt (the pulse duration at the last boundary);
+    snapshots of a static pulse snap to step boundaries like those of a
+    modulated one.
     """
     duration = q2_pulse.duration
     if duration <= 0:
@@ -150,7 +140,7 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         dt = default_dt(p)
 
     # Snap dt to m steps per modulation period; a trailing partial step
-    # absorbs the incommensurate remainder.  An unmodulated flat top repeats
+    # absorbs the incommensurate remainder.  An unmodulated pulse repeats
     # every step; a pulse shorter than its period never repeats.
     modulated = q2_pulse.mod_freq > 0 and q2_pulse.amplitude != 0.0
     period = 1.0 / q2_pulse.mod_freq if modulated else 0.0
@@ -168,32 +158,18 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         m = n_full if modulated else 1
         rem = 0.0
     n_steps = n_full + (rem > 0.0)
-    # Steps [k0, k1) lie on the flat top, where the Hamiltonian repeats.
-    k0 = math.ceil(q2_pulse.ramp / dt - 1e-9)
-    k1 = max(k0, min(n_full, int((duration - q2_pulse.ramp) / dt + 1e-9)))
 
-    idx = tuple(range(DIM)) if subspace is None else tuple(subspace)
-    sub = np.asarray(idx, dtype=int)
-    dim = len(idx)
-    if rwa:
-        xx_1c, xx_c2, xx_12 = (op[np.ix_(sub, sub)] for op in
-                               (XX_1C_RWA, XX_C2_RWA, XX_12_RWA))
-    else:
-        if subspace is not None:
-            raise ValueError("subspace restriction is only exact with rwa=True")
-        xx_1c, xx_c2, xx_12 = XX_1C, XX_C2, XX_12
-    static_diag = (p.f1 * NUM_1[sub] - p.eta1 * P2_1[sub] - p.etac * P2_C[sub]
-                   - p.eta2 * P2_2[sub] + p.fc * NUM_C[sub])
-    terms = (p.g1c * xx_1c, xx_c2, xx_12, static_diag, NUM_2[sub])
+    static_diag = (p.f1 * NUM_1 - p.eta1 * P2_1 - p.etac * P2_C
+                   - p.eta2 * P2_2 + p.fc * NUM_C)
+    terms = (p.g1c * XX_1C, XX_C2, XX_12, static_diag, NUM_2)
 
     psi = None
     if initial_state is not None:
-        psi = np.zeros(dim, dtype=complex)
+        psi = np.zeros(DIM, dtype=complex)
         if np.isscalar(initial_state):
-            psi[idx.index(int(initial_state))] = 1.0
+            psi[int(initial_state)] = 1.0
         else:
-            vec = np.asarray(initial_state, dtype=complex)
-            psi[:] = vec[sub] if vec.size == DIM else vec
+            psi[:] = initial_state
 
     sample_steps = np.array([], dtype=int)
     if n_samples > 0:
@@ -202,13 +178,14 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         sample_steps = np.unique(np.linspace(1, n_steps, n_samples).round().astype(int))
     want_u = (np.array([], dtype=float) if unitary_times is None
               else np.atleast_1d(np.asarray(unitary_times, dtype=float)))
-    if want_u.size and (np.any(want_u <= 0.0) or np.any(want_u > duration + 1e-9)):
+    # written so that NaN fails the range test
+    if not np.all((want_u > 0.0) & (want_u <= duration + 1e-9)):
         raise ValueError("unitary sample times must lie in (0, duration]")
     snap = np.clip(np.floor(want_u / dt + 0.5), 1, n_full).astype(int)
     snap[want_u - n_full * dt > 0.5 * rem] = n_steps
     u_steps = np.unique(snap)
-    trajectory = np.zeros((len(sample_steps), dim), dtype=complex)
-    unitaries = np.zeros((len(u_steps), dim, dim), dtype=complex)
+    trajectory = np.zeros((len(sample_steps), DIM), dtype=complex)
+    unitaries = np.zeros((len(u_steps), DIM, DIM), dtype=complex)
     sample_row = {s: i for i, s in enumerate(sample_steps.tolist())}
     snap_row = {s: i for i, s in enumerate(u_steps.tolist())}
 
@@ -228,38 +205,33 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         series = _parameter_series(p, q2_pulse, q2_spec, t_mid)
         return _step_products(terms, series, np.where(full, dt, rem), u)
 
-    u = np.eye(dim, dtype=complex)
-    for s, u in enumerate(steps(0, k0, u), 1):
-        record(s, u)
-    if k1 > k0:
-        m = min(m, k1 - k0)
-        prefix = np.empty((m, dim, dim), dtype=complex)
-        for j, u_j in enumerate(steps(k0, k0 + m, np.eye(dim, dtype=complex))):
-            prefix[j] = u_j
-        # U_P is unitary, so its complex Schur form is diagonal and
-        # U_P^n = Z diag(exp(i*n*theta)) Z^H.
-        schur_t, z = schur(prefix[-1], output="complex")
-        theta = np.angle(np.diag(schur_t))
-        w = z.conj().T @ u
-        v = None if psi is None else w @ psi[:, None]
+    prefix = np.empty((m, DIM, DIM), dtype=complex)
+    for j, u_j in enumerate(steps(0, m, np.eye(DIM, dtype=complex))):
+        prefix[j] = u_j
+    # U_P is unitary, so its complex Schur form is diagonal and
+    # U_P^n = Z diag(exp(i*n*theta)) Z^H.
+    schur_t, z = schur(prefix[-1], output="complex")
+    theta = np.angle(np.diag(schur_t))
+    w = z.conj().T
+    v = None if psi is None else w @ psi[:, None]
 
-        def flat_top(s, x):
-            """U(s) y for x = Z^H U_head y, with s in (k0, k1]."""
-            n, j = divmod(s - k0 - 1, m)
-            return prefix[j] @ (z @ (np.exp(1j * n * theta)[:, None] * x))
+    def periodic(s, x):
+        """U(s) y for x = Z^H y, with s in (0, n_full]."""
+        n, j = divmod(s - 1, m)
+        return prefix[j] @ (z @ (np.exp(1j * n * theta)[:, None] * x))
 
-        for s, row in sample_row.items():
-            if k0 < s < k1:
-                trajectory[row] = flat_top(s, v)[:, 0]
-        for s, row in snap_row.items():
-            if k0 < s < k1:
-                unitaries[row] = flat_top(s, w)
-        u = flat_top(k1, w)
-        record(k1, u)
-    for s, u in enumerate(steps(k1, n_steps, u), k1 + 1):
+    for s, row in sample_row.items():
+        if s < n_full:
+            trajectory[row] = periodic(s, v)[:, 0]
+    for s, row in snap_row.items():
+        if s < n_full:
+            unitaries[row] = periodic(s, w)
+    u = periodic(n_full, w)
+    record(n_full, u)
+    for s, u in enumerate(steps(n_full, n_steps, u), n_full + 1):
         record(s, u)
 
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
+    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(DIM))))
     if defect > UNITARITY_TOL:
         raise ValueError(
             f"unitarity drift {defect:.2e} exceeds {UNITARITY_TOL}; reduce dt")
@@ -270,7 +242,7 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     return Propagation(unitary=u, dt=dt, n_steps=n_steps,
                        times=times(sample_steps), trajectory=trajectory,
                        unitary_times=times(u_steps), unitaries=unitaries,
-                       subspace=idx, unitarity_defect=defect)
+                       unitarity_defect=defect)
 
 
 @dataclass(frozen=True)
@@ -440,8 +412,7 @@ def coupling_vs_bias(device, phic_grid):
         fits = []
         for phi2 in phi2_res + _SWEEP_OFFSETS:
             p = device_params(device, phic=phic, phi2=phi2)
-            pulse = FluxPulse(phi_dc=phi2, amplitude=0.0, duration=duration,
-                              ramp=0.0)
+            pulse = FluxPulse(phi_dc=phi2, amplitude=0.0, duration=duration)
             prop = propagate(p, pulse, device.q2,
                              initial_state=basis_index(1, 0, 0),
                              n_samples=_SWEEP_SAMPLES)

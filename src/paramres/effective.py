@@ -37,18 +37,6 @@ def _kron3(a, b, c):
     return np.kron(a, np.kron(b, c))
 
 
-def _coupling_ops(rwa: bool):
-    if rwa:
-        pair_1c = _kron3_pair(_SIGMA.T, _SIGMA, 0, 1) + _kron3_pair(_SIGMA, _SIGMA.T, 0, 1)
-        pair_c2 = _kron3_pair(_SIGMA.T, _SIGMA, 1, 2) + _kron3_pair(_SIGMA, _SIGMA.T, 1, 2)
-        pair_12 = _kron3_pair(_SIGMA.T, _SIGMA, 0, 2) + _kron3_pair(_SIGMA, _SIGMA.T, 0, 2)
-    else:
-        pair_1c = _kron3_pair(_SIGMA_X, _SIGMA_X, 0, 1)
-        pair_c2 = _kron3_pair(_SIGMA_X, _SIGMA_X, 1, 2)
-        pair_12 = _kron3_pair(_SIGMA_X, _SIGMA_X, 0, 2)
-    return pair_1c, pair_c2, pair_12
-
-
 def _kron3_pair(op_a, op_b, slot_a, slot_b):
     ops = [_EYE, _EYE, _EYE]
     ops[slot_a] = op_a
@@ -63,10 +51,9 @@ NUM_2 = np.real(np.diag(_kron3(_EYE, _EYE, _NUM)))
 P2_1 = np.real(np.diag(_kron3(_P2, _EYE, _EYE)))
 P2_C = np.real(np.diag(_kron3(_EYE, _P2, _EYE)))
 P2_2 = np.real(np.diag(_kron3(_EYE, _EYE, _P2)))
-XX_1C, XX_C2, XX_12 = _coupling_ops(rwa=False)
-XX_1C_RWA, XX_C2_RWA, XX_12_RWA = _coupling_ops(rwa=True)
-
-TOTAL_EXCITATION = NUM_1 + NUM_C + NUM_2
+XX_1C = _kron3_pair(_SIGMA_X, _SIGMA_X, 0, 1)
+XX_C2 = _kron3_pair(_SIGMA_X, _SIGMA_X, 1, 2)
+XX_12 = _kron3_pair(_SIGMA_X, _SIGMA_X, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -83,19 +70,15 @@ class ThreeBodyHamiltonian:
             raise ValueError("Hamiltonian is not Hermitian")
 
 
-def build_hamiltonian(p: DeviceParams, rwa: bool = False) -> ThreeBodyHamiltonian:
+def build_hamiltonian(p: DeviceParams) -> ThreeBodyHamiltonian:
     """Assemble the static three-body Hamiltonian from device parameters.
 
-    With rwa=True the counter-rotating parts of the charge-charge couplings
-    are dropped and the total excitation number is conserved.
+    The charge-charge couplings keep their counter-rotating parts, so the
+    total excitation number is not conserved, only its parity.
     """
     diag = (p.f1 * NUM_1 + p.fc * NUM_C + p.f2 * NUM_2
             - p.eta1 * P2_1 - p.etac * P2_C - p.eta2 * P2_2)
-    if rwa:
-        pair_1c, pair_c2, pair_12 = XX_1C_RWA, XX_C2_RWA, XX_12_RWA
-    else:
-        pair_1c, pair_c2, pair_12 = XX_1C, XX_C2, XX_12
-    h = np.diag(diag) + p.g1c * pair_1c + p.g2c * pair_c2 + p.g12 * pair_12
+    h = np.diag(diag) + p.g1c * XX_1C + p.g2c * XX_C2 + p.g12 * XX_12
     return ThreeBodyHamiltonian(matrix=h)
 
 
@@ -226,19 +209,18 @@ _FOURIER_SAMPLES = 4096
 
 
 def _modulation_samples(q2_spec: TransmonSpec, pulse: FluxPulse):
-    """Qubit-2 frequency over one flat-top modulation period, densely sampled."""
+    """Qubit-2 frequency over one modulation period, densely sampled."""
     if pulse.mod_freq <= 0:
         raise ValueError("modulation frequency must be > 0")
     period = 1.0 / pulse.mod_freq
     t = np.linspace(0.0, period, _FOURIER_SAMPLES + 1)
-    flux = pulse.phi_dc + pulse.amplitude * np.sin(
-        2.0 * np.pi * pulse.mod_freq * t + pulse.phase)
+    flux = pulse.phi_dc + pulse.amplitude * np.sin(2.0 * np.pi * pulse.mod_freq * t)
     f2 = np.asarray(transition_frequency(q2_spec, 2.0 * np.pi * flux))
     return t, f2
 
 
 def average_and_excursion(q2_spec: TransmonSpec, pulse: FluxPulse) -> tuple:
-    """(f2_avg, f2_exc) in GHz over one modulation period of the flat top.
+    """(f2_avg, f2_exc) in GHz over one modulation period.
 
     f2_avg is the time average of the instantaneous qubit frequency; f2_exc
     is the amplitude of its component at twice the modulation frequency,

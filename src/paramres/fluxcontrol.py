@@ -7,7 +7,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class FluxPulse:
-    """Flat-top flux pulse with raised-cosine ramps.
+    """Square flux pulse: a DC offset plus a sinusoid or a DC step.
 
     Fluxes are in units of the flux quantum, times in ns, mod_freq in GHz.
     mod_freq = 0 means a fast DC pulse (no sinusoidal modulation).
@@ -16,30 +16,13 @@ class FluxPulse:
     phi_dc: float
     amplitude: float
     mod_freq: float = 0.0
-    phase: float = 0.0
     duration: float = 0.0
-    ramp: float = 5.0
 
     def __post_init__(self):
-        if self.ramp < 0:
-            raise ValueError("ramp must be >= 0")
-        if self.duration < 2.0 * self.ramp:
-            raise ValueError("duration must cover both ramps (duration >= 2*ramp)")
+        if self.duration < 0:
+            raise ValueError("duration must be >= 0")
         if self.mod_freq < 0:
             raise ValueError("mod_freq must be >= 0")
-
-
-def pulse_envelope(pulse: FluxPulse, t):
-    """Flat-top envelope u(t) in [0, 1] with raised-cosine rise and fall."""
-    t = np.asarray(t, dtype=float)
-    u = np.ones_like(t)
-    if pulse.ramp > 0:
-        rise = t < pulse.ramp
-        fall = t > pulse.duration - pulse.ramp
-        u = np.where(rise, 0.5 * (1.0 - np.cos(np.pi * t / pulse.ramp)), u)
-        u = np.where(fall, 0.5 * (1.0 - np.cos(
-            np.pi * (pulse.duration - t) / pulse.ramp)), u)
-    return u
 
 
 def instantaneous_flux(pulse: FluxPulse, t):
@@ -50,12 +33,11 @@ def instantaneous_flux(pulse: FluxPulse, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0) or np.any(t_arr > pulse.duration):
         raise ValueError(f"time outside pulse window [0, {pulse.duration}] ns")
-    u = pulse_envelope(pulse, t_arr)
     if pulse.mod_freq > 0:
-        wave = np.sin(2.0 * np.pi * pulse.mod_freq * t_arr + pulse.phase)
+        wave = np.sin(2.0 * np.pi * pulse.mod_freq * t_arr)
     else:
-        wave = 1.0
-    out = pulse.phi_dc + pulse.amplitude * u * wave
+        wave = np.ones_like(t_arr)
+    out = pulse.phi_dc + pulse.amplitude * wave
     return float(out) if np.isscalar(t) else out
 
 

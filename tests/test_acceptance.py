@@ -53,12 +53,12 @@ def test_criterion_01_sideband_weights_match_bessel(device):
 
     def excursion(amp):
         pulse = FluxPulse(phi_dc=0.0, amplitude=amp, mod_freq=mod_freq,
-                          duration=50.0, ramp=0.0)
+                          duration=50.0)
         return average_and_excursion(device.q2, pulse)[1] - 0.0585
 
     amp = brentq(excursion, 0.05, 0.35, xtol=1e-10)
     pulse = FluxPulse(phi_dc=0.0, amplitude=amp, mod_freq=mod_freq,
-                      duration=50.0, ramp=0.0)
+                      duration=50.0)
     n, eps, spacing = numeric_fourier_weights(device.q2, pulse)
     elapsed = time.perf_counter() - t0
 
@@ -211,14 +211,14 @@ def test_criterion_10_property_suites(device, zero_bias_params, rng):
     # propagator unitarity on a strongly modulated pulse
     period = 1.0 / 0.28
     pulse = FluxPulse(phi_dc=0.0, amplitude=0.155, mod_freq=0.28,
-                      duration=20 * period, ramp=0.0)
+                      duration=20 * period)
     prop = propagate(zero_bias_params, pulse, device.q2)
     assert prop.unitarity_defect < 1e-8
 
     # step-halving convergence of the stepped propagator
     def unitary(m):
         short = FluxPulse(phi_dc=0.0, amplitude=0.155, mod_freq=0.28,
-                          duration=8 * period, ramp=0.0)
+                          duration=8 * period)
         return propagate(zero_bias_params, short, device.q2,
                          dt=period / m).unitary
 

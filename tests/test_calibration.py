@@ -23,6 +23,7 @@ from paramres.calibration import (
 )
 from paramres.device import device_params
 from paramres.dynamics import ChevronMap
+from paramres.fluxcontrol import instantaneous_flux
 
 MOD_FREQ = 0.28
 
@@ -68,7 +69,7 @@ def test_gatespec_file_round_trip(tmp_path):
 def test_gate_pulse_has_no_dc_offset_or_ramp():
     pulse = gate_pulse(iswap_spec())
     assert pulse.phi_dc == 0.0
-    assert pulse.ramp == 0.0
+    assert instantaneous_flux(pulse, 0.0) == 0.0  # continuous turn-on
     assert pulse.amplitude == 0.155
     assert pulse.mod_freq == MOD_FREQ
     assert pulse.duration == 55.0
@@ -91,7 +92,7 @@ def test_resonance_amplitude_places_average_frequency(device):
     from paramres.fluxcontrol import FluxPulse
 
     probe = FluxPulse(phi_dc=0.0, amplitude=amp, mod_freq=MOD_FREQ,
-                      duration=50.0, ramp=0.0)
+                      duration=50.0)
     f_avg, _ = average_and_excursion(device.q2, probe)
     assert f_avg == pytest.approx(p.f1, abs=1e-9)
 

@@ -213,6 +213,8 @@ def test_malformed_config_value(capsys, tmp_path):
          "config [transfer] requested_amp_phi0: must be >= 0, got -1.0"),
         (("sweep", "coupling"), "[sweep]\nphic_stop_phi0 = 0.5\npoints = 3\n",
          "coupler: vanishing Josephson energy at external flux 0.5 flux quanta"),
+        (("tomo",), "[run]\nseed = -1\n", "config [run] seed: need at least 0, got -1"),
+        (("tomo", "--seed", "-1"), "", "config [run] seed: need at least 0, got -1"),
     ]:
         cfgf.write_text(text)
         code, _, err = run(capsys, *command, "--config", str(cfgf),

@@ -7,7 +7,9 @@ from scipy.special import jv
 from paramres.effective import (
     COMPUTATIONAL_INDICES,
     DIM,
-    TOTAL_EXCITATION,
+    NUM_1,
+    NUM_2,
+    NUM_C,
     ThreeBodyHamiltonian,
     average_and_excursion,
     basis_index,
@@ -57,20 +59,17 @@ def test_hamiltonian_hermitian_and_validated(dispersive_params):
         ThreeBodyHamiltonian(matrix=np.eye(4))
 
 
-def test_rwa_conserves_total_excitation(dispersive_params):
-    n_op = np.diag(TOTAL_EXCITATION)
-    h_rwa = build_hamiltonian(dispersive_params, rwa=True).matrix
-    assert np.max(np.abs(h_rwa @ n_op - n_op @ h_rwa)) == pytest.approx(0.0, abs=1e-12)
-    h_full = build_hamiltonian(dispersive_params).matrix
-    assert np.max(np.abs(h_full @ n_op - n_op @ h_full)) > 0.1
-
-
-def test_counter_rotating_block_only_in_full_model(dispersive_params):
-    h_full = build_hamiltonian(dispersive_params).matrix
-    h_rwa = build_hamiltonian(dispersive_params, rwa=True).matrix
+def test_full_model_conserves_parity_not_excitation_number(dispersive_params):
+    # the counter-rotating parts of the XX couplings change the total
+    # excitation number N by two, so H keeps (-1)^N but not N
+    h = build_hamiltonian(dispersive_params).matrix
+    n = NUM_1 + NUM_C + NUM_2
+    parity = np.diag((-1.0) ** n)
+    assert np.array_equal(h @ parity, parity @ h)
+    n_op = np.diag(n)
+    assert np.max(np.abs(h @ n_op - n_op @ h)) > 0.1
     pair_up = basis_index(1, 1, 0)  # qubit 1 and coupler excited together
-    assert abs(h_full[pair_up, 0]) == pytest.approx(dispersive_params.g1c)
-    assert h_rwa[pair_up, 0] == 0.0
+    assert h[pair_up, 0] == dispersive_params.g1c
 
 
 def test_static_coupling_matches_exact_half_splitting():
@@ -110,8 +109,7 @@ def test_static_couplings_warns_when_barely_dispersive():
 
 
 def test_fourier_weights_match_bessel_at_small_amplitude(device):
-    pulse = FluxPulse(phi_dc=0.0, amplitude=0.05, mod_freq=0.25,
-                      duration=100.0, ramp=0.0)
+    pulse = FluxPulse(phi_dc=0.0, amplitude=0.05, mod_freq=0.25, duration=100.0)
     n, eps, spacing = numeric_fourier_weights(device.q2, pulse)
     assert spacing == 2
     _, f_exc = average_and_excursion(device.q2, pulse)
@@ -119,23 +117,21 @@ def test_fourier_weights_match_bessel_at_small_amplitude(device):
     assert np.max(np.abs(eps - bessel)) < 1e-4
     # stronger drive, slightly looser closed form
     pulse_big = FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=0.30,
-                          duration=100.0, ramp=0.0)
+                          duration=100.0)
     n, eps, _ = numeric_fourier_weights(device.q2, pulse_big)
     _, f_exc = average_and_excursion(device.q2, pulse_big)
     assert np.max(np.abs(eps - jv(n, f_exc / 0.6))) < 1e-3
 
 
 def test_fourier_weights_are_normalized(device):
-    pulse = FluxPulse(phi_dc=0.0, amplitude=0.15, mod_freq=0.28,
-                      duration=100.0, ramp=0.0)
+    pulse = FluxPulse(phi_dc=0.0, amplitude=0.15, mod_freq=0.28, duration=100.0)
     _, eps, _ = numeric_fourier_weights(device.q2, pulse, n_max=5)
     total = np.sum(np.abs(eps) ** 2)
     assert 0.995 < total <= 1.0 + 1e-9
 
 
 def test_fourier_weights_zero_amplitude_is_delta(device):
-    pulse = FluxPulse(phi_dc=0.0, amplitude=0.0, mod_freq=0.3,
-                      duration=100.0, ramp=0.0)
+    pulse = FluxPulse(phi_dc=0.0, amplitude=0.0, mod_freq=0.3, duration=100.0)
     n, eps, _ = numeric_fourier_weights(device.q2, pulse)
     expected = np.zeros_like(eps)
     expected[len(n) // 2] = 1.0
@@ -143,17 +139,16 @@ def test_fourier_weights_zero_amplitude_is_delta(device):
 
 
 def test_sideband_spacing_convention(device):
-    on = FluxPulse(phi_dc=0.0, amplitude=0.02, mod_freq=0.3, duration=50.0, ramp=0.0)
-    half = FluxPulse(phi_dc=0.5, amplitude=0.02, mod_freq=0.3, duration=50.0, ramp=0.0)
-    off = FluxPulse(phi_dc=0.08, amplitude=0.02, mod_freq=0.3, duration=50.0, ramp=0.0)
+    on = FluxPulse(phi_dc=0.0, amplitude=0.02, mod_freq=0.3, duration=50.0)
+    half = FluxPulse(phi_dc=0.5, amplitude=0.02, mod_freq=0.3, duration=50.0)
+    off = FluxPulse(phi_dc=0.08, amplitude=0.02, mod_freq=0.3, duration=50.0)
     assert numeric_fourier_weights(device.q2, on)[2] == 2
     assert numeric_fourier_weights(device.q2, half)[2] == 2
     assert numeric_fourier_weights(device.q2, off)[2] == 1
 
 
 def test_modulated_zero_amplitude_reduces_to_static(device, zero_bias_params):
-    pulse = FluxPulse(phi_dc=0.0, amplitude=0.0, mod_freq=0.3,
-                      duration=100.0, ramp=0.0)
+    pulse = FluxPulse(phi_dc=0.0, amplitude=0.0, mod_freq=0.3, duration=100.0)
     mc = modulated_couplings(zero_bias_params, pulse, device.q2)
     st = static_couplings(zero_bias_params)
     sb = mc.sideband(0)
@@ -164,8 +159,7 @@ def test_modulated_zero_amplitude_reduces_to_static(device, zero_bias_params):
 
 
 def test_modulated_sideband_symmetry_at_sweet_spot(device, zero_bias_params):
-    pulse = FluxPulse(phi_dc=0.0, amplitude=0.10, mod_freq=0.29,
-                      duration=100.0, ramp=0.0)
+    pulse = FluxPulse(phi_dc=0.0, amplitude=0.10, mod_freq=0.29, duration=100.0)
     mc = modulated_couplings(zero_bias_params, pulse, device.q2)
     # To first order only the 2*f_m harmonic of f2 matters: |eps_-1| = |eps_1|.
     assert abs(mc.sideband(-1)["eps"]) == pytest.approx(
@@ -191,34 +185,32 @@ def test_modulated_sideband_symmetry_at_sweet_spot(device, zero_bias_params):
 
 
 def test_sideband_out_of_range(device, zero_bias_params):
-    pulse = FluxPulse(phi_dc=0.0, amplitude=0.05, mod_freq=0.3,
-                      duration=100.0, ramp=0.0)
+    pulse = FluxPulse(phi_dc=0.0, amplitude=0.05, mod_freq=0.3, duration=100.0)
     mc = modulated_couplings(zero_bias_params, pulse, device.q2, n_max=3)
     with pytest.raises(IndexError, match="outside computed range"):
         mc.sideband(4)
 
 
 def test_modulated_couplings_guards_coupler_collision(device, zero_bias_params):
-    probe = FluxPulse(phi_dc=0.0, amplitude=0.04, mod_freq=0.3,
-                      duration=100.0, ramp=0.0)
+    probe = FluxPulse(phi_dc=0.0, amplitude=0.04, mod_freq=0.3, duration=100.0)
     f_avg, _ = average_and_excursion(device.q2, probe)
     fp = (zero_bias_params.fc - f_avg) / 2.0  # parks sideband n=1 on the coupler
     collide = FluxPulse(phi_dc=0.0, amplitude=0.04, mod_freq=fp,
-                        duration=100.0, ramp=0.0)
+                        duration=100.0)
     with pytest.raises(ValueError, match="resonant with the coupler"):
         modulated_couplings(zero_bias_params, collide, device.q2)
 
 
 def test_average_and_excursion_dc_limits(device):
     flat = FluxPulse(phi_dc=0.06, amplitude=0.0, mod_freq=0.3,
-                     duration=50.0, ramp=0.0)
+                     duration=50.0)
     f_avg, f_exc = average_and_excursion(device.q2, flat)
     assert f_exc == 0.0
     assert f_avg == pytest.approx(
         float(transition_frequency(device.q2, 2 * np.pi * 0.06)), abs=1e-12)
     # with no modulation frequency the amplitude acts as a dc offset
     step = FluxPulse(phi_dc=0.04, amplitude=0.02, mod_freq=0.0,
-                     duration=50.0, ramp=0.0)
+                     duration=50.0)
     f_avg, f_exc = average_and_excursion(device.q2, step)
     assert f_exc == 0.0
     assert f_avg == pytest.approx(
@@ -228,7 +220,7 @@ def test_average_and_excursion_dc_limits(device):
 def test_excursion_scales_quadratically_at_sweet_spot(device):
     def exc(amp):
         pulse = FluxPulse(phi_dc=0.0, amplitude=amp, mod_freq=0.3,
-                          duration=50.0, ramp=0.0)
+                          duration=50.0)
         return average_and_excursion(device.q2, pulse)[1]
 
     ratio = exc(0.06) / exc(0.03)

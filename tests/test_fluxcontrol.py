@@ -15,42 +15,18 @@ from paramres.fluxcontrol import (
     instantaneous_flux,
     load_crosstalk_csv,
     load_transfer_csv,
-    pulse_envelope,
 )
 
 
 def test_pulse_validation():
-    with pytest.raises(ValueError, match="duration >= 2\\*ramp"):
-        FluxPulse(phi_dc=0.0, amplitude=0.1, duration=8.0, ramp=5.0)
-    with pytest.raises(ValueError):
-        FluxPulse(phi_dc=0.0, amplitude=0.1, duration=20.0, ramp=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duration must be >= 0"):
+        FluxPulse(phi_dc=0.0, amplitude=0.1, duration=-1.0)
+    with pytest.raises(ValueError, match="mod_freq must be >= 0"):
         FluxPulse(phi_dc=0.0, amplitude=0.1, mod_freq=-0.3, duration=20.0)
 
 
-def test_envelope_shape():
-    pulse = FluxPulse(phi_dc=0.0, amplitude=0.1, duration=40.0, ramp=8.0)
-    assert pulse_envelope(pulse, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert pulse_envelope(pulse, 40.0) == pytest.approx(0.0, abs=1e-12)
-    assert pulse_envelope(pulse, 20.0) == 1.0
-    # raised cosine passes through one half at the midpoint of the ramp
-    assert pulse_envelope(pulse, 4.0) == pytest.approx(0.5, abs=1e-12)
-    t = np.linspace(0.0, 40.0, 4001)
-    u = pulse_envelope(pulse, t)
-    assert np.all((u >= 0.0) & (u <= 1.0))
-    # continuity: no jumps anywhere near the ramp boundaries
-    assert np.max(np.abs(np.diff(u))) < 0.002
-
-
-def test_envelope_zero_ramp_is_flat():
-    pulse = FluxPulse(phi_dc=0.0, amplitude=0.1, duration=30.0, ramp=0.0)
-    np.testing.assert_array_equal(
-        pulse_envelope(pulse, np.linspace(0, 30, 7)), np.ones(7))
-
-
 def test_instantaneous_flux_values():
-    pulse = FluxPulse(phi_dc=0.05, amplitude=0.02, mod_freq=0.25,
-                      phase=0.0, duration=40.0, ramp=0.0)
+    pulse = FluxPulse(phi_dc=0.05, amplitude=0.02, mod_freq=0.25, duration=40.0)
     # sin modulation: zero at t=0, peak at a quarter period
     assert instantaneous_flux(pulse, 0.0) == pytest.approx(0.05)
     assert instantaneous_flux(pulse, 1.0) == pytest.approx(0.07)
@@ -58,15 +34,17 @@ def test_instantaneous_flux_values():
     np.testing.assert_allclose(arr, [0.05, 0.07, 0.05], atol=1e-12)
 
 
-def test_instantaneous_flux_dc_pulse_uses_envelope():
-    pulse = FluxPulse(phi_dc=0.01, amplitude=0.04, mod_freq=0.0,
-                      duration=40.0, ramp=10.0)
-    assert instantaneous_flux(pulse, 20.0) == pytest.approx(0.05)
-    assert instantaneous_flux(pulse, 0.0) == pytest.approx(0.01)
+def test_instantaneous_flux_dc_pulse_is_square():
+    pulse = FluxPulse(phi_dc=0.01, amplitude=0.04, mod_freq=0.0, duration=40.0)
+    assert instantaneous_flux(pulse, 0.0) == pytest.approx(0.05)
+    assert instantaneous_flux(pulse, 40.0) == pytest.approx(0.05)
+    np.testing.assert_allclose(
+        instantaneous_flux(pulse, np.linspace(0.0, 40.0, 7)), np.full(7, 0.05),
+        atol=1e-15)
 
 
 def test_instantaneous_flux_outside_window():
-    pulse = FluxPulse(phi_dc=0.0, amplitude=0.1, duration=40.0, ramp=5.0)
+    pulse = FluxPulse(phi_dc=0.0, amplitude=0.1, duration=40.0)
     with pytest.raises(ValueError, match="time outside pulse window"):
         instantaneous_flux(pulse, 40.1)
     with pytest.raises(ValueError, match="time outside pulse window"):
