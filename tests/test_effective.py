@@ -59,17 +59,49 @@ def test_hamiltonian_hermitian_and_validated(dispersive_params):
         ThreeBodyHamiltonian(matrix=np.eye(4))
 
 
-def test_full_model_conserves_parity_not_excitation_number(dispersive_params):
-    # the counter-rotating parts of the XX couplings change the total
-    # excitation number N by two, so H keeps (-1)^N but not N
-    h = build_hamiltonian(dispersive_params).matrix
-    n = NUM_1 + NUM_C + NUM_2
+TOTAL_EXCITATION = NUM_1 + NUM_C + NUM_2
+_LOWER = np.diag([1.0, np.sqrt(2.0)], k=1)  # one mode's lowering operator
+
+
+def exchange_op(slot_a: int, slot_b: int) -> np.ndarray:
+    """Rotating-wave exchange a_a^dag a_b + h.c. between two of the modes."""
+    ops = [np.eye(3)] * 3
+    ops[slot_a], ops[slot_b] = _LOWER.T, _LOWER
+    term = np.kron(ops[0], np.kron(ops[1], ops[2]))
+    return term + term.T
+
+
+def rotating_wave_part(h: np.ndarray) -> np.ndarray:
+    """The entries of H that keep the total excitation number."""
+    n = TOTAL_EXCITATION
+    return np.where(n[:, None] == n[None, :], h, 0.0)
+
+
+def test_rwa_conserves_total_excitation(dispersive_params):
+    # dropping the counter-rotating terms of the full H leaves exactly the
+    # rotating-wave exchange model, which keeps N; the full H does not
+    p = dispersive_params
+    h_full = build_hamiltonian(p).matrix
+    h_rwa = (np.diag(np.diag(h_full)) + p.g1c * exchange_op(0, 1)
+             + p.g2c * exchange_op(1, 2) + p.g12 * exchange_op(0, 2))
+    np.testing.assert_allclose(rotating_wave_part(h_full), h_rwa, atol=1e-15)
+    n_op = np.diag(TOTAL_EXCITATION)
+    assert np.max(np.abs(h_rwa @ n_op - n_op @ h_rwa)) == pytest.approx(0.0, abs=1e-12)
+    assert np.max(np.abs(h_full @ n_op - n_op @ h_full)) > 0.1
+
+
+def test_counter_rotating_block_only_in_full_model(dispersive_params):
+    # the counter-rotating parts of the XX couplings change N by two, so H
+    # keeps the parity (-1)^N, which the 14+13 block split relies on
+    h_full = build_hamiltonian(dispersive_params).matrix
+    counter = h_full - rotating_wave_part(h_full)
+    n = TOTAL_EXCITATION
+    assert set(np.abs(n[:, None] - n[None, :])[counter != 0]) == {2.0}
     parity = np.diag((-1.0) ** n)
-    assert np.array_equal(h @ parity, parity @ h)
-    n_op = np.diag(n)
-    assert np.max(np.abs(h @ n_op - n_op @ h)) > 0.1
+    assert np.array_equal(h_full @ parity, parity @ h_full)
     pair_up = basis_index(1, 1, 0)  # qubit 1 and coupler excited together
-    assert h[pair_up, 0] == dispersive_params.g1c
+    assert h_full[pair_up, 0] == dispersive_params.g1c
+    assert rotating_wave_part(h_full)[pair_up, 0] == 0.0
 
 
 def test_static_coupling_matches_exact_half_splitting():
