@@ -3,8 +3,17 @@
 The integrator is a piecewise-constant midpoint rule: the Hamiltonian is
 sampled at step midpoints and each step applies exp(-i*2*pi*H(t_mid)*dt)
 through an exact eigendecomposition, so every step is exactly unitary and
-the global error is second order in dt.  Propagation happens in the lab
-frame; single-qubit phases are stripped afterwards (see tomography).
+the global error is second order in dt.  The Hamiltonian conserves the
+excitation parity, so each step is diagonalized in its 14- and
+13-dimensional parity blocks.  Propagation happens in the lab frame;
+single-qubit phases are stripped afterwards (see tomography).
+
+The drive is a pure sine, so a modulation period is fixed by its first
+quarter: the step Hamiltonians mirror about T/4 and 3T/4, and about a
+sweet spot the second half repeats the first.  propagate diagonalizes
+one quarter (two off a sweet spot) and builds the rest of the period
+from matrix products (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+(2009); Shirley, Phys. Rev. 138, B979 (1965)).
 
 Only qubit 2 is flux-modulated.  The coupler stays at the DC bias that
 set the parameters p (see device.device_params), so its frequency and
@@ -20,7 +29,7 @@ from scipy.linalg import schur
 
 from .circuit import squid_energy
 from .effective import (DIM, NUM_1, NUM_2, NUM_C, P2_1, P2_2, P2_C, XX_12,
-                        XX_1C, XX_C2, basis_index)
+                        XX_1C, XX_C2, _is_sweet_spot, basis_index)
 from .fluxcontrol import FluxPulse, instantaneous_flux
 from .spectrum import DeviceParams, transition_frequency
 
@@ -34,6 +43,7 @@ class Propagation:
     unitary: np.ndarray          # final U in the bare product basis
     dt: float                    # actual step size (ns)
     n_steps: int
+    n_diagonalized: int          # step Hamiltonians diagonalized
     times: np.ndarray            # sample times (ns), empty unless sampling requested
     trajectory: np.ndarray       # sampled states (n_times x dim), empty likewise
     unitary_times: np.ndarray    # snapshot times (ns), empty unless requested
@@ -69,8 +79,14 @@ def _parameter_series(p, q2_pulse, q2_spec, t_mid):
     return {"f2": p.f2 + (f2_band - f2_dc), "g2c": p.g2c * r2, "g12": p.g12 * r2}
 
 
-# steps diagonalized per batched np.linalg.eigh call; bounds the work arrays
+# steps diagonalized per batched np.linalg.eigh call, and propagators
+# evaluated per batch of samples; bounds the work arrays
 _EIGH_BATCH = 64
+
+# Bare-state indices of even and odd total excitation.  The couplings
+# change the excitation number by 0 or 2, so no step mixes the two.
+_PARITY_BLOCKS = tuple(
+    np.flatnonzero((NUM_1 + NUM_C + NUM_2).astype(int) % 2 == r) for r in (0, 1))
 
 
 def _step_products(terms, series, dts, u):
@@ -80,18 +96,24 @@ def _step_products(terms, series, dts, u):
     symmetric Hamiltonian: static_xx and static_diag hold the terms that do
     not move with q2, series the q2 parameters at the step midpoints (see
     _parameter_series) and dts the step lengths.  Each step applies
-    exp(-i*2*pi*H*dt) through the eigendecomposition of H.
+    exp(-i*2*pi*H*dt) through the eigendecomposition of H in each parity
+    block.
     """
     static_xx, xx_c2, xx_12, static_diag, num2 = terms
-    diag = np.arange(len(static_diag))
     for a in range(0, len(dts), _EIGH_BATCH):
         c = slice(a, a + _EIGH_BATCH)
-        h = (static_xx + np.multiply.outer(series["g2c"][c], xx_c2)
-             + np.multiply.outer(series["g12"][c], xx_12))
-        h[:, diag, diag] += static_diag + np.outer(series["f2"][c], num2)
-        evals, vecs = np.linalg.eigh(h)
-        phases = np.exp(-2j * math.pi * evals * dts[c, None])
-        for step in (vecs * phases[:, None, :]) @ vecs.swapaxes(1, 2):
+        steps = np.zeros((len(dts[c]), DIM, DIM), dtype=complex)
+        for idx in _PARITY_BLOCKS:
+            block = np.ix_(idx, idx)
+            diag = np.arange(len(idx))
+            h = (static_xx[block] + np.multiply.outer(series["g2c"][c], xx_c2[block])
+                 + np.multiply.outer(series["g12"][c], xx_12[block]))
+            h[:, diag, diag] += static_diag[idx] + np.outer(series["f2"][c], num2[idx])
+            evals, vecs = np.linalg.eigh(h)
+            phases = np.exp(-2j * math.pi * evals * dts[c, None])
+            steps[(slice(None),) + block] = ((vecs * phases[:, None, :])
+                                             @ vecs.swapaxes(1, 2))
+        for step in steps:
             u = step @ u
             yield u
 
@@ -120,18 +142,29 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     final unitary of the same pulse with duration t; a duration scan then
     costs one propagation instead of one per duration.
 
-    Period reuse: dt is snapped to m steps per modulation period (m = 1
-    for an unmodulated pulse), so the Hamiltonian repeats every m steps.
-    The m steps of one period are diagonalized once and the running
-    products P_j of its first j steps kept; after s = n*m + j steps
-    (0 < j <= m) the propagator is P_j U_P^n, with U_P = P_m raised to
-    the n-th power through its complex Schur form.  A trailing partial
-    step is stepped directly.  The final unitary, the snapshots and the
-    trajectory all read from that rule, so the cost grows with the steps
-    per period and the samples, not with duration/dt.  Sample and
-    snapshot times are s*dt (the pulse duration at the last boundary);
-    snapshots of a static pulse snap to step boundaries like those of a
-    modulated one.
+    Period reuse: a modulated pulse that outlasts its period gets dt
+    snapped to m steps per period, m a multiple of 4, so the Hamiltonian
+    repeats every m steps.  With P_k the product of the first k steps of
+    a period, after s = n*m + k steps (0 <= k < m) the propagator is
+    P_k U_P^n, with U_P = P_m raised to the n-th power through its complex
+    Schur form.  A trailing partial step is stepped directly.  The final
+    unitary, the snapshots and the trajectory all read from that rule, so
+    the cost grows with the steps per period and the samples, not with
+    duration/dt.  Sample and snapshot times are s*dt (the pulse duration
+    at the last boundary); snapshots of a static pulse snap to step
+    boundaries like those of a modulated one.
+
+    Quarter symmetry: with q = m/4 and midpoints (j + 1/2)*dt, the flux
+    enters H only through sin(2*pi*f*t), so step j repeats step 2q-1-j
+    (mirror about T/4) and step 2q+i repeats step 4q-1-i (mirror about
+    3T/4), for any phi_dc.  About a sweet spot the band and EJ are even
+    in the flux, so quarter 3 also repeats quarter 1.  Only the steps of
+    quarter 1 (and of quarter 3 off a sweet spot) are diagonalized.  Each
+    step S_j = exp(-2*pi*i*H_j*dt) is complex symmetric, since H_j is real
+    symmetric, so with Q = P_q the half period is G = Q^T Q, the
+    second-quarter prefixes are P_{q+k} = conj(P_{q-k}) G, and the second
+    half applies its own quarter rule after G.  A DC pulse (m = 1) and a
+    pulse shorter than its period are stepped directly.
     """
     duration = q2_pulse.duration
     if duration <= 0:
@@ -144,8 +177,9 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     # every step; a pulse shorter than its period never repeats.
     modulated = q2_pulse.mod_freq > 0 and q2_pulse.amplitude != 0.0
     period = 1.0 / q2_pulse.mod_freq if modulated else 0.0
-    if 0.0 < period < duration:
-        m = math.ceil(period / dt)
+    symmetric = 0.0 < period < duration
+    if symmetric:
+        m = 4 * math.ceil(period / (4.0 * dt))
         dt = period / m
         n_full = int(duration / dt + 1e-9)
         rem = duration - n_full * dt
@@ -184,52 +218,83 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     snap = np.clip(np.floor(want_u / dt + 0.5), 1, n_full).astype(int)
     snap[want_u - n_full * dt > 0.5 * rem] = n_steps
     u_steps = np.unique(snap)
-    trajectory = np.zeros((len(sample_steps), DIM), dtype=complex)
-    unitaries = np.zeros((len(u_steps), DIM, DIM), dtype=complex)
-    sample_row = {s: i for i, s in enumerate(sample_steps.tolist())}
-    snap_row = {s: i for i, s in enumerate(u_steps.tolist())}
 
-    def record(s, u):
-        if s in sample_row:
-            trajectory[sample_row[s]] = u @ psi
-        if s in snap_row:
-            unitaries[snap_row[s]] = u
+    n_diagonalized = 0
 
-    def steps(a, b, u):
-        """Running propagator after each of the steps [a, b), from u."""
-        if a == b:
-            return iter(())
-        k = np.arange(a, b)
+    def steps(k, u):
+        """Yield the running propagator after each step of indices k, from u."""
+        nonlocal n_diagonalized
+        n_diagonalized += len(k)
         full = k < n_full
         t_mid = np.where(full, (k + 0.5) * dt, n_full * dt + 0.5 * rem)
         series = _parameter_series(p, q2_pulse, q2_spec, t_mid)
         return _step_products(terms, series, np.where(full, dt, rem), u)
 
-    prefix = np.empty((m, DIM, DIM), dtype=complex)
-    for j, u_j in enumerate(steps(0, m, np.eye(DIM, dtype=complex))):
-        prefix[j] = u_j
+    # prefixes[h, k] = P_k for k <= q of the half h of the period; a
+    # directly stepped period is one "half" with q = m, which the rule in
+    # prefix() reads as prefixes[0, k] since no k exceeds q.
+    eye = np.eye(DIM, dtype=complex)
+    q, starts = m, (0,)
+    if symmetric:
+        q = m // 4
+        starts = (0,) if _is_sweet_spot(q2_pulse.phi_dc) else (0, 2 * q)
+    prefixes = np.empty((len(starts), q + 1, DIM, DIM), dtype=complex)
+    prefixes[:, 0] = eye
+    for h, a in enumerate(starts):
+        for k, u_k in enumerate(steps(a + np.arange(q), eye), 1):
+            prefixes[h, k] = u_k
+    halves = prefixes[:, -1].swapaxes(1, 2) @ prefixes[:, -1]
+
+    def prefix(k, y):
+        """P_k y for in-period step counts k in [0, m], batched over k.
+
+        y is overwritten and returned.
+        """
+        second = k >= 2 * q
+        y[second] = halves[0] @ y[second]
+        h = second * (len(starts) - 1)
+        k = k - 2 * q * second
+        mirrored = k > q
+        # conj(P) G y = conj(P conj(G y)), which keeps prefixes unconjugated
+        for i, g in enumerate(halves):
+            at = mirrored & (h == i)
+            y[at] = (g @ y[at]).conj()
+        k = np.where(mirrored, 2 * q - k, k)
+        at = k > 0  # P_0 = I
+        y[at] = prefixes[h[at], k[at]] @ y[at]
+        y[mirrored] = y[mirrored].conj()
+        return y
+
     # U_P is unitary, so its complex Schur form is diagonal and
     # U_P^n = Z diag(exp(i*n*theta)) Z^H.
-    schur_t, z = schur(prefix[-1], output="complex")
+    schur_t, z = schur(prefix(np.array([m]), eye[None].copy())[0], output="complex")
     theta = np.angle(np.diag(schur_t))
     w = z.conj().T
-    v = None if psi is None else w @ psi[:, None]
 
-    def periodic(s, x):
-        """U(s) y for x = Z^H y, with s in (0, n_full]."""
-        n, j = divmod(s - 1, m)
-        return prefix[j] @ (z @ (np.exp(1j * n * theta)[:, None] * x))
+    def periodic(s, x, out):
+        """Write U(s) y into out for x = Z^H y and sorted step counts s.
 
-    for s, row in sample_row.items():
-        if s < n_full:
-            trajectory[row] = periodic(s, v)[:, 0]
-    for s, row in snap_row.items():
-        if s < n_full:
-            unitaries[row] = periodic(s, w)
-    u = periodic(n_full, w)
-    record(n_full, u)
-    for s, u in enumerate(steps(n_full, n_steps, u), n_full + 1):
-        record(s, u)
+        Counts past n_full (the trailing partial step) are left out.
+        """
+        stop = np.searchsorted(s, n_full, side="right")
+        for a in range(0, stop, _EIGH_BATCH):
+            c = slice(a, min(a + _EIGH_BATCH, stop))
+            n, k = np.divmod(s[c], m)
+            y = z @ (np.exp(1j * np.multiply.outer(n, theta))[:, :, None] * x)
+            out[c] = prefix(k, y)
+        return out
+
+    trajectory = np.zeros((len(sample_steps), DIM), dtype=complex)
+    unitaries = np.zeros((len(u_steps), DIM, DIM), dtype=complex)
+    if psi is not None:
+        periodic(sample_steps, w @ psi[:, None], trajectory[:, :, None])
+    periodic(u_steps, w, unitaries)
+    u = periodic(np.array([n_full]), w, np.empty((1, DIM, DIM), dtype=complex))[0]
+    if rem:
+        u = next(steps(np.array([n_full]), u))
+        unitaries[u_steps == n_steps] = u
+        if psi is not None:
+            trajectory[sample_steps == n_steps] = u @ psi
 
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(DIM))))
     if defect > UNITARITY_TOL:
@@ -240,6 +305,7 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         return np.where(s < n_steps, s * dt, duration)
 
     return Propagation(unitary=u, dt=dt, n_steps=n_steps,
+                       n_diagonalized=n_diagonalized,
                        times=times(sample_steps), trajectory=trajectory,
                        unitary_times=times(u_steps), unitaries=unitaries,
                        unitarity_defect=defect)

@@ -19,6 +19,9 @@ class FluxPulse:
     duration: float = 0.0
 
     def __post_init__(self):
+        for name in ("phi_dc", "amplitude", "mod_freq", "duration"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.duration < 0:
             raise ValueError("duration must be >= 0")
         if self.mod_freq < 0:

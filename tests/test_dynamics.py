@@ -135,22 +135,34 @@ def stepped_propagators(p, q2_pulse, q2_spec, prop):
     return edges, out
 
 
-@pytest.mark.parametrize("q2_pulse", [
+TIMES = [1.0, 3.1, 10.0, 20.0, 24.0, 25.4]
+
+
+@pytest.mark.parametrize("q2_pulse, dt, times", [
     # modulated: 7 whole periods plus 5 steps, then a partial step
-    FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=25.4),
+    (FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=25.4),
+     PERIOD / 48, TIMES),
     # DC pulse: dt divides the duration and every step repeats the first
-    FluxPulse(phi_dc=0.0, amplitude=0.05, duration=25.4),
+    (FluxPulse(phi_dc=0.0, amplitude=0.05, duration=25.4), PERIOD / 48, TIMES),
     # modulation about a biased q2: f2 and EJ^(1/4) deviate from the DC
     # point with both signs of the flux excursion
-    FluxPulse(phi_dc=0.08, amplitude=0.02, mod_freq=MOD_FREQ, duration=25.4),
-], ids=["modulated", "dc", "off_sweet_spot"])
-def test_period_reuse_matches_direct_stepping(device, q2_pulse):
+    (FluxPulse(phi_dc=0.08, amplitude=0.02, mod_freq=MOD_FREQ, duration=25.4),
+     PERIOD / 48, TIMES),
+    # 50 steps per period are rounded up to 52, a multiple of 4
+    (FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=25.4),
+     PERIOD / 50, TIMES),
+    # shorter than one period: stepped directly, never repeated
+    (FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=3.3),
+     PERIOD / 48, [0.4, 1.0, 2.5, 3.3]),
+], ids=["modulated", "dc", "off_sweet_spot", "snapped", "sub_period"])
+def test_period_reuse_matches_direct_stepping(device, q2_pulse, dt, times):
     p = device_params(device, phic=0.29472, phi2=q2_pulse.phi_dc)
     psi = np.zeros(27, dtype=complex)
     psi[9] = 1.0
-    prop = propagate(p, q2_pulse, device.q2, dt=PERIOD / 48,
-                     initial_state=psi, n_samples=40,
-                     unitary_times=[1.0, 3.1, 10.0, 20.0, 24.0, 25.4])
+    prop = propagate(p, q2_pulse, device.q2, dt=dt,
+                     initial_state=psi, n_samples=40, unitary_times=times)
+    if q2_pulse.mod_freq * q2_pulse.duration > 1.0:
+        assert round(1.0 / (q2_pulse.mod_freq * prop.dt)) % 4 == 0
     edges, ref = stepped_propagators(p, q2_pulse, device.q2, prop)
     assert np.max(np.abs(prop.unitary - ref[-1])) < 1e-9
     for t, u in zip(prop.unitary_times, prop.unitaries):
@@ -159,6 +171,24 @@ def test_period_reuse_matches_direct_stepping(device, q2_pulse):
         assert np.max(np.abs(u - ref[s - 1])) < 1e-9
     steps = [int(np.argmin(np.abs(edges - t))) for t in prop.times]
     assert np.max(np.abs(prop.trajectory - ref[np.array(steps) - 1] @ psi)) < 1e-9
+
+
+@pytest.mark.parametrize("q2_pulse, quarters", [
+    (FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=25.4), 1),
+    (FluxPulse(phi_dc=0.08, amplitude=0.02, mod_freq=MOD_FREQ, duration=25.4), 2),
+    (FluxPulse(phi_dc=0.0, amplitude=0.05, duration=25.4), None),
+], ids=["sweet_spot", "off_sweet_spot", "dc"])
+def test_diagonalizations_per_pulse(device, q2_pulse, quarters):
+    # one quarter period at a sweet spot, two off it, plus the trailing
+    # partial step that 25.4 ns leaves; a DC pulse repeats its one step
+    p = device_params(device, phic=0.29472, phi2=q2_pulse.phi_dc)
+    prop = propagate(p, q2_pulse, device.q2, dt=PERIOD / 48)
+    if quarters is None:
+        assert prop.n_diagonalized == 1
+    else:
+        m = round(1.0 / (q2_pulse.mod_freq * prop.dt))
+        assert prop.n_steps * prop.dt > q2_pulse.duration + 1e-9
+        assert prop.n_diagonalized == quarters * m // 4 + 1
 
 
 def test_long_static_pulse_needs_no_per_step_arrays(device, zero_bias_params):

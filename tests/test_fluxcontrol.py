@@ -25,6 +25,17 @@ def test_pulse_validation():
         FluxPulse(phi_dc=0.0, amplitude=0.1, mod_freq=-0.3, duration=20.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["phi_dc", "amplitude", "mod_freq", "duration"])
+def test_pulse_rejects_non_finite_fields(field, value):
+    # NaN passes every "< 0" check, and mod_freq = NaN would otherwise
+    # propagate silently as a DC step
+    fields = dict(phi_dc=0.0, amplitude=0.1, mod_freq=0.28, duration=20.0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        FluxPulse(**fields)
+
+
 def test_instantaneous_flux_values():
     pulse = FluxPulse(phi_dc=0.05, amplitude=0.02, mod_freq=0.25, duration=40.0)
     # sin modulation: zero at t=0, peak at a quarter period
