@@ -564,5 +564,7 @@ def calibrate_gate(
     report["consistency"] = {
         "g_fit_ghz": float(ef.g),
         "duration_coupling_product": float(product),
+        "fit_residual": ef.residual,
+        "fit_evaluations": ef.n_evaluations,
     }
     return spec, report

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import lstsq, schur
 
 from .circuit import squid_energy
 from .effective import (DIM, NUM_1, NUM_2, NUM_C, P2_1, P2_2, P2_C, XX_12,
@@ -393,16 +393,49 @@ class ExchangeFit:
     amplitude: float
     offset: float
     residual: float   # rms of the fit residual
+    n_evaluations: int  # model evaluations of the least-squares fit
+
+
+def _decaying_cosine(x, t):
+    """A*exp(-gamma*t)*cos(2*pi*f*t + phi) + B and its Jacobian in x.
+
+    x = (A, gamma, f, phi, B); the Jacobian has one row per time and one
+    column per parameter.
+    """
+    a, gamma, f, phi, b = x
+    envelope = np.exp(-gamma * t)
+    arg = 2.0 * math.pi * f * t + phi
+    cos, sin = envelope * np.cos(arg), envelope * np.sin(arg)
+    jac = np.column_stack((cos, -a * t * cos, -2.0 * math.pi * a * t * sin,
+                           -a * sin, np.ones_like(t)))
+    return a * cos + b, jac
 
 
 def fit_exchange(times, populations) -> ExchangeFit:
-    """Fit A*exp(-gamma*t)*cos(2*pi*(2*g)*t + phi) + B to a population trace."""
+    """Fit A*exp(-gamma*t)*cos(2*pi*(2*g)*t + phi) + B to a population trace.
+
+    times must be finite and strictly increasing, populations finite, both
+    1-D of the same length.  The frequency f = 2*g is seeded from the
+    spectrum of the trace.  At that frequency the model without decay is
+    linear in c1*cos + c2*sin + B, so one linear least-squares solve seeds
+    A = hypot(c1, c2), phi = atan2(-c2, c1) and B, each clipped into its
+    bound, with gamma = 0.  One bounded trust-region fit then refines all
+    five parameters with the closed-form Jacobian of the model, so from
+    that seed it needs a few evaluations and no finite differences.
+    """
     from scipy.optimize import least_squares
 
     t = np.asarray(times, dtype=float)
     y = np.asarray(populations, dtype=float)
+    if t.ndim != 1 or y.shape != t.shape:
+        raise ValueError("exchange fit needs 1-D times and populations of "
+                         f"equal length, got shapes {t.shape} and {y.shape}")
     if t.size < 8:
         raise ValueError("need at least 8 samples to fit an oscillation")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise ValueError("exchange fit needs finite times and populations")
+    if np.any(np.diff(t) <= 0.0):
+        raise ValueError("exchange fit needs strictly increasing times")
     contrast = y.max() - y.min()
     if contrast < 1e-6:
         raise ValueError("no oscillation contrast in the population trace")
@@ -415,20 +448,24 @@ def fit_exchange(times, populations) -> ExchangeFit:
     freqs = np.fft.rfftfreq(t_u.size, t_u[1] - t_u[0])
     f0 = freqs[1 + int(np.argmax(spec[1:]))]
 
-    def model(x, tt):
-        a, gamma, f, phi, b = x
-        return a * np.exp(-gamma * tt) * np.cos(2.0 * math.pi * f * tt + phi) + b
-
-    x0 = [contrast / 2.0, 0.0, f0, 0.0, y.mean()]
-    fit = least_squares(lambda x: model(x, t) - y, x0,
-                        bounds=([0.0, -0.1, 0.0, -2 * math.pi, -1.0],
-                                [2.0, 1.0, freqs[-1], 2 * math.pi, 2.0]))
+    # the rest of the seed is linear at f0
+    w = 2.0 * math.pi * f0 * t
+    (c1, c2, b0), *_ = lstsq(
+        np.column_stack((np.cos(w), np.sin(w), np.ones_like(t))), y)
+    lower = np.array([0.0, -0.1, 0.0, -2 * math.pi, -1.0])
+    upper = np.array([2.0, 1.0, freqs[-1], 2 * math.pi, 2.0])
+    x0 = np.clip([math.hypot(c1, c2), 0.0, f0, math.atan2(-c2, c1), b0],
+                 lower, upper)
+    fit = least_squares(lambda x: _decaying_cosine(x, t)[0] - y, x0,
+                        jac=lambda x: _decaying_cosine(x, t)[1],
+                        bounds=(lower, upper))
     rms = float(np.sqrt(np.mean(fit.fun ** 2)))
     if not fit.success or rms > 0.25 * contrast:
         raise ValueError(f"exchange fit did not converge (residual rms {rms:.3g})")
     a, gamma, f, phi, b = fit.x
     return ExchangeFit(g=float(f / 2.0), decay=float(gamma), phase=float(phi),
-                       amplitude=float(a), offset=float(b), residual=rms)
+                       amplitude=float(a), offset=float(b), residual=rms,
+                       n_evaluations=int(fit.nfev))
 
 
 #: coupling_vs_bias: swap periods per trace, samples per trace, and the q2
@@ -436,6 +473,42 @@ def fit_exchange(times, populations) -> ExchangeFit:
 _SWEEP_PERIODS = 3.0
 _SWEEP_SAMPLES = 720
 _SWEEP_OFFSETS = np.linspace(-0.5, 0.5, 9) * 8e-4
+
+
+def _resonant_traces(device, phic):
+    """Exchange traces about the dressed q1-q2 resonance at a coupler bias.
+
+    q2 is flux-tuned so the dressed qubit frequencies coincide, then a
+    bare q1 excitation is evolved at each of the _SWEEP_OFFSETS of the q2
+    flux.  Returns (parameters at the resonance, their static couplings,
+    [(times, |01> population) per offset]).
+    """
+    from scipy.optimize import brentq
+
+    from .device import device_params
+    from .effective import static_couplings
+
+    def dressed_mismatch(phi2):
+        st = static_couplings(device_params(device, phic=phic, phi2=phi2))
+        return st.f01_2 - st.f01_1
+
+    lo, hi = 0.0, 0.26
+    if dressed_mismatch(lo) * dressed_mismatch(hi) > 0:
+        raise ValueError(f"cannot tune q2 onto q1 at coupler bias {phic}")
+    phi2_res = brentq(dressed_mismatch, lo, hi, xtol=1e-12)
+    p_res = device_params(device, phic=phic, phi2=phi2_res)
+    st = static_couplings(p_res)
+    duration = _SWEEP_PERIODS / max(2.0 * abs(st.g01), 4e-5)
+    traces = []
+    for phi2 in phi2_res + _SWEEP_OFFSETS:
+        p = device_params(device, phic=phic, phi2=phi2)
+        pulse = FluxPulse(phi_dc=phi2, amplitude=0.0, duration=duration)
+        prop = propagate(p, pulse, device.q2,
+                         initial_state=basis_index(1, 0, 0),
+                         n_samples=_SWEEP_SAMPLES)
+        traces.append((prop.times,
+                       np.abs(prop.trajectory[:, basis_index(0, 0, 1)]) ** 2))
+    return p_res, st, traces
 
 
 def coupling_vs_bias(device, phic_grid):
@@ -449,42 +522,26 @@ def coupling_vs_bias(device, phic_grid):
     level splitting 2*g.  Pulse durations scale with the expected swap
     period, so weakly coupled points get the longer traces they need.
     q1 stays at its upper sweet spot and the propagation keeps the full
-    27-level space.
+    27-level space.  phic_grid must be a finite 1-D array.
 
     Returns (measured |g01| array, static-model g01 array).  The static
     prediction is evaluated at the same resonant operating point.
     """
-    from scipy.optimize import brentq
-
-    from .device import device_params
-    from .effective import static_couplings
-
     phic_grid = np.asarray(phic_grid, dtype=float)
-    idx_01 = basis_index(0, 0, 1)
+    if phic_grid.ndim != 1:
+        raise ValueError("coupler bias grid must be 1-D, "
+                         f"got shape {phic_grid.shape}")
+    if not np.all(np.isfinite(phic_grid)):
+        raise ValueError(f"coupler bias must be finite, got {phic_grid.tolist()}")
     g_dyn = np.zeros(phic_grid.size)
     g_stat = np.zeros(phic_grid.size)
     for i, phic in enumerate(phic_grid):
-        def dressed_mismatch(phi2):
-            st = static_couplings(device_params(device, phic=phic, phi2=phi2))
-            return st.f01_2 - st.f01_1
-
-        lo, hi = 0.0, 0.26
-        if dressed_mismatch(lo) * dressed_mismatch(hi) > 0:
-            raise ValueError(f"cannot tune q2 onto q1 at coupler bias {phic}")
-        phi2_res = brentq(dressed_mismatch, lo, hi, xtol=1e-12)
-        st = static_couplings(device_params(device, phic=phic, phi2=phi2_res))
+        _, st, traces = _resonant_traces(device, phic)
         g_stat[i] = st.g01
-        duration = _SWEEP_PERIODS / max(2.0 * abs(st.g01), 4e-5)
         fits = []
-        for phi2 in phi2_res + _SWEEP_OFFSETS:
-            p = device_params(device, phic=phic, phi2=phi2)
-            pulse = FluxPulse(phi_dc=phi2, amplitude=0.0, duration=duration)
-            prop = propagate(p, pulse, device.q2,
-                             initial_state=basis_index(1, 0, 0),
-                             n_samples=_SWEEP_SAMPLES)
-            pop01 = np.abs(prop.trajectory[:, idx_01]) ** 2
+        for times, pop01 in traces:
             try:
-                fits.append(fit_exchange(prop.times, pop01).g)
+                fits.append(fit_exchange(times, pop01).g)
             except ValueError:
                 continue
         if not fits:

@@ -155,6 +155,9 @@ def test_criterion_06_end_to_end_iswap(device):
     assert tomo["leakage"] <= 1e-3
     product = report["consistency"]["duration_coupling_product"]
     assert product == pytest.approx(1.0, abs=0.02)  # tau * 4 g = 1
+    # the closed-form seed lands the consistency fit in a few evaluations
+    assert 0 < report["consistency"]["fit_evaluations"] <= 15
+    assert report["consistency"]["fit_residual"] < 0.05
     assert elapsed < 60.0
     print(f"criterion 6: PASS F_avg={tomo['f_avg']:.6f} "
           f"theta={tomo['theta_rad']:.4f} phi={tomo['phi_rad']:.4f} "

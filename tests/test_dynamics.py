@@ -11,14 +11,16 @@ from paramres.calibration import find_resonance_amplitude
 from paramres.device import device_params
 from paramres.dynamics import (
     UNITARITY_TOL,
+    _decaying_cosine,
     _parameter_series,
+    _resonant_traces,
     chevron,
     coupling_vs_bias,
     default_dt,
     fit_exchange,
     propagate,
 )
-from paramres.effective import build_hamiltonian
+from paramres.effective import build_hamiltonian, exact_g01
 from paramres.fluxcontrol import FluxPulse
 from paramres.spectrum import DeviceParams
 
@@ -232,6 +234,7 @@ def test_fit_exchange_round_trip():
     assert fit.g == pytest.approx(0.006, abs=1e-6)
     assert fit.decay == pytest.approx(0.004, rel=1e-3)
     assert fit.residual < 1e-8
+    assert fit.n_evaluations <= 15
 
 
 def test_fit_exchange_error_paths():
@@ -239,6 +242,51 @@ def test_fit_exchange_error_paths():
         fit_exchange(np.arange(5.0), np.ones(5))
     with pytest.raises(ValueError, match="no oscillation contrast"):
         fit_exchange(np.linspace(0, 100, 50), np.full(50, 0.5))
+
+
+T_BAD = np.linspace(0.0, 100.0, 50)
+POP_BAD = 0.5 - 0.5 * np.cos(2 * np.pi * 0.02 * T_BAD)
+
+
+@pytest.mark.parametrize("times, pops, match", [
+    (T_BAD, np.where(np.arange(50) == 7, np.nan, POP_BAD), "finite"),
+    (np.where(np.arange(50) == 7, np.inf, T_BAD), POP_BAD, "finite"),
+    (T_BAD[::-1], POP_BAD, "strictly increasing"),
+    (np.where(np.arange(50) == 7, T_BAD[6], T_BAD), POP_BAD, "strictly increasing"),
+    (T_BAD, POP_BAD[None, :], "1-D times and populations of equal length"),
+    (T_BAD[:, None], POP_BAD, "1-D times and populations of equal length"),
+    (T_BAD, POP_BAD[:-1], "1-D times and populations of equal length"),
+], ids=["nan_population", "inf_time", "reversed_times", "repeated_time",
+        "2d_population", "2d_times", "length_mismatch"])
+def test_fit_exchange_rejects_bad_input(times, pops, match):
+    with pytest.raises(ValueError, match=match):
+        fit_exchange(times, pops)
+
+
+def test_decaying_cosine_jacobian_matches_central_differences():
+    t = np.linspace(0.0, 300.0, 200)
+    x = np.array([0.45, 0.003, 0.011, 0.7, 0.52])
+    _, jac = _decaying_cosine(x, t)
+    for j in range(5):
+        h = 1e-6 * max(abs(x[j]), 1e-3)
+        dx = np.zeros(5)
+        dx[j] = h
+        numeric = (_decaying_cosine(x + dx, t)[0]
+                   - _decaying_cosine(x - dx, t)[0]) / (2 * h)
+        np.testing.assert_allclose(jac[:, j], numeric, rtol=1e-6,
+                                   atol=1e-6 * np.max(np.abs(numeric)))
+
+
+@pytest.mark.parametrize("phic", [0.0, 0.04])
+def test_exchange_fits_converge_on_sweep_traces(device, phic):
+    # the slowest oscillation over the nine detunings is the chevron vertex,
+    # which runs at the exact single-excitation splitting 2*g
+    p_res, _, traces = _resonant_traces(device, phic)
+    fits = [fit_exchange(times, pops) for times, pops in traces]
+    assert len(fits) == 9
+    assert max(f.n_evaluations for f in fits) <= 15
+    g_exact = abs(exact_g01(p_res))
+    assert abs(min(f.g for f in fits) - g_exact) / g_exact < 0.01
 
 
 def test_chevron_peaks_at_the_resonant_amplitude(device):
@@ -273,3 +321,10 @@ def test_chevron_validation(device, zero_bias_params):
 def test_dynamic_coupling_matches_static_prediction_at_one_bias(device):
     g_dyn, g_stat = coupling_vs_bias(device, [0.26])
     assert abs(g_dyn[0] - abs(g_stat[0])) / abs(g_stat[0]) < 0.05
+
+
+@pytest.mark.parametrize("grid", [[np.nan], [0.1, np.inf], [[0.0, 0.1]]],
+                         ids=["nan", "inf", "2d"])
+def test_coupling_vs_bias_rejects_bad_grid(device, grid):
+    with pytest.raises(ValueError, match="coupler bias"):
+        coupling_vs_bias(device, grid)
