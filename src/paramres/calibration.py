@@ -1,26 +1,33 @@
 """Parametric-resonance gate calibration.
 
-The calibration chain mirrors how the gates are tuned up on hardware:
+The calibration chain mirrors how the gates are tuned up on hardware.
+``operating_point`` gives the analytic starting point:
 
-1. pick the q2 flux-modulation amplitude whose time-averaged frequency
-   hits the resonance condition (``find_resonance_amplitude``),
-2. check the modulation frequency against sideband collisions
-   (``sideband_collision_map``),
-3. set the duration from the effective coupling (``set_duration``),
-4. refine amplitude and duration on a simulated chevron
-   (``refine_on_chevron``),
-5. extract virtual-Z angles and score the gate with tomography.
+1. the device parameters at the coupler bias,
+2. the q2 flux-modulation amplitude whose time-averaged frequency hits
+   the resonance condition (``find_resonance_amplitude``),
+3. the n = 0 sideband coupling of the gate transition
+   (``modulated_couplings``) and the duration it sets
+   (``set_duration``).
 
-``calibrate_gate`` runs the whole chain and returns a GateSpec plus a
-JSON-ready report.  Durations are ns, frequencies GHz, fluxes flux
-quanta.  The modulated qubit is always qubit 2; the coupler bias is a
-static input (``DEFAULT_COUPLER_BIAS`` by default).
+``calibrate_gate`` runs the whole chain from there: it checks the
+modulation frequency against sideband collisions
+(``sideband_collision_map``), refines amplitude and duration on a
+simulated chevron (``refine_on_chevron``), extracts virtual-Z angles, scores the gate with
+tomography and checks the duration against a fitted exchange rate.  It
+returns a GateSpec plus a JSON-ready report.  A failure raises
+CalibrationError labelled with its stage, in the order they run:
+setup, resonance, coupling, duration, collision, chevron, tomography,
+consistency.  Durations are ns, frequencies GHz, fluxes flux quanta.
+The modulated qubit is always qubit 2; the coupler bias is a static
+input (``DEFAULT_COUPLER_BIAS`` by default).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,7 +47,20 @@ from .tomography import (
     virtual_z_correct,
 )
 
-GATE_KINDS = ("iswap", "cz20")
+
+@dataclass(frozen=True)
+class _KindFacts:
+    """What the calibration chain needs to know about one gate kind."""
+
+    coupling: str   # sideband coupling key of the gate transition
+    cycles: float   # exchange cycles per gate: tau * cycles * g = 1
+    initial: str    # chevron initial state
+
+
+_KIND_FACTS = {"iswap": _KindFacts("g01", 4.0, "10"),
+               "cz20": _KindFacts("g20", 2.0, "11")}
+
+GATE_KINDS = tuple(_KIND_FACTS)
 
 #: Ideal fSim angles (theta, phi) of each gate kind; the target unitary
 #: is ``fsim_unitary(*TARGET_FSIM[kind])``.
@@ -66,6 +86,21 @@ class CalibrationError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
+
+
+@contextmanager
+def _stage(name: str):
+    """Re-raise a ValueError from the block as a CalibrationError of ``name``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CalibrationError(name, str(exc)) from exc
+
+
+def _kind_facts(kind: str) -> _KindFacts:
+    if kind not in _KIND_FACTS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    return _KIND_FACTS[kind]
 
 
 @dataclass(frozen=True)
@@ -264,7 +299,7 @@ def sideband_collision_map(
     amplitudes = np.asarray(amplitudes, dtype=float)
     if amplitudes.size == 0:
         raise ValueError("amplitude grid must be nonempty")
-    if guard_band < 0.0:
+    if not guard_band >= 0.0:  # NaN fails too
         raise ValueError(f"guard band must be >= 0, got {guard_band!r}")
     fbar = np.array([_average_frequency(q2_spec, a, 0.3) for a in amplitudes])
     curves = {
@@ -312,20 +347,32 @@ def set_duration(kind: str, g_eff: float) -> float:
     """
     if g_eff <= 0.0:
         raise ValueError("effective coupling must be positive")
-    if kind == "iswap":
-        return 1.0 / (4.0 * g_eff)
-    if kind == "cz20":
-        return 1.0 / (2.0 * g_eff)
-    raise ValueError(f"unknown gate kind {kind!r}")
+    return 1.0 / (_kind_facts(kind).cycles * g_eff)
 
 
-def effective_coupling(device: Device, kind: str, amplitude: float,
-                       mod_freq: float, coupler_bias: float) -> complex:
-    """n = 0 sideband effective coupling of the gate transition (GHz)."""
-    p = device_params(device, phic=coupler_bias)
-    mc = modulated_couplings(p, sweet_spot_pulse(amplitude, mod_freq), device.q2)
-    key = "g01" if kind == "iswap" else "g20"
-    return mc.sideband(0)[key]
+def operating_point(device: Device, kind: str, coupler_bias: float,
+                    mod_freq: float):
+    """Analytic operating point of a gate; returns (p, amplitude, mc, tau).
+
+    Runs the setup, resonance, coupling and duration stages: the device
+    parameters ``p`` at the coupler bias, the resonant modulation
+    amplitude, the ModulatedCouplings ``mc`` of the sweet-spot pulse at
+    that amplitude, and the duration set by the n = 0 sideband coupling
+    of the gate transition.  A failure raises CalibrationError labelled
+    with its stage.
+    """
+    with _stage("setup"):
+        p = device_params(device, phic=coupler_bias)
+    with _stage("resonance"):
+        amplitude = find_resonance_amplitude(kind, device.q2, p, mod_freq)
+    with _stage("coupling"):
+        mc = modulated_couplings(p, sweet_spot_pulse(amplitude, mod_freq), device.q2)
+        g_eff = abs(mc.sideband(0)[_kind_facts(kind).coupling])
+        if g_eff < 1e-5:
+            raise ValueError("effective coupling vanishes at this coupler bias")
+    with _stage("duration"):
+        tau = set_duration(kind, g_eff)
+    return p, amplitude, mc, tau
 
 
 def _grid_population(chev: ChevronMap, amplitude: float, duration: float) -> float:
@@ -350,14 +397,13 @@ def refine_on_chevron(spec: GateSpec, chev: ChevronMap) -> GateSpec:
         raise ValueError("chevron grid does not bracket the analytic amplitude")
     if chev.amplitudes.size < 3 or chev.durations.size < 3:
         raise ValueError("chevron grid too small to refine on")
+    initial = _kind_facts(spec.kind).initial
+    if chev.initial != initial:
+        raise ValueError(f"{spec.kind} refinement needs a chevron from |{initial}>")
     pops = chev.populations
     if spec.kind == "iswap":
-        if chev.initial != "10":
-            raise ValueError("iswap refinement needs a chevron from |10>")
         i, j = np.unravel_index(int(np.argmax(pops)), pops.shape)
     else:
-        if chev.initial != "11":
-            raise ValueError("cz20 refinement needs a chevron from |11>")
         depth = pops.min(axis=1)
         i = int(np.argmin(depth))
         dip = int(np.argmin(pops[i]))
@@ -377,8 +423,11 @@ def refine_on_chevron(spec: GateSpec, chev: ChevronMap) -> GateSpec:
     )
 
 
-def _refine_grids(kind: str, amplitude: float, tau: float):
-    """(amplitude grid, duration grid) pairs bracketing the analytic point.
+def _refine_grids(kind: str, tau: float):
+    """(amplitude offset, duration grid) pairs, one per refinement pass.
+
+    Each pass centers its amplitude offsets on the amplitude the passes
+    before it reached, starting from the analytic one.
 
     The modulated sidebands shift the dressed resonance by a few MHz,
     so the amplitude windows are asymmetric: the iSWAP resonance moves
@@ -388,13 +437,11 @@ def _refine_grids(kind: str, amplitude: float, tau: float):
     fraction of a milli-flux-quantum).
     """
     if kind == "iswap":
-        amps = amplitude + np.arange(-0.0016, 0.00561, 0.0004)
-        durs = np.arange(0.55 * tau, 1.35 * tau, 0.25)
-        return [(amps, durs)]
-    coarse = amplitude + np.arange(-0.009, 0.00101, 0.001)
-    fine_halfwidth = np.arange(-0.0008, 0.00081, 0.0002)
+        return [(np.arange(-0.0016, 0.00561, 0.0004),
+                 np.arange(0.55 * tau, 1.35 * tau, 0.25))]
     durs = np.arange(0.25 * tau, 1.25 * tau, 0.5)
-    return [(coarse, durs), (fine_halfwidth, durs)]  # fine pass recentered later
+    return [(np.arange(-0.009, 0.00101, 0.001), durs),
+            (np.arange(-0.0008, 0.00081, 0.0002), durs)]
 
 
 def calibrate_gate(
@@ -407,74 +454,56 @@ def calibrate_gate(
 ):
     """Full calibration pipeline; returns (GateSpec, report dict).
 
-    Stages: resonance root, sideband collision check, effective
-    coupling, duration, chevron refinement, virtual-Z extraction and
-    tomography.  Any stage failure raises CalibrationError labeled
-    with the stage name.  A cz02 request fails at the resonance stage
-    on this device topology.
+    Stages: setup (gate kind and device parameters at the coupler bias),
+    resonance root, effective coupling and duration (together the
+    ``operating_point``), sideband collision check, chevron refinement,
+    virtual-Z extraction and tomography, and the exchange-rate
+    consistency check.  Any stage failure raises CalibrationError
+    labeled with the stage name.  A cz02 request fails at the resonance
+    stage on this device topology.
     """
-    if kind not in GATE_KINDS and kind != "cz02":
-        raise CalibrationError("setup", f"unknown gate kind {kind!r}")
+    with _stage("setup"):
+        if kind not in GATE_KINDS and kind != "cz02":
+            raise ValueError(f"unknown gate kind {kind!r}")
     gate_key = kind if kind in GATE_KINDS else "cz20"
+    facts = _KIND_FACTS[gate_key]
     if mod_freq is None:
         mod_freq = DEFAULT_MOD_FREQ[gate_key]
     if coupler_bias is None:
         coupler_bias = DEFAULT_COUPLER_BIAS[gate_key]
-    p = device_params(device, phic=coupler_bias)
+    p, amplitude, mc, tau = operating_point(device, kind, coupler_bias, mod_freq)
+    target = _resonance_target(kind, p)
+    residual = mc.f2_avg - target
     report: dict = {
         "kind": kind,
         "mod_freq_ghz": mod_freq,
         "coupler_bias_phi0": coupler_bias,
+        "resonance": {
+            "target_ghz": target,
+            "amplitude_phi0": amplitude,
+            "residual_ghz": float(residual),
+            "f2_average_ghz": float(mc.f2_avg),
+            "excursion_ghz": float(mc.f2_exc),
+        },
+        "coupling": {
+            "g_eff_ghz": float(abs(mc.sideband(0)[facts.coupling])),
+            "epsilon0": float(abs(mc.sideband(0)["eps"])),
+            "epsilon1_abs": float(abs(mc.sideband(1)["eps"])),
+            "epsilon2_abs": float(abs(mc.sideband(2)["eps"])),
+        },
+        "duration": {"analytic_ns": tau},
     }
 
-    try:
-        amplitude = find_resonance_amplitude(kind, device.q2, p, mod_freq)
-    except ValueError as exc:
-        raise CalibrationError("resonance", str(exc)) from exc
-    target = _resonance_target(kind, p)
-    probe = sweet_spot_pulse(amplitude, mod_freq)
-    f2_avg, f2_exc = average_and_excursion(device.q2, probe)
-    residual = f2_avg - target
-    report["resonance"] = {
-        "target_ghz": target,
-        "amplitude_phi0": amplitude,
-        "residual_ghz": float(residual),
-        "f2_average_ghz": float(f2_avg),
-        "excursion_ghz": float(f2_exc),
-    }
-
-    try:
+    with _stage("collision"):
         cmap = sideband_collision_map(
             p, device.q2, default_collision_grid(p, device.q2), guard_band=guard_band
         )
-    except ValueError as exc:
-        raise CalibrationError("collision", str(exc)) from exc
     report["collision"] = {
         "recommended_min_ghz": cmap.recommended_min,
         "margin_ghz": float(cmap.margin(mod_freq)),
         "guard_band_ghz": guard_band,
     }
 
-    try:
-        mc = modulated_couplings(p, probe, device.q2)
-        g_eff = abs(mc.sideband(0)["g01" if kind == "iswap" else "g20"])
-    except ValueError as exc:
-        raise CalibrationError("coupling", str(exc)) from exc
-    if g_eff < 1e-5:
-        raise CalibrationError(
-            "coupling", "effective coupling vanishes at this coupler bias"
-        )
-    report["coupling"] = {
-        "g_eff_ghz": float(g_eff),
-        "epsilon0": float(abs(mc.sideband(0)["eps"])),
-        "epsilon1_abs": float(abs(mc.sideband(1)["eps"])),
-        "epsilon2_abs": float(abs(mc.sideband(2)["eps"])),
-    }
-
-    try:
-        tau = set_duration(kind, g_eff)
-    except ValueError as exc:
-        raise CalibrationError("duration", str(exc)) from exc
     spec = GateSpec(
         kind=kind,
         amplitude=amplitude,
@@ -483,22 +512,15 @@ def calibrate_gate(
         coupler_bias=coupler_bias,
         resonance_residual=float(residual),
     )
-    report["duration"] = {"analytic_ns": tau}
-
     basis = dressed_computational_basis(p)
-    initial = "10" if kind == "iswap" else "11"
-    idx_init, idx_watch, (col_init, col_watch), _ = _CHEVRON_STATES[initial]
+    idx_init, idx_watch, (col_init, col_watch), _ = _CHEVRON_STATES[facts.initial]
     if refine:
         template = gate_pulse(spec)
-        try:
-            for stage_no, (amps, durs) in enumerate(_refine_grids(kind, amplitude, tau)):
-                if stage_no > 0:  # fine pass is a window around the coarse result
-                    amps = spec.amplitude + amps
-                chev = chevron(p, template, device.q2, amps, durs,
-                               initial=initial, basis=basis)
+        with _stage("chevron"):
+            for offsets, durs in _refine_grids(kind, tau):
+                chev = chevron(p, template, device.q2, spec.amplitude + offsets, durs,
+                               initial=facts.initial, basis=basis)
                 spec = refine_on_chevron(spec, chev)
-        except ValueError as exc:
-            raise CalibrationError("chevron", str(exc)) from exc
         report["refine"] = {
             "amplitude_phi0": spec.amplitude,
             "amplitude_shift_phi0": spec.amplitude - amplitude,
@@ -525,7 +547,7 @@ def calibrate_gate(
         theta_err = abs(math.remainder(fit.theta - theta_target, math.tau))
         return (f_avg, float(tau_c), z1, z2, corrected, m, fit, theta_err)
 
-    try:
+    with _stage("tomography"):
         grid = spec.duration + np.arange(-4.0, 4.0001, 0.0625)
         grid = grid[grid > 0.0]
         trim = propagate(p, replace(gate_pulse(spec), duration=float(grid[-1])),
@@ -538,8 +560,6 @@ def calibrate_gate(
         f_avg, tau_best, z1, z2, corrected, m, fit, _ = best
         spec = replace(spec, duration=tau_best, virtual_z=(z1, z2))
         transfer = abs(m[col_watch, col_init]) ** 2
-    except ValueError as exc:
-        raise CalibrationError("tomography", str(exc)) from exc
     report["tomography"] = {
         "f_avg": float(f_avg),
         "theta_rad": fit.theta,
@@ -552,15 +572,13 @@ def calibrate_gate(
 
     # Consistency: the fitted exchange rate at the refined amplitude
     # should tie the duration to tau*4g = 1 (iswap) or tau*2g = 1 (cz).
-    try:
+    with _stage("consistency"):
         trace_pulse = replace(gate_pulse(spec), duration=3.0 * spec.duration)
         tr = propagate(p, trace_pulse, device.q2, initial_state=idx_init,
                        n_samples=720)
         pop = np.abs(tr.trajectory[:, idx_watch]) ** 2
         ef = fit_exchange(tr.times, pop)
-        product = spec.duration * (4.0 if kind == "iswap" else 2.0) * ef.g
-    except ValueError as exc:
-        raise CalibrationError("consistency", str(exc)) from exc
+        product = spec.duration * facts.cycles * ef.g
     report["consistency"] = {
         "g_fit_ghz": float(ef.g),
         "duration_coupling_product": float(product),

@@ -9,12 +9,14 @@ modes live in the pad-difference variables (1m, 2m); the pad-sum variables
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import e as _E_CHARGE
-from scipy.constants import h as _H_PLANCK
+
+# Exact since the 2019 SI redefinition; literals keep scipy.constants (most
+# of the import time of this module) out of the device layer.
+_E_CHARGE = 1.602176634e-19  # C
+_H_PLANCK = 6.62607015e-34  # J s
 
 # Charging energies are E_C = e^2/(2 C).  With C in fF and E/h in GHz the
-# conversion constant is e^2/(2h) * 1e6 = 19.3702293247 GHz*fF
-# (exact SI values e = 1.602176634e-19 C, h = 6.62607015e-34 J s).
+# conversion constant is e^2/(2h) * 1e6 = 19.3702293247 GHz*fF.
 ECONV_GHZ_FF = _E_CHARGE**2 / (2.0 * _H_PLANCK) * 1e6
 
 MODE_ORDER = ("1p", "1m", "c", "2p", "2m")

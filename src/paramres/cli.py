@@ -24,11 +24,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .calibration import (DEFAULT_COUPLER_BIAS, DEFAULT_MOD_FREQ, TARGET_FSIM,
-                          CalibrationError, calibrate_gate,
-                          effective_coupling, find_resonance_amplitude,
-                          gate_unitary, load_gatespec, save_gatespec,
-                          set_duration, sweet_spot_pulse)
+from .calibration import (_KIND_FACTS, DEFAULT_COUPLER_BIAS, DEFAULT_MOD_FREQ,
+                          TARGET_FSIM, CalibrationError, calibrate_gate,
+                          gate_unitary, load_gatespec, operating_point,
+                          save_gatespec, sweet_spot_pulse)
 from .device import (bundled_path, device_params, load_bundled_device,
                      load_device, save_device)
 from .dynamics import chevron
@@ -279,14 +278,11 @@ def cmd_chevron(cfg: RunConfig, args) -> int:
     if basis_kind not in ("dressed", "bare"):
         raise ValueError(
             f"config [chevron] basis: must be dressed or bare, got {basis_kind!r}")
-    initial = cfg.get("chevron", "initial", "10" if kind == "iswap" else "11")
+    initial = cfg.get("chevron", "initial", _KIND_FACTS[kind].initial)
     amp_points = cfg.getint("chevron", "amp_points", 9, minimum=1)
     dur_points = cfg.getint("chevron", "dur_points", 49, minimum=1)
 
-    p = device_params(device, phic=coupler_bias)
-    a0 = find_resonance_amplitude(kind, device.q2, p, mod_freq)
-    tau0 = set_duration(kind, abs(effective_coupling(
-        device, kind, a0, mod_freq, coupler_bias)))
+    p, a0, _, tau0 = operating_point(device, kind, coupler_bias, mod_freq)
     amps = np.linspace(cfg.getfloat("chevron", "amp_start_phi0", a0 - 0.006),
                        cfg.getfloat("chevron", "amp_stop_phi0", a0 + 0.006),
                        amp_points)

@@ -96,6 +96,9 @@ def save_device(path_or_file, device: Device):
 
 def device_params(device: Device, phi1=0.0, phic=0.0, phi2=0.0) -> DeviceParams:
     """Three-body model parameters at the given DC fluxes (flux quanta)."""
+    for name, flux in (("phi1", phi1), ("phic", phic), ("phi2", phi2)):
+        if not math.isfinite(flux):
+            raise ValueError(f"{name} must be finite, got {flux}")
     a1, ac, a2 = (2.0 * math.pi * phi1, 2.0 * math.pi * phic, 2.0 * math.pi * phi2)
     g1c, g2c, g12 = coupling_strengths(
         device.energies.e1c, device.energies.e2c, device.energies.e12,

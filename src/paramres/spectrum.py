@@ -47,9 +47,10 @@ class DeviceParams:
     g12: float
 
     def __post_init__(self):
-        if min(self.f1, self.f2, self.fc) <= 0:
+        # written so that NaN fails too
+        if not all(f > 0 for f in (self.f1, self.f2, self.fc)):
             raise ValueError("transition frequencies must be > 0")
-        if min(self.eta1, self.eta2, self.etac) <= 0:
+        if not all(eta > 0 for eta in (self.eta1, self.eta2, self.etac)):
             raise ValueError("anharmonicities must be > 0 (positive-magnitude convention)")
 
     @property

@@ -472,19 +472,40 @@ def readout_compensation(counts, confusions):
     return p, clipped
 
 
-# Tomographically complete single-qubit preparations and their Pauli
-# vectors (I, X, Y, Z components).
-_PREP_STATES = {
-    "0": np.array([1.0, 0.0], dtype=complex),
-    "1": np.array([0.0, 1.0], dtype=complex),
-    "+": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
-    "+i": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
-}
-_PREP_ORDER = ("0", "1", "+", "+i")
+# Tomographically complete single-qubit preparations |0>, |1>, |+>, |+i>,
+# and the eigenbases of X, Y, Z with columns ordered +1, -1.
+_PREP_1Q = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0j]]) \
+    / np.sqrt([[1.0], [1.0], [2.0], [2.0]])
+_EIG_1Q = np.stack([np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0),
+                    np.array([[1.0, 1.0], [1.0j, -1.0j]]) / np.sqrt(2.0),
+                    np.eye(2)])
+
+#: (16, 4) two-qubit input states, the qubit-1 preparation major.
+_PREP_PSI = np.einsum("pa,qb->pqab", _PREP_1Q, _PREP_1Q).reshape(16, 4)
+_PREP_RHO = _PREP_PSI[:, :, None] * _PREP_PSI[:, None, :].conj()
+#: Inverse of the matrix whose columns are the Pauli vectors of the inputs.
+_PREP_INV = np.linalg.inv(np.einsum("iab,pba->ip", TWO_QUBIT_PAULIS, _PREP_RHO).real)
+#: (9, 4, 4) two-qubit measurement bases, settings XX, XY, ..., ZZ.
+_MEAS_BASES = np.einsum("sac,tbd->stabcd", _EIG_1Q, _EIG_1Q).reshape(9, 4, 4)
 
 
-def _pauli_vector(rho: np.ndarray) -> np.ndarray:
-    return np.einsum("iab,ba->i", TWO_QUBIT_PAULIS, rho).real
+def _expectation_weights() -> np.ndarray:
+    """(9, 4, 16) weights from setting outcome probabilities to Paulis.
+
+    Setting ab measures the Paulis ab, aI and Ib; the one-qubit Paulis are
+    seen by three settings each and averaged over them.
+    """
+    signs, ones = np.array([1.0, -1.0]), np.ones(2)
+    weights = np.zeros((9, 4, 16))
+    for s, (a, b) in enumerate((a, b) for a in "XYZ" for b in "XYZ"):
+        for label, w in ((a + b, np.kron(signs, signs)),
+                         (a + "I", np.kron(signs, ones)),
+                         ("I" + b, np.kron(ones, signs))):
+            weights[s, :, PAULI_LABELS.index(label)] = w
+    return weights / np.maximum(np.count_nonzero(weights[:, 0], axis=0), 1)
+
+
+_EXPECTATION_WEIGHTS = _expectation_weights()
 
 
 def simulate_qpt(
@@ -510,59 +531,24 @@ def simulate_qpt(
         raise ValueError(f"shots must be >= 0, got {shots}")
     m = project_computational(u, basis)
     leak = subspace_leakage(m)
-    rng = np.random.default_rng(seed)
-    if confusions is None:
-        confusions = (np.eye(2), np.eye(2))
-    c_full = np.kron(*(np.asarray(c, dtype=float) for c in confusions))
-
-    # Measurement bases: eigenvectors of X, Y, Z, columns ordered +1, -1.
-    eig = {
-        "X": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0),
-        "Y": np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=complex) / np.sqrt(2.0),
-        "Z": np.eye(2, dtype=complex),
-    }
-    settings = [(a, b) for a in "XYZ" for b in "XYZ"]
-
-    prep_vectors = np.zeros((16, 16))
-    meas_vectors = np.zeros((16, 16))
-    for col, (k1, k2) in enumerate((a, b) for a in _PREP_ORDER for b in _PREP_ORDER):
-        psi = np.kron(_PREP_STATES[k1], _PREP_STATES[k2])
-        rho_in = np.outer(psi, psi.conj())
-        prep_vectors[:, col] = _pauli_vector(rho_in)
-        rho_out = m @ rho_in @ m.conj().T
-        kept = np.trace(rho_out).real
-
-        # Accumulate measured Pauli expectations; single-qubit ones are
-        # seen in several settings and averaged.
-        expect = np.zeros(16)
-        hits = np.zeros(16)
-        expect[0] = 1.0
-        hits[0] = 1.0
-        for a, b in settings:
-            basis2 = np.kron(eig[a], eig[b])
-            probs = np.einsum("ji,jk,ki->i", basis2.conj(), rho_out, basis2).real
-            # Leaked population ends up reading out as some state; model
-            # it as uniform over the four outcomes.
-            probs = np.clip(probs, 0.0, None) + (1.0 - kept) / 4.0
-            probs /= probs.sum()
-            if shots > 0:
-                raw = rng.multinomial(shots, c_full @ probs).astype(float)
-                probs, _ = readout_compensation(raw, confusions)
-            signs = np.array([1.0, -1.0])
-            ev_ab = probs @ np.kron(signs, signs)
-            ev_a = probs @ np.kron(signs, np.ones(2))
-            ev_b = probs @ np.kron(np.ones(2), signs)
-            for label, value in (
-                (a + b, ev_ab),
-                (a + "I", ev_a),
-                ("I" + b, ev_b),
-            ):
-                i = PAULI_LABELS.index(label)
-                expect[i] += value
-                hits[i] += 1.0
-        meas_vectors[:, col] = expect / hits
-
-    ptm = meas_vectors @ np.linalg.inv(prep_vectors)
+    rho_out = m @ _PREP_RHO @ m.conj().T
+    kept = np.trace(rho_out, axis1=1, axis2=2).real
+    probs = np.einsum("sji,pjk,ski->psi", _MEAS_BASES.conj(), rho_out,
+                      _MEAS_BASES).real
+    # Leaked population ends up reading out as some state; model it as
+    # uniform over the four outcomes.
+    probs = np.clip(probs, 0.0, None) + (1.0 - kept[:, None, None]) / 4.0
+    probs /= probs.sum(axis=-1, keepdims=True)
+    if shots > 0:
+        if confusions is None:
+            confusions = (np.eye(2), np.eye(2))
+        c_full = np.kron(*(np.asarray(c, dtype=float) for c in confusions))
+        raw = np.random.default_rng(seed).multinomial(shots, probs @ c_full.T)
+        probs = np.array([[readout_compensation(r, confusions)[0] for r in row]
+                          for row in raw.astype(float)])
+    meas = np.einsum("psk,ski->ip", probs, _EXPECTATION_WEIGHTS)
+    meas[0] = 1.0
+    ptm = meas @ _PREP_INV
     return ProcessTensor(ptm=np.clip(ptm, -1.0, 1.0), leakage=leak)
 
 

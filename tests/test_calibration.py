@@ -11,11 +11,11 @@ from paramres.calibration import (
     GateSpec,
     calibrate_gate,
     default_collision_grid,
-    effective_coupling,
     find_resonance_amplitude,
     gate_pulse,
     gate_unitary,
     load_gatespec,
+    operating_point,
     refine_on_chevron,
     save_gatespec,
     set_duration,
@@ -107,11 +107,12 @@ def test_resonance_amplitude_unreachable_target(device):
                          ids=["iswap", "cz20"])
 def test_default_coupler_biases_give_documented_couplings(device, kind, g_target):
     # the targets stated with DEFAULT_COUPLER_BIAS, to 5 kHz
-    bias, mod_freq = DEFAULT_COUPLER_BIAS[kind], DEFAULT_MOD_FREQ[kind]
-    p = device_params(device, phic=bias)
-    amp = find_resonance_amplitude(kind, device.q2, p, mod_freq)
-    g = effective_coupling(device, kind, amp, mod_freq, bias)
-    assert abs(g) == pytest.approx(g_target, abs=5e-6)
+    key = {"iswap": "g01", "cz20": "g20"}[kind]
+    _, _, mc, tau = operating_point(device, kind, DEFAULT_COUPLER_BIAS[kind],
+                                    DEFAULT_MOD_FREQ[kind])
+    g = abs(mc.sideband(0)[key])
+    assert g == pytest.approx(g_target, abs=5e-6)
+    assert tau == set_duration(kind, g)
 
 
 def test_collision_map_recommendation(device):
@@ -132,9 +133,10 @@ def test_collision_map_rejects_empty_grid(device, zero_bias_params):
 
 
 def test_collision_map_rejects_negative_guard_band(device, zero_bias_params):
-    with pytest.raises(ValueError, match="guard band must be >= 0, got -0.001"):
-        sideband_collision_map(zero_bias_params, device.q2, np.array([0.1]),
-                               guard_band=-0.001)
+    for guard_band in (-0.001, float("nan")):
+        with pytest.raises(ValueError, match=f"guard band must be >= 0, got {guard_band}"):
+            sideband_collision_map(zero_bias_params, device.q2, np.array([0.1]),
+                                   guard_band=guard_band)
 
 
 def synthetic_chevron(amps, durs, peak_amp):
@@ -187,6 +189,17 @@ def test_gate_unitary_is_unitary(device):
 def test_calibrate_rejects_unknown_kind(device):
     with pytest.raises(CalibrationError, match="unknown gate kind") as err:
         calibrate_gate(device, "bell")
+    assert err.value.stage == "setup"
+
+
+@pytest.mark.parametrize("bias,message", [
+    (0.5, "vanishing Josephson energy"),
+    (float("nan"), "phic must be finite, got nan"),
+    (float("inf"), "phic must be finite, got inf"),
+], ids=["half", "nan", "inf"])
+def test_bad_coupler_bias_fails_at_setup(device, bias, message):
+    with pytest.raises(CalibrationError, match=message) as err:
+        calibrate_gate(device, "iswap", coupler_bias=bias)
     assert err.value.stage == "setup"
 
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from paramres.calibration import calibrate_gate
 from paramres.cli import main
 from paramres.device import bundled_path, load_device
 from paramres.tomography import load_ptm
@@ -213,6 +214,11 @@ def test_malformed_config_value(capsys, tmp_path):
          "config [transfer] requested_amp_phi0: must be >= 0, got -1.0"),
         (("sweep", "coupling"), "[sweep]\nphic_stop_phi0 = 0.5\npoints = 3\n",
          "coupler: vanishing Josephson energy at external flux 0.5 flux quanta"),
+        (("calibrate", "iswap"), "[gate.iswap]\ncoupler_bias_phi0 = 0.5\n",
+         "error: calibration failed at stage setup: coupler: vanishing Josephson "
+         "energy at external flux 0.5 flux quanta"),
+        (("chevron",), "[chevron]\nmod_freq_ghz = 0\n",
+         "error: calibration failed at stage resonance: mod_freq must be positive"),
         (("tomo",), "[run]\nseed = -1\n", "config [run] seed: need at least 0, got -1"),
         (("tomo", "--seed", "-1"), "", "config [run] seed: need at least 0, got -1"),
     ]:
@@ -230,7 +236,7 @@ def test_tomo_requires_gatespec(capsys, tmp_path):
     assert "config [tomo] gatespec_file is required" in err
 
 
-def test_chevron_csv_json_and_bad_durations(capsys, tmp_path):
+def test_chevron_csv_json_and_bad_durations(capsys, tmp_path, device):
     cfgf = tmp_path / "run.ini"
     cfgf.write_text("[chevron]\namp_points = 3\ndur_points = 7\n")
     csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
@@ -246,6 +252,11 @@ def test_chevron_csv_json_and_bad_durations(capsys, tmp_path):
     vals = summary_values(out)
     assert vals["max_population"] == max(map(max, rows))  # bit for bit
     assert vals["file"] == str(csv_dir / "chevron.csv")
+    # the chevron starts from the calibration's own analytic operating point
+    _, report = calibrate_gate(device, "iswap", refine=False)
+    point = grid["operating_point"]
+    assert point["analytic_amplitude_phi0"] == report["resonance"]["amplitude_phi0"]
+    assert point["analytic_duration_ns"] == report["duration"]["analytic_ns"]
 
     code, out, err = run(capsys, "chevron", "--config", str(cfgf),
                          "--out-dir", str(json_dir), "--format", "json")

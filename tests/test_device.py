@@ -1,10 +1,14 @@
 """Device assembly, INI persistence, and parameter extraction at bias."""
 
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import paramres
 from paramres.device import (
     bundled_path,
     device_params,
@@ -93,3 +97,15 @@ def test_device_params_flux_units(device):
     # parks the symmetric coupler at its (vanishing-EJ) singularity
     with pytest.raises(ValueError, match="vanishing Josephson energy"):
         device_params(device, phic=0.5)
+
+
+def test_device_layer_imports_without_scipy():
+    # importing scipy.constants would take most of the set-up time
+    src = os.path.dirname(os.path.dirname(paramres.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, paramres.device; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -112,6 +112,9 @@ def test_device_params_validation():
     with pytest.raises(ValueError, match="frequencies must be > 0"):
         DeviceParams(f1=-1, f2=4, fc=6, eta1=0.2, eta2=0.2, etac=0.1,
                      g1c=0.1, g2c=0.1, g12=0.005)
+    with pytest.raises(ValueError, match="frequencies must be > 0"):
+        DeviceParams(f1=4, f2=4, fc=float("nan"), eta1=0.2, eta2=0.2, etac=0.1,
+                     g1c=0.1, g2c=0.1, g12=0.005)
     with pytest.raises(ValueError, match="positive-magnitude convention"):
         DeviceParams(f1=4, f2=4, fc=6, eta1=-0.2, eta2=0.2, etac=0.1,
                      g1c=0.1, g2c=0.1, g12=0.005)

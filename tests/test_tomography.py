@@ -1,5 +1,6 @@
 """Process tomography, fSim extraction, and coherence-limited fidelities."""
 
+import itertools
 import json
 import warnings
 
@@ -11,6 +12,7 @@ from paramres.effective import COMPUTATIONAL_INDICES
 from paramres.tomography import (
     CZ,
     ISWAP,
+    PAULIS,
     CoherenceTimes,
     ProcessTensor,
     average_fidelity,
@@ -264,6 +266,53 @@ def test_simulate_qpt_shot_noise_is_seeded():
     c = simulate_qpt(u, shots=400, seed=12)
     np.testing.assert_array_equal(a.ptm, b.ptm)
     assert np.max(np.abs(a.ptm - c.ptm)) > 0.0
+
+
+def loop_qpt(u, shots, confusions, seed):
+    """Reference tomography: one setting at a time, one draw per setting."""
+    m = u[np.ix_(COMPUTATIONAL_INDICES, COMPUTATIONAL_INDICES)]
+    rng = np.random.default_rng(seed)
+    c_full = np.kron(*confusions)
+    r2 = np.sqrt(2.0)
+    preps = [np.array(v, dtype=complex) for v in
+             ([1, 0], [0, 1], [1 / r2, 1 / r2], [1 / r2, 1j / r2])]
+    eig = {"X": np.array([[1, 1], [1, -1]]) / r2,
+           "Y": np.array([[1, 1], [1j, -1j]]) / r2, "Z": np.eye(2)}
+    labels = ["".join(p) for p in itertools.product("IXYZ", repeat=2)]
+    signs, ones = np.array([1.0, -1.0]), np.ones(2)
+    prep_vectors, meas_vectors = np.zeros((16, 16)), np.zeros((16, 16))
+    for col, (a1, a2) in enumerate(itertools.product(preps, repeat=2)):
+        psi = np.kron(a1, a2)
+        rho = np.outer(psi, psi.conj())
+        prep_vectors[:, col] = [np.trace(np.kron(PAULIS[p[0]], PAULIS[p[1]]) @ rho).real
+                                for p in labels]
+        rho_out = m @ rho @ m.conj().T
+        expect, hits = np.eye(16)[0], np.eye(16)[0]
+        for a, b in itertools.product("XYZ", repeat=2):
+            b2 = np.kron(eig[a], eig[b])
+            probs = np.diag(b2.conj().T @ rho_out @ b2).real
+            probs = np.clip(probs, 0.0, None) + (1.0 - np.trace(rho_out).real) / 4
+            probs /= probs.sum()
+            if shots:
+                raw = rng.multinomial(shots, c_full @ probs).astype(float)
+                probs, _ = readout_compensation(raw, confusions)
+            for label, w in ((a + b, np.kron(signs, signs)),
+                             (a + "I", np.kron(signs, ones)),
+                             ("I" + b, np.kron(ones, signs))):
+                expect[labels.index(label)] += probs @ w
+                hits[labels.index(label)] += 1.0
+        meas_vectors[:, col] = expect / hits
+    return np.clip(meas_vectors @ np.linalg.inv(prep_vectors), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("shots", [0, 1000])
+def test_simulate_qpt_matches_the_per_setting_loop(rng, shots):
+    confusions = (confusion_matrix(0.97, 0.94), confusion_matrix(0.96, 0.95))
+    for _ in range(3):
+        u = haar_unitary(27, rng)
+        pt = simulate_qpt(u, shots=shots, confusions=confusions, seed=7)
+        np.testing.assert_allclose(pt.ptm, loop_qpt(u, shots, confusions, 7),
+                                   rtol=0.0, atol=1e-12)
 
 
 def test_simulate_qpt_rejects_negative_shots():
