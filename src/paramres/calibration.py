@@ -31,7 +31,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .device import Device, device_params
 from .dynamics import _CHEVRON_STATES, ChevronMap, chevron, fit_exchange, propagate
@@ -238,6 +237,8 @@ def find_resonance_amplitude(kind: str, q2_spec, p, mod_freq: float) -> float:
     fbar(0)] raises "resonance unreachable", which is how a cz02
     request on this device fails.
     """
+    from scipy.optimize import brentq
+
     if mod_freq <= 0.0:
         raise ValueError("mod_freq must be positive")
     target = _resonance_target(kind, p)
@@ -325,6 +326,8 @@ def default_collision_grid(p, q2_spec) -> np.ndarray:
     below the deepest gate target, so the map covers every amplitude a
     calibration could visit.
     """
+    from scipy.optimize import brentq
+
     floor = p.f1 - p.eta1 - 0.030
     bottom = _average_frequency(q2_spec, _AMPLITUDE_MAX, 0.3)
     if floor < bottom:

@@ -6,6 +6,7 @@ modes live in the pad-difference variables (1m, 2m); the pad-sum variables
 (1p, 2p) have no inductive energy and are eliminated before quantization.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,11 @@ class CapacitanceNetwork:
     def __post_init__(self):
         for name in ("c01", "c02", "c03", "c04", "c05", "c12",
                      "c13", "c23", "c24", "c34", "c35", "c45"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"capacitance {name} must be >= 0")
+            value = getattr(self, name)
+            # written so that NaN fails too
+            if not (0 <= value < math.inf):
+                raise ValueError(f"capacitance {name} must be >= 0 and finite, "
+                                 f"got {value}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,12 @@ class SquidSpec:
     ejl: float  # larger junction
 
     def __post_init__(self):
-        if self.ejs <= 0 or self.ejl <= 0:
-            raise ValueError("junction energies must be > 0")
+        for name in ("ejs", "ejl"):
+            value = getattr(self, name)
+            # written so that NaN fails too
+            if not (0 < value < math.inf):
+                raise ValueError(f"junction energy {name} must be > 0 and finite, "
+                                 f"got {value}")
 
     @property
     def ej_total(self) -> float:

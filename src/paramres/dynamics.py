@@ -27,11 +27,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import lstsq, schur
 
-from .circuit import squid_energy
-from .effective import (DIM, NUM_1, NUM_2, NUM_C, P2_1, P2_2, P2_C, XX_12,
-                        XX_1C, XX_C2, _is_sweet_spot, basis_index)
+from .effective import (DIM, NUM_1, NUM_2, NUM_C, XX_12, XX_C2, _is_sweet_spot,
+                        _static_terms, basis_index)
 from .fluxcontrol import FluxPulse, instantaneous_flux
-from .spectrum import DeviceParams, transition_frequency
+from .spectrum import DeviceParams, transition_frequency, zero_point
 
 UNITARITY_TOL = 1e-8
 
@@ -55,27 +54,20 @@ class Propagation:
         return np.abs(self.trajectory) ** 2
 
 
-def _ej_ratio_quarter(squid, phi_dc, flux_t):
-    """(EJ(t)/EJ(dc))^(1/4) for a flux trace in units of the flux quantum."""
-    ej_dc, _ = squid_energy(squid, 2.0 * math.pi * phi_dc)
-    ej_t, _ = squid_energy(squid, 2.0 * math.pi * np.asarray(flux_t))
-    if ej_dc <= 0 or np.any(np.asarray(ej_t) <= 0):
-        raise ValueError("vanishing Josephson energy along the pulse")
-    return (np.asarray(ej_t) / ej_dc) ** 0.25
-
-
 def _parameter_series(p, q2_pulse, q2_spec, t_mid):
     """Samples of the q2-dependent model parameters at the times t_mid.
 
     f2(t) = p.f2 + [band(flux(t)) - band(flux_dc)], so p remains the exact
-    operating point at zero pulse amplitude, and the two couplings of q2
-    scale with its EJ^(1/4) relative to the DC value.  f1, fc, g1c and the
+    operating point at zero pulse amplitude.  The two couplings of q2
+    scale with its zero-point charge fluctuation n_zpf (spectrum.zero_point,
+    which goes as EJ^(1/4)) relative to the DC value.  f1, fc, g1c and the
     anharmonicities stay at their values in p.
     """
-    flux2 = instantaneous_flux(q2_pulse, t_mid)
-    f2_band = transition_frequency(q2_spec, 2.0 * math.pi * flux2)
-    f2_dc = transition_frequency(q2_spec, 2.0 * math.pi * q2_pulse.phi_dc)
-    r2 = _ej_ratio_quarter(q2_spec.squid, q2_pulse.phi_dc, flux2)
+    flux2 = 2.0 * math.pi * instantaneous_flux(q2_pulse, t_mid)
+    flux_dc = 2.0 * math.pi * q2_pulse.phi_dc
+    f2_band = transition_frequency(q2_spec, flux2)
+    f2_dc = transition_frequency(q2_spec, flux_dc)
+    r2 = zero_point(q2_spec, flux2)[0] / zero_point(q2_spec, flux_dc)[0]
     return {"f2": p.f2 + (f2_band - f2_dc), "g2c": p.g2c * r2, "g12": p.g12 * r2}
 
 
@@ -93,9 +85,10 @@ def _step_products(terms, series, dts, u):
     """Yield the running propagator after each midpoint step, starting from u.
 
     terms = (static_xx, xx_c2, xx_12, static_diag, num2) define the real
-    symmetric Hamiltonian: static_xx and static_diag hold the terms that do
-    not move with q2, series the q2 parameters at the step midpoints (see
-    _parameter_series) and dts the step lengths.  Each step applies
+    symmetric Hamiltonian of effective.build_hamiltonian: static_xx and
+    static_diag hold the terms that do not move with q2
+    (effective._static_terms), series the q2 parameters at the step
+    midpoints (see _parameter_series) and dts the step lengths.  Each step applies
     exp(-i*2*pi*H*dt) through the eigendecomposition of H in each parity
     block.
     """
@@ -193,9 +186,8 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         rem = 0.0
     n_steps = n_full + (rem > 0.0)
 
-    static_diag = (p.f1 * NUM_1 - p.eta1 * P2_1 - p.etac * P2_C
-                   - p.eta2 * P2_2 + p.fc * NUM_C)
-    terms = (p.g1c * XX_1C, XX_C2, XX_12, static_diag, NUM_2)
+    static_xx, static_diag = _static_terms(p)
+    terms = (static_xx, XX_C2, XX_12, static_diag, NUM_2)
 
     psi = None
     if initial_state is not None:

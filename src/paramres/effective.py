@@ -1,4 +1,11 @@
-"""Three-body Hamiltonian and effective qubit-qubit couplings, static and modulated.
+"""The three-body model: its Hamiltonian and its effective couplings.
+
+The module owns three things.  ``build_hamiltonian`` is the one
+Hamiltonian; ``dynamics.propagate`` takes its q2-independent part from
+the same helper.  ``modulated_couplings`` gives the second-order
+qubit-qubit couplings of each sideband n with the coupler eliminated
+(Didier et al., PRA 97, 022330 (2018)).  ``static_couplings`` is the
+n = 0 term of that formula without modulation (weight 1, no shift).
 
 Each mode keeps its lowest three levels, so the full Hilbert space is
 27-dimensional with basis |n1 nc n2> and index 9*n1 + 3*nc + n2.
@@ -8,7 +15,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .fluxcontrol import FluxPulse
 from .spectrum import DeviceParams, TransmonSpec, transition_frequency
@@ -56,30 +62,23 @@ XX_C2 = _kron3_pair(_SIGMA_X, _SIGMA_X, 1, 2)
 XX_12 = _kron3_pair(_SIGMA_X, _SIGMA_X, 0, 2)
 
 
-@dataclass(frozen=True)
-class ThreeBodyHamiltonian:
-    """Dense 27x27 Hamiltonian in GHz in the product basis |n1 nc n2>."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        h = self.matrix
-        if h.shape != (DIM, DIM):
-            raise ValueError(f"expected a {DIM}x{DIM} matrix")
-        if np.max(np.abs(h - h.conj().T)) > 1e-12:
-            raise ValueError("Hamiltonian is not Hermitian")
+def _static_terms(p: DeviceParams) -> tuple:
+    """(g1c*XX_1C, diagonal without f2): the terms of H that q2's flux
+    does not move."""
+    diag = (p.f1 * NUM_1 - p.eta1 * P2_1 - p.etac * P2_C
+            - p.eta2 * P2_2 + p.fc * NUM_C)
+    return p.g1c * XX_1C, diag
 
 
-def build_hamiltonian(p: DeviceParams) -> ThreeBodyHamiltonian:
-    """Assemble the static three-body Hamiltonian from device parameters.
+def build_hamiltonian(p: DeviceParams) -> np.ndarray:
+    """The static three-body Hamiltonian in GHz, a real symmetric 27x27
+    array in the product basis |n1 nc n2>.
 
     The charge-charge couplings keep their counter-rotating parts, so the
     total excitation number is not conserved, only its parity.
     """
-    diag = (p.f1 * NUM_1 + p.fc * NUM_C + p.f2 * NUM_2
-            - p.eta1 * P2_1 - p.etac * P2_C - p.eta2 * P2_2)
-    h = np.diag(diag) + p.g1c * XX_1C + p.g2c * XX_C2 + p.g12 * XX_12
-    return ThreeBodyHamiltonian(matrix=h)
+    xx_1c, diag = _static_terms(p)
+    return np.diag(diag + p.f2 * NUM_2) + xx_1c + p.g2c * XX_C2 + p.g12 * XX_12
 
 
 @dataclass(frozen=True)
@@ -88,25 +87,44 @@ class StaticEffective:
 
     f01_1: float
     f01_2: float
-    f02_1: float
-    f02_2: float
     g01: float
     g02: float
     g20: float
     delta1: float
     delta2: float
-    sigma1: float
-    sigma2: float
 
 
 _RESONANCE_TOL = 1e-6  # GHz
 
 
+def _second_order(p: DeviceParams, f2, shift) -> tuple:
+    """(g01, g02, g20) with q2 at f2 and its denominators shifted by shift.
+
+    Second order in the qubit-coupler exchange, with both the rotating
+    (1/Delta) and the counter-rotating (1/Sigma) terms kept.  A sideband's
+    coupling is its weight eps_n times these at shift n*spacing*mod_freq.
+    """
+    d1 = p.fc - p.f1
+    s1 = p.fc + p.f1
+    d2 = p.fc - f2
+    s2 = p.fc + f2
+    gg = p.g1c * p.g2c
+    g01 = p.g12 - 0.5 * gg * (
+        1.0 / d1 + 1.0 / (d2 - shift) + (1.0 / s1 + 1.0 / (s2 + shift)))
+    g02 = np.sqrt(2.0) * p.g12 - gg / np.sqrt(2.0) * (
+        1.0 / d1 + 1.0 / (d2 + p.eta2 - shift)
+        + (1.0 / s1 + 1.0 / (s2 - p.eta2 + shift)))
+    g20 = np.sqrt(2.0) * p.g12 - gg / np.sqrt(2.0) * (
+        1.0 / (d1 + p.eta1) + 1.0 / (d2 - shift)
+        + (1.0 / (s1 - p.eta1) + 1.0 / (s2 + shift)))
+    return g01, g02, g20
+
+
 def static_couplings(p: DeviceParams) -> StaticEffective:
     """Second-order effective couplings with the coupler adiabatically eliminated.
 
-    Both the rotating (1/Delta) and the counter-rotating (1/Sigma) terms
-    of the qubit-coupler exchange are kept.
+    The couplings are the sideband coupling of modulated_couplings
+    without modulation: weight 1 and no shift.
     """
     d1 = p.fc - p.f1
     d2 = p.fc - p.f2
@@ -119,23 +137,11 @@ def static_couplings(p: DeviceParams) -> StaticEffective:
     if max(abs(p.g1c / d1), abs(p.g2c / d2)) > 0.3:
         warnings.warn("qubit-coupler system is far from dispersive "
                       f"(g/Delta = {abs(p.g1c / d1):.2f}, {abs(p.g2c / d2):.2f})")
-
-    gg = p.g1c * p.g2c
-    g01 = p.g12 - 0.5 * gg * (1.0 / d1 + 1.0 / d2 + (1.0 / s1 + 1.0 / s2))
-    g02 = np.sqrt(2.0) * p.g12 - gg / np.sqrt(2.0) * (
-        1.0 / d1 + 1.0 / (d2 + p.eta2) + (1.0 / s1 + 1.0 / (s2 - p.eta2)))
-    g20 = np.sqrt(2.0) * p.g12 - gg / np.sqrt(2.0) * (
-        1.0 / (d1 + p.eta1) + 1.0 / d2 + (1.0 / (s1 - p.eta1) + 1.0 / s2))
-
+    g01, g02, g20 = _second_order(p, p.f2, 0.0)
     f01_1 = p.f1 + p.g1c**2 / d1 + p.g1c**2 / s1
     f01_2 = p.f2 + p.g2c**2 / d2 + p.g2c**2 / s2
-    f02_1 = 2 * p.f1 - p.eta1 + 2 * p.g1c**2 / (d1 + p.eta1) \
-        + 2 * p.g1c**2 / (s1 - p.eta1)
-    f02_2 = 2 * p.f2 - p.eta2 + 2 * p.g2c**2 / (d2 + p.eta2) \
-        + 2 * p.g2c**2 / (s2 - p.eta2)
-    return StaticEffective(f01_1=f01_1, f01_2=f01_2, f02_1=f02_1, f02_2=f02_2,
-                           g01=g01, g02=g02, g20=g20,
-                           delta1=d1, delta2=d2, sigma1=s1, sigma2=s2)
+    return StaticEffective(f01_1=f01_1, f01_2=f01_2, g01=g01, g02=g02, g20=g20,
+                           delta1=d1, delta2=d2)
 
 
 def exact_g01(p: DeviceParams, window: float = 0.05) -> float:
@@ -149,7 +155,7 @@ def exact_g01(p: DeviceParams, window: float = 0.05) -> float:
     idx_01 = basis_index(0, 0, 1)
 
     def gap(f2):
-        h = build_hamiltonian(replace(p, f2=f2)).matrix
+        h = build_hamiltonian(replace(p, f2=f2))
         vals, vecs = np.linalg.eigh(h)
         weight = np.abs(vecs[idx_10, :])**2 + np.abs(vecs[idx_01, :])**2
         a, b = np.argsort(weight)[-2:]
@@ -172,7 +178,7 @@ class ModulatedCouplings:
 
     Index n runs over [-n_max, n_max]; at a flux sweet spot the qubit
     frequency oscillates at twice the modulation frequency, so sideband n
-    sits at a shift of 2*n*mod_freq (spacing = 2), otherwise n*mod_freq.
+    sits at a shift of 2*n*mod_freq, otherwise n*mod_freq.
     The weights eps are the numeric Fourier coefficients of the phase
     factor.  Keeping only the 2*mod_freq component of the qubit frequency
     would give the Bessel weights J_n(f2_exc / 2 mod_freq); the 4*mod_freq
@@ -188,8 +194,6 @@ class ModulatedCouplings:
     g20: np.ndarray
     f2_avg: float            # GHz
     f2_exc: float            # GHz
-    mod_freq: float          # GHz
-    spacing: int
 
     def sideband(self, n: int) -> dict:
         k = int(n) + (len(self.n) - 1) // 2
@@ -209,14 +213,17 @@ _FOURIER_SAMPLES = 4096
 
 
 def _modulation_samples(q2_spec: TransmonSpec, pulse: FluxPulse):
-    """Qubit-2 frequency over one modulation period, densely sampled."""
+    """(t, f2, f2_avg): the qubit-2 frequency, densely sampled over one
+    modulation period, and its time average."""
+    from scipy.integrate import trapezoid
+
     if pulse.mod_freq <= 0:
         raise ValueError("modulation frequency must be > 0")
     period = 1.0 / pulse.mod_freq
     t = np.linspace(0.0, period, _FOURIER_SAMPLES + 1)
     flux = pulse.phi_dc + pulse.amplitude * np.sin(2.0 * np.pi * pulse.mod_freq * t)
     f2 = np.asarray(transition_frequency(q2_spec, 2.0 * np.pi * flux))
-    return t, f2
+    return t, f2, float(trapezoid(f2, t) / period)
 
 
 def average_and_excursion(q2_spec: TransmonSpec, pulse: FluxPulse) -> tuple:
@@ -230,12 +237,9 @@ def average_and_excursion(q2_spec: TransmonSpec, pulse: FluxPulse) -> tuple:
         flux_dc = pulse.phi_dc if pulse.mod_freq > 0 else pulse.phi_dc + pulse.amplitude
         f_dc = float(transition_frequency(q2_spec, 2.0 * np.pi * flux_dc))
         return f_dc, 0.0
-    t, f2 = _modulation_samples(q2_spec, pulse)
-    period = t[-1]
-    f_avg = float(trapezoid(f2, t) / period)
+    _, f2, f_avg = _modulation_samples(q2_spec, pulse)
     coeffs = np.fft.fft(f2[:-1]) / _FOURIER_SAMPLES
-    f_exc = 2.0 * float(np.abs(coeffs[2]))
-    return f_avg, f_exc
+    return f_avg, 2.0 * float(np.abs(coeffs[2]))
 
 
 def numeric_fourier_weights(q2_spec: TransmonSpec, pulse: FluxPulse,
@@ -243,27 +247,22 @@ def numeric_fourier_weights(q2_spec: TransmonSpec, pulse: FluxPulse,
     """Sideband weights eps_n from the Fourier expansion of the phase factor.
 
     Integrates the accumulated phase of the modulated qubit over one period
-    and projects exp(-i theta(t)) onto harmonics spaced by spacing*mod_freq.
+    and projects exp(-i theta(t)) onto harmonics spaced by spacing*mod_freq,
+    with spacing 2 at a flux sweet spot and 1 elsewhere.
     Returns (n, eps, spacing) with eps complex.
     """
     n = np.arange(-n_max, n_max + 1)
+    spacing = 2 if _is_sweet_spot(pulse.phi_dc) else 1
     if pulse.amplitude == 0.0:
         eps = np.zeros(len(n), dtype=complex)
         eps[n_max] = 1.0
-        return n, eps, _spacing_for(pulse)
-    t, f2 = _modulation_samples(q2_spec, pulse)
-    period = t[-1]
-    f_avg = trapezoid(f2, t) / period
+        return n, eps, spacing
+    from scipy.integrate import cumulative_trapezoid
+
+    t, f2, f_avg = _modulation_samples(q2_spec, pulse)
     theta = 2.0 * np.pi * cumulative_trapezoid(f2 - f_avg, t, initial=0.0)
-    phase_factor = np.exp(-1j * theta[:-1])
-    harmonics = np.fft.ifft(phase_factor)  # harmonic m at exp(+i m wp t)
-    spacing = _spacing_for(pulse)
-    eps = harmonics[(n * spacing) % _FOURIER_SAMPLES]
-    return n, eps, spacing
-
-
-def _spacing_for(pulse: FluxPulse) -> int:
-    return 2 if _is_sweet_spot(pulse.phi_dc) else 1
+    harmonics = np.fft.ifft(np.exp(-1j * theta[:-1]))  # harmonic m at exp(+i m wp t)
+    return n, harmonics[(n * spacing) % _FOURIER_SAMPLES], spacing
 
 
 def modulated_couplings(p: DeviceParams, pulse: FluxPulse, q2_spec: TransmonSpec,
@@ -279,11 +278,7 @@ def modulated_couplings(p: DeviceParams, pulse: FluxPulse, q2_spec: TransmonSpec
     """
     f_avg, f_exc = average_and_excursion(q2_spec, pulse)
     n, eps, spacing = numeric_fourier_weights(q2_spec, pulse, n_max)
-
-    d1 = p.fc - p.f1
-    s1 = p.fc + p.f1
     d2 = p.fc - f_avg
-    s2 = p.fc + f_avg
     shift = n * spacing * pulse.mod_freq
 
     guard = 1e-3  # GHz
@@ -296,16 +291,6 @@ def modulated_couplings(p: DeviceParams, pulse: FluxPulse, q2_spec: TransmonSpec
                 f"sideband n={int(worst)} of {name} is resonant with the coupler "
                 f"(|detuning| < {guard * 1e3:.0f} MHz)")
 
-    gg = p.g1c * p.g2c
-    g01 = eps * p.g12 - 0.5 * gg * eps * (
-        1.0 / d1 + 1.0 / (d2 - shift) + (1.0 / s1 + 1.0 / (s2 + shift)))
-    g02 = np.sqrt(2.0) * eps * p.g12 - gg * eps / np.sqrt(2.0) * (
-        1.0 / d1 + 1.0 / (d2 + p.eta2 - shift)
-        + (1.0 / s1 + 1.0 / (s2 - p.eta2 + shift)))
-    g20 = np.sqrt(2.0) * eps * p.g12 - gg * eps / np.sqrt(2.0) * (
-        1.0 / (d1 + p.eta1) + 1.0 / (d2 - shift)
-        + (1.0 / (s1 - p.eta1) + 1.0 / (s2 + shift)))
-
+    g01, g02, g20 = (eps * g for g in _second_order(p, f_avg, shift))
     return ModulatedCouplings(n=n, eps=eps, g01=g01, g02=g02, g20=g20,
-                              f2_avg=f_avg, f2_exc=f_exc,
-                              mod_freq=pulse.mod_freq, spacing=spacing)
+                              f2_avg=f_avg, f2_exc=f_exc)

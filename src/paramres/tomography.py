@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .effective import COMPUTATIONAL_INDICES, build_hamiltonian
 
@@ -169,7 +168,7 @@ def dressed_computational_basis(p) -> np.ndarray:
     the static coupler admixture that would otherwise masquerade as
     leakage.
     """
-    _, vecs = np.linalg.eigh(build_hamiltonian(p).matrix)
+    _, vecs = np.linalg.eigh(build_hamiltonian(p))
     basis = np.zeros((vecs.shape[0], 4), dtype=complex)
     used: set[int] = set()
     for col, idx in enumerate(COMPUTATIONAL_INDICES):
@@ -257,12 +256,13 @@ def extract_virtual_z(u: np.ndarray, target: np.ndarray, basis: np.ndarray | Non
     the gate, maximizes the overlap |Tr(T^dag R M)| with the 4x4 target
     T.  Writing R = diag(e^{-is}, e^{-id}, e^{+id}, e^{+is}) with
     s = (z1 + z2)/2 and d = (z1 - z2)/2, the trace splits into two
-    independent phasor pairs; each is aligned in closed form, and the
-    remaining pi-branch ambiguity of the half angles (s or s + pi,
-    d or d + pi flip the sign of their phasor) is resolved by picking
-    the branch with the largest total overlap.  Without that branch
-    choice the two phasors can end up anti-aligned and the apparent
-    fidelity collapses even for a near-perfect gate.
+    independent phasors p_s and p_d; each is aligned in closed form.
+    That fixes the half angles only up to pi, and adding pi to s or to d
+    flips the sign of its phasor.  Flipping both leaves the overlap
+    unchanged, and flipping s alone equals flipping d alone modulo 2*pi
+    in (z1, z2), so one choice remains: d + pi when |p_s - p_d| exceeds
+    |p_s + p_d|.  Without it the two phasors can end up anti-aligned and
+    the apparent fidelity collapses even for a near-perfect gate.
     """
     m = project_computational(u, basis)
     t = np.asarray(target, dtype=complex)
@@ -284,17 +284,8 @@ def extract_virtual_z(u: np.ndarray, target: np.ndarray, basis: np.ndarray | Non
     d = 0.5 * (np.angle(c[1]) - np.angle(c[2]))
     phasor_s = c[0] * np.exp(-1.0j * s) + c[3] * np.exp(1.0j * s)
     phasor_d = c[1] * np.exp(-1.0j * d) + c[2] * np.exp(1.0j * d)
-    best = (-1.0, s, d)
-    for flip_s in (1.0, -1.0):
-        for flip_d in (1.0, -1.0):
-            overlap = abs(flip_s * phasor_s + flip_d * phasor_d)
-            if overlap > best[0]:
-                best = (
-                    overlap,
-                    s + (np.pi if flip_s < 0 else 0.0),
-                    d + (np.pi if flip_d < 0 else 0.0),
-                )
-    _, s, d = best
+    if abs(phasor_s - phasor_d) > abs(phasor_s + phasor_d):
+        d += np.pi
     z1 = _wrap_angle(s + d)
     z2 = _wrap_angle(s - d)
     return z1, z2
@@ -366,6 +357,8 @@ def fit_fsim(ptm) -> FSimFit:
     A channel whose unital block is far from orthogonal is fit anyway,
     with a warning, since the fSim family is unitary.
     """
+    from scipy.optimize import minimize_scalar
+
     r = _coerce_ptm(ptm)
     if ptm_unitarity_defect(r) > 0.05:
         warnings.warn(
@@ -445,31 +438,34 @@ def confusion_matrix(fidelity0: float, fidelity1: float | None = None) -> np.nda
 
 
 def readout_compensation(counts, confusions):
-    """Invert per-qubit readout errors on an outcome distribution.
+    """Invert per-qubit readout errors on outcome distributions.
 
-    ``counts`` is a length-4 vector of raw counts or probabilities in
-    the order 00, 01, 10, 11; ``confusions`` a pair of 2x2 per-qubit
-    confusion matrices (columns = true state).  Returns the corrected
-    probability vector and the total weight clipped from negative
-    entries before renormalization.
+    ``counts`` holds raw counts or probabilities in the order 00, 01, 10,
+    11 along its last axis, of length 4; any leading axes are a batch
+    that is compensated in one solve.  ``confusions`` is a pair of 2x2
+    per-qubit confusion matrices (columns = true state).  Returns the
+    corrected probabilities, of the shape of ``counts``, and the total
+    weight clipped from negative entries of each distribution before
+    renormalization (a float for a single distribution).
     """
     raw = np.asarray(counts, dtype=float)
-    if raw.shape != (4,):
+    if raw.ndim == 0 or raw.shape[-1] != 4:
         raise ValueError(f"expected 4 outcome counts, got shape {raw.shape}")
     if np.any(raw < 0.0):
         raise ValueError("counts must be nonnegative")
-    total = raw.sum()
-    if total <= 0.0:
+    total = raw.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise ValueError("counts must not all be zero")
     c1, c2 = (np.asarray(c, dtype=float) for c in confusions)
     full = np.kron(c1, c2)
     if abs(np.linalg.det(full)) < 1e-12:
         raise ValueError("confusion matrix is singular")
-    p = np.linalg.solve(full, raw / total)
-    clipped = float(-p[p < 0.0].sum())
+    freqs = (raw / total).reshape(-1, 4)
+    p = np.linalg.solve(full, freqs.T).T.reshape(raw.shape)
+    clipped = -np.minimum(p, 0.0).sum(axis=-1)
     p = np.clip(p, 0.0, None)
-    p /= p.sum()
-    return p, clipped
+    p /= p.sum(axis=-1, keepdims=True)
+    return p, float(clipped) if raw.ndim == 1 else clipped
 
 
 # Tomographically complete single-qubit preparations |0>, |1>, |+>, |+i>,
@@ -544,8 +540,7 @@ def simulate_qpt(
             confusions = (np.eye(2), np.eye(2))
         c_full = np.kron(*(np.asarray(c, dtype=float) for c in confusions))
         raw = np.random.default_rng(seed).multinomial(shots, probs @ c_full.T)
-        probs = np.array([[readout_compensation(r, confusions)[0] for r in row]
-                          for row in raw.astype(float)])
+        probs, _ = readout_compensation(raw, confusions)
     meas = np.einsum("psk,ski->ip", probs, _EXPECTATION_WEIGHTS)
     meas[0] = 1.0
     ptm = meas @ _PREP_INV

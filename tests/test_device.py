@@ -68,6 +68,22 @@ def test_save_device_accepts_stream(device):
     assert "[network]" in text and "[coupler]" in text
 
 
+@pytest.mark.parametrize("key, message", [
+    ("ejs_ghz", r"\[qubit1\].*junction energy ejs must be > 0 and finite, got nan"),
+    ("c01_ff", r"capacitance c01 must be >= 0 and finite, got nan"),
+], ids=("ejs_ghz", "c01_ff"))
+def test_load_device_rejects_nan_by_name(tmp_path, key, message):
+    # NaN passes a bare "<= 0" or "< 0" check, so without a finiteness
+    # test the device would load and fail later with an unrelated error
+    lines = open(bundled_path("device.ini"), encoding="utf-8").read().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith(key))
+    lines[first] = f"{key} = nan"
+    path = tmp_path / "nan.ini"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_device(path)
+
+
 def test_load_device_missing_file():
     with pytest.raises(ValueError, match="device file not found"):
         load_device("/nonexistent/device.ini")
@@ -99,13 +115,26 @@ def test_device_params_flux_units(device):
         device_params(device, phic=0.5)
 
 
-def test_device_layer_imports_without_scipy():
-    # importing scipy.constants would take most of the set-up time
+def scipy_modules_after(module: str) -> list:
+    """The scipy modules a fresh interpreter holds after importing module."""
     src = os.path.dirname(os.path.dirname(paramres.__file__))
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, paramres.device; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        [sys.executable, "-c", f"import sys, {module}; "
+         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.split()
+
+
+def test_device_layer_imports_without_scipy():
+    # importing scipy.constants would take most of the set-up time
+    assert scipy_modules_after("paramres.device") == []
+
+
+def test_cli_imports_without_scipy_optimize_or_integrate():
+    # commands such as "device show" need neither; the functions that do
+    # import them when called
+    loaded = scipy_modules_after("paramres.cli")
+    assert not [m for m in loaded
+                if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "integrate"])]

@@ -131,7 +131,7 @@ def stepped_propagators(p, q2_pulse, q2_spec, prop):
     out = np.zeros((prop.n_steps, 27, 27), dtype=complex)
     for k in range(prop.n_steps):
         pk = replace(p, **{key: float(series[key][k]) for key in series})
-        u = expm(-2j * np.pi * build_hamiltonian(pk).matrix
+        u = expm(-2j * np.pi * build_hamiltonian(pk)
                  * (edges[k + 1] - edges[k])) @ u
         out[k] = u
     return edges, out
@@ -205,7 +205,7 @@ def test_long_static_pulse_needs_no_per_step_arrays(device, zero_bias_params):
         tracemalloc.stop()
     assert prop.n_steps > 400_000
     assert peak < 5e6
-    evals, vecs = np.linalg.eigh(build_hamiltonian(zero_bias_params).matrix)
+    evals, vecs = np.linalg.eigh(build_hamiltonian(zero_bias_params))
     exact = (vecs * np.exp(-2j * np.pi * evals * 2000.0)) @ vecs.conj().T
     assert np.max(np.abs(prop.unitary - exact)) < 1e-8
     assert prop.times[-1] == 2000.0

@@ -237,6 +237,17 @@ def test_readout_compensation_round_trip(rng):
     corrected, clipped = readout_compensation(raw, (c1, c2))
     np.testing.assert_allclose(corrected, probs, atol=1e-10)
     assert clipped == pytest.approx(0.0, abs=1e-12)
+    # a batch of distributions, with counts in place of probabilities,
+    # is compensated in one call and matches one call per distribution
+    batch = rng.dirichlet(np.ones(4), size=(3, 5))
+    raw = 1000.0 * batch @ np.kron(c1, c2).T
+    corrected, clipped = readout_compensation(raw, (c1, c2))
+    assert corrected.shape == (3, 5, 4) and clipped.shape == (3, 5)
+    np.testing.assert_allclose(corrected, batch, atol=1e-10)
+    for i, j in np.ndindex(3, 5):
+        single, single_clipped = readout_compensation(raw[i, j], (c1, c2))
+        np.testing.assert_allclose(corrected[i, j], single, atol=1e-15)
+        assert clipped[i, j] == pytest.approx(single_clipped, abs=1e-15)
 
 
 def test_readout_compensation_validation():
@@ -245,6 +256,10 @@ def test_readout_compensation_validation():
         readout_compensation(np.array([1.0, -0.1, 0.0, 0.1]), (c, c))
     with pytest.raises(ValueError, match="not all be zero"):
         readout_compensation(np.zeros(4), (c, c))
+    with pytest.raises(ValueError, match="not all be zero"):
+        readout_compensation(np.array([[0.25] * 4, [0.0] * 4]), (c, c))
+    with pytest.raises(ValueError, match="expected 4 outcome counts"):
+        readout_compensation(np.ones((4, 3)), (c, c))
     singular = np.full((2, 2), 0.5)
     with pytest.raises(ValueError, match="singular"):
         readout_compensation(np.array([0.25, 0.25, 0.25, 0.25]),
