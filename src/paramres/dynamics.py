@@ -88,9 +88,9 @@ def _step_products(terms, series, dts, u):
     symmetric Hamiltonian of effective.build_hamiltonian: static_xx and
     static_diag hold the terms that do not move with q2
     (effective._static_terms), series the q2 parameters at the step
-    midpoints (see _parameter_series) and dts the step lengths.  Each step applies
-    exp(-i*2*pi*H*dt) through the eigendecomposition of H in each parity
-    block.
+    midpoints (see _parameter_series) and dts the step lengths.  Each
+    step applies exp(-i*2*pi*H*dt) through the eigendecomposition of H
+    in each parity block.
     """
     static_xx, xx_c2, xx_12, static_diag, num2 = terms
     for a in range(0, len(dts), _EIGH_BATCH):

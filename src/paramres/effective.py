@@ -178,10 +178,10 @@ class ModulatedCouplings:
 
     Index n runs over [-n_max, n_max]; at a flux sweet spot the qubit
     frequency oscillates at twice the modulation frequency, so sideband n
-    sits at a shift of 2*n*mod_freq, otherwise n*mod_freq.
-    The weights eps are the numeric Fourier coefficients of the phase
-    factor.  Keeping only the 2*mod_freq component of the qubit frequency
-    would give the Bessel weights J_n(f2_exc / 2 mod_freq); the 4*mod_freq
+    sits at a shift of 2*n*mod_freq, otherwise n*mod_freq.  The weights
+    eps are the numeric Fourier coefficients of the phase factor.
+    Keeping only the 2*mod_freq component of the qubit frequency would
+    give the Bessel weights J_n(f2_exc / 2 mod_freq); the 4*mod_freq
     harmonic interferes with J_2, so at a sweet spot |eps_n| = |eps_-n|
     holds only to first order and breaks from n = 2 on (eps_n then
     follows the two-harmonic generalized Bessel sum).
@@ -251,17 +251,18 @@ def numeric_fourier_weights(q2_spec: TransmonSpec, pulse: FluxPulse,
     with spacing 2 at a flux sweet spot and 1 elsewhere.
     Returns (n, eps, spacing) with eps complex.
     """
+    from scipy.integrate import cumulative_trapezoid
+
     n = np.arange(-n_max, n_max + 1)
     spacing = 2 if _is_sweet_spot(pulse.phi_dc) else 1
     if pulse.amplitude == 0.0:
         eps = np.zeros(len(n), dtype=complex)
         eps[n_max] = 1.0
         return n, eps, spacing
-    from scipy.integrate import cumulative_trapezoid
-
     t, f2, f_avg = _modulation_samples(q2_spec, pulse)
     theta = 2.0 * np.pi * cumulative_trapezoid(f2 - f_avg, t, initial=0.0)
-    harmonics = np.fft.ifft(np.exp(-1j * theta[:-1]))  # harmonic m at exp(+i m wp t)
+    # harmonic m at exp(+i m wp t)
+    harmonics = np.fft.ifft(np.exp(-1j * theta[:-1]))
     return n, harmonics[(n * spacing) % _FOURIER_SAMPLES], spacing
 
 

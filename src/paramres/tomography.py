@@ -451,8 +451,8 @@ def readout_compensation(counts, confusions):
     raw = np.asarray(counts, dtype=float)
     if raw.ndim == 0 or raw.shape[-1] != 4:
         raise ValueError(f"expected 4 outcome counts, got shape {raw.shape}")
-    if np.any(raw < 0.0):
-        raise ValueError("counts must be nonnegative")
+    if not np.all((raw >= 0.0) & (raw < np.inf)):
+        raise ValueError("counts must be nonnegative and finite")
     total = raw.sum(axis=-1, keepdims=True)
     if np.any(total <= 0.0):
         raise ValueError("counts must not all be zero")

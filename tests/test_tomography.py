@@ -254,6 +254,9 @@ def test_readout_compensation_validation():
     c = confusion_matrix(0.95)
     with pytest.raises(ValueError, match="nonnegative"):
         readout_compensation(np.array([1.0, -0.1, 0.0, 0.1]), (c, c))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            readout_compensation(np.array([[0.25] * 4, [bad, 1.0, 1.0, 1.0]]), (c, c))
     with pytest.raises(ValueError, match="not all be zero"):
         readout_compensation(np.zeros(4), (c, c))
     with pytest.raises(ValueError, match="not all be zero"):
