@@ -75,7 +75,7 @@ def test_save_device_accepts_stream(device):
 def test_load_device_rejects_nan_by_name(tmp_path, key, message):
     # NaN passes a bare "<= 0" or "< 0" check, so without a finiteness
     # test the device would load and fail later with an unrelated error
-    lines = open(bundled_path("device.ini"), encoding="utf-8").read().splitlines()
+    lines = bundled_path("device.ini").read_text(encoding="utf-8").splitlines()
     first = next(i for i, line in enumerate(lines) if line.startswith(key))
     lines[first] = f"{key} = nan"
     path = tmp_path / "nan.ini"
