@@ -34,11 +34,11 @@ import numpy as np
 
 from .device import Device, device_params
 from .dynamics import _CHEVRON_STATES, ChevronMap, chevron, fit_exchange, propagate
-from .effective import average_and_excursion, modulated_couplings
+from .effective import (average_and_excursion, dressed_computational_basis,
+                        modulated_couplings)
 from .fluxcontrol import FluxPulse
 from .tomography import (
     average_fidelity,
-    dressed_computational_basis,
     extract_virtual_z,
     fit_fsim,
     fsim_unitary,

@@ -31,15 +31,14 @@ from .calibration import (_KIND_FACTS, DEFAULT_COUPLER_BIAS, DEFAULT_MOD_FREQ,
 from .device import (bundled_path, device_params, load_bundled_device,
                      load_device, save_device)
 from .dynamics import chevron
-from .effective import static_couplings
+from .effective import dressed_computational_basis, static_couplings
 from .fluxcontrol import (apply_transfer, compensate_crosstalk,
                           load_crosstalk_csv, load_transfer_csv)
 from .tomography import (PAULI_LABELS, CoherenceTimes, average_fidelity,
                          coherence_fidelity_cz, coherence_fidelity_iswap,
-                         confusion_matrix, dressed_computational_basis,
-                         fit_fsim, fsim_unitary, phase_error, ptm_of_unitary,
-                         save_ptm, simulate_qpt, virtual_z_correct,
-                         _wrap_angle)
+                         confusion_matrix, fit_fsim, fsim_unitary,
+                         phase_error, ptm_of_unitary, save_ptm, simulate_qpt,
+                         virtual_z_correct, _wrap_angle)
 
 OUT_DIR_ENV = "PARAMRES_OUT_DIR"
 FORMATS = ("csv", "json", "ini")
@@ -388,12 +387,12 @@ def cmd_tomo(cfg: RunConfig, args) -> int:
     device = cfg.load_device()
     p, u = gate_unitary(device, spec)
     basis = dressed_computational_basis(p)
+    m = basis.conj().T @ u @ basis
     confusions = None
     if any(v < 1.0 for v in fids.values()):
         confusions = (confusion_matrix(fids["f0_q1"], fids["f1_q1"]),
                       confusion_matrix(fids["f0_q2"], fids["f1_q2"]))
-    pt = simulate_qpt(u, shots=shots, confusions=confusions, seed=cfg.seed,
-                      basis=basis)
+    pt = simulate_qpt(m, shots=shots, confusions=confusions, seed=cfg.seed)
     corrected = virtual_z_correct(pt, *spec.virtual_z)
     fit = fit_fsim(corrected)
     target = TARGET_FSIM[spec.kind]

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lstsq, schur
 
 from .effective import (DIM, NUM_1, NUM_2, NUM_C, XX_12, XX_C2, _is_sweet_spot,
                         _static_terms, basis_index)
@@ -48,10 +47,6 @@ class Propagation:
     unitary_times: np.ndarray    # snapshot times (ns), empty unless requested
     unitaries: np.ndarray        # propagator snapshots (n x dim x dim), empty likewise
     unitarity_defect: float
-
-    def state_populations(self) -> np.ndarray:
-        """|amplitude|^2 of the sampled trajectory."""
-        return np.abs(self.trajectory) ** 2
 
 
 def _parameter_series(p, q2_pulse, q2_spec, t_mid):
@@ -159,6 +154,8 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     half applies its own quarter rule after G.  A DC pulse (m = 1) and a
     pulse shorter than its period are stepped directly.
     """
+    from scipy.linalg import schur
+
     duration = q2_pulse.duration
     if duration <= 0:
         raise ValueError("pulse duration must be > 0")
@@ -415,6 +412,7 @@ def fit_exchange(times, populations) -> ExchangeFit:
     five parameters with the closed-form Jacobian of the model, so from
     that seed it needs a few evaluations and no finite differences.
     """
+    from scipy.linalg import lstsq
     from scipy.optimize import least_squares
 
     t = np.asarray(times, dtype=float)

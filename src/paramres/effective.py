@@ -1,11 +1,14 @@
 """The three-body model: its Hamiltonian and its effective couplings.
 
-The module owns three things.  ``build_hamiltonian`` is the one
+The module owns four things.  ``build_hamiltonian`` is the one
 Hamiltonian; ``dynamics.propagate`` takes its q2-independent part from
-the same helper.  ``modulated_couplings`` gives the second-order
-qubit-qubit couplings of each sideband n with the coupler eliminated
-(Didier et al., PRA 97, 022330 (2018)).  ``static_couplings`` is the
-n = 0 term of that formula without modulation (weight 1, no shift).
+the same helper.  ``dressed_computational_basis`` gives its eigenstates
+on the computational subspace, the basis that a dispersive readout
+sees and that callers project a propagator onto before tomography.
+``modulated_couplings`` gives the second-order qubit-qubit couplings of
+each sideband n with the coupler eliminated (Didier et al., PRA 97,
+022330 (2018)).  ``static_couplings`` is the n = 0 term of that
+formula without modulation (weight 1, no shift).
 
 Each mode keeps its lowest three levels, so the full Hilbert space is
 27-dimensional with basis |n1 nc n2> and index 9*n1 + 3*nc + n2.
@@ -79,6 +82,28 @@ def build_hamiltonian(p: DeviceParams) -> np.ndarray:
     """
     xx_1c, diag = _static_terms(p)
     return np.diag(diag + p.f2 * NUM_2) + xx_1c + p.g2c * XX_C2 + p.g12 * XX_12
+
+
+def dressed_computational_basis(p: DeviceParams) -> np.ndarray:
+    """27x4 isometry onto the dressed computational states at bias ``p``.
+
+    Columns are the eigenvectors of the static Hamiltonian with the
+    largest overlap on bare |00>, |01>, |10>, |11> (coupler in its
+    ground state), each phase-fixed so the dominant bare amplitude is
+    real positive.  Projecting a propagator through this basis,
+    ``basis.conj().T @ u @ basis``, removes the static coupler admixture
+    that would otherwise masquerade as leakage.
+    """
+    _, vecs = np.linalg.eigh(build_hamiltonian(p))
+    basis = np.zeros((vecs.shape[0], 4), dtype=complex)
+    used: set[int] = set()
+    for col, idx in enumerate(COMPUTATIONAL_INDICES):
+        order = np.argsort(-np.abs(vecs[idx, :]) ** 2)
+        k = next(int(q) for q in order if int(q) not in used)
+        used.add(k)
+        v = vecs[:, k]
+        basis[:, col] = v * (abs(v[idx]) / v[idx])
+    return basis
 
 
 @dataclass(frozen=True)
@@ -213,8 +238,9 @@ _FOURIER_SAMPLES = 4096
 
 
 def _modulation_samples(q2_spec: TransmonSpec, pulse: FluxPulse):
-    """(t, f2, f2_avg): the qubit-2 frequency, densely sampled over one
-    modulation period, and its time average."""
+    """(t, f2, f2_avg, f2_exc): the qubit-2 frequency, densely sampled
+    over one modulation period, its time average and the amplitude of
+    its component at twice the modulation frequency."""
     from scipy.integrate import trapezoid
 
     if pulse.mod_freq <= 0:
@@ -223,7 +249,9 @@ def _modulation_samples(q2_spec: TransmonSpec, pulse: FluxPulse):
     t = np.linspace(0.0, period, _FOURIER_SAMPLES + 1)
     flux = pulse.phi_dc + pulse.amplitude * np.sin(2.0 * np.pi * pulse.mod_freq * t)
     f2 = np.asarray(transition_frequency(q2_spec, 2.0 * np.pi * flux))
-    return t, f2, float(trapezoid(f2, t) / period)
+    coeffs = np.fft.fft(f2[:-1]) / _FOURIER_SAMPLES
+    return (t, f2, float(trapezoid(f2, t) / period),
+            2.0 * float(np.abs(coeffs[2])))
 
 
 def average_and_excursion(q2_spec: TransmonSpec, pulse: FluxPulse) -> tuple:
@@ -237,9 +265,7 @@ def average_and_excursion(q2_spec: TransmonSpec, pulse: FluxPulse) -> tuple:
         flux_dc = pulse.phi_dc if pulse.mod_freq > 0 else pulse.phi_dc + pulse.amplitude
         f_dc = float(transition_frequency(q2_spec, 2.0 * np.pi * flux_dc))
         return f_dc, 0.0
-    _, f2, f_avg = _modulation_samples(q2_spec, pulse)
-    coeffs = np.fft.fft(f2[:-1]) / _FOURIER_SAMPLES
-    return f_avg, 2.0 * float(np.abs(coeffs[2]))
+    return _modulation_samples(q2_spec, pulse)[2:]
 
 
 def numeric_fourier_weights(q2_spec: TransmonSpec, pulse: FluxPulse,
@@ -251,19 +277,24 @@ def numeric_fourier_weights(q2_spec: TransmonSpec, pulse: FluxPulse,
     with spacing 2 at a flux sweet spot and 1 elsewhere.
     Returns (n, eps, spacing) with eps complex.
     """
+    return _sidebands(q2_spec, pulse, n_max)[2:]
+
+
+def _sidebands(q2_spec: TransmonSpec, pulse: FluxPulse, n_max: int) -> tuple:
+    """(f2_avg, f2_exc, n, eps, spacing) from one sampling of q2's band;
+    see average_and_excursion and numeric_fourier_weights."""
     from scipy.integrate import cumulative_trapezoid
 
     n = np.arange(-n_max, n_max + 1)
     spacing = 2 if _is_sweet_spot(pulse.phi_dc) else 1
     if pulse.amplitude == 0.0:
-        eps = np.zeros(len(n), dtype=complex)
-        eps[n_max] = 1.0
-        return n, eps, spacing
-    t, f2, f_avg = _modulation_samples(q2_spec, pulse)
+        return (*average_and_excursion(q2_spec, pulse), n,
+                (n == 0).astype(complex), spacing)
+    t, f2, f_avg, f_exc = _modulation_samples(q2_spec, pulse)
     theta = 2.0 * np.pi * cumulative_trapezoid(f2 - f_avg, t, initial=0.0)
     # harmonic m at exp(+i m wp t)
     harmonics = np.fft.ifft(np.exp(-1j * theta[:-1]))
-    return n, harmonics[(n * spacing) % _FOURIER_SAMPLES], spacing
+    return f_avg, f_exc, n, harmonics[(n * spacing) % _FOURIER_SAMPLES], spacing
 
 
 def modulated_couplings(p: DeviceParams, pulse: FluxPulse, q2_spec: TransmonSpec,
@@ -277,8 +308,7 @@ def modulated_couplings(p: DeviceParams, pulse: FluxPulse, q2_spec: TransmonSpec
     |eps_n| = |eps_-n| only to first order (see ModulatedCouplings).  Raises
     if a retained sideband comes too close to the coupler resonance.
     """
-    f_avg, f_exc = average_and_excursion(q2_spec, pulse)
-    n, eps, spacing = numeric_fourier_weights(q2_spec, pulse, n_max)
+    f_avg, f_exc, n, eps, spacing = _sidebands(q2_spec, pulse, n_max)
     d2 = p.fc - f_avg
     shift = n * spacing * pulse.mod_freq
 

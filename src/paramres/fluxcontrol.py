@@ -56,6 +56,8 @@ class CrosstalkMatrix:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("crosstalk matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("crosstalk matrix entries must be finite")
         if not np.allclose(np.diag(m), 1.0, atol=1e-12):
             raise ValueError("crosstalk matrix must have unit diagonal")
         if not self.labels:
@@ -93,9 +95,11 @@ class TransferTable:
         object.__setattr__(self, "ratios", r)
         if f.ndim != 1 or f.shape != r.shape or f.size < 2:
             raise ValueError("transfer table needs matching frequency/ratio columns")
-        if np.any(np.diff(f) <= 0):
-            raise ValueError("transfer-table frequencies must be strictly increasing")
-        if np.any(r <= 0) or np.any(r > 1.5):
+        # written so that NaN fails too
+        if not (np.all(np.isfinite(f)) and np.all(np.diff(f) > 0)):
+            raise ValueError("transfer-table frequencies must be finite and "
+                             "strictly increasing")
+        if not np.all((r > 0) & (r <= 1.5)):
             raise ValueError("transfer ratios must lie in (0, 1.5]")
 
 

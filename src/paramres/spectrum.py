@@ -53,12 +53,6 @@ class DeviceParams:
         if not all(eta > 0 for eta in (self.eta1, self.eta2, self.etac)):
             raise ValueError("anharmonicities must be > 0 (positive-magnitude convention)")
 
-    @property
-    def dispersive_ratios(self) -> tuple:
-        """(g1c/|fc-f1|, g2c/|fc-f2|), small values mean well-dispersive."""
-        return (abs(self.g1c / (self.fc - self.f1)),
-                abs(self.g2c / (self.fc - self.f2)))
-
 
 def _ej_xi(spec: TransmonSpec, phi_e):
     """(EJ, xi = sqrt(2 EC/EJ)) at external flux phi_e (radians), vectorized."""

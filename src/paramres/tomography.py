@@ -1,12 +1,15 @@
 """Process tomography and fidelity metrics for two-qubit gates.
 
-The propagator of the full three-body model lives on a 27-dimensional
-Hilbert space.  Everything here funnels that operator down to the 4-dim
-computational subspace (both qubits in {0, 1}, coupler in its ground
-state), builds the 16x16 Pauli transfer matrix (PTM) of the projected
-map, and scores it against ideal targets:
+Everything here works on the 4x4 block of a gate on the computational
+subspace (both qubits in {0, 1}, coupler in its ground state): it builds
+the 16x16 Pauli transfer matrix (PTM) of that block and scores it
+against ideal targets.  The propagator of the three-body model lives on
+27 levels; callers project it onto the dressed computational states,
+``basis.conj().T @ u @ basis`` with ``basis`` from
+``effective.dressed_computational_basis``, as a dispersive readout sees
+them.  Any other shape raises.
 
-- ``qubit_subspace_ptm`` projects and reports leakage separately,
+- ``qubit_subspace_ptm`` builds the PTM and reports leakage separately,
 - ``extract_virtual_z`` / ``virtual_z_correct`` remove single-qubit
   frame phases the way the control electronics would,
 - ``fit_fsim`` finds the closest member of the fSim(theta, phi) family,
@@ -25,8 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .effective import COMPUTATIONAL_INDICES, build_hamiltonian
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -87,13 +88,6 @@ class ProcessTensor:
             raise ValueError("leakage must lie in [0, 1]")
         object.__setattr__(self, "ptm", ptm)
 
-    @property
-    def trace_preserving_defect(self) -> float:
-        """Deviation of the first row from (1, 0, ..., 0)."""
-        row = self.ptm[0].copy()
-        row[0] -= 1.0
-        return float(np.max(np.abs(row)))
-
 
 @dataclass(frozen=True)
 class FSimFit:
@@ -127,8 +121,9 @@ class CoherenceTimes:
 
     def __post_init__(self):
         for name in ("t1_q1", "t1_q2", "t2s_q1", "t2s_q2"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
         if self.t2s_q1 > 2.0 * self.t1_q1 + 1e-12:
             raise ValueError("t2s_q1 exceeds the 2*T1 limit")
         if self.t2s_q2 > 2.0 * self.t1_q2 + 1e-12:
@@ -158,80 +153,34 @@ ISWAP = fsim_unitary(-np.pi / 2.0, 0.0)
 CZ = fsim_unitary(0.0, np.pi)
 
 
-def dressed_computational_basis(p) -> np.ndarray:
-    """27x4 isometry onto the dressed computational states at bias ``p``.
-
-    Columns are the eigenvectors of the static Hamiltonian with the
-    largest overlap on bare |00>, |01>, |10>, |11> (coupler in its
-    ground state), each phase-fixed so the dominant bare amplitude is
-    real positive.  Projecting a propagator through this basis removes
-    the static coupler admixture that would otherwise masquerade as
-    leakage.
-    """
-    _, vecs = np.linalg.eigh(build_hamiltonian(p))
-    basis = np.zeros((vecs.shape[0], 4), dtype=complex)
-    used: set[int] = set()
-    for col, idx in enumerate(COMPUTATIONAL_INDICES):
-        order = np.argsort(-np.abs(vecs[idx, :]) ** 2)
-        k = next(int(q) for q in order if int(q) not in used)
-        used.add(k)
-        v = vecs[:, k]
-        basis[:, col] = v * (abs(v[idx]) / v[idx])
-    return basis
-
-
-def project_computational(u: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
-    """Project a propagator onto the two-qubit computational subspace.
-
-    ``u`` may be the full 27x27 unitary or an already-projected 4x4
-    block (returned unchanged).  ``basis`` is an optional 27x4 isometry
-    such as ``dressed_computational_basis``; by default the bare
-    computational states are used.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.shape == (4, 4):
-        return u
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square operator, got shape {u.shape}")
-    if basis is None:
-        idx = np.array(COMPUTATIONAL_INDICES)
-        if u.shape[0] <= idx.max():
-            raise ValueError(
-                f"operator of dimension {u.shape[0]} does not contain the "
-                "computational subspace"
-            )
-        return u[np.ix_(idx, idx)]
-    basis = np.asarray(basis, dtype=complex)
-    if basis.shape != (u.shape[0], 4):
-        raise ValueError(
-            f"basis shape {basis.shape} does not match operator dimension {u.shape[0]}"
-        )
-    return basis.conj().T @ u @ basis
+def _block(m) -> np.ndarray:
+    """``m`` as a complex 4x4 computational block; any other shape raises."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 block, got shape {m.shape}")
+    return m
 
 
 def ptm_of_unitary(m: np.ndarray) -> np.ndarray:
     """16x16 PTM of the map rho -> M rho M^dag for a 4x4 block M."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 block, got {m.shape}")
+    m = _block(m)
     conjugated = m @ TWO_QUBIT_PAULIS @ m.conj().T
     return np.einsum("iab,jba->ij", TWO_QUBIT_PAULIS, conjugated).real / 4.0
 
 
 def subspace_leakage(m: np.ndarray) -> float:
     """Population lost from the computational subspace, 1 - Tr(M^dag M)/4."""
-    m = np.asarray(m, dtype=complex)
+    m = _block(m)
     return float(max(0.0, 1.0 - np.trace(m.conj().T @ m).real / 4.0))
 
 
-def qubit_subspace_ptm(u: np.ndarray, basis: np.ndarray | None = None) -> ProcessTensor:
-    """PTM of a propagator projected onto the computational subspace.
+def qubit_subspace_ptm(m: np.ndarray) -> ProcessTensor:
+    """PTM of a gate's 4x4 block on the computational subspace.
 
     Leakage is reported on the ProcessTensor rather than folded into a
     trace-preserving completion, so a leaky gate shows up both as a
     non-unital first row and as a nonzero ``leakage`` number.
     """
-    m = project_computational(u, basis)
     return ProcessTensor(ptm=ptm_of_unitary(m), leakage=subspace_leakage(m))
 
 
@@ -249,8 +198,8 @@ def _virtual_z_block(z1: float, z2: float) -> np.ndarray:
     ).astype(complex)
 
 
-def extract_virtual_z(u: np.ndarray, target: np.ndarray, basis: np.ndarray | None = None):
-    """Frame angles (z1, z2) aligning a gate with its target.
+def extract_virtual_z(m: np.ndarray, target: np.ndarray):
+    """Frame angles (z1, z2) aligning a gate's 4x4 block with its target.
 
     Finds the virtual-Z rotation Rz(z1) x Rz(z2) that, applied after
     the gate, maximizes the overlap |Tr(T^dag R M)| with the 4x4 target
@@ -264,7 +213,7 @@ def extract_virtual_z(u: np.ndarray, target: np.ndarray, basis: np.ndarray | Non
     |p_s + p_d|.  Without it the two phasors can end up anti-aligned and
     the apparent fidelity collapses even for a near-perfect gate.
     """
-    m = project_computational(u, basis)
+    m = _block(m)
     t = np.asarray(target, dtype=complex)
     if t.shape != (4, 4):
         raise ValueError(f"target must be 4x4, got {t.shape}")
@@ -294,16 +243,16 @@ def extract_virtual_z(u: np.ndarray, target: np.ndarray, basis: np.ndarray | Non
 def virtual_z_correct(obj, z1: float, z2: float):
     """Apply the frame rotation Rz(z1) x Rz(z2) after a gate.
 
-    ``obj`` may be a 4x4 or 27x27 unitary (returns the corrected 4x4
-    block) or a ProcessTensor (returns a ProcessTensor with the
-    rotation composed onto the channel).
+    ``obj`` may be a 4x4 block (returns the corrected block) or a
+    ProcessTensor (returns a ProcessTensor with the rotation composed
+    onto the channel).
     """
     r = _virtual_z_block(z1, z2)
     if isinstance(obj, ProcessTensor):
         # rotating a shot-noise estimate can overshoot the entry bound
         composed = np.clip(ptm_of_unitary(r) @ obj.ptm, -1.0, 1.0)
         return ProcessTensor(ptm=composed, leakage=obj.leakage)
-    return r @ project_computational(obj)
+    return r @ _block(obj)
 
 
 def _wrap_angle(a: float) -> float:
@@ -505,17 +454,16 @@ _EXPECTATION_WEIGHTS = _expectation_weights()
 
 
 def simulate_qpt(
-    u: np.ndarray,
+    m: np.ndarray,
     shots: int = 0,
     confusions=None,
     seed: int | None = None,
-    basis: np.ndarray | None = None,
 ) -> ProcessTensor:
     """Process tomography of a gate as the experiment would run it.
 
     Prepares the 16 products of {|0>, |1>, |+>, |+i>} per qubit, applies
-    the projected gate, and measures each output in the 9 two-qubit
-    Pauli bases.  With ``shots`` > 0 each setting is sampled from a
+    the gate's 4x4 block ``m``, and measures each output in the 9
+    two-qubit Pauli bases.  With ``shots`` > 0 each setting is sampled from a
     multinomial, readout errors from the per-qubit ``confusions``
     matrices are applied and then compensated, and the PTM is rebuilt
     by linear inversion (entries clipped to [-1, 1]).  With shots = 0
@@ -525,7 +473,7 @@ def simulate_qpt(
     """
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
-    m = project_computational(u, basis)
+    m = _block(m)
     leak = subspace_leakage(m)
     rho_out = m @ _PREP_RHO @ m.conj().T
     kept = np.trace(rho_out, axis1=1, axis2=2).real

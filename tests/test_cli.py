@@ -188,6 +188,28 @@ def test_transfer_apply_out_of_range(capsys, tmp_path):
     assert "outside transfer table range" in err
 
 
+@pytest.mark.parametrize("command,data,section,old,new,message", [
+    (("transfer", "apply"), "transfer.csv", "[transfer]\nfile", "0.25,0.9231",
+     "0.25,nan", "transfer ratios must lie in (0, 1.5]"),
+    (("transfer", "apply"), "transfer.csv", "[transfer]\nfile", "0.30,0.8944",
+     "inf,0.8944", "transfer-table frequencies must be finite"),
+    (("flux", "invert"), "crosstalk.csv", "[flux]\ncrosstalk_file", "-0.471",
+     "nan", "crosstalk matrix entries must be finite"),
+], ids=["transfer_nan_ratio", "transfer_inf_frequency", "crosstalk_nan"])
+def test_nonfinite_flux_table_fails_by_name(capsys, tmp_path, command, data,
+                                            section, old, new, message):
+    table = tmp_path / data
+    table.write_text(bundled_path(data).read_text().replace(old, new, 1))
+    cfgf = tmp_path / "t.ini"
+    cfgf.write_text(f"{section} = {table}\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, *command, "--config", str(cfgf),
+                       "--out-dir", str(out_dir))
+    assert code == 1
+    assert message in err
+    assert not out_dir.exists()
+
+
 def test_missing_config_file(capsys, tmp_path):
     code, _, err = run(capsys, "sweep", "coupling",
                        "--config", str(tmp_path / "absent.ini"))

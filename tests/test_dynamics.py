@@ -45,7 +45,7 @@ def exchange_populations(device, g: float, delta: float):
     coupler disconnected, over 1.5 exchange periods."""
     prop = propagate(exchange_params(g, delta), flat_pulse(1.5 / (2 * g)),
                      device.q2, initial_state=9, n_samples=300)
-    return prop.times, prop.state_populations()
+    return prop.times, np.abs(prop.trajectory) ** 2
 
 
 def test_resonant_exchange_matches_analytic(device):

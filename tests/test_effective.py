@@ -213,6 +213,23 @@ def test_modulated_sideband_symmetry_at_sweet_spot(device, zero_bias_params):
         assert mc.sideband(n)["eps"] == pytest.approx(oracle, abs=1e-7)
 
 
+def test_modulated_couplings_samples_the_band_once(device, zero_bias_params,
+                                                  monkeypatch):
+    pulse = FluxPulse(phi_dc=0.0, amplitude=0.10, mod_freq=0.29, duration=100.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return transition_frequency(*args)
+
+    monkeypatch.setattr("paramres.effective.transition_frequency", counted)
+    mc = modulated_couplings(zero_bias_params, pulse, device.q2)
+    assert len(calls) == 1
+    # the one sampling gives what the two public calculations give
+    assert (mc.f2_avg, mc.f2_exc) == average_and_excursion(device.q2, pulse)
+    np.testing.assert_array_equal(mc.eps, numeric_fourier_weights(device.q2, pulse)[1])
+
+
 def test_sideband_out_of_range(device, zero_bias_params):
     pulse = FluxPulse(phi_dc=0.0, amplitude=0.05, mod_freq=0.3, duration=100.0)
     mc = modulated_couplings(zero_bias_params, pulse, device.q2, n_max=3)

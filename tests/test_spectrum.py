@@ -118,11 +118,3 @@ def test_device_params_validation():
     with pytest.raises(ValueError, match="positive-magnitude convention"):
         DeviceParams(f1=4, f2=4, fc=6, eta1=-0.2, eta2=0.2, etac=0.1,
                      g1c=0.1, g2c=0.1, g12=0.005)
-
-
-def test_dispersive_ratios():
-    p = DeviceParams(f1=3.8, f2=3.9, fc=5.9, eta1=0.2, eta2=0.2, etac=0.1,
-                     g1c=0.105, g2c=0.10, g12=0.005)
-    r1, r2 = p.dispersive_ratios
-    assert r1 == pytest.approx(0.105 / 2.1)
-    assert r2 == pytest.approx(0.10 / 2.0)

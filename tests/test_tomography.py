@@ -38,14 +38,6 @@ from paramres.tomography import (
 from conftest import haar_unitary
 
 
-def embed_in_27(block: np.ndarray) -> np.ndarray:
-    """Place a 4x4 computational block inside an otherwise trivial 27x27 unitary."""
-    u = np.eye(27, dtype=complex)
-    idx = np.array(COMPUTATIONAL_INDICES)
-    u[np.ix_(idx, idx)] = block
-    return u
-
-
 def test_fsim_reference_gates():
     iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]],
                      dtype=complex)
@@ -72,10 +64,19 @@ def test_unitarity_defect_flags_depolarizing():
 
 
 def test_embedded_gate_matches_direct_ptm():
-    pt = qubit_subspace_ptm(embed_in_27(ISWAP))
+    pt = qubit_subspace_ptm(ISWAP)
     np.testing.assert_allclose(pt.ptm, ptm_of_unitary(ISWAP), atol=1e-12)
     assert pt.leakage == 0.0
-    assert pt.trace_preserving_defect < 1e-12
+    assert np.max(np.abs(pt.ptm[0] - np.eye(16)[0])) < 1e-12
+
+
+def test_only_a_4x4_block_is_accepted():
+    # a 27-level propagator must be projected by the caller first
+    u = np.eye(27, dtype=complex)
+    for call in (qubit_subspace_ptm, simulate_qpt,
+                 lambda x: extract_virtual_z(x, ISWAP)):
+        with pytest.raises(ValueError, match="expected a 4x4 block"):
+            call(u)
 
 
 def test_subspace_leakage_of_partial_rotation():
@@ -86,7 +87,7 @@ def test_subspace_leakage_of_partial_rotation():
     u[2, 1], u[1, 2] = np.sin(alpha), -np.sin(alpha)
     m = u[np.ix_(COMPUTATIONAL_INDICES, COMPUTATIONAL_INDICES)]
     assert subspace_leakage(m) == pytest.approx(np.sin(alpha) ** 2 / 4.0, abs=1e-12)
-    assert qubit_subspace_ptm(u).leakage == pytest.approx(np.sin(alpha) ** 2 / 4.0,
+    assert qubit_subspace_ptm(m).leakage == pytest.approx(np.sin(alpha) ** 2 / 4.0,
                                                           abs=1e-12)
 
 
@@ -218,6 +219,9 @@ def test_coherence_times_validation():
         CoherenceTimes(t1_q1=10.0, t1_q2=50.0, t2s_q1=21.0, t2s_q2=10.0)
     with pytest.raises(ValueError):
         CoherenceTimes(t1_q1=-1.0, t1_q2=50.0, t2s_q1=1.0, t2s_q2=10.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="t1_q1 must be positive and finite"):
+            CoherenceTimes(t1_q1=bad, t1_q2=50.0, t2s_q1=1.0, t2s_q2=10.0)
 
 
 def test_confusion_matrix_shape_and_validation():
@@ -270,7 +274,7 @@ def test_readout_compensation_validation():
 
 
 def test_simulate_qpt_exact_limit_matches_projection():
-    u = embed_in_27(fsim_unitary(-np.pi / 2, 0.1))
+    u = fsim_unitary(-np.pi / 2, 0.1)
     pt_direct = qubit_subspace_ptm(u)
     pt_qpt = simulate_qpt(u)
     np.testing.assert_allclose(pt_qpt.ptm, pt_direct.ptm, atol=1e-9)
@@ -278,7 +282,7 @@ def test_simulate_qpt_exact_limit_matches_projection():
 
 
 def test_simulate_qpt_shot_noise_is_seeded():
-    u = embed_in_27(ISWAP)
+    u = ISWAP
     a = simulate_qpt(u, shots=400, seed=11)
     b = simulate_qpt(u, shots=400, seed=11)
     c = simulate_qpt(u, shots=400, seed=12)
@@ -286,9 +290,8 @@ def test_simulate_qpt_shot_noise_is_seeded():
     assert np.max(np.abs(a.ptm - c.ptm)) > 0.0
 
 
-def loop_qpt(u, shots, confusions, seed):
+def loop_qpt(m, shots, confusions, seed):
     """Reference tomography: one setting at a time, one draw per setting."""
-    m = u[np.ix_(COMPUTATIONAL_INDICES, COMPUTATIONAL_INDICES)]
     rng = np.random.default_rng(seed)
     c_full = np.kron(*confusions)
     r2 = np.sqrt(2.0)
@@ -327,28 +330,29 @@ def loop_qpt(u, shots, confusions, seed):
 def test_simulate_qpt_matches_the_per_setting_loop(rng, shots):
     confusions = (confusion_matrix(0.97, 0.94), confusion_matrix(0.96, 0.95))
     for _ in range(3):
+        # the computational block of a random 27-level unitary leaks
         u = haar_unitary(27, rng)
-        pt = simulate_qpt(u, shots=shots, confusions=confusions, seed=7)
-        np.testing.assert_allclose(pt.ptm, loop_qpt(u, shots, confusions, 7),
+        m = u[np.ix_(COMPUTATIONAL_INDICES, COMPUTATIONAL_INDICES)]
+        pt = simulate_qpt(m, shots=shots, confusions=confusions, seed=7)
+        np.testing.assert_allclose(pt.ptm, loop_qpt(m, shots, confusions, 7),
                                    rtol=0.0, atol=1e-12)
 
 
 def test_simulate_qpt_rejects_negative_shots():
     with pytest.raises(ValueError, match="shots must be >= 0"):
-        simulate_qpt(embed_in_27(ISWAP), shots=-5)
+        simulate_qpt(ISWAP, shots=-5)
 
 
 def test_simulate_qpt_with_readout_errors_recovers_gate():
-    u = embed_in_27(ISWAP)
     confusions = (confusion_matrix(0.97, 0.94), confusion_matrix(0.96, 0.95))
-    pt = simulate_qpt(u, shots=20000, confusions=confusions, seed=3)
+    pt = simulate_qpt(ISWAP, shots=20000, confusions=confusions, seed=3)
     ideal = ptm_of_unitary(ISWAP)
     assert np.max(np.abs(pt.ptm - ideal)) < 0.06
     assert average_fidelity(pt.ptm, ideal) > 0.98
 
 
 def test_ptm_file_round_trip(tmp_path):
-    pt = qubit_subspace_ptm(embed_in_27(fsim_unitary(0.3, -1.2)))
+    pt = qubit_subspace_ptm(fsim_unitary(0.3, -1.2))
     stamp = "2026-01-01T00:00:00Z"
     path = tmp_path / "gate.ptm"
     save_ptm(path, pt, metadata={"note": "round trip", "generated": stamp})
