@@ -23,6 +23,7 @@ of Didier et al., PRA 97, 022330 (2018).
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,8 +67,8 @@ def _parameter_series(p, q2_pulse, q2_spec, t_mid):
     return {"f2": p.f2 + (f2_band - f2_dc), "g2c": p.g2c * r2, "g12": p.g12 * r2}
 
 
-# steps diagonalized per batched np.linalg.eigh call, and propagators
-# evaluated per batch of samples; bounds the work arrays
+# steps diagonalized per batched np.linalg.eigh call, propagator snapshots
+# per batch and period prefixes gathered per batch; bounds the work arrays
 _EIGH_BATCH = 64
 
 # Bare-state indices of even and odd total excitation.  The couplings
@@ -76,31 +77,41 @@ _PARITY_BLOCKS = tuple(
     np.flatnonzero((NUM_1 + NUM_C + NUM_2).astype(int) % 2 == r) for r in (0, 1))
 
 
-def _step_products(terms, series, dts, u):
-    """Yield the running propagator after each midpoint step, starting from u.
+def _step_eigenpairs(terms, series):
+    """Eigenpairs of the step Hamiltonians, one parity block at a time.
 
     terms = (static_xx, xx_c2, xx_12, static_diag, num2) define the real
     symmetric Hamiltonian of effective.build_hamiltonian: static_xx and
     static_diag hold the terms that do not move with q2
     (effective._static_terms), series the q2 parameters at the step
-    midpoints (see _parameter_series) and dts the step lengths.  Each
-    step applies exp(-i*2*pi*H*dt) through the eigendecomposition of H
-    in each parity block.
+    midpoints (see _parameter_series).  Yields (idx, evals, vecs) for each
+    block idx of _PARITY_BLOCKS, batched over the steps.
     """
     static_xx, xx_c2, xx_12, static_diag, num2 = terms
+    for idx in _PARITY_BLOCKS:
+        block = np.ix_(idx, idx)
+        diag = np.arange(len(idx))
+        h = (static_xx[block] + np.multiply.outer(series["g2c"], xx_c2[block])
+             + np.multiply.outer(series["g12"], xx_12[block]))
+        h[:, diag, diag] += static_diag[idx] + np.outer(series["f2"], num2[idx])
+        yield (idx, *np.linalg.eigh(h))
+
+
+def _step_products(terms, series, dts, u):
+    """Yield the running propagator after each midpoint step, starting from u.
+
+    terms and series are those of _step_eigenpairs and dts the step
+    lengths.  Each step applies exp(-i*2*pi*H*dt) through the
+    eigendecomposition of H in each parity block.
+    """
     for a in range(0, len(dts), _EIGH_BATCH):
         c = slice(a, a + _EIGH_BATCH)
         steps = np.zeros((len(dts[c]), DIM, DIM), dtype=complex)
-        for idx in _PARITY_BLOCKS:
-            block = np.ix_(idx, idx)
-            diag = np.arange(len(idx))
-            h = (static_xx[block] + np.multiply.outer(series["g2c"][c], xx_c2[block])
-                 + np.multiply.outer(series["g12"][c], xx_12[block]))
-            h[:, diag, diag] += static_diag[idx] + np.outer(series["f2"][c], num2[idx])
-            evals, vecs = np.linalg.eigh(h)
+        batch = {key: values[c] for key, values in series.items()}
+        for idx, evals, vecs in _step_eigenpairs(terms, batch):
             phases = np.exp(-2j * math.pi * evals * dts[c, None])
-            steps[(slice(None),) + block] = ((vecs * phases[:, None, :])
-                                             @ vecs.swapaxes(1, 2))
+            steps[(slice(None), *np.ix_(idx, idx))] = ((vecs * phases[:, None, :])
+                                                       @ vecs.swapaxes(1, 2))
         for step in steps:
             u = step @ u
             yield u
@@ -132,15 +143,21 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
 
     Period reuse: a modulated pulse that outlasts its period gets dt
     snapped to m steps per period, m a multiple of 4, so the Hamiltonian
-    repeats every m steps.  With P_k the product of the first k steps of
-    a period, after s = n*m + k steps (0 <= k < m) the propagator is
-    P_k U_P^n, with U_P = P_m raised to the n-th power through its complex
-    Schur form.  A trailing partial step is stepped directly.  The final
-    unitary, the snapshots and the trajectory all read from that rule, so
-    the cost grows with the steps per period and the samples, not with
-    duration/dt.  Sample and snapshot times are s*dt (the pulse duration
-    at the last boundary); snapshots of a static pulse snap to step
-    boundaries like those of a modulated one.
+    repeats every m steps; a DC pulse repeats its single step (m = 1).
+    With P_k the product of the first k steps of a period, after
+    s = n*m + k steps (0 <= k < m) the propagator is P_k U_P^n, with
+    U_P^n = Z diag(exp(i*n*theta)) Z^H.  For m = 1, theta = -2*pi*E*dt
+    and Z come from the step's own parity-block eigenpairs (E, Z), so a
+    DC pulse costs one eigendecomposition; a longer period takes them
+    from the complex Schur form of U_P = P_m.  A trailing partial step is
+    stepped directly.  The final unitary, the snapshots and the
+    trajectory all read from that rule, so the cost grows with the steps
+    per period and the samples, not with duration/dt.  A state
+    trajectory is evaluated at all its samples at once, as
+    P_k Z (exp(i*n*theta) * Z^H psi0); snapshots go in batches.  Sample
+    and snapshot times are s*dt (the pulse duration at the last
+    boundary); snapshots of a static pulse snap to step boundaries like
+    those of a modulated one.
 
     Quarter symmetry: with q = m/4 and midpoints (j + 1/2)*dt, the flux
     enters H only through sin(2*pi*f*t), so step j repeats step 2q-1-j
@@ -151,11 +168,9 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     step S_j = exp(-2*pi*i*H_j*dt) is complex symmetric, since H_j is real
     symmetric, so with Q = P_q the half period is G = Q^T Q, the
     second-quarter prefixes are P_{q+k} = conj(P_{q-k}) G, and the second
-    half applies its own quarter rule after G.  A DC pulse (m = 1) and a
-    pulse shorter than its period are stepped directly.
+    half applies its own quarter rule after G.  A pulse shorter than its
+    period is stepped directly.
     """
-    from scipy.linalg import schur
-
     duration = q2_pulse.duration
     if duration <= 0:
         raise ValueError("pulse duration must be > 0")
@@ -219,64 +234,89 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         series = _parameter_series(p, q2_pulse, q2_spec, t_mid)
         return _step_products(terms, series, np.where(full, dt, rem), u)
 
-    # prefixes[h, k] = P_k for k <= q of the half h of the period; a
-    # directly stepped period is one "half" with q = m, which the rule in
-    # prefix() reads as prefixes[0, k] since no k exceeds q.
-    eye = np.eye(DIM, dtype=complex)
-    q, starts = m, (0,)
-    if symmetric:
-        q = m // 4
-        starts = (0,) if _is_sweet_spot(q2_pulse.phi_dc) else (0, 2 * q)
-    prefixes = np.empty((len(starts), q + 1, DIM, DIM), dtype=complex)
-    prefixes[:, 0] = eye
-    for h, a in enumerate(starts):
-        for k, u_k in enumerate(steps(a + np.arange(q), eye), 1):
-            prefixes[h, k] = u_k
-    halves = prefixes[:, -1].swapaxes(1, 2) @ prefixes[:, -1]
+    if m == 1:
+        # The period is one step, so every in-period count k is 0 and the
+        # step's own eigenpairs diagonalize U_P: theta = -2*pi*E*dt and Z
+        # holds the (real) eigenvectors.
+        n_diagonalized = 1
+        series = _parameter_series(p, q2_pulse, q2_spec, np.array([0.5 * dt]))
+        theta, z = np.zeros(DIM), np.zeros((DIM, DIM))
+        for idx, evals, vecs in _step_eigenpairs(terms, series):
+            theta[idx] = -2.0 * math.pi * dt * evals[0]
+            z[np.ix_(idx, idx)] = vecs[0]
 
-    def prefix(k, y):
-        """P_k y for in-period step counts k in [0, m], batched over k.
+        def prefix(k, y):
+            return y  # P_0 = I
+    else:
+        from scipy.linalg import schur
 
-        y is overwritten and returned.
-        """
-        second = k >= 2 * q
-        y[second] = halves[0] @ y[second]
-        h = second * (len(starts) - 1)
-        k = k - 2 * q * second
-        mirrored = k > q
-        # conj(P) G y = conj(P conj(G y)), which keeps prefixes unconjugated
-        for i, g in enumerate(halves):
-            at = mirrored & (h == i)
-            y[at] = (g @ y[at]).conj()
-        k = np.where(mirrored, 2 * q - k, k)
-        at = k > 0  # P_0 = I
-        y[at] = prefixes[h[at], k[at]] @ y[at]
-        y[mirrored] = y[mirrored].conj()
-        return y
+        # prefixes[h, k] = P_k for k <= q of the half h of the period; a
+        # directly stepped period is one "half" with q = m, which the rule
+        # in prefix() reads as prefixes[0, k] since no k exceeds q.
+        eye = np.eye(DIM, dtype=complex)
+        q, starts = m, (0,)
+        if symmetric:
+            q = m // 4
+            starts = (0,) if _is_sweet_spot(q2_pulse.phi_dc) else (0, 2 * q)
+        prefixes = np.empty((len(starts), q + 1, DIM, DIM), dtype=complex)
+        prefixes[:, 0] = eye
+        for h, a in enumerate(starts):
+            for k, u_k in enumerate(steps(a + np.arange(q), eye), 1):
+                prefixes[h, k] = u_k
+        halves = prefixes[:, -1].swapaxes(1, 2) @ prefixes[:, -1]
 
-    # U_P is unitary, so its complex Schur form is diagonal and
-    # U_P^n = Z diag(exp(i*n*theta)) Z^H.
-    schur_t, z = schur(prefix(np.array([m]), eye[None].copy())[0], output="complex")
-    theta = np.angle(np.diag(schur_t))
+        def prefix(k, y):
+            """P_k y for in-period step counts k in [0, m], batched over k.
+
+            y is overwritten and returned.
+            """
+            second = k >= 2 * q
+            y[second] = halves[0] @ y[second]
+            h = second * (len(starts) - 1)
+            k = k - 2 * q * second
+            mirrored = k > q
+            # conj(P) G y = conj(P conj(G y)), which keeps prefixes unconjugated
+            for i, g in enumerate(halves):
+                at = mirrored & (h == i)
+                y[at] = (g @ y[at]).conj()
+            k = np.where(mirrored, 2 * q - k, k)
+            at = np.flatnonzero(k > 0)  # P_0 = I
+            for a in range(0, len(at), _EIGH_BATCH):
+                i = at[a:a + _EIGH_BATCH]
+                y[i] = prefixes[h[i], k[i]] @ y[i]
+            y[mirrored] = y[mirrored].conj()
+            return y
+
+        # U_P is unitary, so its complex Schur form is diagonal and
+        # U_P^n = Z diag(exp(i*n*theta)) Z^H.
+        schur_t, z = schur(prefix(np.array([m]), eye[None].copy())[0],
+                           output="complex")
+        theta = np.angle(np.diag(schur_t))
     w = z.conj().T
 
     def periodic(s, x, out):
         """Write U(s) y into out for x = Z^H y and sorted step counts s.
 
-        Counts past n_full (the trailing partial step) are left out.
+        A state (1-D x) is evaluated at all counts at once, as
+        P_k Z (exp(i*n*theta) * x); a matrix in batches of counts.  Counts
+        past n_full (the trailing partial step) are left out.
         """
         stop = np.searchsorted(s, n_full, side="right")
+        n, k = np.divmod(s[:stop], m)
+        if x.ndim == 1:
+            y = (np.exp(1j * np.multiply.outer(n, theta)) * x) @ z.T
+            out[:stop] = prefix(k, y[:, :, None])[:, :, 0]
+            return out
         for a in range(0, stop, _EIGH_BATCH):
             c = slice(a, min(a + _EIGH_BATCH, stop))
-            n, k = np.divmod(s[c], m)
-            y = z @ (np.exp(1j * np.multiply.outer(n, theta))[:, :, None] * x)
-            out[c] = prefix(k, y)
+            y = z @ (np.exp(1j * np.multiply.outer(n[c], theta))[:, :, None] * x)
+            out[c] = prefix(k[c], y)
         return out
 
     trajectory = np.zeros((len(sample_steps), DIM), dtype=complex)
     unitaries = np.zeros((len(u_steps), DIM, DIM), dtype=complex)
     if psi is not None:
-        periodic(sample_steps, w @ psi[:, None], trajectory[:, :, None])
+        periodic(sample_steps, w @ psi, trajectory)
     periodic(u_steps, w, unitaries)
     u = periodic(np.array([n_full]), w, np.empty((1, DIM, DIM), dtype=complex))[0]
     if rem:
@@ -446,8 +486,14 @@ def fit_exchange(times, populations) -> ExchangeFit:
     upper = np.array([2.0, 1.0, freqs[-1], 2 * math.pi, 2.0])
     x0 = np.clip([math.hypot(c1, c2), 0.0, f0, math.atan2(-c2, c1), b0],
                  lower, upper)
-    fit = least_squares(lambda x: _decaying_cosine(x, t)[0] - y, x0,
-                        jac=lambda x: _decaying_cosine(x, t)[1],
+    # least_squares asks for the residual and the Jacobian at the same
+    # points; the model gives both, so each point is evaluated once
+    @lru_cache(maxsize=1)
+    def model(key):
+        return _decaying_cosine(np.frombuffer(key), t)
+
+    fit = least_squares(lambda x: model(x.tobytes())[0] - y, x0,
+                        jac=lambda x: model(x.tobytes())[1],
                         bounds=(lower, upper))
     rms = float(np.sqrt(np.mean(fit.fun ** 2)))
     if not fit.success or rms > 0.25 * contrast:

@@ -142,8 +142,11 @@ def load_crosstalk_csv(path) -> CrosstalkMatrix:
     if header is None or not rows:
         raise ValueError(f"no crosstalk data found in {path}")
     if labels != header:
-        raise ValueError("crosstalk CSV row labels do not match header order")
-    return CrosstalkMatrix(matrix=np.array(rows), labels=tuple(labels))
+        raise ValueError(f"{path}: crosstalk CSV row labels do not match header order")
+    try:
+        return CrosstalkMatrix(matrix=np.array(rows), labels=tuple(labels))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_transfer_csv(path) -> TransferTable:
@@ -164,4 +167,7 @@ def load_transfer_csv(path) -> TransferTable:
             ratios.append(r)
     if not freqs:
         raise ValueError(f"no transfer data found in {path}")
-    return TransferTable(mod_freqs=np.array(freqs), ratios=np.array(ratios))
+    try:
+        return TransferTable(mod_freqs=np.array(freqs), ratios=np.array(ratios))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

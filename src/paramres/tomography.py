@@ -480,8 +480,10 @@ def simulate_qpt(
     probs = np.einsum("sji,pjk,ski->psi", _MEAS_BASES.conj(), rho_out,
                       _MEAS_BASES).real
     # Leaked population ends up reading out as some state; model it as
-    # uniform over the four outcomes.
-    probs = np.clip(probs, 0.0, None) + (1.0 - kept[:, None, None]) / 4.0
+    # uniform over the four outcomes.  kept can exceed 1 by rounding, so
+    # the leaked weight is clamped at 0 to keep every probability >= 0.
+    leaked = np.maximum(1.0 - kept, 0.0)
+    probs = np.clip(probs, 0.0, None) + leaked[:, None, None] / 4.0
     probs /= probs.sum(axis=-1, keepdims=True)
     if shots > 0:
         if confusions is None:

@@ -1,0 +1,45 @@
+"""Summary statistics of tools/bench_pairs.py on fixed runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_summary_of_pairs_of_runs():
+    parent = [0.46, 0.49, 0.42, 0.50, 0.44]
+    change = [0.32, 0.31, 0.43, 0.33, 0.30]
+    s = bench_pairs.summarize(parent, change, "s", "lower")
+    assert s["unit"] == "s" and s["better"] == "lower" and s["pairs"] == 5
+    # inclusive quartiles of five values sit on the 2nd and 4th sorted runs
+    assert s["parent"]["median"] == 0.46
+    assert s["parent"]["q1"] == 0.44 and s["parent"]["q3"] == 0.49
+    assert s["parent"]["iqr"] == pytest.approx(0.05)
+    assert s["parent"]["runs"] == parent
+    assert (s["change"]["q1"], s["change"]["median"], s["change"]["q3"]) == (0.31, 0.32, 0.33)
+    # pair 3 is a loss: 0.43 > 0.42
+    assert s["change_better_pairs"] == 4
+
+
+def test_higher_is_better_and_ties_do_not_count():
+    s = bench_pairs.summarize([1.0, 1.0, 0.5, 0.9], [1.0, 0.9, 0.6, 1.0],
+                              "frac", "higher")
+    assert s["change_better_pairs"] == 2
+    # four values: the quartiles interpolate between sorted neighbours
+    assert s["parent"]["q1"] == pytest.approx(0.8)
+    assert s["parent"]["median"] == pytest.approx(0.95)
+    assert s["parent"]["q3"] == 1.0
+
+
+def test_summary_rejects_unpaired_or_unknown_direction():
+    with pytest.raises(ValueError, match="pairs of runs"):
+        bench_pairs.summarize([1.0, 2.0], [1.0], "s", "lower")
+    with pytest.raises(ValueError, match="pairs of runs"):
+        bench_pairs.summarize([1.0], [1.0], "s", "lower")
+    with pytest.raises(ValueError, match="better must be"):
+        bench_pairs.summarize([1.0, 2.0], [1.0, 2.0], "s", "faster")

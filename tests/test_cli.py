@@ -206,7 +206,7 @@ def test_nonfinite_flux_table_fails_by_name(capsys, tmp_path, command, data,
     code, _, err = run(capsys, *command, "--config", str(cfgf),
                        "--out-dir", str(out_dir))
     assert code == 1
-    assert message in err
+    assert f"{table}: {message}" in err
     assert not out_dir.exists()
 
 

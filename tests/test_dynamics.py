@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from paramres import dynamics
 from paramres.calibration import find_resonance_amplitude
 from paramres.device import device_params
 from paramres.dynamics import (
@@ -211,6 +212,31 @@ def test_long_static_pulse_needs_no_per_step_arrays(device, zero_bias_params):
     assert prop.times[-1] == 2000.0
 
 
+def test_dc_pulse_evolves_in_closed_form_from_one_eigendecomposition(
+        device, monkeypatch):
+    # a DC pulse repeats one step, whose eigenpairs are those of H: the
+    # whole trajectory is V exp(-2*pi*i*E*t) V^T psi0, with no Schur form
+    import scipy.linalg
+
+    def no_schur(*args, **kwargs):
+        raise AssertionError("a DC pulse needs no Schur decomposition")
+
+    monkeypatch.setattr(scipy.linalg, "schur", no_schur)
+    p = device_params(device, phic=0.29472)
+    psi = np.zeros(27)
+    psi[9] = 1.0
+    prop = propagate(p, flat_pulse(300.0), device.q2, initial_state=psi,
+                     n_samples=720)
+    assert prop.n_diagonalized == 1
+    assert prop.n_steps > 50_000
+    evals, vecs = np.linalg.eigh(build_hamiltonian(p))
+    exact = (np.exp(-2j * np.pi * np.multiply.outer(prop.times, evals))
+             * (vecs.T @ psi)) @ vecs.T
+    assert np.max(np.abs(prop.trajectory - exact)) < 1e-10
+    exact_u = (vecs * np.exp(-2j * np.pi * evals * 300.0)) @ vecs.T
+    assert np.max(np.abs(prop.unitary - exact_u)) < 1e-10
+
+
 def test_propagate_validation(device, zero_bias_params):
     with pytest.raises(ValueError, match="duration must be > 0"):
         propagate(zero_bias_params, flat_pulse(0.0), device.q2)
@@ -235,6 +261,22 @@ def test_fit_exchange_round_trip():
     assert fit.decay == pytest.approx(0.004, rel=1e-3)
     assert fit.residual < 1e-8
     assert fit.n_evaluations <= 15
+
+
+def test_fit_exchange_evaluates_each_point_once(monkeypatch):
+    # the residual and the Jacobian share one model evaluation per point
+    points = []
+
+    def counted(x, t):
+        points.append(tuple(x))
+        return _decaying_cosine(x, t)
+
+    monkeypatch.setattr(dynamics, "_decaying_cosine", counted)
+    t = np.linspace(0.0, 180.0, 420)
+    for decay in (0.0, 0.004, 0.02):
+        fit_exchange(t, 0.5 - 0.48 * np.exp(-decay * t)
+                     * np.cos(2 * np.pi * 0.012 * t + 0.3))
+    assert len(points) == len(set(points))
 
 
 def test_fit_exchange_error_paths():

@@ -118,7 +118,7 @@ def test_crosstalk_csv_error_paths(tmp_path):
         load_crosstalk_csv(empty)
     bad = tmp_path / "bad.csv"
     bad.write_text("label,a,b\nb,1.0,0.1\na,0.2,1.0\n")
-    with pytest.raises(ValueError, match="row labels do not match"):
+    with pytest.raises(ValueError, match=r"bad\.csv: crosstalk CSV row labels do not match"):
         load_crosstalk_csv(bad)
     not_number = tmp_path / "ct.csv"
     not_number.write_text("line,a,b\na,1.0,0.1\n# comment\nb,x,1.0\n")

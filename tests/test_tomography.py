@@ -338,6 +338,30 @@ def test_simulate_qpt_matches_the_per_setting_loop(rng, shots):
                                    rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("excess", [1e-14, 3e-14])
+def test_simulate_qpt_perfect_readout_when_kept_exceeds_one(monkeypatch, excess):
+    # The dressed block of a calibrated gate keeps a norm above 1 by
+    # rounding for some preparations; with perfect readout (no
+    # confusions) the sampled probabilities must still be valid.
+    real_rng = np.random.default_rng
+    drawn = []
+
+    class Recorder:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def multinomial(self, n, pvals):
+            drawn.append(np.array(pvals))
+            return self.rng.multinomial(n, pvals)
+
+    monkeypatch.setattr(np.random, "default_rng", Recorder)
+    pt = simulate_qpt(ISWAP * (1.0 + excess), shots=1000, seed=1)
+    assert np.all(np.isfinite(pt.ptm))
+    (pvals,) = drawn
+    assert np.all((pvals >= 0.0) & (pvals <= 1.0))
+    np.testing.assert_allclose(pvals.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+
+
 def test_simulate_qpt_rejects_negative_shots():
     with pytest.raises(ValueError, match="shots must be >= 0"):
         simulate_qpt(ISWAP, shots=-5)
