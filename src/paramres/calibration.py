@@ -20,25 +20,35 @@ CalibrationError labelled with its stage, in the order they run:
 setup, resonance, coupling, duration, collision, chevron, tomography,
 consistency.  Durations are ns, frequencies GHz, fluxes flux quanta.
 The modulated qubit is always qubit 2; the coupler bias is a static
-input (``DEFAULT_COUPLER_BIAS`` by default).
+input (the gate's default by default).
+
+Each gate kind is one ``GateKind`` record in ``GATES``: its sideband
+coupling, exchange cycles, chevron states, refinement grids, ideal fSim
+angles, coherence limit and defaults.  The resonance targets of the
+parametric transitions, which the resonance root and the collision map
+share, sit in one table beside it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .device import Device, device_params
-from .dynamics import _CHEVRON_STATES, ChevronMap, chevron, fit_exchange, propagate
-from .effective import (average_and_excursion, dressed_computational_basis,
+from .dynamics import ChevronMap, chevron, fit_exchange, propagate
+from .effective import (COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS,
+                        average_and_excursion, dressed_computational_basis,
                         modulated_couplings)
 from .fluxcontrol import FluxPulse
 from .tomography import (
     average_fidelity,
+    coherence_fidelity_cz,
+    coherence_fidelity_iswap,
     extract_virtual_z,
     fit_fsim,
     fsim_unitary,
@@ -48,32 +58,65 @@ from .tomography import (
 
 
 @dataclass(frozen=True)
-class _KindFacts:
-    """What the calibration chain needs to know about one gate kind."""
+class GateKind:
+    """What the calibration chain and the CLI know about one gate kind."""
 
-    coupling: str   # sideband coupling key of the gate transition
-    cycles: float   # exchange cycles per gate: tau * cycles * g = 1
-    initial: str    # chevron initial state
+    coupling: str        # sideband coupling key of the gate transition
+    cycles: float        # exchange cycles per gate: tau * cycles * g = 1
+    prepared: str        # chevron initial computational state
+    recorded: str        # computational state whose population it records
+    fsim: tuple          # ideal fSim angles (theta, phi)
+    mod_freq: float      # default modulation frequency, GHz
+    coupler_bias: float  # default coupler bias, flux quanta
+    # np.arange arguments of the amplitude offsets (flux quanta) of each
+    # refinement pass, and the refinement durations as (start, stop) in
+    # units of the analytic duration and a step in ns
+    amplitude_passes: tuple
+    duration_window: tuple
+    coherence: Callable  # coherence-limited F_avg(CoherenceTimes, tau_ns)
+    coherence_note: str = ""
 
 
-_KIND_FACTS = {"iswap": _KindFacts("g01", 4.0, "10"),
-               "cz20": _KindFacts("g20", 2.0, "11")}
+# Defaults for the bundled device.  The iSWAP bias targets an effective
+# g01 of 4.5 MHz, the CZ bias a g20 of 4.03 MHz (124 ns full cycle).  At
+# 0.28 GHz both gates clear the recommended minimum of
+# sideband_collision_map, which maps only the n = -2 qubit-qubit
+# collisions; CZ20 still sits 13 MHz from the n = 3 sideband of the
+# q2-coupler exchange (ROADMAP.md, "Stop the CZ20 gate leaking into the
+# coupler").
+#
+# The modulated sidebands shift the dressed resonance by a few MHz, so
+# the refinement amplitude windows are asymmetric: the iSWAP resonance
+# moves up in amplitude, the CZ20 resonance down.  CZ refinement runs a
+# coarse pass then a fine pass (conditional-phase error grows fast with
+# residual detuning, so the center line must be located to a fraction of
+# a milli-flux-quantum).
+GATES = {
+    "iswap": GateKind(
+        coupling="g01", cycles=4.0, prepared="10", recorded="01",
+        fsim=(-0.5 * math.pi, 0.0), mod_freq=0.28, coupler_bias=0.29472,
+        amplitude_passes=((-0.0016, 0.00561, 0.0004),),
+        duration_window=(0.55, 1.35, 0.25), coherence=coherence_fidelity_iswap),
+    "cz20": GateKind(
+        coupling="g20", cycles=2.0, prepared="11", recorded="11",
+        fsim=(0.0, math.pi), mod_freq=0.28, coupler_bias=0.30534,
+        amplitude_passes=((-0.009, 0.00101, 0.001), (-0.0008, 0.00081, 0.0002)),
+        duration_window=(0.25, 1.25, 0.5), coherence=coherence_fidelity_cz,
+        coherence_note="coherence times are those measured at the iSWAP "
+                       "coupler bias; the CZ operating point can differ"),
+}
 
-GATE_KINDS = tuple(_KIND_FACTS)
+GATE_KINDS = tuple(GATES)
+DEFAULT_MOD_FREQ = {kind: gate.mod_freq for kind, gate in GATES.items()}
+DEFAULT_COUPLER_BIAS = {kind: gate.coupler_bias for kind, gate in GATES.items()}
 
-#: Ideal fSim angles (theta, phi) of each gate kind; the target unitary
-#: is ``fsim_unitary(*TARGET_FSIM[kind])``.
-TARGET_FSIM = {"iswap": (-0.5 * math.pi, 0.0), "cz20": (0.0, math.pi)}
-
-#: Default modulation frequencies (GHz), sitting above the sideband
-#: collision band of the bundled device with margin to the n = +/-2
-#: collision of the qubit-coupler transition.
-DEFAULT_MOD_FREQ = {"iswap": 0.28, "cz20": 0.28}
-
-#: Default coupler biases (flux quanta) for the bundled device: the
-#: iSWAP bias targets an effective g01 of 4.5 MHz, the CZ bias a g20 of
-#: 4.03 MHz (124 ns full cycle).
-DEFAULT_COUPLER_BIAS = {"iswap": 0.29472, "cz20": 0.30534}
+#: Resonance target (GHz) of each parametric transition: the average q2
+#: frequency at which its n = 0 sideband drives it.  cz02 (|11> <-> |02>)
+#: is a transition with no gate: the collision map tracks it, and a
+#: calibration request for it fails at the resonance stage on this device.
+_TRANSITIONS = {"iswap": lambda p: p.f1,
+                "cz20": lambda p: p.f1 - p.eta1,
+                "cz02": lambda p: p.f1 + p.eta2}
 
 _RESIDUAL_TOL = 1e-6  # GHz; 1 kHz resonance residual
 _AMPLITUDE_MAX = 0.45  # flux quanta; upper end of the root bracket
@@ -96,10 +139,10 @@ def _stage(name: str):
         raise CalibrationError(name, str(exc)) from exc
 
 
-def _kind_facts(kind: str) -> _KindFacts:
-    if kind not in _KIND_FACTS:
+def _gate(kind: str) -> GateKind:
+    if kind not in GATES:
         raise ValueError(f"unknown gate kind {kind!r}")
-    return _KIND_FACTS[kind]
+    return GATES[kind]
 
 
 @dataclass(frozen=True)
@@ -149,26 +192,37 @@ class GateSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GateSpec":
+        """GateSpec from its JSON form: numbers must be JSON numbers, and
+        virtual_z_rad a list of them."""
         if not isinstance(d, dict):
             raise ValueError(f"gate spec must be a JSON object, got {type(d).__name__}")
 
-        def field(key, convert, *default):
+        def field(key, *default):
             if key not in d and not default:
                 raise ValueError(f"gate spec is missing field {key!r}")
-            try:
-                return convert(d.get(key, *default))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"gate spec field {key!r}: {exc}") from None
+            return d.get(key, *default)
 
+        def number(key, value):
+            # bool is an int subclass, but JSON true is not a number
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"gate spec field {key!r}: not a number: {value!r}")
+            try:
+                return float(value)
+            except OverflowError:
+                raise ValueError(f"gate spec field {key!r}: out of range") from None
+
+        zs = field("virtual_z_rad", [0.0, 0.0])
+        if not isinstance(zs, list):
+            raise ValueError(f"gate spec field 'virtual_z_rad': not a list: {zs!r}")
         return cls(
-            kind=field("kind", lambda kind: kind),
-            amplitude=field("amplitude_phi0", float),
-            mod_freq=field("mod_freq_ghz", float),
-            duration=field("duration_ns", float),
-            coupler_bias=field("coupler_bias_phi0", float),
-            virtual_z=field("virtual_z_rad", lambda zs: tuple(map(float, zs)),
-                            (0.0, 0.0)),
-            resonance_residual=field("resonance_residual_ghz", float, 0.0),
+            kind=field("kind"),
+            amplitude=number("amplitude_phi0", field("amplitude_phi0")),
+            mod_freq=number("mod_freq_ghz", field("mod_freq_ghz")),
+            duration=number("duration_ns", field("duration_ns")),
+            coupler_bias=number("coupler_bias_phi0", field("coupler_bias_phi0")),
+            virtual_z=tuple(number("virtual_z_rad", z) for z in zs),
+            resonance_residual=number("resonance_residual_ghz",
+                                      field("resonance_residual_ghz", 0.0)),
         )
 
 
@@ -213,16 +267,6 @@ def gate_unitary(device: Device, spec: GateSpec):
     return p, prop.unitary
 
 
-def _resonance_target(kind: str, p) -> float:
-    if kind == "iswap":
-        return p.f1
-    if kind == "cz20":
-        return p.f1 - p.eta1
-    if kind == "cz02":
-        return p.f1 + p.eta2
-    raise ValueError(f"unknown gate kind {kind!r}")
-
-
 def _average_frequency(q2_spec, amplitude: float, mod_freq: float) -> float:
     return average_and_excursion(q2_spec, sweet_spot_pulse(amplitude, mod_freq))[0]
 
@@ -241,7 +285,9 @@ def find_resonance_amplitude(kind: str, q2_spec, p, mod_freq: float) -> float:
 
     if mod_freq <= 0.0:
         raise ValueError("mod_freq must be positive")
-    target = _resonance_target(kind, p)
+    if not isinstance(kind, str) or kind not in _TRANSITIONS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    target = _TRANSITIONS[kind](p)
     top = _average_frequency(q2_spec, 0.0, mod_freq)
     if abs(top - target) < _RESIDUAL_TOL:
         return 0.0
@@ -270,15 +316,14 @@ def find_resonance_amplitude(kind: str, q2_spec, p, mod_freq: float) -> float:
 class CollisionMap:
     """Sideband collision frequencies versus modulation amplitude.
 
-    Each curve is the modulation frequency at which the n = -2 sideband
-    of the named transition becomes resonant; modulating below any
-    curve risks driving that transition parasitically.
+    Each curve, keyed by transition name, is the modulation frequency
+    (GHz) at which the n = -2 sideband of that transition becomes
+    resonant; modulating below any curve risks driving that transition
+    parasitically.
     """
 
     amplitudes: np.ndarray
-    iswap: np.ndarray   # GHz
-    cz02: np.ndarray
-    cz20: np.ndarray
+    curves: dict
     guard_band: float
     recommended_min: float  # GHz
 
@@ -292,10 +337,10 @@ def sideband_collision_map(
 ) -> CollisionMap:
     """Map of second-sideband collision frequencies over an amplitude grid.
 
-    The collision frequencies are |fbar - target| / 2 for the three
-    parametric transitions; the recommended minimum modulation
-    frequency is the largest collision over the grid plus the guard
-    band.
+    The collision frequencies are |fbar - target| / 2 for each
+    parametric transition (iswap, cz20, cz02); the recommended minimum
+    modulation frequency is the largest collision over the grid plus the
+    guard band.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     if amplitudes.size == 0:
@@ -303,32 +348,23 @@ def sideband_collision_map(
     if not guard_band >= 0.0:  # NaN fails too
         raise ValueError(f"guard band must be >= 0, got {guard_band!r}")
     fbar = np.array([_average_frequency(q2_spec, a, 0.3) for a in amplitudes])
-    curves = {
-        "iswap": np.abs(fbar - p.f1) / 2.0,
-        "cz02": np.abs(fbar - (p.f1 + p.eta2)) / 2.0,
-        "cz20": np.abs(fbar - (p.f1 - p.eta1)) / 2.0,
-    }
+    curves = {name: np.abs(fbar - target(p)) / 2.0
+              for name, target in _TRANSITIONS.items()}
     recommended = max(c.max() for c in curves.values()) + guard_band
-    return CollisionMap(
-        amplitudes=amplitudes,
-        iswap=curves["iswap"],
-        cz02=curves["cz02"],
-        cz20=curves["cz20"],
-        guard_band=guard_band,
-        recommended_min=float(recommended),
-    )
+    return CollisionMap(amplitudes=amplitudes, curves=curves,
+                        guard_band=guard_band, recommended_min=float(recommended))
 
 
 def default_collision_grid(p, q2_spec) -> np.ndarray:
-    """48 amplitudes from zero to just past the CZ20 resonance.
+    """48 amplitudes from zero to just past the deepest gate resonance.
 
     The far edge is the amplitude pulling the average frequency 30 MHz
-    below the deepest gate target, so the map covers every amplitude a
-    calibration could visit.
+    below the deepest gate target (CZ20's), so the map covers every
+    amplitude a calibration could visit.
     """
     from scipy.optimize import brentq
 
-    floor = p.f1 - p.eta1 - 0.030
+    floor = min(_TRANSITIONS[kind](p) for kind in GATES) - 0.030
     bottom = _average_frequency(q2_spec, _AMPLITUDE_MAX, 0.3)
     if floor < bottom:
         edge = _AMPLITUDE_MAX
@@ -350,7 +386,7 @@ def set_duration(kind: str, g_eff: float) -> float:
     """
     if g_eff <= 0.0:
         raise ValueError("effective coupling must be positive")
-    return 1.0 / (_kind_facts(kind).cycles * g_eff)
+    return 1.0 / (_gate(kind).cycles * g_eff)
 
 
 def operating_point(device: Device, kind: str, coupler_bias: float,
@@ -370,7 +406,7 @@ def operating_point(device: Device, kind: str, coupler_bias: float,
         amplitude = find_resonance_amplitude(kind, device.q2, p, mod_freq)
     with _stage("coupling"):
         mc = modulated_couplings(p, sweet_spot_pulse(amplitude, mod_freq), device.q2)
-        g_eff = abs(mc.sideband(0)[_kind_facts(kind).coupling])
+        g_eff = abs(mc.sideband(0)[_gate(kind).coupling])
         if g_eff < 1e-5:
             raise ValueError("effective coupling vanishes at this coupler bias")
     with _stage("duration"):
@@ -388,25 +424,28 @@ def _grid_population(chev: ChevronMap, amplitude: float, duration: float) -> flo
 def refine_on_chevron(spec: GateSpec, chev: ChevronMap) -> GateSpec:
     """Move a GateSpec to the best point of a simulated chevron.
 
-    iSWAP: the (amplitude, duration) maximizing the |01> population
-    transferred from |10>.  CZ20: the amplitude with the deepest
-    |11> -> |20> transfer (the chevron center line, where the exchange
-    is genuinely full), then the duration where |11> has returned after
-    that full cycle.  Ties break toward smaller amplitude.  The refined
-    point must lie strictly inside the grid, and is never worse in
-    target population than the analytic initialization.
+    The rule follows the chevron's observable.  A transfer chevron
+    (iSWAP: |01> population from |10>) moves to the (amplitude,
+    duration) of the largest transfer.  A return chevron (CZ20: |11>
+    population from |11>) moves to the amplitude with the deepest dip
+    (the chevron center line, where the |11> -> |20> exchange is
+    genuinely full), then to the duration where |11> has returned after
+    that full cycle.  Ties break toward smaller amplitude.  The chevron
+    must start from the gate's prepared state, the refined point must
+    lie strictly inside the grid, and it is never worse in recorded
+    population than the analytic initialization.
     """
     if not chev.amplitudes.min() <= spec.amplitude <= chev.amplitudes.max():
         raise ValueError("chevron grid does not bracket the analytic amplitude")
     if chev.amplitudes.size < 3 or chev.durations.size < 3:
         raise ValueError("chevron grid too small to refine on")
-    initial = _kind_facts(spec.kind).initial
-    if chev.initial != initial:
-        raise ValueError(f"{spec.kind} refinement needs a chevron from |{initial}>")
+    prepared = GATES[spec.kind].prepared
+    if chev.initial != prepared:
+        raise ValueError(f"{spec.kind} refinement needs a chevron from |{prepared}>")
     pops = chev.populations
-    if spec.kind == "iswap":
+    if chev.target != chev.initial:  # transfer chevron
         i, j = np.unravel_index(int(np.argmax(pops)), pops.shape)
-    else:
+    else:  # return chevron
         depth = pops.min(axis=1)
         i = int(np.argmin(depth))
         dip = int(np.argmin(pops[i]))
@@ -424,27 +463,6 @@ def refine_on_chevron(spec: GateSpec, chev: ChevronMap) -> GateSpec:
         amplitude=float(chev.amplitudes[i]),
         duration=float(chev.durations[j]),
     )
-
-
-def _refine_grids(kind: str, tau: float):
-    """(amplitude offset, duration grid) pairs, one per refinement pass.
-
-    Each pass centers its amplitude offsets on the amplitude the passes
-    before it reached, starting from the analytic one.
-
-    The modulated sidebands shift the dressed resonance by a few MHz,
-    so the amplitude windows are asymmetric: the iSWAP resonance moves
-    up in amplitude, the CZ20 resonance down.  CZ refinement runs a
-    coarse pass then a fine pass (conditional-phase error grows fast
-    with residual detuning, so the center line must be located to a
-    fraction of a milli-flux-quantum).
-    """
-    if kind == "iswap":
-        return [(np.arange(-0.0016, 0.00561, 0.0004),
-                 np.arange(0.55 * tau, 1.35 * tau, 0.25))]
-    durs = np.arange(0.25 * tau, 1.25 * tau, 0.5)
-    return [(np.arange(-0.009, 0.00101, 0.001), durs),
-            (np.arange(-0.0008, 0.00081, 0.0002), durs)]
 
 
 def calibrate_gate(
@@ -466,16 +484,15 @@ def calibrate_gate(
     stage on this device topology.
     """
     with _stage("setup"):
-        if kind not in GATE_KINDS and kind != "cz02":
+        if not isinstance(kind, str) or kind not in _TRANSITIONS:
             raise ValueError(f"unknown gate kind {kind!r}")
-    gate_key = kind if kind in GATE_KINDS else "cz20"
-    facts = _KIND_FACTS[gate_key]
-    if mod_freq is None:
-        mod_freq = DEFAULT_MOD_FREQ[gate_key]
-    if coupler_bias is None:
-        coupler_bias = DEFAULT_COUPLER_BIAS[gate_key]
+    # cz02 has no gate of its own: it runs on the CZ20 defaults until its
+    # resonance stage fails
+    gate = GATES.get(kind, GATES["cz20"])
+    mod_freq = gate.mod_freq if mod_freq is None else mod_freq
+    coupler_bias = gate.coupler_bias if coupler_bias is None else coupler_bias
     p, amplitude, mc, tau = operating_point(device, kind, coupler_bias, mod_freq)
-    target = _resonance_target(kind, p)
+    target = _TRANSITIONS[kind](p)
     residual = mc.f2_avg - target
     report: dict = {
         "kind": kind,
@@ -489,7 +506,7 @@ def calibrate_gate(
             "excursion_ghz": float(mc.f2_exc),
         },
         "coupling": {
-            "g_eff_ghz": float(abs(mc.sideband(0)[facts.coupling])),
+            "g_eff_ghz": float(abs(mc.sideband(0)[gate.coupling])),
             "epsilon0": float(abs(mc.sideband(0)["eps"])),
             "epsilon1_abs": float(abs(mc.sideband(1)["eps"])),
             "epsilon2_abs": float(abs(mc.sideband(2)["eps"])),
@@ -516,13 +533,19 @@ def calibrate_gate(
         resonance_residual=float(residual),
     )
     basis = dressed_computational_basis(p)
-    idx_init, idx_watch, (col_init, col_watch), _ = _CHEVRON_STATES[facts.initial]
+    col_init, col_watch = map(COMPUTATIONAL_LABELS.index,
+                              (gate.prepared, gate.recorded))
     if refine:
+        # each pass centers its amplitude offsets on the amplitude the
+        # passes before it reached, starting from the analytic one
         template = gate_pulse(spec)
+        start, stop, step = gate.duration_window
+        durs = np.arange(start * tau, stop * tau, step)
         with _stage("chevron"):
-            for offsets, durs in _refine_grids(kind, tau):
-                chev = chevron(p, template, device.q2, spec.amplitude + offsets, durs,
-                               initial=facts.initial, basis=basis)
+            for offsets in gate.amplitude_passes:
+                chev = chevron(p, template, device.q2,
+                               spec.amplitude + np.arange(*offsets), durs,
+                               initial=gate.prepared, basis=basis)
                 spec = refine_on_chevron(spec, chev)
         report["refine"] = {
             "amplitude_phi0": spec.amplitude,
@@ -537,7 +560,7 @@ def calibrate_gate(
     # nearly flat across them.  Trim the duration to the best fidelity
     # among grid points where the swap angle is on target.  Propagator
     # snapshots make the whole grid cost a single propagation.
-    theta_target, phi_target = TARGET_FSIM[gate_key]
+    theta_target, phi_target = gate.fsim
     target_u = fsim_unitary(theta_target, phi_target)
     ideal_pt = qubit_subspace_ptm(target_u)
 
@@ -577,11 +600,11 @@ def calibrate_gate(
     # should tie the duration to tau*4g = 1 (iswap) or tau*2g = 1 (cz).
     with _stage("consistency"):
         trace_pulse = replace(gate_pulse(spec), duration=3.0 * spec.duration)
-        tr = propagate(p, trace_pulse, device.q2, initial_state=idx_init,
-                       n_samples=720)
-        pop = np.abs(tr.trajectory[:, idx_watch]) ** 2
+        tr = propagate(p, trace_pulse, device.q2,
+                       initial_state=COMPUTATIONAL_INDICES[col_init], n_samples=720)
+        pop = np.abs(tr.trajectory[:, COMPUTATIONAL_INDICES[col_watch]]) ** 2
         ef = fit_exchange(tr.times, pop)
-        product = spec.duration * facts.cycles * ef.g
+        product = spec.duration * gate.cycles * ef.g
     report["consistency"] = {
         "g_fit_ghz": float(ef.g),
         "duration_coupling_product": float(product),

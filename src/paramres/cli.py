@@ -19,15 +19,15 @@ import json
 import math
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
-from .calibration import (_KIND_FACTS, DEFAULT_COUPLER_BIAS, DEFAULT_MOD_FREQ,
-                          TARGET_FSIM, CalibrationError, calibrate_gate,
-                          gate_unitary, load_gatespec, operating_point,
-                          save_gatespec, sweet_spot_pulse)
+from .calibration import (GATES, CalibrationError, calibrate_gate, gate_unitary,
+                          load_gatespec, operating_point, save_gatespec,
+                          sweet_spot_pulse)
 from .device import (bundled_path, device_params, load_bundled_device,
                      load_device, save_device)
 from .dynamics import chevron
@@ -35,16 +35,17 @@ from .effective import dressed_computational_basis, static_couplings
 from .fluxcontrol import (apply_transfer, compensate_crosstalk,
                           load_crosstalk_csv, load_transfer_csv)
 from .tomography import (PAULI_LABELS, CoherenceTimes, average_fidelity,
-                         coherence_fidelity_cz, coherence_fidelity_iswap,
                          confusion_matrix, fit_fsim, fsim_unitary,
-                         phase_error, ptm_of_unitary, save_ptm, simulate_qpt,
-                         virtual_z_correct, _wrap_angle)
+                         phase_error, ptm_of_unitary, ptm_unitarity_defect,
+                         save_ptm, simulate_qpt, virtual_z_correct, _wrap_angle)
 
 OUT_DIR_ENV = "PARAMRES_OUT_DIR"
 FORMATS = ("csv", "json", "ini")
 
-# CLI gate tokens -> calibration kinds ("cz" is the CZ20 gate)
-_KIND_ALIAS = {"iswap": "iswap", "cz": "cz20", "cz20": "cz20", "cz02": "cz02"}
+# CLI gate tokens -> (calibration kind, [gate.*] config section); "cz" is
+# the CZ20 gate, and cz02 a transition with no gate of its own
+_GATE_TOKENS = {"iswap": ("iswap", "gate.iswap"), "cz": ("cz20", "gate.cz"),
+                "cz20": ("cz20", "gate.cz"), "cz02": ("cz02", "gate.cz")}
 
 
 def _utc_now() -> str:
@@ -267,17 +268,17 @@ def cmd_sweep_coupling(cfg: RunConfig, args) -> int:
 def cmd_chevron(cfg: RunConfig, args) -> int:
     device = cfg.load_device()
     gate = cfg.get("chevron", "gate", "iswap")
-    if gate not in ("iswap", "cz", "cz20"):
+    kind = _GATE_TOKENS.get(gate, (None,))[0]
+    if kind not in GATES:
         raise ValueError(f"config [chevron] gate: must be iswap or cz, got {gate!r}")
-    kind = _KIND_ALIAS[gate]
     coupler_bias = cfg.getfloat("chevron", "coupler_bias_phi0",
-                                DEFAULT_COUPLER_BIAS[kind])
-    mod_freq = cfg.getfloat("chevron", "mod_freq_ghz", DEFAULT_MOD_FREQ[kind])
+                                GATES[kind].coupler_bias)
+    mod_freq = cfg.getfloat("chevron", "mod_freq_ghz", GATES[kind].mod_freq)
     basis_kind = cfg.get("chevron", "basis", "dressed")
     if basis_kind not in ("dressed", "bare"):
         raise ValueError(
             f"config [chevron] basis: must be dressed or bare, got {basis_kind!r}")
-    initial = cfg.get("chevron", "initial", _KIND_FACTS[kind].initial)
+    initial = cfg.get("chevron", "initial", GATES[kind].prepared)
     amp_points = cfg.getint("chevron", "amp_points", 9, minimum=1)
     dur_points = cfg.getint("chevron", "dur_points", 49, minimum=1)
 
@@ -326,8 +327,7 @@ def cmd_chevron(cfg: RunConfig, args) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig, args) -> int:
-    kind = _KIND_ALIAS[args.kind]
-    section = "gate.iswap" if kind == "iswap" else "gate.cz"
+    kind, section = _GATE_TOKENS[args.kind]
     coupler_bias = cfg.getfloat(section, "coupler_bias_phi0", None)
     mod_freq = cfg.getfloat(section, "mod_freq_ghz", None)
     guard_band = cfg.getfloat(section, "guard_band_ghz", 0.020)
@@ -340,23 +340,16 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
                                   mod_freq=mod_freq, guard_band=guard_band,
                                   refine=refine)
     if cfg.cp.has_section("coherence"):
-        times = {}
+        times = []  # in the field order of CoherenceTimes
         for key in ("t1_q1_us", "t1_q2_us", "t2star_q1_us", "t2star_q2_us"):
-            value = cfg.getfloat("coherence", key, None)
-            if value is None:
+            times.append(cfg.getfloat("coherence", key, None))
+            if times[-1] is None:
                 raise ValueError(f"config [coherence] {key} is required")
-            times[key] = value
-        ct = CoherenceTimes(
-            t1_q1=times["t1_q1_us"], t1_q2=times["t1_q2_us"],
-            t2s_q1=times["t2star_q1_us"], t2s_q2=times["t2star_q2_us"],
-        )
-        limit = (coherence_fidelity_iswap if kind == "iswap"
-                 else coherence_fidelity_cz)(ct, spec.duration)
-        report["coherence"] = {"f_avg_limit": float(limit)}
-        if kind == "cz20":
-            report["coherence"]["note"] = (
-                "coherence times are those measured at the iSWAP coupler "
-                "bias; the CZ operating point can differ")
+        ct = CoherenceTimes(*times)
+        gate = GATES[kind]
+        report["coherence"] = {"f_avg_limit": float(gate.coherence(ct, spec.duration))}
+        if gate.coherence_note:
+            report["coherence"]["note"] = gate.coherence_note
 
     spec_path = cfg.outpath(f"gatespec_{kind}.json")
     save_gatespec(spec_path, spec, metadata=meta)
@@ -394,8 +387,12 @@ def cmd_tomo(cfg: RunConfig, args) -> int:
                       confusion_matrix(fids["f0_q2"], fids["f1_q2"]))
     pt = simulate_qpt(m, shots=shots, confusions=confusions, seed=cfg.seed)
     corrected = virtual_z_correct(pt, *spec.virtual_z)
-    fit = fit_fsim(corrected)
-    target = TARGET_FSIM[spec.kind]
+    # shot noise and readout errors can make the channel look non-unitary;
+    # the report records that instead of stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_fsim(corrected)
+    target = GATES[spec.kind].fsim
     f_avg = average_fidelity(corrected, ptm_of_unitary(fsim_unitary(*target)))
     phase_err = phase_error(_wrap_angle(fit.phi - target[1]))
 
@@ -415,6 +412,8 @@ def cmd_tomo(cfg: RunConfig, args) -> int:
         "leakage": pt.leakage, "phase_error": float(phase_err),
         "fit_fidelity": fit.fidelity_to_fit,
         "virtual_z_rad": list(spec.virtual_z),
+        "unitarity_defect": ptm_unitarity_defect(corrected),
+        "warnings": [str(w.message) for w in caught],
     }
     _write_json(cfg.outpath(f"tomo_report_{spec.kind}.json"), report)
     return _summary(F_avg=float(f_avg), theta=fit.theta, phi=fit.phi,
@@ -425,7 +424,7 @@ def cmd_tomo(cfg: RunConfig, args) -> int:
 def cmd_flux_invert(cfg: RunConfig, args) -> int:
     path = cfg.get("flux", "crosstalk_file", None)
     ct = load_crosstalk_csv(path or str(bundled_path("crosstalk.csv")))
-    raw = cfg.get("flux", "target_phi0", "0, 0.29472, 0")
+    raw = cfg.get("flux", "target_phi0", f"0, {GATES['iswap'].coupler_bias!r}, 0")
     try:
         target = [float(tok) for tok in raw.split(",")]
     except ValueError:
@@ -461,7 +460,7 @@ def cmd_transfer_apply(cfg: RunConfig, args) -> int:
     if requested < 0.0:
         raise ValueError(f"config [transfer] requested_amp_phi0: must be >= 0, "
                          f"got {requested!r}")
-    mod_freq = cfg.getfloat("transfer", "mod_freq_ghz", 0.28)
+    mod_freq = cfg.getfloat("transfer", "mod_freq_ghz", GATES["iswap"].mod_freq)
     meta = cfg.meta("transfer apply", transfer=_input_fingerprint(path),
                     requested_amp_phi0=requested, mod_freq_ghz=mod_freq)
 
@@ -520,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cal = sub.add_parser("calibrate", parents=[common],
                          help="run the full gate calibration pipeline")
-    cal.add_argument("kind", choices=("iswap", "cz", "cz20", "cz02"),
+    cal.add_argument("kind", choices=tuple(_GATE_TOKENS),
                      help="gate to calibrate (cz is the |11>-|20> phase gate)")
     cal.set_defaults(func=cmd_calibrate)
 

@@ -27,8 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .effective import (DIM, NUM_1, NUM_2, NUM_C, XX_12, XX_C2, _is_sweet_spot,
-                        _static_terms, basis_index)
+from .effective import (COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS, DIM, NUM_1,
+                        NUM_2, NUM_C, XX_12, XX_C2, _is_sweet_spot, _static_terms,
+                        basis_index)
 from .fluxcontrol import FluxPulse, instantaneous_flux
 from .spectrum import DeviceParams, transition_frequency, zero_point
 
@@ -351,12 +352,9 @@ class ChevronMap:
     target: str
 
 
-# initial label -> (bare initial index, bare target index,
-#                   computational column pair for a dressed basis, target label)
-_CHEVRON_STATES = {
-    "10": (basis_index(1, 0, 0), basis_index(0, 0, 1), (2, 1), "01"),
-    "11": (basis_index(1, 0, 1), basis_index(1, 0, 1), (3, 3), "11"),
-}
+# Recorded state of a chevron from each initial state: from |10> the
+# exchange partner |01> (transfer), from |11> itself (return).
+_CHEVRON_TARGETS = {"10": "01", "11": "11"}
 
 
 def chevron(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, amplitudes,
@@ -370,12 +368,14 @@ def chevron(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, amplitudes,
     |11> it records the |11> return population.  Durations must be
     positive and finite.
 
-    With ``basis`` (a 27x4 isometry onto the dressed computational
-    states, columns ordered 00, 01, 10, 11) the prepared and recorded
-    states are the dressed ones, as a dispersive readout would see
-    them; bare-state populations carry a percent-level micromotion
-    wiggle from the static coupler admixture that masks the chevron
-    structure near full transfer.
+    The prepared and recorded states are columns of ``basis``, a 27x4
+    isometry onto the computational states (columns ordered as
+    ``effective.COMPUTATIONAL_LABELS``); the default is the bare states.
+    With ``effective.dressed_computational_basis`` they are the dressed
+    states, as a dispersive readout would see them; bare-state
+    populations carry a percent-level micromotion wiggle from the static
+    coupler admixture that masks the chevron structure near full
+    transfer.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     durations = np.asarray(durations, dtype=float)
@@ -383,19 +383,15 @@ def chevron(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, amplitudes,
         raise ValueError("chevron grids must be nonempty")
     if not np.all(np.isfinite(durations) & (durations > 0.0)):
         raise ValueError("chevron durations must be positive and finite")
-    try:
-        idx_init, idx_target, cols, target_label = _CHEVRON_STATES[initial]
-    except KeyError:
+    if initial not in _CHEVRON_TARGETS:
         raise ValueError(f"initial state must be '10' or '11', got {initial!r}")
-    state_init: np.ndarray | int
-    if basis is not None:
-        basis = np.asarray(basis, dtype=complex)
-        if basis.shape != (DIM, 4):
-            raise ValueError(f"basis must be a 27x4 isometry, got {basis.shape}")
-        state_init = basis[:, cols[0]]
-        bra_target = basis[:, cols[1]].conj()
-    else:
-        state_init = idx_init
+    target = _CHEVRON_TARGETS[initial]
+    basis = np.asarray(np.eye(DIM)[:, COMPUTATIONAL_INDICES] if basis is None
+                       else basis, dtype=complex)
+    if basis.shape != (DIM, 4):
+        raise ValueError(f"basis must be a 27x4 isometry, got {basis.shape}")
+    state_init = basis[:, COMPUTATIONAL_LABELS.index(initial)]
+    bra_target = basis[:, COMPUTATIONAL_LABELS.index(target)].conj()
     t_max = float(durations.max())
     n_dense = max(256, 4 * durations.size)
     pops = np.zeros((amplitudes.size, durations.size))
@@ -403,13 +399,10 @@ def chevron(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, amplitudes,
         pulse = replace(q2_pulse, amplitude=float(amp), duration=t_max)
         prop = propagate(p, pulse, q2_spec, initial_state=state_init,
                          n_samples=n_dense)
-        if basis is not None:
-            dense = np.abs(prop.trajectory @ bra_target) ** 2
-        else:
-            dense = np.abs(prop.trajectory[:, idx_target]) ** 2
+        dense = np.abs(prop.trajectory @ bra_target) ** 2
         pops[i] = np.interp(durations, prop.times, dense)
     return ChevronMap(amplitudes=amplitudes, durations=durations,
-                      populations=pops, initial=initial, target=target_label)
+                      populations=pops, initial=initial, target=target)
 
 
 @dataclass(frozen=True)

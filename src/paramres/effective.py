@@ -30,8 +30,10 @@ def basis_index(n1: int, nc: int, n2: int) -> int:
     return 9 * n1 + 3 * nc + n2
 
 
-# Two-qubit computational subspace |q1 q2> with the coupler in |0>,
-# ordered 00, 01, 10, 11.
+# Two-qubit computational subspace |q1 q2> with the coupler in |0>: the
+# labels and the bare indices of its states, in the column order of every
+# 27x4 isometry onto it.
+COMPUTATIONAL_LABELS = ("00", "01", "10", "11")
 COMPUTATIONAL_INDICES = (basis_index(0, 0, 0), basis_index(0, 0, 1),
                          basis_index(1, 0, 0), basis_index(1, 0, 1))
 

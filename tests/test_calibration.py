@@ -1,5 +1,7 @@
 """Gate specs, resonance placement, collision maps, and the refine step."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,33 @@ def test_gate_spec_dict_round_trip():
     d.pop("kind")
     with pytest.raises(ValueError, match="missing field"):
         GateSpec.from_dict(d)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("virtual_z_rad", "12", "'virtual_z_rad': not a list: '12'"),
+    ("virtual_z_rad", [0.1, "0.2"], "'virtual_z_rad': not a number: '0.2'"),
+    ("virtual_z_rad", [0.1, True], "'virtual_z_rad': not a number: True"),
+    ("virtual_z_rad", [0.1], "virtual_z needs exactly two angles"),
+    ("amplitude_phi0", True, "'amplitude_phi0': not a number: True"),
+    ("duration_ns", "55.0", "'duration_ns': not a number: '55.0'"),
+    ("mod_freq_ghz", None, "'mod_freq_ghz': not a number: None"),
+    ("coupler_bias_phi0", [0.3], "'coupler_bias_phi0': not a number: [0.3]"),
+    ("resonance_residual_ghz", "0", "'resonance_residual_ghz': not a number: '0'"),
+    ("duration_ns", 10**400, "'duration_ns': out of range"),
+], ids=["string_virtual_z", "string_angle", "bool_angle", "one_angle",
+        "bool_amplitude", "string_duration", "null_mod_freq", "list_bias",
+        "string_residual", "huge_duration"])
+def test_gate_spec_from_dict_requires_json_numbers(key, value, message):
+    d = iswap_spec().to_dict()
+    d[key] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GateSpec.from_dict(d)
+
+
+def test_gate_spec_from_dict_accepts_integers():
+    d = {**iswap_spec().to_dict(), "duration_ns": 55, "virtual_z_rad": [0, 1]}
+    spec = GateSpec.from_dict(d)
+    assert spec.duration == 55.0 and spec.virtual_z == (0.0, 1.0)
 
 
 def test_gatespec_file_round_trip(tmp_path):
@@ -120,7 +149,8 @@ def test_collision_map_recommendation(device):
     grid = default_collision_grid(p, device.q2)
     assert grid[0] == 0.0 and grid[-1] <= 0.45
     cmap = sideband_collision_map(p, device.q2, grid, guard_band=0.020)
-    worst = max(cmap.iswap.max(), cmap.cz02.max(), cmap.cz20.max())
+    assert sorted(cmap.curves) == ["cz02", "cz20", "iswap"]
+    worst = max(curve.max() for curve in cmap.curves.values())
     assert cmap.recommended_min == pytest.approx(worst + 0.020, abs=1e-12)
     # margin is positive above the recommendation and negative below it
     assert cmap.margin(cmap.recommended_min + 0.01) > 0
@@ -153,6 +183,23 @@ def test_refine_moves_to_the_chevron_peak():
     assert refined.amplitude == pytest.approx(amps[4], abs=1e-9)
     assert refined.duration == pytest.approx(35.0, abs=1e-9)
     assert refined.kind == "iswap"
+
+
+def test_refine_on_a_return_chevron_takes_the_revival_after_the_deepest_dip():
+    # |11> return population of a detuned exchange: full on amps[3], where
+    # it dips to zero at 60 ns and revives at 120 ns
+    amps = np.linspace(0.36, 0.38, 7)
+    durs = np.arange(20.0, 181.0, 10.0)
+    rate = np.sqrt(1.0 + ((amps[:, None] - amps[3]) / 0.01) ** 2)
+    pops = 1.0 - np.sin(np.pi * rate * durs[None, :] / 120.0) ** 2 / rate ** 2
+    spec = iswap_spec(kind="cz20", amplitude=0.372, duration=100.0)
+    refined = refine_on_chevron(spec, ChevronMap(
+        amplitudes=amps, durations=durs, populations=pops,
+        initial="11", target="11"))
+    assert refined.amplitude == amps[3]
+    assert refined.duration == 120.0
+    with pytest.raises(ValueError, match="needs a chevron from \\|11>"):
+        refine_on_chevron(spec, synthetic_chevron(amps, durs, amps[3]))
 
 
 def test_refine_error_paths():
@@ -190,6 +237,14 @@ def test_calibrate_rejects_unknown_kind(device):
     with pytest.raises(CalibrationError, match="unknown gate kind") as err:
         calibrate_gate(device, "bell")
     assert err.value.stage == "setup"
+
+
+def test_calibrate_and_resonance_reject_a_non_string_kind(device, zero_bias_params):
+    with pytest.raises(CalibrationError, match="unknown gate kind") as err:
+        calibrate_gate(device, ["iswap"])
+    assert err.value.stage == "setup"
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        find_resonance_amplitude(["cz20"], device.q2, zero_bias_params, MOD_FREQ)
 
 
 @pytest.mark.parametrize("bias,message", [
