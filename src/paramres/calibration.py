@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -224,15 +225,6 @@ class GateSpec:
             resonance_residual=number("resonance_residual_ghz",
                                       field("resonance_residual_ghz", 0.0)),
         )
-
-
-def save_gatespec(path, spec: GateSpec, metadata: dict | None = None) -> None:
-    payload = spec.to_dict()
-    if metadata:
-        payload["meta"] = dict(metadata)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_gatespec(path) -> GateSpec:
@@ -558,8 +550,10 @@ def calibrate_gate(
     # oscillates at its detuning (a few ns period) and its zeros are
     # fractions of a nanosecond wide, while the process fidelity is
     # nearly flat across them.  Trim the duration to the best fidelity
-    # among grid points where the swap angle is on target.  Propagator
-    # snapshots make the whole grid cost a single propagation.
+    # among grid points where the swap angle is on target, or failing
+    # that to the smallest swap-angle error.  Candidates are fitted in
+    # falling fidelity, so the fits stop at the first one on target.
+    # Propagator snapshots make the whole grid cost a single propagation.
     theta_target, phi_target = gate.fsim
     target_u = fsim_unitary(theta_target, phi_target)
     ideal_pt = qubit_subspace_ptm(target_u)
@@ -568,10 +562,8 @@ def calibrate_gate(
         m = basis.conj().T @ u @ basis
         z1, z2 = extract_virtual_z(m, target_u)
         corrected = qubit_subspace_ptm(virtual_z_correct(m, z1, z2))
-        f_avg = average_fidelity(corrected, ideal_pt)
-        fit = fit_fsim(corrected)
-        theta_err = abs(math.remainder(fit.theta - theta_target, math.tau))
-        return (f_avg, float(tau_c), z1, z2, corrected, m, fit, theta_err)
+        return (average_fidelity(corrected, ideal_pt), float(tau_c), z1, z2,
+                corrected, m)
 
     with _stage("tomography"):
         grid = spec.duration + np.arange(-4.0, 4.0001, 0.0625)
@@ -580,10 +572,19 @@ def calibrate_gate(
                          device.q2, unitary_times=grid)
         rows = [scored(t, u) for t, u
                 in zip(trim.unitary_times, trim.unitaries)]
-        on_target = [r for r in rows if r[-1] <= 0.015]
-        pool = on_target or [min(rows, key=lambda r: r[-1])]
-        best = max(pool, key=lambda r: r[0])
-        f_avg, tau_best, z1, z2, corrected, m, fit, _ = best
+        fits = []  # (theta error, duration, fit, row)
+        # a leaky candidate's fit warns; the report records that
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for row in sorted(rows, key=lambda r: r[0], reverse=True):
+                fit = fit_fsim(row[4])
+                err = abs(math.remainder(fit.theta - theta_target, math.tau))
+                fits.append((err, row[1], fit, row))
+                if err <= 0.015:
+                    break
+        # the one fit on target, else the smallest error (earlier on ties)
+        _, _, fit, best = min(fits)
+        f_avg, tau_best, z1, z2, corrected, m = best
         spec = replace(spec, duration=tau_best, virtual_z=(z1, z2))
         transfer = abs(m[col_watch, col_init]) ** 2
     report["tomography"] = {
@@ -594,6 +595,7 @@ def calibrate_gate(
         "virtual_z_rad": [z1, z2],
         "target_population": float(transfer),
         "duration_ns": tau_best,
+        "warnings": [str(w.message) for w in caught],
     }
 
     # Consistency: the fitted exchange rate at the refined amplitude

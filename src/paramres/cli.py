@@ -2,14 +2,25 @@
 
 Every command reads one INI run configuration (--config; keys carry unit
 suffixes), writes its artifacts into an output directory, and prints a
-one-line key=value summary.  Summary floats and CSV cells are written at
-round-trip precision (the shortest ``repr``), so each value parses back to
-the exact float the command computed and wrote to its JSON artifacts.
-``--format ini`` only applies to ``device show``; other commands reject
-it.  Output files start with a metadata header (tool version, hash of the
-effective settings, timestamp); rerunning with the same configuration and
-seed reproduces every byte except the timestamp, which sits on its own
-``generated`` line.  Exit codes: 0 success, 1 labeled failure, 2 usage.
+one-line key=value summary.  ``--format ini`` only applies to ``device
+show``; other commands reject it.  Exit codes: 0 success, 1 labeled
+failure, 2 usage.
+
+All artifacts share one layout, written by ``_write_json`` and
+``RunConfig.table_path``.  A JSON artifact is an object whose ``meta``
+holds the tool version, ``config_hash`` (a hash of the effective
+settings) and the ``generated`` timestamp.  A table (coupling sweep,
+crosstalk compensation, PTM) is ``<stem>.csv``: the three lines
+``# paramres <version>``, ``# config_hash: ...`` and ``# generated:
+...``, a header row of column names, then one line per row.  With
+``--format json`` it is ``<stem>.json`` holding ``meta`` and
+``columns`` (name -> list).  The chevron CSV is a population matrix with
+a ``# rows:`` line in place of the header and its axes in a
+``chevron_grid.json`` sidecar.  Summary
+floats and CSV cells are written at round-trip precision (the shortest
+``repr``), so a CSV and a JSON artifact of one run hold the same floats.
+Rerunning with the same configuration and seed reproduces every byte
+except the timestamp, which sits on its own ``generated`` line.
 """
 
 import argparse
@@ -26,8 +37,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import (GATES, CalibrationError, calibrate_gate, gate_unitary,
-                          load_gatespec, operating_point, save_gatespec,
-                          sweet_spot_pulse)
+                          load_gatespec, operating_point, sweet_spot_pulse)
 from .device import (bundled_path, device_params, load_bundled_device,
                      load_device, save_device)
 from .dynamics import chevron
@@ -37,7 +47,7 @@ from .fluxcontrol import (apply_transfer, compensate_crosstalk,
 from .tomography import (PAULI_LABELS, CoherenceTimes, average_fidelity,
                          confusion_matrix, fit_fsim, fsim_unitary,
                          phase_error, ptm_of_unitary, ptm_unitarity_defect,
-                         save_ptm, simulate_qpt, virtual_z_correct, _wrap_angle)
+                         simulate_qpt, virtual_z_correct, _wrap_angle)
 
 OUT_DIR_ENV = "PARAMRES_OUT_DIR"
 FORMATS = ("csv", "json", "ini")
@@ -82,10 +92,8 @@ def _file_fingerprint(path) -> str:
         lines = [ln for ln in raw.splitlines()
                  if not ln.lstrip().startswith(b"# generated")]
         return hashlib.sha256(b"\n".join(lines)).hexdigest()[:12]
-    if isinstance(doc, dict):
-        doc.pop("generated", None)
-        if isinstance(doc.get("meta"), dict):
-            doc["meta"].pop("generated", None)
+    if isinstance(doc, dict) and isinstance(doc.get("meta"), dict):
+        doc["meta"].pop("generated", None)
     blob = json.dumps(doc, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
@@ -352,7 +360,7 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
             report["coherence"]["note"] = gate.coherence_note
 
     spec_path = cfg.outpath(f"gatespec_{kind}.json")
-    save_gatespec(spec_path, spec, metadata=meta)
+    _write_json(spec_path, {**spec.to_dict(), "meta": meta})
     report_path = cfg.outpath(f"report_{kind}.json")
     _write_json(report_path, {"meta": meta, **report})
     tomo = report["tomography"]
@@ -396,16 +404,10 @@ def cmd_tomo(cfg: RunConfig, args) -> int:
     f_avg = average_fidelity(corrected, ptm_of_unitary(fsim_unitary(*target)))
     phase_err = phase_error(_wrap_angle(fit.phi - target[1]))
 
-    header = {**meta, "kind": spec.kind, "shots": shots,
-              "virtual_z_rad": list(spec.virtual_z)}
-    ptm_path = cfg.outpath(f"ptm_{spec.kind}.{cfg.format}")
-    if cfg.format == "json":
-        # the save_ptm header fields, with the 16 PTM rows under "ptm"
-        _write_json(ptm_path, {"basis": list(PAULI_LABELS),
-                               "leakage": corrected.leakage, **header,
-                               "ptm": corrected.ptm})
-    else:
-        save_ptm(ptm_path, corrected, metadata=header)
+    # R[i, j] = Tr(P_i E(P_j))/4: a row per output Pauli, a column per input
+    ptm_path = cfg.table_path(f"ptm_{spec.kind}", meta, {
+        "pauli": list(PAULI_LABELS),
+        **{label: corrected.ptm[:, j] for j, label in enumerate(PAULI_LABELS)}})
     report = {
         "meta": meta, "kind": spec.kind, "shots": shots,
         "f_avg": float(f_avg), "theta_rad": fit.theta, "phi_rad": fit.phi,

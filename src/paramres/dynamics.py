@@ -142,9 +142,9 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     final unitary of the same pulse with duration t; a duration scan then
     costs one propagation instead of one per duration.
 
-    Period reuse: a modulated pulse that outlasts its period gets dt
-    snapped to m steps per period, m a multiple of 4, so the Hamiltonian
-    repeats every m steps; a DC pulse repeats its single step (m = 1).
+    Period reuse: a modulated pulse gets dt snapped to m steps per
+    period, m a multiple of 4, so the Hamiltonian repeats every m steps;
+    a DC pulse repeats its single step (m = 1).
     With P_k the product of the first k steps of a period, after
     s = n*m + k steps (0 <= k < m) the propagator is P_k U_P^n, with
     U_P^n = Z diag(exp(i*n*theta)) Z^H.  For m = 1, theta = -2*pi*E*dt
@@ -170,7 +170,7 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     symmetric, so with Q = P_q the half period is G = Q^T Q, the
     second-quarter prefixes are P_{q+k} = conj(P_{q-k}) G, and the second
     half applies its own quarter rule after G.  A pulse shorter than its
-    period is stepped directly.
+    period takes its steps from the same prefixes.
     """
     duration = q2_pulse.duration
     if duration <= 0:
@@ -180,23 +180,20 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
 
     # Snap dt to m steps per modulation period; a trailing partial step
     # absorbs the incommensurate remainder.  An unmodulated pulse repeats
-    # every step; a pulse shorter than its period never repeats.
-    modulated = q2_pulse.mod_freq > 0 and q2_pulse.amplitude != 0.0
-    period = 1.0 / q2_pulse.mod_freq if modulated else 0.0
-    symmetric = 0.0 < period < duration
-    if symmetric:
+    # every step.
+    if q2_pulse.mod_freq > 0 and q2_pulse.amplitude != 0.0:
+        period = 1.0 / q2_pulse.mod_freq
         m = 4 * math.ceil(period / (4.0 * dt))
         dt = period / m
         n_full = int(duration / dt + 1e-9)
         rem = duration - n_full * dt
         # Durations produced by the snapping itself sit within summation
         # noise of an exact multiple; only keep remainders that are real.
-        rem = rem if rem > 1e-4 * dt else 0.0
+        # A pulse shorter than one step is all remainder.
+        rem = rem if rem > 1e-4 * min(dt, duration) else 0.0
     else:
         n_full = max(1, math.ceil(duration / dt))
-        dt = duration / n_full
-        m = n_full if modulated else 1
-        rem = 0.0
+        dt, m, rem = duration / n_full, 1, 0.0
     n_steps = n_full + (rem > 0.0)
 
     static_xx, static_diag = _static_terms(p)
@@ -251,14 +248,10 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     else:
         from scipy.linalg import schur
 
-        # prefixes[h, k] = P_k for k <= q of the half h of the period; a
-        # directly stepped period is one "half" with q = m, which the rule
-        # in prefix() reads as prefixes[0, k] since no k exceeds q.
+        # prefixes[h, k] = P_k for k <= q of the half h of the period
         eye = np.eye(DIM, dtype=complex)
-        q, starts = m, (0,)
-        if symmetric:
-            q = m // 4
-            starts = (0,) if _is_sweet_spot(q2_pulse.phi_dc) else (0, 2 * q)
+        q = m // 4
+        starts = (0,) if _is_sweet_spot(q2_pulse.phi_dc) else (0, 2 * q)
         prefixes = np.empty((len(starts), q + 1, DIM, DIM), dtype=complex)
         prefixes[:, 0] = eye
         for h, a in enumerate(starts):

@@ -23,7 +23,6 @@ Pauli operators are ordered II, IX, IY, IZ, XI, XX, ... (index
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -495,45 +494,3 @@ def simulate_qpt(
     meas[0] = 1.0
     ptm = meas @ _PREP_INV
     return ProcessTensor(ptm=np.clip(ptm, -1.0, 1.0), leakage=leak)
-
-
-def save_ptm(path, pt: ProcessTensor, metadata: dict | None = None) -> None:
-    """Write a ProcessTensor to CSV with a JSON header line.
-
-    Entries are written at round-trip precision.  A ``generated``
-    timestamp in the metadata is written on its own ``# generated: ...``
-    line after the header, so tools can strip it and compare the rest of
-    two files byte for byte.
-    """
-    header = {"basis": list(PAULI_LABELS), "leakage": pt.leakage}
-    if metadata:
-        header.update(metadata)
-    generated = header.pop("generated", None)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        if generated is not None:
-            fh.write(f"# generated: {generated}\n")
-        for row in pt.ptm:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_ptm(path):
-    """Read a ProcessTensor written by save_ptm; returns (tensor, header).
-
-    Later ``#`` lines are skipped; a ``# generated:`` line is returned as
-    ``header["generated"]``, as are timestamps inside older JSON headers.
-    """
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.startswith("# "):
-            raise ValueError(f"{path}: missing JSON header line")
-        header = json.loads(first[2:])
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# generated:"):
-                header["generated"] = line[len("# generated:"):].strip()
-            elif line and not line.startswith("#"):
-                rows.append([float(x) for x in line.split(",")])
-    ptm = np.array(rows, dtype=float)
-    return ProcessTensor(ptm=ptm, leakage=float(header.get("leakage", 0.0))), header

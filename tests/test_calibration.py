@@ -1,5 +1,6 @@
 """Gate specs, resonance placement, collision maps, and the refine step."""
 
+import json
 import re
 
 import numpy as np
@@ -19,13 +20,13 @@ from paramres.calibration import (
     load_gatespec,
     operating_point,
     refine_on_chevron,
-    save_gatespec,
     set_duration,
     sideband_collision_map,
 )
 from paramres.device import device_params
 from paramres.dynamics import ChevronMap
 from paramres.fluxcontrol import instantaneous_flux
+from paramres.tomography import fit_fsim
 
 MOD_FREQ = 0.28
 
@@ -89,9 +90,10 @@ def test_gate_spec_from_dict_accepts_integers():
 
 
 def test_gatespec_file_round_trip(tmp_path):
+    # the CLI writes the spec's fields beside its run metadata
     spec = iswap_spec(virtual_z=(0.11, 2.4))
     path = tmp_path / "iswap.json"
-    save_gatespec(path, spec, metadata={"cooldown": 7})
+    path.write_text(json.dumps({**spec.to_dict(), "meta": {"cooldown": 7}}))
     assert load_gatespec(path) == spec
 
 
@@ -262,3 +264,20 @@ def test_cz02_resonance_is_unreachable(device):
     with pytest.raises(CalibrationError, match="resonance unreachable") as err:
         calibrate_gate(device, "cz02")
     assert err.value.stage == "resonance"
+
+
+def test_trim_records_the_warnings_of_the_candidates_it_fits(device, monkeypatch):
+    # Without refinement the CZ20 trim window holds leaky candidates, whose
+    # fSim fits warn.  The trim fits candidates in falling fidelity until
+    # one is on target, and the report keeps the warnings of those fits.
+    from paramres import calibration
+
+    calls = []
+    monkeypatch.setattr(calibration, "fit_fsim",
+                        lambda ptm: calls.append(ptm) or fit_fsim(ptm))
+    spec, report = calibrate_gate(device, "cz20", mod_freq=0.2805, refine=False)
+    tomo = report["tomography"]
+    assert 1 <= len(calls) <= 10  # of 129 candidates
+    assert tomo["warnings"] == [
+        "channel is far from unitary; the fSim fit may not be meaningful"] * len(calls)
+    assert abs(tomo["theta_rad"]) <= 0.015

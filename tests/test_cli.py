@@ -9,7 +9,8 @@ import pytest
 from paramres.calibration import calibrate_gate
 from paramres.cli import main
 from paramres.device import bundled_path, load_device
-from paramres.tomography import load_ptm
+from paramres.tomography import (PAULI_LABELS, average_fidelity, fsim_unitary,
+                                 ptm_of_unitary)
 
 
 def run(capsys, *argv):
@@ -28,6 +29,25 @@ def summary_values(stdout: str) -> dict:
         except ValueError:
             out[key] = val
     return out
+
+
+def read_table(path) -> dict:
+    """Columns of a table CSV by name, as lists of cell strings."""
+    lines = [ln.split(",") for ln in path.read_text().splitlines()
+             if not ln.startswith("#")]
+    return dict(zip(lines[0], map(list, zip(*lines[1:]))))
+
+
+def assert_same_table(csv_path, json_path):
+    """The CSV and JSON forms of a table hold the same cells, floats bit for bit."""
+    csv_columns = read_table(csv_path)
+    json_columns = json.loads(json_path.read_text())["columns"]
+    assert csv_columns.keys() == json_columns.keys()  # JSON keys are sorted
+    for name, cells in csv_columns.items():
+        if isinstance(json_columns[name][0], str):
+            assert cells == json_columns[name]
+        else:
+            assert [float(c) for c in cells] == json_columns[name]
 
 
 def stable_lines(path) -> list:
@@ -137,15 +157,9 @@ def test_flux_invert_csv_and_json_hold_the_same_floats(capsys, tmp_path):
     assert code == 0
     assert run(capsys, "flux", "invert", "--out-dir", str(json_dir),
                "--format", "json")[0] == 0
-    lines = [ln.split(",") for ln in
-             (csv_dir / "compensation.csv").read_text().splitlines()
-             if not ln.startswith("#")]
-    csv_columns = dict(zip(lines[0], zip(*lines[1:])))
+    assert_same_table(csv_dir / "compensation.csv", json_dir / "compensation.json")
     json_columns = json.loads((json_dir / "compensation.json").read_text())["columns"]
-    assert csv_columns.keys() == json_columns.keys()
-    assert list(csv_columns.pop("line")) == json_columns.pop("line")
-    for name, cells in csv_columns.items():
-        assert [float(c) for c in cells] == json_columns[name]  # bit for bit
+    assert json_columns["line"] == ["q1", "coupler", "q2"]
     vals = summary_values(out)
     assert vals["q1_phi0"] == json_columns["setting_phi0"][0]
 
@@ -308,9 +322,6 @@ def test_chevron_csv_json_and_bad_durations(capsys, tmp_path, device):
         assert not (tmp_path / "bad").exists()
 
 
-# Without refinement the CZ20 duration trim also scores leaky candidates,
-# and fit_fsim warns about each; the test is about the config section.
-@pytest.mark.filterwarnings("ignore:channel is far from unitary:UserWarning")
 def test_calibrate_cz_reads_the_gate_cz_section(capsys, tmp_path):
     cfgf = tmp_path / "run.ini"
     cfgf.write_text("[gate.iswap]\nmod_freq_ghz = 0.29\n"
@@ -323,6 +334,9 @@ def test_calibrate_cz_reads_the_gate_cz_section(capsys, tmp_path):
     assert report["kind"] == "cz20"
     assert report["mod_freq_ghz"] == 0.2805
     assert "refine" not in report
+    # without refinement the trim fits leaky candidates; their warnings
+    # go into the report, not to stderr
+    assert err == "" and report["tomography"]["warnings"]
     spec = json.loads((tmp_path / "gatespec_cz20.json").read_text())
     assert spec["mod_freq_ghz"] == 0.2805
 
@@ -399,13 +413,19 @@ def test_tomo_json_format_writes_the_ptm_as_json(capsys, tmp_path):
     assert sorted(p.name for p in json_dir.iterdir()) == [
         "ptm_iswap.json", "tomo_report_iswap.json"]
     assert summary_values(out)["file"] == str(json_dir / "ptm_iswap.json")
+    assert_same_table(csv_dir / "ptm_iswap.csv", json_dir / "ptm_iswap.json")
     doc = json.loads((json_dir / "ptm_iswap.json").read_text())
-    pt, header = load_ptm(csv_dir / "ptm_iswap.csv")
-    assert doc.pop("ptm") == pt.ptm.tolist()  # bit for bit
-    assert len(pt.ptm) == 16
-    for key in ("basis", "leakage", "kind", "shots", "virtual_z_rad", "tool"):
-        assert doc[key] == header[key]
-    assert doc["config_hash"] != header["config_hash"]  # the format is hashed
+    # a row per output Pauli, a column per input Pauli
+    assert doc["columns"].keys() == {"pauli", *PAULI_LABELS}
+    assert doc["columns"]["pauli"] == list(PAULI_LABELS)
+    assert doc["columns"]["II"][0] == pytest.approx(1.0, abs=1e-12)
+    csv_hash = (csv_dir / "ptm_iswap.csv").read_text().splitlines()[1]
+    assert csv_hash != f"# config_hash: {doc['meta']['config_hash']}"  # the format is hashed
+    reports = [json.loads((d / "tomo_report_iswap.json").read_text())
+               for d in (csv_dir, json_dir)]
+    for key in ("kind", "shots", "leakage", "virtual_z_rad"):
+        assert reports[0][key] == reports[1][key]
+    assert reports[0]["kind"] == "iswap" and reports[0]["shots"] == 0
 
 
 def test_default_config_hashes_are_pinned(capsys, tmp_path):
@@ -453,10 +473,15 @@ def test_calibrate_and_tomo_chain(capsys, tmp_path):
     vals = summary_values(out)
     assert vals["F_avg"] > 0.999
     assert vals["leakage"] < 1e-3
-    pt, header = load_ptm(tmp_path / "ptm_iswap.csv")
-    assert header["kind"] == "iswap"
-    assert pt.leakage < 1e-3
-    assert (tmp_path / "tomo_report_iswap.json").exists()
+    tomo = json.loads((tmp_path / "tomo_report_iswap.json").read_text())
+    assert tomo["kind"] == "iswap" and tomo["leakage"] < 1e-3
+    # the table is R[i, j] = Tr(P_i E(P_j))/4 (a transposed R would score
+    # about 0.2), and it reproduces the summary F_avg bit for bit
+    table = read_table(tmp_path / "ptm_iswap.csv")
+    assert table["pauli"] == list(PAULI_LABELS)
+    ptm = np.array([[float(c) for c in table[label]] for label in PAULI_LABELS]).T
+    ideal = ptm_of_unitary(fsim_unitary(-np.pi / 2, 0.0))
+    assert average_fidelity(ptm, ideal) == vals["F_avg"]
 
 
 def test_tomo_shot_noise_reproducible_by_seed(capsys, tmp_path, monkeypatch):
@@ -488,3 +513,48 @@ def test_tomo_shot_noise_reproducible_by_seed(capsys, tmp_path, monkeypatch):
             "channel is far from unitary; the fSim fit may not be meaningful"]
     assert stable_lines(a / "ptm_iswap.csv") == stable_lines(b / "ptm_iswap.csv")
     assert stable_lines(a / "ptm_iswap.csv") != stable_lines(c / "ptm_iswap.csv")
+
+
+def test_every_command_writes_the_one_layout(capsys, tmp_path):
+    # Every command once in csv and once in json: each JSON artifact carries
+    # the run metadata under "meta", each CSV opens with the three metadata
+    # lines, and the two forms of a table hold the same floats.
+    commands = [("device", "show"), ("sweep", "coupling"), ("chevron",),
+                ("calibrate", "iswap"), ("tomo",), ("flux", "invert"),
+                ("transfer", "apply")]
+    tables = ("sweep_coupling", "compensation", "ptm_iswap")
+    dirs = {fmt: tmp_path / fmt for fmt in ("csv", "json")}
+    for fmt, out_dir in dirs.items():
+        cfgf = tmp_path / f"{fmt}.ini"
+        cfgf.write_text("[sweep]\npoints = 5\n"
+                        "[chevron]\namp_points = 3\ndur_points = 5\n"
+                        "[gate.iswap]\nrefine = false\n"
+                        f"[tomo]\ngatespec_file = {out_dir / 'gatespec_iswap.json'}\n")
+        for command in commands:
+            code, _, err = run(capsys, *command, "--config", str(cfgf),
+                               "--out-dir", str(out_dir), "--format", fmt)
+            assert code == 0 and err == "", (command, err)
+
+    common = {"gatespec_iswap.json", "report_iswap.json", "tomo_report_iswap.json",
+              "transfer_apply.json"}
+    assert {p.name for p in dirs["csv"].iterdir()} == common | {
+        "chevron.csv", "chevron_grid.json", *(f"{t}.csv" for t in tables)}
+    assert {p.name for p in dirs["json"].iterdir()} == common | {
+        "chevron.json", *(f"{t}.json" for t in tables)}
+    for path in itertools.chain(*(d.iterdir() for d in dirs.values())):
+        if path.suffix == ".json":
+            meta = json.loads(path.read_text())["meta"]
+            assert meta.keys() == {"tool", "config_hash", "generated"}, path.name
+            assert meta["tool"].startswith("paramres ")
+        else:
+            lines = path.read_text().splitlines()
+            assert lines[0].startswith("# paramres ")
+            assert lines[1].startswith("# config_hash: ")
+            assert lines[2].startswith("# generated: ")
+            if path.stem == "chevron":  # a matrix; the sidecar names its axes
+                assert lines[3].startswith("# rows:")
+            else:  # a header row of column names
+                assert not lines[3].startswith("#"), path.name
+            assert len(lines) > 4
+    for stem in tables:
+        assert_same_table(dirs["csv"] / f"{stem}.csv", dirs["json"] / f"{stem}.json")

@@ -154,17 +154,23 @@ TIMES = [1.0, 3.1, 10.0, 20.0, 24.0, 25.4]
     # 50 steps per period are rounded up to 52, a multiple of 4
     (FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=25.4),
      PERIOD / 50, TIMES),
-    # shorter than one period: stepped directly, never repeated
+    # shorter than one period: its steps are prefixes of the period
     (FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=3.3),
      PERIOD / 48, [0.4, 1.0, 2.5, 3.3]),
-], ids=["modulated", "dc", "off_sweet_spot", "snapped", "sub_period"])
+    # shorter than one step, even than 1e-4 of one: a single partial step
+    (FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=0.3 * PERIOD / 48),
+     PERIOD / 48, [0.3 * PERIOD / 48]),
+    (FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=1e-6),
+     PERIOD / 48, [1e-6]),
+], ids=["modulated", "dc", "off_sweet_spot", "snapped", "sub_period", "sub_step",
+        "tiny"])
 def test_period_reuse_matches_direct_stepping(device, q2_pulse, dt, times):
     p = device_params(device, phic=0.29472, phi2=q2_pulse.phi_dc)
     psi = np.zeros(27, dtype=complex)
     psi[9] = 1.0
     prop = propagate(p, q2_pulse, device.q2, dt=dt,
                      initial_state=psi, n_samples=40, unitary_times=times)
-    if q2_pulse.mod_freq * q2_pulse.duration > 1.0:
+    if q2_pulse.mod_freq > 0.0:
         assert round(1.0 / (q2_pulse.mod_freq * prop.dt)) % 4 == 0
     edges, ref = stepped_propagators(p, q2_pulse, device.q2, prop)
     assert np.max(np.abs(prop.unitary - ref[-1])) < 1e-9

@@ -1,7 +1,6 @@
 """Process tomography, fSim extraction, and coherence-limited fidelities."""
 
 import itertools
-import json
 import warnings
 
 import numpy as np
@@ -22,14 +21,12 @@ from paramres.tomography import (
     extract_virtual_z,
     fit_fsim,
     fsim_unitary,
-    load_ptm,
     phase_error,
     process_fidelity,
     ptm_of_unitary,
     ptm_unitarity_defect,
     qubit_subspace_ptm,
     readout_compensation,
-    save_ptm,
     simulate_qpt,
     subspace_leakage,
     virtual_z_correct,
@@ -373,31 +370,3 @@ def test_simulate_qpt_with_readout_errors_recovers_gate():
     ideal = ptm_of_unitary(ISWAP)
     assert np.max(np.abs(pt.ptm - ideal)) < 0.06
     assert average_fidelity(pt.ptm, ideal) > 0.98
-
-
-def test_ptm_file_round_trip(tmp_path):
-    pt = qubit_subspace_ptm(fsim_unitary(0.3, -1.2))
-    stamp = "2026-01-01T00:00:00Z"
-    path = tmp_path / "gate.ptm"
-    save_ptm(path, pt, metadata={"note": "round trip", "generated": stamp})
-    lines = path.read_text().splitlines()
-    # the timestamp sits on its own strippable line, not in the JSON header
-    assert "generated" not in lines[0]
-    assert lines[1] == f"# generated: {stamp}"
-    # files that keep the timestamp inside the JSON header still load
-    old = tmp_path / "old.ptm"
-    header = {**json.loads(lines[0][2:]), "generated": stamp}
-    old.write_text("\n".join(["# " + json.dumps(header), *lines[2:]]) + "\n")
-    for p in (path, old):
-        loaded, header = load_ptm(p)
-        np.testing.assert_allclose(loaded.ptm, pt.ptm, atol=1e-10)
-        assert loaded.leakage == pytest.approx(pt.leakage, abs=1e-12)
-        assert header["note"] == "round trip"
-        assert header["generated"] == stamp
-
-
-def test_load_ptm_requires_header(tmp_path):
-    path = tmp_path / "bad.ptm"
-    path.write_text("0.0 " * 16 + "\n")
-    with pytest.raises(ValueError, match="missing JSON header"):
-        load_ptm(path)

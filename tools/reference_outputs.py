@@ -24,10 +24,6 @@ from pathlib import Path
 #: Coupler biases of acceptance criterion 5 (flux quanta).
 SWEEP_BIASES = (0.0, 0.04, 0.17, 0.20, 0.23, 0.26, 0.29)
 
-#: Chevron initial state of each gate: |10> for the iSWAP exchange,
-#: |11> for the CZ20 return.
-CHEVRON_INITIAL = {"iswap": "10", "cz20": "11"}
-
 
 def _plain(x):
     """x with numpy arrays and scalars turned into lists and Python numbers."""
@@ -43,8 +39,7 @@ def _plain(x):
 def reference_outputs() -> dict:
     import numpy as np
 
-    from paramres.calibration import (DEFAULT_COUPLER_BIAS, DEFAULT_MOD_FREQ,
-                                      calibrate_gate, operating_point,
+    from paramres.calibration import (GATES, calibrate_gate, operating_point,
                                       sweet_spot_pulse)
     from paramres.device import load_bundled_device
     from paramres.dynamics import chevron, coupling_vs_bias
@@ -52,18 +47,18 @@ def reference_outputs() -> dict:
 
     device = load_bundled_device()
     doc = {"calibrate_gate": {}, "chevron": {}}
-    for kind, initial in CHEVRON_INITIAL.items():
+    for kind, gate in GATES.items():
         spec, report = calibrate_gate(device, kind)
         doc["calibrate_gate"][kind] = {"spec": spec.to_dict(), "report": report}
 
-        bias, mod_freq = DEFAULT_COUPLER_BIAS[kind], DEFAULT_MOD_FREQ[kind]
-        p, a0, _, tau = operating_point(device, kind, bias, mod_freq)
+        p, a0, _, tau = operating_point(device, kind, gate.coupler_bias,
+                                        gate.mod_freq)
         amps = a0 + np.linspace(-0.002, 0.002, 3)
         durs = np.linspace(0.5 * tau, 1.5 * tau, 5)
         bases = {"bare": None, "dressed": dressed_computational_basis(p)}
         for name, basis in bases.items():
-            chev = chevron(p, sweet_spot_pulse(a0, mod_freq), device.q2, amps, durs,
-                           initial=initial, basis=basis)
+            chev = chevron(p, sweet_spot_pulse(a0, gate.mod_freq), device.q2, amps,
+                           durs, initial=gate.prepared, basis=basis)
             doc["chevron"][f"{kind}_{name}"] = {
                 "amplitudes": chev.amplitudes, "durations": chev.durations,
                 "initial": chev.initial, "target": chev.target,
