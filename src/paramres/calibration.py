@@ -12,9 +12,10 @@ The calibration chain mirrors how the gates are tuned up on hardware.
 
 ``calibrate_gate`` runs the whole chain from there: it checks the
 modulation frequency against sideband collisions
-(``sideband_collision_map``), refines amplitude and duration on a
-simulated chevron (``refine_on_chevron``), extracts virtual-Z angles, scores the gate with
-tomography and checks the duration against a fitted exchange rate.  It
+(``sideband_collision_map``), refines amplitude and duration by one
+bounded search in amplitude over rows of a simulated dressed chevron,
+extracts virtual-Z angles, scores the gate with tomography and checks
+the duration against a fitted exchange rate.  It
 returns a GateSpec plus a JSON-ready report.  A failure raises
 CalibrationError labelled with its stage, in the order they run:
 setup, resonance, coupling, duration, collision, chevron, tomography,
@@ -23,8 +24,8 @@ The modulated qubit is always qubit 2; the coupler bias is a static
 input (the gate's default by default).
 
 Each gate kind is one ``GateKind`` record in ``GATES``: its sideband
-coupling, exchange cycles, chevron states, refinement grids, ideal fSim
-angles, coherence limit and defaults.  The resonance targets of the
+coupling, exchange cycles, chevron states, refinement durations, ideal
+fSim angles, coherence limit and defaults.  The resonance targets of the
 parametric transitions, which the resonance root and the collision map
 share, sit in one table beside it.
 """
@@ -69,10 +70,8 @@ class GateKind:
     fsim: tuple          # ideal fSim angles (theta, phi)
     mod_freq: float      # default modulation frequency, GHz
     coupler_bias: float  # default coupler bias, flux quanta
-    # np.arange arguments of the amplitude offsets (flux quanta) of each
-    # refinement pass, and the refinement durations as (start, stop) in
-    # units of the analytic duration and a step in ns
-    amplitude_passes: tuple
+    # durations of the refinement chevron rows: (start, stop) in units of
+    # the analytic duration, and a step in ns
     duration_window: tuple
     coherence: Callable  # coherence-limited F_avg(CoherenceTimes, tau_ns)
     coherence_note: str = ""
@@ -85,23 +84,14 @@ class GateKind:
 # collisions; CZ20 still sits 13 MHz from the n = 3 sideband of the
 # q2-coupler exchange (ROADMAP.md, "Stop the CZ20 gate leaking into the
 # coupler").
-#
-# The modulated sidebands shift the dressed resonance by a few MHz, so
-# the refinement amplitude windows are asymmetric: the iSWAP resonance
-# moves up in amplitude, the CZ20 resonance down.  CZ refinement runs a
-# coarse pass then a fine pass (conditional-phase error grows fast with
-# residual detuning, so the center line must be located to a fraction of
-# a milli-flux-quantum).
 GATES = {
     "iswap": GateKind(
         coupling="g01", cycles=4.0, prepared="10", recorded="01",
         fsim=(-0.5 * math.pi, 0.0), mod_freq=0.28, coupler_bias=0.29472,
-        amplitude_passes=((-0.0016, 0.00561, 0.0004),),
         duration_window=(0.55, 1.35, 0.25), coherence=coherence_fidelity_iswap),
     "cz20": GateKind(
         coupling="g20", cycles=2.0, prepared="11", recorded="11",
         fsim=(0.0, math.pi), mod_freq=0.28, coupler_bias=0.30534,
-        amplitude_passes=((-0.009, 0.00101, 0.001), (-0.0008, 0.00081, 0.0002)),
         duration_window=(0.25, 1.25, 0.5), coherence=coherence_fidelity_cz,
         coherence_note="coherence times are those measured at the iSWAP "
                        "coupler bias; the CZ operating point can differ"),
@@ -121,6 +111,14 @@ _TRANSITIONS = {"iswap": lambda p: p.f1,
 
 _RESIDUAL_TOL = 1e-6  # GHz; 1 kHz resonance residual
 _AMPLITUDE_MAX = 0.45  # flux quanta; upper end of the root bracket
+
+#: Half-width (flux quanta) of the amplitude window that refinement
+#: searches about the analytic amplitude, and the default amplitude span
+#: of ``paramres chevron``.  The dressed resonance sits a few mPhi0 from
+#: the analytic root (ROADMAP.md, "Put the analytic operating point where
+#: the dressed gate is").
+AMPLITUDE_WINDOW = 0.006
+_AMPLITUDE_XATOL = 2e-5  # flux quanta; tolerance of the refinement search
 
 
 class CalibrationError(RuntimeError):
@@ -406,55 +404,43 @@ def operating_point(device: Device, kind: str, coupler_bias: float,
     return p, amplitude, mc, tau
 
 
-def _grid_population(chev: ChevronMap, amplitude: float, duration: float) -> float:
-    """Population at the grid point nearest to (amplitude, duration)."""
-    i = int(np.argmin(np.abs(chev.amplitudes - amplitude)))
-    j = int(np.argmin(np.abs(chev.durations - duration)))
-    return float(chev.populations[i, j])
+def _search_chevron(row: Callable[[float], ChevronMap], center: float):
+    """Best point of a chevron by one bounded search in amplitude.
 
-
-def refine_on_chevron(spec: GateSpec, chev: ChevronMap) -> GateSpec:
-    """Move a GateSpec to the best point of a simulated chevron.
-
-    The rule follows the chevron's observable.  A transfer chevron
-    (iSWAP: |01> population from |10>) moves to the (amplitude,
-    duration) of the largest transfer.  A return chevron (CZ20: |11>
-    population from |11>) moves to the amplitude with the deepest dip
-    (the chevron center line, where the |11> -> |20> exchange is
-    genuinely full), then to the duration where |11> has returned after
-    that full cycle.  Ties break toward smaller amplitude.  The chevron
-    must start from the gate's prepared state, the refined point must
-    lie strictly inside the grid, and it is never worse in recorded
-    population than the analytic initialization.
+    ``row(a)`` is the chevron at the one amplitude ``a``.  The rule
+    follows the chevron's observable.  A transfer chevron (iSWAP: |01>
+    population from |10>) is searched for its largest transfer, and the
+    duration is that of the largest transfer.  A return chevron (CZ20:
+    |11> population from |11>) is searched for its deepest dip (the
+    chevron center line, where the |11> -> |20> exchange is genuinely
+    full), and the duration is where |11> has returned after that full
+    cycle.  Bounded Brent searches center +- AMPLITUDE_WINDOW to an
+    amplitude tolerance of _AMPLITUDE_XATOL.  Returns (amplitude,
+    duration, rows evaluated); an optimum within two tolerances of an
+    amplitude edge, or at an end of the durations, raises ValueError.
     """
-    if not chev.amplitudes.min() <= spec.amplitude <= chev.amplitudes.max():
-        raise ValueError("chevron grid does not bracket the analytic amplitude")
-    if chev.amplitudes.size < 3 or chev.durations.size < 3:
-        raise ValueError("chevron grid too small to refine on")
-    prepared = GATES[spec.kind].prepared
-    if chev.initial != prepared:
-        raise ValueError(f"{spec.kind} refinement needs a chevron from |{prepared}>")
-    pops = chev.populations
-    if chev.target != chev.initial:  # transfer chevron
-        i, j = np.unravel_index(int(np.argmax(pops)), pops.shape)
-    else:  # return chevron
-        depth = pops.min(axis=1)
-        i = int(np.argmin(depth))
-        dip = int(np.argmin(pops[i]))
-        j = dip + int(np.argmax(pops[i, dip:]))
-    if i in (0, pops.shape[0] - 1) or j in (0, pops.shape[1] - 1):
+    from scipy.optimize import minimize_scalar
+
+    rows = {}
+
+    def objective(a):
+        chev = rows[a] = row(a)
+        pops = chev.populations[0]
+        return -pops.max() if chev.target != chev.initial else pops.min()
+
+    lo, hi = center - AMPLITUDE_WINDOW, center + AMPLITUDE_WINDOW
+    a = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
+                        options={"xatol": _AMPLITUDE_XATOL}).x
+    chev = rows[a]
+    pops = chev.populations[0]
+    dip = 0 if chev.target != chev.initial else int(np.argmin(pops))
+    j = dip + int(np.argmax(pops[dip:]))
+    if min(a - lo, hi - a) < 2 * _AMPLITUDE_XATOL or j in (0, pops.size - 1):
         raise ValueError(
-            "no local maximum inside the chevron grid; widen the grid around "
-            "the analytic operating point"
+            f"chevron optimum at ({a:.5f} Phi0, {chev.durations[j]:.2f} ns) lies "
+            "on the edge of the search window around the analytic operating point"
         )
-    baseline = _grid_population(chev, spec.amplitude, spec.duration)
-    if pops[i, j] < baseline:
-        return spec
-    return replace(
-        spec,
-        amplitude=float(chev.amplitudes[i]),
-        duration=float(chev.durations[j]),
-    )
+    return float(a), float(chev.durations[j]), len(rows)
 
 
 def calibrate_gate(
@@ -528,21 +514,20 @@ def calibrate_gate(
     col_init, col_watch = map(COMPUTATIONAL_LABELS.index,
                               (gate.prepared, gate.recorded))
     if refine:
-        # each pass centers its amplitude offsets on the amplitude the
-        # passes before it reached, starting from the analytic one
         template = gate_pulse(spec)
         start, stop, step = gate.duration_window
         durs = np.arange(start * tau, stop * tau, step)
         with _stage("chevron"):
-            for offsets in gate.amplitude_passes:
-                chev = chevron(p, template, device.q2,
-                               spec.amplitude + np.arange(*offsets), durs,
-                               initial=gate.prepared, basis=basis)
-                spec = refine_on_chevron(spec, chev)
+            refined, duration, n_rows = _search_chevron(
+                lambda a: chevron(p, template, device.q2, [a], durs,
+                                  initial=gate.prepared, basis=basis),
+                amplitude)
+        spec = replace(spec, amplitude=refined, duration=duration)
         report["refine"] = {
             "amplitude_phi0": spec.amplitude,
             "amplitude_shift_phi0": spec.amplitude - amplitude,
             "duration_ns": spec.duration,
+            "chevron_rows": n_rows,
         }
 
     # The population revival fixes the duration only to the exchange

@@ -36,8 +36,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .calibration import (GATES, CalibrationError, calibrate_gate, gate_unitary,
-                          load_gatespec, operating_point, sweet_spot_pulse)
+from .calibration import (AMPLITUDE_WINDOW, GATES, CalibrationError, calibrate_gate,
+                          gate_unitary, load_gatespec, operating_point,
+                          sweet_spot_pulse)
 from .device import (bundled_path, device_params, load_bundled_device,
                      load_device, save_device)
 from .dynamics import chevron
@@ -291,8 +292,8 @@ def cmd_chevron(cfg: RunConfig, args) -> int:
     dur_points = cfg.getint("chevron", "dur_points", 49, minimum=1)
 
     p, a0, _, tau0 = operating_point(device, kind, coupler_bias, mod_freq)
-    amps = np.linspace(cfg.getfloat("chevron", "amp_start_phi0", a0 - 0.006),
-                       cfg.getfloat("chevron", "amp_stop_phi0", a0 + 0.006),
+    amps = np.linspace(cfg.getfloat("chevron", "amp_start_phi0", a0 - AMPLITUDE_WINDOW),
+                       cfg.getfloat("chevron", "amp_stop_phi0", a0 + AMPLITUDE_WINDOW),
                        amp_points)
     durs = np.linspace(cfg.getfloat("chevron", "dur_start_ns", 0.25 * tau0),
                        cfg.getfloat("chevron", "dur_stop_ns", 1.75 * tau0),

@@ -1,15 +1,19 @@
-"""Gate specs, resonance placement, collision maps, and the refine step."""
+"""Gate specs, resonance placement, collision maps, and the refine search."""
 
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
+from paramres import calibration
 from paramres.calibration import (
+    AMPLITUDE_WINDOW,
     DEFAULT_COUPLER_BIAS,
     DEFAULT_MOD_FREQ,
     GATE_KINDS,
+    GATES,
     CalibrationError,
     GateSpec,
     calibrate_gate,
@@ -19,12 +23,12 @@ from paramres.calibration import (
     gate_unitary,
     load_gatespec,
     operating_point,
-    refine_on_chevron,
     set_duration,
     sideband_collision_map,
 )
 from paramres.device import device_params
-from paramres.dynamics import ChevronMap
+from paramres.dynamics import ChevronMap, chevron
+from paramres.effective import dressed_computational_basis
 from paramres.fluxcontrol import instantaneous_flux
 from paramres.tomography import fit_fsim
 
@@ -171,60 +175,111 @@ def test_collision_map_rejects_negative_guard_band(device, zero_bias_params):
                                    guard_band=guard_band)
 
 
-def synthetic_chevron(amps, durs, peak_amp):
-    pops = (np.exp(-((amps[:, None] - peak_amp) / 0.006) ** 2)
-            * np.sin(np.pi * durs[None, :] / 80.0) ** 2)
-    return ChevronMap(amplitudes=amps, durations=durs, populations=pops,
-                      initial="10", target="01")
+XATOL = calibration._AMPLITUDE_XATOL
 
 
-def test_refine_moves_to_the_chevron_peak():
-    amps = np.linspace(0.14, 0.17, 7)
-    durs = np.linspace(20.0, 80.0, 5)
-    refined = refine_on_chevron(iswap_spec(), synthetic_chevron(amps, durs, amps[4]))
-    assert refined.amplitude == pytest.approx(amps[4], abs=1e-9)
-    assert refined.duration == pytest.approx(35.0, abs=1e-9)
-    assert refined.kind == "iswap"
+def transfer_row(peak_amp, durs=np.arange(20.0, 60.01, 0.25)):
+    """One-amplitude transfer chevrons with a Lorentzian peak at peak_amp,
+    full at 40 ns."""
+    def row(a):
+        lorentz = 1.0 / (1.0 + ((a - peak_amp) / 0.002) ** 2)
+        pops = lorentz * np.sin(np.pi * durs / 80.0) ** 2
+        return ChevronMap(amplitudes=np.array([a]), durations=durs,
+                          populations=pops[None, :], initial="10", target="01")
+    return row
 
 
-def test_refine_on_a_return_chevron_takes_the_revival_after_the_deepest_dip():
-    # |11> return population of a detuned exchange: full on amps[3], where
-    # it dips to zero at 60 ns and revives at 120 ns
-    amps = np.linspace(0.36, 0.38, 7)
+def test_search_finds_an_off_grid_transfer_peak():
+    peak = 0.155 + 0.0023456
+    amplitude, duration, rows = calibration._search_chevron(transfer_row(peak), 0.155)
+    assert abs(amplitude - peak) <= 2 * XATOL
+    assert duration == 40.0
+    assert rows <= 12
+
+
+def test_search_on_a_return_row_takes_the_revival_after_the_dip():
+    # |11> return population of a detuned exchange: full on center_line,
+    # where it dips to zero at 60 ns and revives at 120 ns
+    center_line = 0.372 - 0.0031
     durs = np.arange(20.0, 181.0, 10.0)
-    rate = np.sqrt(1.0 + ((amps[:, None] - amps[3]) / 0.01) ** 2)
-    pops = 1.0 - np.sin(np.pi * rate * durs[None, :] / 120.0) ** 2 / rate ** 2
-    spec = iswap_spec(kind="cz20", amplitude=0.372, duration=100.0)
-    refined = refine_on_chevron(spec, ChevronMap(
-        amplitudes=amps, durations=durs, populations=pops,
-        initial="11", target="11"))
-    assert refined.amplitude == amps[3]
-    assert refined.duration == 120.0
-    with pytest.raises(ValueError, match="needs a chevron from \\|11>"):
-        refine_on_chevron(spec, synthetic_chevron(amps, durs, amps[3]))
+
+    def row(a):
+        rate = np.sqrt(1.0 + ((a - center_line) / 0.01) ** 2)
+        pops = 1.0 - np.sin(np.pi * rate * durs / 120.0) ** 2 / rate ** 2
+        return ChevronMap(amplitudes=np.array([a]), durations=durs,
+                          populations=pops[None, :], initial="11", target="11")
+
+    amplitude, duration, _ = calibration._search_chevron(row, 0.372)
+    assert abs(amplitude - center_line) <= 2 * XATOL
+    assert duration == 120.0
 
 
-def test_refine_error_paths():
-    amps = np.linspace(0.14, 0.17, 7)
-    durs = np.linspace(20.0, 80.0, 5)
-    chev = synthetic_chevron(amps, durs, amps[4])
-    with pytest.raises(ValueError, match="does not bracket"):
-        refine_on_chevron(iswap_spec(amplitude=0.30), chev)
-    with pytest.raises(ValueError, match="needs a chevron from \\|10>"):
-        refine_on_chevron(iswap_spec(), ChevronMap(
-            amplitudes=amps, durations=durs,
-            populations=chev.populations, initial="11", target="11"))
-    with pytest.raises(ValueError, match="too small to refine"):
-        refine_on_chevron(iswap_spec(amplitude=0.155), ChevronMap(
-            amplitudes=np.array([0.15, 0.16]), durations=durs[:2],
-            populations=chev.populations[:2, :2], initial="10", target="01"))
-    edge = ChevronMap(
-        amplitudes=amps, durations=durs,
-        populations=np.exp(-((amps[:, None] - amps[0]) / 0.004) ** 2)
-        * np.sin(np.pi * durs[None, :] / 80.0) ** 2,
-        initial="10", target="01")
-    with pytest.raises(ValueError, match="no local maximum inside"):
-        refine_on_chevron(iswap_spec(amplitude=amps[1]), edge)
+def test_search_raises_at_a_window_edge(device, monkeypatch):
+    with pytest.raises(ValueError, match="on the edge of the search window"):
+        calibration._search_chevron(transfer_row(0.155 + 1.5 * AMPLITUDE_WINDOW), 0.155)
+    # an on-resonance peak whose transfer still grows at the last duration
+    short = transfer_row(0.155, durs=np.arange(20.0, 35.01, 0.25))
+    with pytest.raises(ValueError, match="on the edge of the search window"):
+        calibration._search_chevron(short, 0.155)
+    # inside calibrate_gate the edge is a chevron-stage failure
+    monkeypatch.setattr(calibration, "chevron", lambda p, pulse, q2, amps, durs, **kw:
+                        transfer_row(10.0, durs)(amps[0]))
+    with pytest.raises(CalibrationError, match="edge of the search window") as err:
+        calibrate_gate(device, "iswap")
+    assert err.value.stage == "chevron"
+
+
+@pytest.fixture(scope="module")
+def default_calibrations(device):
+    """{kind: (spec, report, chevron calls)} of the default calibrations."""
+    out = {}
+    for kind in GATES:
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(calibration, "chevron",
+                       lambda *args, **kw: calls.append(args[3]) or chevron(*args, **kw))
+            spec, report = calibrate_gate(device, kind)
+        out[kind] = (spec, report, len(calls))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["iswap", "cz20"])
+def test_refine_counts_its_chevron_rows(default_calibrations, kind):
+    _, report, calls = default_calibrations[kind]
+    assert report["refine"]["chevron_rows"] == calls
+    assert calls <= 12
+
+
+@pytest.mark.parametrize("kind", ["iswap", "cz20"])
+def test_refined_amplitude_is_a_local_optimum_of_the_chevron(
+        device, default_calibrations, kind):
+    # the largest transfer (iSWAP) or the deepest |11> dip (CZ20) over the
+    # refinement durations is no better 0.1 mPhi0 to either side
+    spec, report, _ = default_calibrations[kind]
+    gate = GATES[kind]
+    p, _, _, tau = operating_point(device, kind, gate.coupler_bias, gate.mod_freq)
+    start, stop, step = gate.duration_window
+    chev = chevron(p, gate_pulse(spec), device.q2, spec.amplitude + np.array(
+                       [-1e-4, 0.0, 1e-4]), np.arange(start * tau, stop * tau, step),
+                   initial=gate.prepared, basis=dressed_computational_basis(p))
+    cost = (-chev.populations.max(axis=1) if gate.prepared != gate.recorded
+            else chev.populations.min(axis=1))
+    assert cost[1] <= min(cost[0], cost[2])
+    if kind == "cz20":  # the dressed-energy root (ROADMAP.md, item 2)
+        assert report["refine"]["amplitude_shift_phi0"] == pytest.approx(
+            -4.25e-3, abs=1e-4)
+
+
+@pytest.mark.parametrize("offset_mhz", [-5, -3, 3, 5])
+def test_cz20_meets_criterion_7_off_the_default_frequency(device, offset_mhz):
+    spec, report = calibrate_gate(device, "cz20", mod_freq=0.28 + offset_mhz * 1e-3)
+    assert report["coupling"]["g_eff_ghz"] == pytest.approx(4.0e-3, abs=0.5e-3)
+    assert 0.8 <= spec.duration / 124.0 <= 1.2
+    assert report["consistency"]["duration_coupling_product"] == pytest.approx(
+        1.0, abs=0.05)
+    tomo = report["tomography"]
+    assert abs(tomo["theta_rad"]) <= 0.02
+    assert abs(math.remainder(tomo["phi_rad"] - math.pi, math.tau)) <= 0.1
 
 
 def test_gate_unitary_is_unitary(device):
