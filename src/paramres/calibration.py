@@ -257,49 +257,60 @@ def gate_unitary(device: Device, spec: GateSpec):
     return p, prop.unitary
 
 
-def _average_frequency(q2_spec, amplitude: float, mod_freq: float) -> float:
-    return average_and_excursion(q2_spec, sweet_spot_pulse(amplitude, mod_freq))[0]
+#: Modulation frequency (GHz) of the probe pulse that fbar(A) is read
+#: from.  fbar is a period average of the flux waveform, so it does not
+#: depend on the period; at 1 GHz the sampled period is exactly 1 ns.
+_PROBE_FREQ = 1.0
 
 
-def find_resonance_amplitude(kind: str, q2_spec, p, mod_freq: float) -> float:
-    """Modulation amplitude putting the average q2 frequency on resonance.
+def _average_frequency(q2_spec, amplitude: float) -> float:
+    """fbar(A): the average q2 frequency (GHz) under sweet-spot modulation."""
+    return average_and_excursion(q2_spec, sweet_spot_pulse(amplitude, _PROBE_FREQ))[0]
 
-    Solves fbar(A) = target by bracketed Brent over A in [0, 0.45],
-    where the target is f1 (iswap), f1 - eta1 (cz20) or f1 + eta2
-    (cz02).  fbar is monotone decreasing from the sweet spot, so the
-    root is unique when it exists; a target outside [fbar(0.45),
-    fbar(0)] raises "resonance unreachable", which is how a cz02
-    request on this device fails.
+
+def _resonant_amplitude(q2_spec, target: float, name: str) -> float:
+    """The amplitude A in [0, _AMPLITUDE_MAX] with fbar(A) = target.
+
+    fbar falls monotonically from the sweet spot, so the root is unique
+    when it exists; bracketed Brent finds it to 1e-12 Phi0.  A target
+    within 1 kHz of fbar(0) gives 0.  A target outside [fbar(0.45),
+    fbar(0)] raises "resonance unreachable", naming ``name``.
     """
     from scipy.optimize import brentq
 
-    if mod_freq <= 0.0:
-        raise ValueError("mod_freq must be positive")
-    if not isinstance(kind, str) or kind not in _TRANSITIONS:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    target = _TRANSITIONS[kind](p)
-    top = _average_frequency(q2_spec, 0.0, mod_freq)
+    top = _average_frequency(q2_spec, 0.0)
     if abs(top - target) < _RESIDUAL_TOL:
         return 0.0
-    bottom = _average_frequency(q2_spec, _AMPLITUDE_MAX, mod_freq)
+    bottom = _average_frequency(q2_spec, _AMPLITUDE_MAX)
     if not bottom <= target <= top:
         raise ValueError(
-            f"resonance unreachable: {kind} needs an average frequency of "
+            f"resonance unreachable: {name} needs an average frequency of "
             f"{target:.4f} GHz, but modulation reaches only "
             f"[{bottom:.4f}, {top:.4f}] GHz"
         )
-    amplitude = brentq(
-        lambda a: _average_frequency(q2_spec, a, mod_freq) - target,
-        0.0,
-        _AMPLITUDE_MAX,
-        xtol=1e-12,
-    )
-    residual = _average_frequency(q2_spec, amplitude, mod_freq) - target
+    return float(brentq(lambda a: _average_frequency(q2_spec, a) - target,
+                        0.0, _AMPLITUDE_MAX, xtol=1e-12))
+
+
+def find_resonance_amplitude(kind: str, q2_spec, p) -> float:
+    """Modulation amplitude putting the average q2 frequency on resonance.
+
+    Solves fbar(A) = target, where the target is f1 (iswap), f1 - eta1
+    (cz20) or f1 + eta2 (cz02).  The modulation frequency does not
+    enter: it reaches the gate only through the sideband weights.  A
+    target out of reach raises "resonance unreachable", which is how a
+    cz02 request on this device fails.
+    """
+    if not isinstance(kind, str) or kind not in _TRANSITIONS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    target = _TRANSITIONS[kind](p)
+    amplitude = _resonant_amplitude(q2_spec, target, kind)
+    residual = _average_frequency(q2_spec, amplitude) - target
     if abs(residual) > _RESIDUAL_TOL:
         raise ValueError(
             f"resonance root residual {residual * 1e6:.2f} kHz exceeds 1 kHz"
         )
-    return float(amplitude)
+    return amplitude
 
 
 @dataclass(frozen=True)
@@ -322,50 +333,39 @@ class CollisionMap:
         return mod_freq - self.recommended_min
 
 
-def sideband_collision_map(
-    p, q2_spec, amplitudes, guard_band: float = 0.020
-) -> CollisionMap:
-    """Map of second-sideband collision frequencies over an amplitude grid.
+def sideband_collision_map(p, q2_spec, guard_band: float = 0.020) -> CollisionMap:
+    """Map of second-sideband collision frequencies over the amplitudes
+    a calibration could visit.
 
-    The collision frequencies are |fbar - target| / 2 for each
-    parametric transition (iswap, cz20, cz02); the recommended minimum
-    modulation frequency is the largest collision over the grid plus the
-    guard band.
+    The grid holds 48 amplitudes from zero to the edge where fbar lies
+    30 MHz below the deepest gate target (CZ20's, f1 - eta1), or to
+    _AMPLITUDE_MAX if modulation cannot reach that far.  The collision
+    frequencies are |fbar - target| / 2 for each parametric transition
+    (iswap, cz20, cz02); the recommended minimum modulation frequency is
+    the largest collision over the grid plus the guard band.
+
+    Each curve is V-shaped in fbar and fbar falls monotonically with A,
+    so the largest collision sits at an end of the grid.  On the bundled
+    device it is cz02 at the edge, and the recommendation is
+    (eta1 + eta2 + 30 MHz) / 2 + guard_band (269 MHz at the default
+    guard band) at every coupler bias, since f1, eta1 and eta2 do not
+    depend on it: the points inside the grid never set the
+    recommendation, and neither does the modulation frequency.
     """
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    if amplitudes.size == 0:
-        raise ValueError("amplitude grid must be nonempty")
     if not guard_band >= 0.0:  # NaN fails too
         raise ValueError(f"guard band must be >= 0, got {guard_band!r}")
-    fbar = np.array([_average_frequency(q2_spec, a, 0.3) for a in amplitudes])
+    floor = min(_TRANSITIONS[kind](p) for kind in GATES) - 0.030
+    try:
+        edge = _resonant_amplitude(q2_spec, floor, "the collision-grid edge")
+    except ValueError:  # modulation cannot pull fbar down to the floor
+        edge = _AMPLITUDE_MAX
+    amplitudes = np.linspace(0.0, edge, 48)
+    fbar = np.array([_average_frequency(q2_spec, a) for a in amplitudes])
     curves = {name: np.abs(fbar - target(p)) / 2.0
               for name, target in _TRANSITIONS.items()}
     recommended = max(c.max() for c in curves.values()) + guard_band
     return CollisionMap(amplitudes=amplitudes, curves=curves,
                         guard_band=guard_band, recommended_min=float(recommended))
-
-
-def default_collision_grid(p, q2_spec) -> np.ndarray:
-    """48 amplitudes from zero to just past the deepest gate resonance.
-
-    The far edge is the amplitude pulling the average frequency 30 MHz
-    below the deepest gate target (CZ20's), so the map covers every
-    amplitude a calibration could visit.
-    """
-    from scipy.optimize import brentq
-
-    floor = min(_TRANSITIONS[kind](p) for kind in GATES) - 0.030
-    bottom = _average_frequency(q2_spec, _AMPLITUDE_MAX, 0.3)
-    if floor < bottom:
-        edge = _AMPLITUDE_MAX
-    else:
-        edge = brentq(
-            lambda a: _average_frequency(q2_spec, a, 0.3) - floor,
-            0.0,
-            _AMPLITUDE_MAX,
-            xtol=1e-10,
-        )
-    return np.linspace(0.0, edge, 48)
 
 
 def set_duration(kind: str, g_eff: float) -> float:
@@ -393,7 +393,11 @@ def operating_point(device: Device, kind: str, coupler_bias: float,
     with _stage("setup"):
         p = device_params(device, phic=coupler_bias)
     with _stage("resonance"):
-        amplitude = find_resonance_amplitude(kind, device.q2, p, mod_freq)
+        if mod_freq <= 0.0:
+            raise ValueError("mod_freq must be positive")
+        if not math.isfinite(mod_freq):
+            raise ValueError(f"mod_freq must be finite, got {mod_freq}")
+        amplitude = find_resonance_amplitude(kind, device.q2, p)
     with _stage("coupling"):
         mc = modulated_couplings(p, sweet_spot_pulse(amplitude, mod_freq), device.q2)
         g_eff = abs(mc.sideband(0)[_gate(kind).coupling])
@@ -493,9 +497,7 @@ def calibrate_gate(
     }
 
     with _stage("collision"):
-        cmap = sideband_collision_map(
-            p, device.q2, default_collision_grid(p, device.q2), guard_band=guard_band
-        )
+        cmap = sideband_collision_map(p, device.q2, guard_band=guard_band)
     report["collision"] = {
         "recommended_min_ghz": cmap.recommended_min,
         "margin_ghz": float(cmap.margin(mod_freq)),

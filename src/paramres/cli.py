@@ -288,6 +288,8 @@ def cmd_chevron(cfg: RunConfig, args) -> int:
         raise ValueError(
             f"config [chevron] basis: must be dressed or bare, got {basis_kind!r}")
     initial = cfg.get("chevron", "initial", GATES[kind].prepared)
+    if initial not in ("10", "11"):
+        raise ValueError(f"config [chevron] initial: must be 10 or 11, got {initial!r}")
     amp_points = cfg.getint("chevron", "amp_points", 9, minimum=1)
     dur_points = cfg.getint("chevron", "dur_points", 49, minimum=1)
 
@@ -341,20 +343,23 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
     mod_freq = cfg.getfloat(section, "mod_freq_ghz", None)
     guard_band = cfg.getfloat(section, "guard_band_ghz", 0.020)
     refine = cfg.getbool(section, "refine", True)
+    coherence = {}  # in the field order of CoherenceTimes
+    if cfg.cp.has_section("coherence"):
+        for key in ("t1_q1_us", "t1_q2_us", "t2star_q1_us", "t2star_q2_us"):
+            coherence[key] = cfg.getfloat("coherence", key, None)
+            if coherence[key] is None:
+                raise ValueError(f"config [coherence] {key} is required")
+    # only a [coherence] section adds keys, so runs without one keep their hashes
     meta = cfg.meta("calibrate", kind=kind, coupler_bias_phi0=coupler_bias,
-                    mod_freq_ghz=mod_freq, guard_band_ghz=guard_band, refine=refine)
+                    mod_freq_ghz=mod_freq, guard_band_ghz=guard_band, refine=refine,
+                    **coherence)
 
     device = cfg.load_device()
     spec, report = calibrate_gate(device, kind, coupler_bias=coupler_bias,
                                   mod_freq=mod_freq, guard_band=guard_band,
                                   refine=refine)
-    if cfg.cp.has_section("coherence"):
-        times = []  # in the field order of CoherenceTimes
-        for key in ("t1_q1_us", "t1_q2_us", "t2star_q1_us", "t2star_q2_us"):
-            times.append(cfg.getfloat("coherence", key, None))
-            if times[-1] is None:
-                raise ValueError(f"config [coherence] {key} is required")
-        ct = CoherenceTimes(*times)
+    if coherence:
+        ct = CoherenceTimes(*coherence.values())
         gate = GATES[kind]
         report["coherence"] = {"f_avg_limit": float(gate.coherence(ct, spec.duration))}
         if gate.coherence_note:
@@ -375,7 +380,7 @@ def cmd_tomo(cfg: RunConfig, args) -> int:
     spec_file = cfg.get("tomo", "gatespec_file", None)
     if spec_file is None:
         raise ValueError("config [tomo] gatespec_file is required")
-    shots = cfg.getint("tomo", "shots", 0)
+    shots = cfg.getint("tomo", "shots", 0, minimum=0)
     fids = {key: cfg.getfloat("tomo", f"readout_{key}", 1.0)
             for key in ("f0_q1", "f1_q1", "f0_q2", "f1_q2")}
     for key, value in fids.items():

@@ -17,7 +17,6 @@ from paramres.calibration import (
     DEFAULT_COUPLER_BIAS,
     CalibrationError,
     calibrate_gate,
-    default_collision_grid,
     sideband_collision_map,
 )
 from paramres.device import bundled_path, device_params
@@ -205,7 +204,7 @@ def test_criterion_08_crosstalk_inversion_and_compensation():
 
 def test_criterion_09_collision_map_recommendation(device):
     p = device_params(device, phic=DEFAULT_COUPLER_BIAS["iswap"])
-    cmap = sideband_collision_map(p, device.q2, default_collision_grid(p, device.q2))
+    cmap = sideband_collision_map(p, device.q2)
     rec_mhz = cmap.recommended_min * 1e3
     assert 260.0 <= rec_mhz <= 300.0
     print(f"criterion 9: PASS recommended minimum modulation "

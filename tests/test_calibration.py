@@ -17,7 +17,6 @@ from paramres.calibration import (
     CalibrationError,
     GateSpec,
     calibrate_gate,
-    default_collision_grid,
     find_resonance_amplitude,
     gate_pulse,
     gate_unitary,
@@ -121,7 +120,7 @@ def test_set_duration_quarter_and_half_periods():
 
 def test_resonance_amplitude_places_average_frequency(device):
     p = device_params(device, phic=DEFAULT_COUPLER_BIAS["iswap"])
-    amp = find_resonance_amplitude("iswap", device.q2, p, MOD_FREQ)
+    amp = find_resonance_amplitude("iswap", device.q2, p)
     assert 0.0 < amp < 0.45
     from paramres.effective import average_and_excursion
     from paramres.fluxcontrol import FluxPulse
@@ -135,7 +134,7 @@ def test_resonance_amplitude_places_average_frequency(device):
 def test_resonance_amplitude_unreachable_target(device):
     p = device_params(device, phic=DEFAULT_COUPLER_BIAS["cz20"])
     with pytest.raises(ValueError, match="resonance unreachable"):
-        find_resonance_amplitude("cz02", device.q2, p, MOD_FREQ)
+        find_resonance_amplitude("cz02", device.q2, p)
 
 
 @pytest.mark.parametrize("kind,g_target", [("iswap", 4.5e-3), ("cz20", 4.03e-3)],
@@ -152,9 +151,8 @@ def test_default_coupler_biases_give_documented_couplings(device, kind, g_target
 
 def test_collision_map_recommendation(device):
     p = device_params(device, phic=DEFAULT_COUPLER_BIAS["iswap"])
-    grid = default_collision_grid(p, device.q2)
-    assert grid[0] == 0.0 and grid[-1] <= 0.45
-    cmap = sideband_collision_map(p, device.q2, grid, guard_band=0.020)
+    cmap = sideband_collision_map(p, device.q2, guard_band=0.020)
+    assert cmap.amplitudes[0] == 0.0 and cmap.amplitudes[-1] <= 0.45
     assert sorted(cmap.curves) == ["cz02", "cz20", "iswap"]
     worst = max(curve.max() for curve in cmap.curves.values())
     assert cmap.recommended_min == pytest.approx(worst + 0.020, abs=1e-12)
@@ -163,16 +161,10 @@ def test_collision_map_recommendation(device):
     assert cmap.margin(cmap.recommended_min - 0.01) < 0
 
 
-def test_collision_map_rejects_empty_grid(device, zero_bias_params):
-    with pytest.raises(ValueError, match="nonempty"):
-        sideband_collision_map(zero_bias_params, device.q2, np.array([]))
-
-
 def test_collision_map_rejects_negative_guard_band(device, zero_bias_params):
     for guard_band in (-0.001, float("nan")):
         with pytest.raises(ValueError, match=f"guard band must be >= 0, got {guard_band}"):
-            sideband_collision_map(zero_bias_params, device.q2, np.array([0.1]),
-                                   guard_band=guard_band)
+            sideband_collision_map(zero_bias_params, device.q2, guard_band=guard_band)
 
 
 XATOL = calibration._AMPLITUDE_XATOL
@@ -290,6 +282,19 @@ def test_gate_unitary_is_unitary(device):
     assert p.fc < 5.915  # parameters taken at the gate's coupler bias
 
 
+@pytest.mark.parametrize("mod_freq,message", [
+    (0.0, "mod_freq must be positive"),
+    (float("-inf"), "mod_freq must be positive"),
+    (float("nan"), "mod_freq must be finite, got nan"),
+    (float("inf"), "mod_freq must be finite, got inf"),
+])
+def test_calibrate_rejects_a_bad_mod_freq_at_the_resonance_stage(device, mod_freq,
+                                                                 message):
+    with pytest.raises(CalibrationError, match=message) as err:
+        calibrate_gate(device, "iswap", mod_freq=mod_freq)
+    assert err.value.stage == "resonance"
+
+
 def test_calibrate_rejects_unknown_kind(device):
     with pytest.raises(CalibrationError, match="unknown gate kind") as err:
         calibrate_gate(device, "bell")
@@ -301,7 +306,7 @@ def test_calibrate_and_resonance_reject_a_non_string_kind(device, zero_bias_para
         calibrate_gate(device, ["iswap"])
     assert err.value.stage == "setup"
     with pytest.raises(ValueError, match="unknown gate kind"):
-        find_resonance_amplitude(["cz20"], device.q2, zero_bias_params, MOD_FREQ)
+        find_resonance_amplitude(["cz20"], device.q2, zero_bias_params)
 
 
 @pytest.mark.parametrize("bias,message", [

@@ -257,6 +257,10 @@ def test_malformed_config_value(capsys, tmp_path):
          "error: calibration failed at stage resonance: mod_freq must be positive"),
         (("tomo",), "[run]\nseed = -1\n", "config [run] seed: need at least 0, got -1"),
         (("tomo", "--seed", "-1"), "", "config [run] seed: need at least 0, got -1"),
+        (("tomo",), "[tomo]\ngatespec_file = absent.json\nshots = -5\n",
+         "config [tomo] shots: need at least 0, got -5"),
+        (("chevron",), "[chevron]\ninitial = 01\n",
+         "config [chevron] initial: must be 10 or 11, got '01'"),
     ]:
         cfgf.write_text(text)
         code, _, err = run(capsys, *command, "--config", str(cfgf),
@@ -375,7 +379,7 @@ _GATESPEC = {"kind": "iswap", "amplitude_phi0": 0.1566, "mod_freq_ghz": 0.28,
     ([1, 2], "", "gate spec must be a JSON object, got list"),
     ({**_GATESPEC, "virtual_z_rad": [0.1, 0.2, 0.3]}, "",
      "virtual_z needs exactly two angles"),
-    (_GATESPEC, "shots = -5\n", "shots must be >= 0"),
+    (_GATESPEC, "shots = -5\n", "config [tomo] shots: need at least 0, got -5"),
     ({**_GATESPEC, "duration_ns": None}, "", "gate spec field 'duration_ns'"),
     ({**_GATESPEC, "virtual_z_rad": 3.0}, "", "gate spec field 'virtual_z_rad'"),
     ({**_GATESPEC, "duration_ns": float("inf")}, "", "duration must be finite"),
@@ -443,6 +447,23 @@ def test_default_config_hashes_are_pinned(capsys, tmp_path):
     assert run(capsys, "transfer", "apply", "--out-dir", out)[0] == 0
     doc = json.loads((tmp_path / "transfer_apply.json").read_text())
     assert doc["meta"]["config_hash"] == "c9e7280dda2b"
+
+
+def test_calibrate_config_hash_covers_coherence(capsys, tmp_path):
+    # the coherence times change the report, so they must change the hash
+    hashes = []
+    for t1 in (70, 20):
+        cfgf = tmp_path / f"t1_{t1}.ini"
+        cfgf.write_text("[gate.iswap]\nrefine = false\n[coherence]\n"
+                        f"t1_q1_us = {t1}\nt1_q2_us = 56\n"
+                        "t2star_q1_us = 14\nt2star_q2_us = 10\n")
+        out_dir = tmp_path / f"out_{t1}"
+        code, _, err = run(capsys, "calibrate", "iswap", "--config", str(cfgf),
+                           "--out-dir", str(out_dir))
+        assert code == 0, err
+        report = json.loads((out_dir / "report_iswap.json").read_text())
+        hashes.append(report["meta"]["config_hash"])
+    assert hashes[0] != hashes[1]
 
 
 def test_calibrate_and_tomo_chain(capsys, tmp_path):

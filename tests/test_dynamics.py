@@ -339,7 +339,7 @@ def test_exchange_fits_converge_on_sweep_traces(device, phic):
 
 def test_chevron_peaks_at_the_resonant_amplitude(device):
     p = device_params(device, phic=0.29472)
-    a_res = find_resonance_amplitude("iswap", device.q2, p, MOD_FREQ)
+    a_res = find_resonance_amplitude("iswap", device.q2, p)
     amps = a_res + np.linspace(-0.002, 0.002, 5)
     durs = np.arange(20.0, 75.0, 10.0)
     q2_pulse = flat_pulse(durs[-1], amplitude=a_res, mod_freq=MOD_FREQ)

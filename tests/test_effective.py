@@ -271,3 +271,15 @@ def test_excursion_scales_quadratically_at_sweet_spot(device):
 
     ratio = exc(0.06) / exc(0.03)
     assert ratio == pytest.approx(4.0, rel=0.2)
+
+
+@pytest.mark.parametrize("amplitude", [0.10, 0.157, 0.373])
+def test_average_frequency_does_not_depend_on_the_modulation_frequency(device,
+                                                                       amplitude):
+    # fbar is a period average of the flux waveform, so calibration reads
+    # it from a probe pulse at one fixed frequency (1 GHz)
+    from paramres.calibration import sweet_spot_pulse
+
+    fbar = [average_and_excursion(device.q2, sweet_spot_pulse(amplitude, f))[0]
+            for f in (0.1, 0.28, 0.3, 0.5, 1.0)]
+    assert max(fbar) - min(fbar) <= 1e-14
