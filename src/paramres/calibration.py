@@ -14,8 +14,9 @@ The calibration chain mirrors how the gates are tuned up on hardware.
 modulation frequency against sideband collisions
 (``sideband_collision_map``), refines amplitude and duration by one
 bounded search in amplitude over rows of a simulated dressed chevron,
-extracts virtual-Z angles, scores the gate with tomography and checks
-the duration against a fitted exchange rate.  It
+extracts virtual-Z angles, scores the gate with tomography, estimates
+its time-step error and checks the duration against a fitted exchange
+rate.  It
 returns a GateSpec plus a JSON-ready report.  A failure raises
 CalibrationError labelled with its stage, in the order they run:
 setup, resonance, coupling, duration, collision, chevron, tomography,
@@ -42,7 +43,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .device import Device, device_params
-from .dynamics import ChevronMap, chevron, fit_exchange, propagate
+from .dynamics import (STEP_ERROR_BUDGET, ChevronMap, chevron, default_dt,
+                       fit_exchange, propagate, step_error)
 from .effective import (COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS,
                         average_and_excursion, dressed_computational_basis,
                         modulated_couplings)
@@ -119,6 +121,9 @@ _AMPLITUDE_MAX = 0.45  # flux quanta; upper end of the root bracket
 #: the dressed gate is").
 AMPLITUDE_WINDOW = 0.006
 _AMPLITUDE_XATOL = 2e-5  # flux quanta; tolerance of the refinement search
+
+#: Duration offsets (ns) of the trim candidates about the refined duration.
+_TRIM_OFFSETS = np.arange(-4.0, 4.0001, 0.0625)
 
 
 class CalibrationError(RuntimeError):
@@ -399,8 +404,10 @@ def operating_point(device: Device, kind: str, coupler_bias: float,
             raise ValueError(f"mod_freq must be finite, got {mod_freq}")
         amplitude = find_resonance_amplitude(kind, device.q2, p)
     with _stage("coupling"):
-        mc = modulated_couplings(p, sweet_spot_pulse(amplitude, mod_freq), device.q2)
-        g_eff = abs(mc.sideband(0)[_gate(kind).coupling])
+        coupling = _gate(kind).coupling
+        mc = modulated_couplings(p, sweet_spot_pulse(amplitude, mod_freq), device.q2,
+                                 checked=(coupling,))
+        g_eff = abs(mc.sideband(0)[coupling])
         if g_eff < 1e-5:
             raise ValueError("effective coupling vanishes at this coupler bias")
     with _stage("duration"):
@@ -541,6 +548,10 @@ def calibrate_gate(
     # that to the smallest swap-angle error.  Candidates are fitted in
     # falling fidelity, so the fits stop at the first one on target.
     # Propagator snapshots make the whole grid cost a single propagation.
+    # They sit at step boundaries, so the step places the candidates, and
+    # the CZ20 swap angle moves by about 0.17 rad/ns between them: the
+    # trim keeps the static step default_dt(p) (5.5 ps) rather than the
+    # budget's modulated step (22 ps for CZ20, 45 ps for iSWAP).
     theta_target, phi_target = gate.fsim
     target_u = fsim_unitary(theta_target, phi_target)
     ideal_pt = qubit_subspace_ptm(target_u)
@@ -553,10 +564,10 @@ def calibrate_gate(
                 corrected, m)
 
     with _stage("tomography"):
-        grid = spec.duration + np.arange(-4.0, 4.0001, 0.0625)
+        grid = spec.duration + _TRIM_OFFSETS
         grid = grid[grid > 0.0]
         trim = propagate(p, replace(gate_pulse(spec), duration=float(grid[-1])),
-                         device.q2, unitary_times=grid)
+                         device.q2, dt=default_dt(p), unitary_times=grid)
         rows = [scored(t, u) for t, u
                 in zip(trim.unitary_times, trim.unitaries)]
         fits = []  # (theta error, duration, fit, row)
@@ -574,6 +585,12 @@ def calibrate_gate(
         f_avg, tau_best, z1, z2, corrected, m = best
         spec = replace(spec, duration=tau_best, virtual_z=(z1, z2))
         transfer = abs(m[col_watch, col_init]) ** 2
+        # the step error of the gate as gate_unitary propagates it
+        gate_error = step_error(p, gate_pulse(spec), device.q2, basis)
+    warned = [str(w.message) for w in caught]
+    if gate_error > STEP_ERROR_BUDGET:
+        warned.append(f"time-step error estimate {gate_error:.2e} exceeds the "
+                      f"budget of {STEP_ERROR_BUDGET:.0e}")
     report["tomography"] = {
         "f_avg": float(f_avg),
         "theta_rad": fit.theta,
@@ -582,7 +599,8 @@ def calibrate_gate(
         "virtual_z_rad": [z1, z2],
         "target_population": float(transfer),
         "duration_ns": tau_best,
-        "warnings": [str(w.message) for w in caught],
+        "step_error": gate_error,
+        "warnings": warned,
     }
 
     # Consistency: the fitted exchange rate at the refined amplitude

@@ -26,7 +26,7 @@ from paramres.calibration import (
     sideband_collision_map,
 )
 from paramres.device import device_params
-from paramres.dynamics import ChevronMap, chevron
+from paramres.dynamics import STEP_ERROR_BUDGET, ChevronMap, chevron, propagate
 from paramres.effective import dressed_computational_basis
 from paramres.fluxcontrol import instantaneous_flux
 from paramres.tomography import fit_fsim
@@ -223,21 +223,30 @@ def test_search_raises_at_a_window_edge(device, monkeypatch):
 
 @pytest.fixture(scope="module")
 def default_calibrations(device):
-    """{kind: (spec, report, chevron calls)} of the default calibrations."""
+    """{kind: (spec, report, chevron calls, trim propagations)} of the
+    default calibrations."""
     out = {}
     for kind in GATES:
-        calls = []
+        calls, trims = [], []
+
+        def snapshots(*args, **kw):
+            prop = propagate(*args, **kw)
+            if kw.get("unitary_times") is not None:
+                trims.append(prop)
+            return prop
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(calibration, "chevron",
                        lambda *args, **kw: calls.append(args[3]) or chevron(*args, **kw))
+            mp.setattr(calibration, "propagate", snapshots)
             spec, report = calibrate_gate(device, kind)
-        out[kind] = (spec, report, len(calls))
+        out[kind] = (spec, report, len(calls), trims)
     return out
 
 
 @pytest.mark.parametrize("kind", ["iswap", "cz20"])
 def test_refine_counts_its_chevron_rows(default_calibrations, kind):
-    _, report, calls = default_calibrations[kind]
+    _, report, calls, _ = default_calibrations[kind]
     assert report["refine"]["chevron_rows"] == calls
     assert calls <= 12
 
@@ -247,7 +256,7 @@ def test_refined_amplitude_is_a_local_optimum_of_the_chevron(
         device, default_calibrations, kind):
     # the largest transfer (iSWAP) or the deepest |11> dip (CZ20) over the
     # refinement durations is no better 0.1 mPhi0 to either side
-    spec, report, _ = default_calibrations[kind]
+    spec, report, _, _ = default_calibrations[kind]
     gate = GATES[kind]
     p, _, _, tau = operating_point(device, kind, gate.coupler_bias, gate.mod_freq)
     start, stop, step = gate.duration_window
@@ -260,6 +269,63 @@ def test_refined_amplitude_is_a_local_optimum_of_the_chevron(
     if kind == "cz20":  # the dressed-energy root (ROADMAP.md, item 2)
         assert report["refine"]["amplitude_shift_phi0"] == pytest.approx(
             -4.25e-3, abs=1e-4)
+
+
+@pytest.mark.parametrize("kind", ["iswap", "cz20"])
+def test_trim_snapshots_fall_on_distinct_step_boundaries(default_calibrations, kind):
+    # no two of the 129 trim durations snap to one step boundary
+    (trim,) = default_calibrations[kind][3]
+    assert len(calibration._TRIM_OFFSETS) == 129
+    assert trim.unitary_times.shape == (129,)
+    assert np.all(np.diff(trim.unitary_times) > 0.0)
+
+
+def gate_step_error(device, spec) -> float:
+    """max|U B - U_ref B| of the gate at its default step, against 2048
+    steps per period, on the dressed computational columns B."""
+    p = device_params(device, phic=spec.coupler_bias)
+    basis = dressed_computational_basis(p)
+    pulse = gate_pulse(spec)
+    ref = propagate(p, pulse, device.q2, dt=1.0 / (2048 * spec.mod_freq)).unitary
+    return float(np.max(np.abs((propagate(p, pulse, device.q2).unitary - ref) @ basis)))
+
+
+@pytest.mark.parametrize("kind, mod_freq", [
+    ("iswap", 0.28), ("iswap", 0.30), ("cz20", 0.27), ("cz20", 0.28), ("cz20", 0.29)])
+def test_calibrated_gate_steps_within_the_error_budget(device, default_calibrations,
+                                                        kind, mod_freq):
+    if mod_freq == GATES[kind].mod_freq:
+        spec = default_calibrations[kind][0]
+    else:
+        spec, _ = calibrate_gate(device, kind, mod_freq=mod_freq)
+    assert gate_step_error(device, spec) <= STEP_ERROR_BUDGET
+
+
+@pytest.mark.parametrize("kind", ["iswap", "cz20"])
+def test_reported_step_error_estimates_the_reference_error(device, default_calibrations,
+                                                          kind):
+    spec, report, _, _ = default_calibrations[kind]
+    error = gate_step_error(device, spec)
+    assert 0.5 * error <= report["tomography"]["step_error"] <= 2.0 * error
+    assert report["tomography"]["warnings"] == []
+
+
+def test_coupling_stage_ignores_sidebands_of_other_couplings(device):
+    # at 0.2725 GHz the n = 2 sideband of g02 sits within 1 MHz of the
+    # coupler; CZ20 drives g20, so only g20's sidebands may stop it
+    spec, report = calibrate_gate(device, "cz20", mod_freq=0.2725)
+    assert report["coupling"]["g_eff_ghz"] == pytest.approx(4.0e-3, abs=0.5e-3)
+    assert spec.mod_freq == 0.2725
+
+
+def test_coupling_stage_refuses_a_resonant_sideband_of_the_gate_coupling(device):
+    gate = GATES["cz20"]
+    p, _, mc, _ = operating_point(device, "cz20", gate.coupler_bias, gate.mod_freq)
+    # sideband n = 2 sits 2 * 2 * f_m below fbar at a sweet spot
+    collide = (p.fc - mc.f2_avg) / 4.0
+    with pytest.raises(CalibrationError, match="sideband n=2 of g20 is resonant") as err:
+        operating_point(device, "cz20", gate.coupler_bias, collide)
+    assert err.value.stage == "coupling"
 
 
 @pytest.mark.parametrize("offset_mhz", [-5, -3, 3, 5])

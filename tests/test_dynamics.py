@@ -20,6 +20,7 @@ from paramres.dynamics import (
     default_dt,
     fit_exchange,
     propagate,
+    step_error,
 )
 from paramres.effective import build_hamiltonian, exact_g01
 from paramres.fluxcontrol import FluxPulse
@@ -255,8 +256,40 @@ def test_propagate_validation(device, zero_bias_params):
 
 
 def test_default_dt_resolves_fastest_mode(zero_bias_params):
+    # the step of static pulses only; modulated ones follow the budget
     dt = default_dt(zero_bias_params)
     assert dt == pytest.approx(1.0 / (40.0 * zero_bias_params.fc))
+
+
+@pytest.mark.parametrize("amplitude, m", [(0.1566, 80), (0.3729, 160)],
+                         ids=["iswap", "cz20"])
+def test_modulated_step_follows_the_error_budget(device, amplitude, m):
+    # the refined gate amplitudes at 0.28 GHz take 80 and 160 steps per
+    # period (1/(40*fc) gave 636-648); m is a multiple of 8, so the
+    # half-resolution propagation of step_error snaps to exactly m/2
+    p = device_params(device, phic=0.29472)
+    pulse = FluxPulse(phi_dc=0.0, amplitude=amplitude, mod_freq=MOD_FREQ,
+                      duration=30.0)
+    prop = propagate(p, pulse, device.q2)
+    assert round(PERIOD / prop.dt) == m
+    half = propagate(p, pulse, device.q2, dt=2.0 * prop.dt)
+    assert round(PERIOD / half.dt) == m // 2
+
+
+@pytest.mark.parametrize("mod_freq, m", [(0.26, 184), (0.31, 120)])
+def test_explicit_dt_of_whole_steps_per_period_snaps_to_them(
+        device, zero_bias_params, mod_freq, m):
+    # here period / (4 * (period / m)) rounds to an ulp above m/4
+    period = 1.0 / mod_freq
+    pulse = FluxPulse(phi_dc=0.0, amplitude=0.1, mod_freq=mod_freq, duration=5.0)
+    prop = propagate(zero_bias_params, pulse, device.q2, dt=period / m)
+    assert round(period / prop.dt) == m
+
+
+def test_step_error_of_a_static_pulse_vanishes(device, zero_bias_params):
+    # a static pulse is exact at any step
+    basis = np.eye(27)[:, [0, 1, 9, 10]]
+    assert step_error(zero_bias_params, flat_pulse(20.0), device.q2, basis) < 1e-12
 
 
 def test_fit_exchange_round_trip():

@@ -7,7 +7,8 @@ modulation frequency plus each offset in ``OFFSETS_MHZ``, at the default
 coupler bias.  Each run prints one canonical JSON line (sorted keys,
 floats as their ``repr``) holding the refinement's amplitude shift,
 duration and chevron rows, and the gate's duration, f_avg, fSim angle
-errors, leakage and duration-coupling product.  A key that the
+errors, leakage, step error (the report's Richardson estimate of the
+time-step error) and duration-coupling product.  A key that the
 calibrated package does not report prints as null, and a failed
 calibration prints its stage and message, so two checkouts can be
 compared line by line:
@@ -59,6 +60,7 @@ def scan():
                 "theta_error_rad": _angle_error(tomo["theta_rad"], theta),
                 "phi_error_rad": _angle_error(tomo["phi_rad"], phi),
                 "leakage": tomo["leakage"],
+                "step_error": tomo.get("step_error"),
                 "tau_cycles_g": report["consistency"]["duration_coupling_product"],
             }
 
