@@ -238,28 +238,6 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     half applies its own quarter rule after G.  A pulse shorter than its
     period takes its steps from the same prefixes.
     """
-    return _propagate(p, q2_pulse, q2_spec, dt, initial_state, n_samples,
-                      unitary_times)
-
-
-def step_error(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, basis) -> float:
-    """Richardson estimate of the step error of propagate at dt=None.
-
-    The midpoint rule is second order, so with m steps per period
-    U(m) - U(m/2) is three times U(m) - U to leading order; the estimate
-    is max|(U(m) - U(m/2)) B| / 3 on the columns of the 27xk isometry
-    ``basis``.  It costs a second, half-resolution propagation.  A trace
-    of a calibration shows the two propagations as one step_error span,
-    apart from the pipeline's own propagate calls.
-    """
-    full = _propagate(p, q2_pulse, q2_spec, None, None, 0, None)
-    half = _propagate(p, q2_pulse, q2_spec, 2.0 * full.dt, None, 0, None)
-    return float(np.max(np.abs((full.unitary - half.unitary) @ basis))) / 3.0
-
-
-def _propagate(p, q2_pulse, q2_spec, dt, initial_state, n_samples,
-               unitary_times) -> Propagation:
-    """The core of propagate, which documents it; step_error calls it too."""
     duration = q2_pulse.duration
     if duration <= 0:
         raise ValueError("pulse duration must be > 0")
@@ -424,6 +402,20 @@ def _propagate(p, q2_pulse, q2_spec, dt, initial_state, n_samples,
                        times=times(sample_steps), trajectory=trajectory,
                        unitary_times=times(u_steps), unitaries=unitaries,
                        unitarity_defect=defect)
+
+
+def step_error(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, basis) -> float:
+    """Richardson estimate of the step error of propagate at dt=None.
+
+    The midpoint rule is second order, so with m steps per period
+    U(m) - U(m/2) is three times U(m) - U to leading order; the estimate
+    is max|(U(m) - U(m/2)) B| / 3 on the columns of the 27xk isometry
+    ``basis``.  It costs two propagations, at m and at m/2 steps per
+    period.
+    """
+    full = propagate(p, q2_pulse, q2_spec)
+    half = propagate(p, q2_pulse, q2_spec, dt=2.0 * full.dt)
+    return float(np.max(np.abs((full.unitary - half.unitary) @ basis))) / 3.0
 
 
 @dataclass(frozen=True)

@@ -300,8 +300,7 @@ def _sidebands(q2_spec: TransmonSpec, pulse: FluxPulse, n_max: int) -> tuple:
 
 
 def modulated_couplings(p: DeviceParams, pulse: FluxPulse, q2_spec: TransmonSpec,
-                        n_max: int = 5,
-                        checked=("g01", "g02", "g20")) -> ModulatedCouplings:
+                        n_max: int = 5) -> ModulatedCouplings:
     """Effective couplings g01_n, g02_n, g20_n for sidebands n in [-n_max, n_max].
 
     Detunings use the average modulated frequency, Delta2 = fc - f2_avg; each
@@ -309,24 +308,23 @@ def modulated_couplings(p: DeviceParams, pulse: FluxPulse, q2_spec: TransmonSpec
     weights are the numeric Fourier coefficients of the full qubit-2
     frequency, so at a sweet spot they carry the 4*mod_freq harmonic and
     |eps_n| = |eps_-n| only to first order (see ModulatedCouplings).  Raises
-    if a retained sideband of one of the ``checked`` couplings comes within
-    1 MHz of the coupler resonance; a coupling left unchecked keeps the
-    value the formula gives there.
+    if a retained sideband of g01 or g20, which share the denominator
+    Delta2 - shift, comes within 1 MHz of the coupler resonance.  No gate
+    drives g02, so its denominator Delta2 + eta2 - shift is not guarded and
+    g02 keeps the value the formula gives near its collision.
     """
     f_avg, f_exc, n, eps, spacing = _sidebands(q2_spec, pulse, n_max)
     d2 = p.fc - f_avg
     shift = n * spacing * pulse.mod_freq
 
     guard = 1e-3  # GHz
-    denominators = {"g01": d2 - shift, "g02": d2 + p.eta2 - shift, "g20": d2 - shift}
-    for name in checked:
-        dens = denominators[name]
-        bad = np.abs(dens) < guard
-        if np.any(bad):
-            worst = n[bad][np.argmin(np.abs(dens[bad]))]
-            raise ValueError(
-                f"sideband n={int(worst)} of {name} is resonant with the coupler "
-                f"(|detuning| < {guard * 1e3:.0f} MHz)")
+    dens = d2 - shift
+    bad = np.abs(dens) < guard
+    if np.any(bad):
+        worst = n[bad][np.argmin(np.abs(dens[bad]))]
+        raise ValueError(
+            f"sideband n={int(worst)} of g01 and g20 is resonant with the coupler "
+            f"(|detuning| < {guard * 1e3:.0f} MHz)")
 
     g01, g02, g20 = (eps * g for g in _second_order(p, f_avg, shift))
     return ModulatedCouplings(n=n, eps=eps, g01=g01, g02=g02, g20=g20,

@@ -7,9 +7,10 @@ modulation frequency plus each offset in ``OFFSETS_MHZ``, at the default
 coupler bias.  Each run prints one canonical JSON line (sorted keys,
 floats as their ``repr``) holding the refinement's amplitude shift,
 duration and chevron rows, and the gate's duration, f_avg, fSim angle
-errors, leakage, step error (the report's Richardson estimate of the
-time-step error) and duration-coupling product.  A key that the
-calibrated package does not report prints as null, and a failed
+errors, leakage, step error (``dynamics.step_error`` of the calibrated
+gate on its dressed computational columns) and duration-coupling
+product.  A key that the calibrated package does not report, or a
+function that it lacks, prints as null, and a failed
 calibration prints its stage and message, so two checkouts can be
 compared line by line:
 
@@ -35,8 +36,17 @@ def _angle_error(angle: float, target: float) -> float:
 
 def scan():
     """Yield one JSON-ready dict per (gate kind, offset)."""
-    from paramres.calibration import GATES, CalibrationError, calibrate_gate
-    from paramres.device import load_bundled_device
+    from paramres import dynamics
+    from paramres.calibration import GATES, CalibrationError, calibrate_gate, gate_pulse
+    from paramres.device import device_params, load_bundled_device
+    from paramres.effective import dressed_computational_basis
+
+    def step_error(spec):
+        if not hasattr(dynamics, "step_error"):
+            return None
+        p = device_params(device, phic=spec.coupler_bias)
+        return dynamics.step_error(p, gate_pulse(spec), device.q2,
+                                   dressed_computational_basis(p))
 
     device = load_bundled_device()
     for kind, gate in GATES.items():
@@ -60,7 +70,7 @@ def scan():
                 "theta_error_rad": _angle_error(tomo["theta_rad"], theta),
                 "phi_error_rad": _angle_error(tomo["phi_rad"], phi),
                 "leakage": tomo["leakage"],
-                "step_error": tomo.get("step_error"),
+                "step_error": step_error(spec),
                 "tau_cycles_g": report["consistency"]["duration_coupling_product"],
             }
 
