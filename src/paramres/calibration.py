@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .device import Device, device_params
-from .dynamics import ChevronMap, chevron, default_dt, fit_exchange, propagate
+from .dynamics import ChevronMap, chevron, fit_exchange, propagate
 from .effective import (COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS,
                         average_and_excursion, dressed_computational_basis,
                         modulated_couplings)
@@ -262,10 +262,7 @@ def gate_unitary(device: Device, spec: GateSpec):
     """Propagate a calibrated gate; returns (device params, 27x27 unitary).
 
     The pulse takes propagate's default step, the error-budget step of a
-    modulated pulse.  The scores in a calibration report come from the
-    duration trim at the finer static step instead (its ``dt_ns``); the
-    two unitaries differ by the step error, which dynamics.step_error
-    estimates.
+    modulated pulse, as the duration trim of calibrate_gate does.
     """
     p = device_params(device, phic=spec.coupler_bias)
     prop = propagate(p, gate_pulse(spec), device.q2)
@@ -480,10 +477,8 @@ def calibrate_gate(
     labeled with the stage name.  A cz02 request fails at the resonance
     stage on this device topology.
 
-    The tomography section's f_avg, fSim angles, leakage and virtual-Z
-    angles are scored on the duration trim, propagated at the static step
-    default_dt(p) that it reports as ``dt_ns``, not on gate_unitary's
-    coarser error-budget step.
+    The tomography section scores the unitary that gate_unitary returns
+    for the calibrated spec, at the step it reports as ``dt_ns``.
     """
     with _stage("setup"):
         if not isinstance(kind, str) or kind not in _TRANSITIONS:
@@ -561,10 +556,6 @@ def calibrate_gate(
     # that to the smallest swap-angle error.  Candidates are fitted in
     # falling fidelity, so the fits stop at the first one on target.
     # Propagator snapshots make the whole grid cost a single propagation.
-    # They sit at step boundaries, so the step places the candidates, and
-    # the CZ20 swap angle moves by about 0.17 rad/ns between them: the
-    # trim keeps the static step default_dt(p) (5.5 ps) rather than the
-    # budget's modulated step (22 ps for CZ20, 45 ps for iSWAP).
     theta_target, phi_target = gate.fsim
     target_u = fsim_unitary(theta_target, phi_target)
     ideal_pt = qubit_subspace_ptm(target_u)
@@ -580,9 +571,8 @@ def calibrate_gate(
         grid = spec.duration + _TRIM_OFFSETS
         grid = grid[grid > 0.0]
         trim = propagate(p, replace(gate_pulse(spec), duration=float(grid[-1])),
-                         device.q2, dt=default_dt(p), unitary_times=grid)
-        rows = [scored(t, u) for t, u
-                in zip(trim.unitary_times, trim.unitaries)]
+                         device.q2, unitary_times=grid)
+        rows = [scored(t, u) for t, u in zip(grid, trim.unitaries)]
         fits = []  # (theta error, duration, fit, row)
         # a leaky candidate's fit warns; the report records that
         with warnings.catch_warnings(record=True) as caught:

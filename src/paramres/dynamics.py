@@ -15,7 +15,7 @@ steps per period from a closed-form rule under an error budget
 (STEP_ERROR_BUDGET: 5e-4 on the gate's computational columns), and
 step_error measures what a run actually left.  A static pulse is exact
 at any step, and its step (default_dt) only places the trajectory
-samples and snapshots.
+samples.  Propagator snapshots are cut at exactly the requested times.
 
 The drive is a pure sine, so a modulation period is fixed by its first
 quarter: the step Hamiltonians mirror about T/4 and 3T/4, and about a
@@ -31,6 +31,7 @@ of Didier et al., PRA 97, 022330 (2018).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -55,8 +56,7 @@ class Propagation:
     n_diagonalized: int          # step Hamiltonians diagonalized
     times: np.ndarray            # sample times (ns), empty unless sampling requested
     trajectory: np.ndarray       # sampled states (n_times x dim), empty likewise
-    unitary_times: np.ndarray    # snapshot times (ns), empty unless requested
-    unitaries: np.ndarray        # propagator snapshots (n x dim x dim), empty likewise
+    unitaries: np.ndarray        # one propagator snapshot per requested time
     unitarity_defect: float
 
 
@@ -107,11 +107,11 @@ def _step_eigenpairs(terms, series):
         yield (idx, *np.linalg.eigh(h))
 
 
-def _step_products(terms, series, dts, u):
-    """Yield the running propagator after each midpoint step, starting from u.
+def _step_matrices(terms, series, dts):
+    """Yield (c, steps): the midpoint steps of the slice c of dts, batched.
 
     terms and series are those of _step_eigenpairs and dts the step
-    lengths.  Each step applies exp(-i*2*pi*H*dt) through the
+    lengths.  Each step is exp(-i*2*pi*H*dt), built from the
     eigendecomposition of H in each parity block.
     """
     for a in range(0, len(dts), _EIGH_BATCH):
@@ -122,16 +122,14 @@ def _step_products(terms, series, dts, u):
             phases = np.exp(-2j * math.pi * evals * dts[c, None])
             steps[(slice(None), *np.ix_(idx, idx))] = ((vecs * phases[:, None, :])
                                                        @ vecs.swapaxes(1, 2))
-        for step in steps:
-            u = step @ u
-            yield u
+        yield c, steps
 
 
 def default_dt(p: DeviceParams) -> float:
     """Step of a static pulse, 1/(40 * max frequency), in ns.
 
     A static pulse repeats one exact step, so dt only places its
-    trajectory samples and snapshots: 40 per period of the fastest mode.
+    trajectory samples: 40 per period of the fastest mode.
     A modulated pulse takes its step from _steps_per_period instead.
     """
     return 1.0 / (40.0 * max(p.f1, p.f2, p.fc))
@@ -181,6 +179,25 @@ def _steps_per_period(q2_pulse: FluxPulse, q2_spec) -> int:
     return 8 * max(1, math.ceil(m / 8.0))
 
 
+def _initial_vector(state) -> np.ndarray:
+    """The initial state of propagate as a normalized 27-vector.
+
+    state is a bare basis index, an integer in [0, 27), or a finite
+    normalized vector of length 27; anything else raises ValueError.
+    """
+    if np.isscalar(state):
+        if not isinstance(state, numbers.Integral) or not 0 <= state < DIM:
+            raise ValueError(f"initial state index must be an integer in [0, {DIM})")
+        return np.eye(DIM, dtype=complex)[state]
+    psi = np.asarray(state, dtype=complex)
+    if psi.shape != (DIM,):
+        raise ValueError(f"initial state vector must have length {DIM}")
+    norm = float(np.linalg.norm(psi))
+    if not abs(norm - 1.0) <= 1e-8:  # NaN and inf fail too
+        raise ValueError(f"initial state must be finite and normalized, got norm {norm}")
+    return psi
+
+
 def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
               initial_state=None, n_samples=0, unitary_times=None) -> Propagation:
     """Propagate over the q2 pulse window and return the final unitary.
@@ -189,24 +206,29 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     device.device_params); the coupler stays at its bias in p.  q2_spec
     converts the instantaneous q2 flux to its frequency and coupling scale
     factors.
-    With n_samples > 0 and an initial_state (bare basis index or vector),
-    the state trajectory is recorded at evenly spaced step boundaries, which
-    gives a chevron duration axis from a single propagation.
+    With n_samples > 0 and an initial_state (bare basis index or
+    normalized vector), the state trajectory is recorded at evenly spaced
+    step boundaries, the last at the pulse duration, which gives a
+    chevron duration axis from a single propagation.
 
-    unitary_times requests snapshots of the running propagator, taken at the
-    nearest step boundaries (the actual times come back in unitary_times).
-    The pulse is square, so the steps of a truncated pulse coincide with
-    the leading steps of the full one and the snapshot at time t is the
-    final unitary of the same pulse with duration t; a duration scan then
-    costs one propagation instead of one per duration.
+    unitary_times requests snapshots of the running propagator, one per
+    requested time in request order.  The snapshot at t is the final
+    unitary of the same pulse with duration t: the pulse is square, so
+    the truncated pulse takes the same steps up to t, and both end with
+    the same partial step.  A duration scan then costs one propagation
+    instead of one per duration.
 
     The step: with dt=None a modulated pulse takes m steps per period,
     a multiple of 8, from the closed-form rule that holds its error on
     the computational columns to STEP_ERROR_BUDGET (_steps_per_period;
     m = 80 for iSWAP and 160 for CZ20 at 0.28 GHz).  A static pulse is
-    exact at any step, so its dt (default_dt) only places the samples
-    and snapshots.  An explicit dt is snapped to the next multiple of 4
-    steps per period.
+    exact at any step, so its dt (default_dt) only places the samples.
+    An explicit dt is snapped to the next multiple of 4 steps per period.
+
+    A cut at time t takes s = floor(t/dt) whole steps and then one
+    partial step of length t - s*dt at its own midpoint (none when that
+    is below 1e-4 of a step).  The final unitary is the cut at the
+    duration, and its partial step also gives the last trajectory sample.
 
     Period reuse: a modulated pulse has m steps per period, so the
     Hamiltonian repeats every m steps; a DC pulse repeats its single step
@@ -216,15 +238,12 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     U_P^n = Z diag(exp(i*n*theta)) Z^H.  For m = 1, theta = -2*pi*E*dt
     and Z come from the step's own parity-block eigenpairs (E, Z), so a
     DC pulse costs one eigendecomposition; a longer period takes them
-    from the complex Schur form of U_P = P_m.  A trailing partial step is
-    stepped directly.  The final unitary, the snapshots and the
-    trajectory all read from that rule, so the cost grows with the steps
-    per period and the samples, not with duration/dt.  A state
-    trajectory is evaluated at all its samples at once, as
-    P_k Z (exp(i*n*theta) * Z^H psi0); snapshots go in batches.  Sample
-    and snapshot times are s*dt (the pulse duration at the last
-    boundary); snapshots of a static pulse snap to step boundaries like
-    those of a modulated one.
+    from the complex Schur form of U_P = P_m.  The prefixes sample the
+    periodic waveform, also past the end of a pulse shorter than its
+    period, whose cuts read only the prefixes it reaches.  So the cost
+    grows with the steps per period, the samples and the cuts, not with
+    duration/dt.  A state trajectory is evaluated at all its samples at
+    once, as P_k Z (exp(i*n*theta) * Z^H psi0); cuts go in batches.
 
     Quarter symmetry: with q = m/4 and midpoints (j + 1/2)*dt, the flux
     enters H only through sin(2*pi*f*t), so step j repeats step 2q-1-j
@@ -235,16 +254,14 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     step S_j = exp(-2*pi*i*H_j*dt) is complex symmetric, since H_j is real
     symmetric, so with Q = P_q the half period is G = Q^T Q, the
     second-quarter prefixes are P_{q+k} = conj(P_{q-k}) G, and the second
-    half applies its own quarter rule after G.  A pulse shorter than its
-    period takes its steps from the same prefixes.
+    half applies its own quarter rule after G.
     """
     duration = q2_pulse.duration
     if duration <= 0:
         raise ValueError("pulse duration must be > 0")
 
-    # Snap dt to m steps per modulation period; a trailing partial step
-    # absorbs the incommensurate remainder.  An unmodulated pulse repeats
-    # every step.
+    # Snap dt to m steps per modulation period; an unmodulated pulse
+    # repeats every step and splits the duration into whole steps.
     if q2_pulse.mod_freq > 0 and q2_pulse.amplitude != 0.0:
         period = 1.0 / q2_pulse.mod_freq
         if dt is None:
@@ -253,54 +270,44 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
             # period/(4*dt) of a dt = period/m can round to an ulp above m/4
             m = 4 * math.ceil(period / (4.0 * dt) - 1e-9)
         dt = period / m
-        n_full = int(duration / dt + 1e-9)
-        rem = duration - n_full * dt
-        # Durations produced by the snapping itself sit within summation
-        # noise of an exact multiple; only keep remainders that are real.
-        # A pulse shorter than one step is all remainder.
-        rem = rem if rem > 1e-4 * min(dt, duration) else 0.0
     else:
-        if dt is None:
-            dt = default_dt(p)
-        n_full = max(1, math.ceil(duration / dt))
-        dt, m, rem = duration / n_full, 1, 0.0
-    n_steps = n_full + (rem > 0.0)
+        dt = default_dt(p) if dt is None else dt
+        dt = duration / max(1, math.ceil(duration / dt))
+        m = 1
+
+    want_u = np.asarray([] if unitary_times is None else unitary_times, float).ravel()
+    # written so that NaN fails the range test
+    if not np.all((want_u > 0.0) & (want_u <= duration + 1e-9)):
+        raise ValueError("unitary sample times must lie in (0, duration]")
+    # Cut times, the duration last: whole steps s and the partial step r.
+    # Times taken from the step grid (a chevron sample, a snapped
+    # duration) sit within summation noise of a boundary; only partial
+    # steps that are real are kept.
+    cuts = np.minimum(np.append(want_u, duration), duration)
+    s = np.floor(cuts / dt + 1e-9).astype(int)
+    r = cuts - s * dt
+    keep = r > 1e-4 * np.minimum(dt, cuts)
+    partial = np.flatnonzero(keep)
+    n_full = int(s[-1])
+    n_steps = n_full + int(keep[-1])
 
     static_xx, static_diag = _static_terms(p)
     terms = (static_xx, XX_C2, XX_12, static_diag, NUM_2)
-
-    psi = None
-    if initial_state is not None:
-        psi = np.zeros(DIM, dtype=complex)
-        if np.isscalar(initial_state):
-            psi[int(initial_state)] = 1.0
-        else:
-            psi[:] = initial_state
-
+    psi = None if initial_state is None else _initial_vector(initial_state)
     sample_steps = np.array([], dtype=int)
     if n_samples > 0:
         if psi is None:
             raise ValueError("trajectory sampling requires an initial state")
         sample_steps = np.unique(np.linspace(1, n_steps, n_samples).round().astype(int))
-    want_u = (np.array([], dtype=float) if unitary_times is None
-              else np.atleast_1d(np.asarray(unitary_times, dtype=float)))
-    # written so that NaN fails the range test
-    if not np.all((want_u > 0.0) & (want_u <= duration + 1e-9)):
-        raise ValueError("unitary sample times must lie in (0, duration]")
-    snap = np.clip(np.floor(want_u / dt + 0.5), 1, n_full).astype(int)
-    snap[want_u - n_full * dt > 0.5 * rem] = n_steps
-    u_steps = np.unique(snap)
 
     n_diagonalized = 0
 
-    def steps(k, u):
-        """Yield the running propagator after each step of indices k, from u."""
+    def steps(pulse, t_mid, lengths):
+        """Batches of the steps of the given midpoints and lengths."""
         nonlocal n_diagonalized
-        n_diagonalized += len(k)
-        full = k < n_full
-        t_mid = np.where(full, (k + 0.5) * dt, n_full * dt + 0.5 * rem)
-        series = _parameter_series(p, q2_pulse, q2_spec, t_mid)
-        return _step_products(terms, series, np.where(full, dt, rem), u)
+        n_diagonalized += len(t_mid)
+        series = _parameter_series(p, pulse, q2_spec, t_mid)
+        return _step_matrices(terms, series, lengths)
 
     if m == 1:
         # The period is one step, so every in-period count k is 0 and the
@@ -318,15 +325,17 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     else:
         from scipy.linalg import schur
 
-        # prefixes[h, k] = P_k for k <= q of the half h of the period
-        eye = np.eye(DIM, dtype=complex)
+        # prefixes[h, k] = P_k for k <= q of the half h of the period,
+        # stepped on the waveform for a whole period
+        wave = replace(q2_pulse, duration=max(duration, period))
         q = m // 4
         starts = (0,) if _is_sweet_spot(q2_pulse.phi_dc) else (0, 2 * q)
         prefixes = np.empty((len(starts), q + 1, DIM, DIM), dtype=complex)
-        prefixes[:, 0] = eye
+        prefixes[:, 0] = np.eye(DIM)
         for h, a in enumerate(starts):
-            for k, u_k in enumerate(steps(a + np.arange(q), eye), 1):
-                prefixes[h, k] = u_k
+            for c, batch in steps(wave, (a + np.arange(q) + 0.5) * dt, np.full(q, dt)):
+                for k, step in enumerate(batch, c.start + 1):
+                    prefixes[h, k] = step @ prefixes[h, k - 1]
         halves = prefixes[:, -1].swapaxes(1, 2) @ prefixes[:, -1]
 
         def prefix(k, y):
@@ -353,54 +362,46 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
 
         # U_P is unitary, so its complex Schur form is diagonal and
         # U_P^n = Z diag(exp(i*n*theta)) Z^H.
-        schur_t, z = schur(prefix(np.array([m]), eye[None].copy())[0],
+        schur_t, z = schur(prefix(np.array([m]), np.eye(DIM, dtype=complex)[None])[0],
                            output="complex")
         theta = np.angle(np.diag(schur_t))
     w = z.conj().T
 
-    def periodic(s, x, out):
-        """Write U(s) y into out for x = Z^H y and sorted step counts s.
+    def periodic(s, x):
+        """U(s) y for x = Z^H y and whole step counts s.
 
         A state (1-D x) is evaluated at all counts at once, as
-        P_k Z (exp(i*n*theta) * x); a matrix in batches of counts.  Counts
-        past n_full (the trailing partial step) are left out.
+        P_k Z (exp(i*n*theta) * x); a matrix in batches of counts.
         """
-        stop = np.searchsorted(s, n_full, side="right")
-        n, k = np.divmod(s[:stop], m)
+        n, k = np.divmod(s, m)
         if x.ndim == 1:
             y = (np.exp(1j * np.multiply.outer(n, theta)) * x) @ z.T
-            out[:stop] = prefix(k, y[:, :, None])[:, :, 0]
-            return out
-        for a in range(0, stop, _EIGH_BATCH):
-            c = slice(a, min(a + _EIGH_BATCH, stop))
+            return prefix(k, y[:, :, None])[:, :, 0]
+        out = np.empty((len(s), DIM, DIM), dtype=complex)
+        for a in range(0, len(s), _EIGH_BATCH):
+            c = slice(a, a + _EIGH_BATCH)
             y = z @ (np.exp(1j * np.multiply.outer(n[c], theta))[:, :, None] * x)
             out[c] = prefix(k[c], y)
         return out
 
+    unitaries = periodic(s, w)
+    for c, batch in steps(q2_pulse, s[partial] * dt + 0.5 * r[partial], r[partial]):
+        unitaries[partial[c]] = batch @ unitaries[partial[c]]
+    u = unitaries[-1]
     trajectory = np.zeros((len(sample_steps), DIM), dtype=complex)
-    unitaries = np.zeros((len(u_steps), DIM, DIM), dtype=complex)
     if psi is not None:
-        periodic(sample_steps, w @ psi, trajectory)
-    periodic(u_steps, w, unitaries)
-    u = periodic(np.array([n_full]), w, np.empty((1, DIM, DIM), dtype=complex))[0]
-    if rem:
-        u = next(steps(np.array([n_full]), u))
-        unitaries[u_steps == n_steps] = u
-        if psi is not None:
-            trajectory[sample_steps == n_steps] = u @ psi
+        whole = sample_steps <= n_full
+        trajectory[whole] = periodic(sample_steps[whole], w @ psi)
+        trajectory[~whole] = u @ psi
 
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(DIM))))
     if defect > UNITARITY_TOL:
         raise ValueError(
             f"unitarity drift {defect:.2e} exceeds {UNITARITY_TOL}; reduce dt")
-
-    def times(s):
-        return np.where(s < n_steps, s * dt, duration)
-
     return Propagation(unitary=u, dt=dt, n_steps=n_steps,
                        n_diagonalized=n_diagonalized,
-                       times=times(sample_steps), trajectory=trajectory,
-                       unitary_times=times(u_steps), unitaries=unitaries,
+                       times=np.where(sample_steps < n_steps, sample_steps * dt, duration),
+                       trajectory=trajectory, unitaries=unitaries[:-1],
                        unitarity_defect=defect)
 
 

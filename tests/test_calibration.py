@@ -30,7 +30,8 @@ from paramres.dynamics import (STEP_ERROR_BUDGET, ChevronMap, chevron, propagate
                                step_error)
 from paramres.effective import dressed_computational_basis
 from paramres.fluxcontrol import instantaneous_flux
-from paramres.tomography import fit_fsim
+from paramres.tomography import (average_fidelity, extract_virtual_z, fit_fsim,
+                                 fsim_unitary, qubit_subspace_ptm, virtual_z_correct)
 
 MOD_FREQ = 0.28
 
@@ -273,12 +274,25 @@ def test_refined_amplitude_is_a_local_optimum_of_the_chevron(
 
 
 @pytest.mark.parametrize("kind", ["iswap", "cz20"])
-def test_trim_snapshots_fall_on_distinct_step_boundaries(default_calibrations, kind):
-    # no two of the 129 trim durations snap to one step boundary
-    (trim,) = default_calibrations[kind][3]
-    assert len(calibration._TRIM_OFFSETS) == 129
-    assert trim.unitary_times.shape == (129,)
-    assert np.all(np.diff(trim.unitary_times) > 0.0)
+def test_report_scores_the_gate_unitary(device, default_calibrations, kind):
+    # the trim snapshots are the calibrated gate's own unitary, at its step
+    spec, report, _, (trim,) = default_calibrations[kind]
+    assert trim.unitaries.shape == (len(calibration._TRIM_OFFSETS), 27, 27)
+    p, u = gate_unitary(device, spec)
+    basis = dressed_computational_basis(p)
+    m = basis.conj().T @ u @ basis
+    target = fsim_unitary(*GATES[kind].fsim)
+    z1, z2 = extract_virtual_z(m, target)
+    corrected = qubit_subspace_ptm(virtual_z_correct(m, z1, z2))
+    fit = fit_fsim(corrected)
+    tomo = report["tomography"]
+    scores = {"f_avg": average_fidelity(corrected, qubit_subspace_ptm(target)),
+              "theta_rad": fit.theta, "phi_rad": fit.phi, "leakage": corrected.leakage}
+    for key, value in scores.items():
+        assert abs(tomo[key] - value) <= 1e-12, key
+    np.testing.assert_allclose(tomo["virtual_z_rad"], [z1, z2], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(spec.virtual_z, [z1, z2], rtol=0.0, atol=1e-12)
+    assert tomo["dt_ns"] == propagate(p, gate_pulse(spec), device.q2).dt
 
 
 def gate_step_error(device, spec) -> float:

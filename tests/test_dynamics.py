@@ -110,33 +110,47 @@ def test_unitary_snapshots_match_truncated_pulses(device):
     for amplitude, mod_freq in ((0.154, MOD_FREQ), (0.0, 0.0)):  # modulated, static
         pulse = flat_pulse(512 * dt, amplitude=amplitude, mod_freq=mod_freq)
         prop = propagate(p, pulse, device.q2, dt=dt, unitary_times=times)
-        np.testing.assert_allclose(prop.unitary_times, times, atol=1e-12)
-        for t, u in zip(prop.unitary_times, prop.unitaries):
+        assert prop.unitaries.shape == (len(times), 27, 27)
+        for t, u in zip(times, prop.unitaries):
             solo = propagate(
                 p, flat_pulse(float(t), amplitude=amplitude, mod_freq=mod_freq),
                 device.q2, dt=dt)
             assert np.max(np.abs(u - solo.unitary)) < 1e-10
 
 
-def stepped_propagators(p, q2_pulse, q2_spec, prop):
-    """Propagator after each step of prop's midpoint grid, stepped one by one.
+def stepped_propagators(p, q2_pulse, q2_spec, dt, times):
+    """Propagators of q2_pulse cut at each of times, stepped one by one.
 
-    The grid has steps of prop.dt, the last one ending at the pulse
-    duration; each step multiplies exp(-2*pi*i*H(t_mid)*dt_k) with H from
-    build_hamiltonian at that step's midpoint parameters.
+    The cut at t takes the floor(t/dt) whole steps of dt and then one
+    partial step that ends at t exactly; each step multiplies
+    exp(-2*pi*i*H(t_mid)*dt_k) with H from build_hamiltonian at that
+    step's midpoint parameters.
     """
-    edges = np.arange(prop.n_steps + 1) * prop.dt
-    edges[-1] = q2_pulse.duration
-    t_mid = 0.5 * (edges[:-1] + edges[1:])
-    series = _parameter_series(p, q2_pulse, q2_spec, t_mid)
-    u = np.eye(27, dtype=complex)
-    out = np.zeros((prop.n_steps, 27, 27), dtype=complex)
-    for k in range(prop.n_steps):
-        pk = replace(p, **{key: float(series[key][k]) for key in series})
-        u = expm(-2j * np.pi * build_hamiltonian(pk)
-                 * (edges[k + 1] - edges[k])) @ u
-        out[k] = u
-    return edges, out
+    times = np.asarray(times, dtype=float)
+    whole = np.floor(times / dt + 1e-9).astype(int)
+
+    def step(t0, t1):
+        series = _parameter_series(p, q2_pulse, q2_spec, np.array([0.5 * (t0 + t1)]))
+        pk = replace(p, **{key: float(series[key][0]) for key in series})
+        return expm(-2j * np.pi * build_hamiltonian(pk) * (t1 - t0))
+
+    u = [np.eye(27, dtype=complex)]
+    for k in range(whole.max()):
+        u.append(step(k * dt, (k + 1) * dt) @ u[-1])
+    return np.array([u[s] if t - s * dt < 1e-12 else step(s * dt, t) @ u[s]
+                     for s, t in zip(whole, times)])
+
+
+def test_stepped_propagators_cut_exactly_at_each_time(device):
+    # the reference of a cut off the step grid ends at the cut, not at a
+    # step boundary: it is the closed form of a static pulse
+    p = device_params(device, phic=0.29472)
+    pulse = flat_pulse(1.0)
+    times = [0.013, 0.37, 1.0]
+    evals, vecs = np.linalg.eigh(build_hamiltonian(p))
+    for t, u in zip(times, stepped_propagators(p, pulse, device.q2, 0.1, times)):
+        exact = (vecs * np.exp(-2j * np.pi * evals * t)) @ vecs.T
+        assert np.max(np.abs(u - exact)) < 1e-10
 
 
 TIMES = [1.0, 3.1, 10.0, 20.0, 24.0, 25.4]
@@ -158,13 +172,21 @@ TIMES = [1.0, 3.1, 10.0, 20.0, 24.0, 25.4]
     # shorter than one period: its steps are prefixes of the period
     (FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=3.3),
      PERIOD / 48, [0.4, 1.0, 2.5, 3.3]),
+    # shorter than a quarter period (T/4 = 0.89 ns) but longer than one
+    # step, at the error-budget step
+    (FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=0.5),
+     None, [0.1, 0.37, 0.5]),
+    # off a sweet spot, ending inside the third quarter, whose prefixes
+    # are diagonalized in full
+    (FluxPulse(phi_dc=0.08, amplitude=0.02, mod_freq=MOD_FREQ, duration=2.3),
+     PERIOD / 48, [0.4, 1.9, 2.3]),
     # shorter than one step, even than 1e-4 of one: a single partial step
     (FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=0.3 * PERIOD / 48),
      PERIOD / 48, [0.3 * PERIOD / 48]),
     (FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=1e-6),
      PERIOD / 48, [1e-6]),
-], ids=["modulated", "dc", "off_sweet_spot", "snapped", "sub_period", "sub_step",
-        "tiny"])
+], ids=["modulated", "dc", "off_sweet_spot", "snapped", "sub_period",
+        "sub_quarter", "off_sweet_spot_third_quarter", "sub_step", "tiny"])
 def test_period_reuse_matches_direct_stepping(device, q2_pulse, dt, times):
     p = device_params(device, phic=0.29472, phi2=q2_pulse.phi_dc)
     psi = np.zeros(27, dtype=complex)
@@ -173,14 +195,30 @@ def test_period_reuse_matches_direct_stepping(device, q2_pulse, dt, times):
                      initial_state=psi, n_samples=40, unitary_times=times)
     if q2_pulse.mod_freq > 0.0:
         assert round(1.0 / (q2_pulse.mod_freq * prop.dt)) % 4 == 0
-    edges, ref = stepped_propagators(p, q2_pulse, device.q2, prop)
-    assert np.max(np.abs(prop.unitary - ref[-1])) < 1e-9
-    for t, u in zip(prop.unitary_times, prop.unitaries):
-        s = int(np.argmin(np.abs(edges - t)))
-        assert edges[s] == pytest.approx(t, abs=1e-12)
-        assert np.max(np.abs(u - ref[s - 1])) < 1e-9
-    steps = [int(np.argmin(np.abs(edges - t))) for t in prop.times]
-    assert np.max(np.abs(prop.trajectory - ref[np.array(steps) - 1] @ psi)) < 1e-9
+    ref = stepped_propagators(p, q2_pulse, device.q2, prop.dt,
+                              [q2_pulse.duration, *times, *prop.times])
+    assert np.max(np.abs(prop.unitary - ref[0])) < 1e-9
+    assert np.max(np.abs(prop.unitaries - ref[1:len(times) + 1])) < 1e-9
+    assert np.max(np.abs(prop.trajectory - ref[len(times) + 1:] @ psi)) < 1e-9
+
+
+@pytest.mark.parametrize("q2_pulse", [
+    FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=25.4),
+    FluxPulse(phi_dc=0.08, amplitude=0.02, mod_freq=MOD_FREQ, duration=25.4),
+    FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=0.5),
+    FluxPulse(phi_dc=0.0, amplitude=0.05, duration=25.4),
+], ids=["modulated", "off_sweet_spot", "sub_quarter", "static"])
+def test_snapshots_off_the_step_grid_are_truncated_pulses(device, q2_pulse):
+    # unsorted and repeated requests come back one per request, in order
+    p = device_params(device, phic=0.29472, phi2=q2_pulse.phi_dc)
+    times = np.array([0.77, 0.131, 0.77, 0.4999]) * q2_pulse.duration
+    prop = propagate(p, q2_pulse, device.q2, unitary_times=times)
+    assert prop.unitaries.shape == (len(times), 27, 27)
+    off_grid = np.abs(times / prop.dt - np.round(times / prop.dt))
+    assert np.all(off_grid > 0.01)
+    for t, u in zip(times, prop.unitaries):
+        solo = propagate(p, replace(q2_pulse, duration=float(t)), device.q2)
+        assert np.max(np.abs(u - solo.unitary)) <= 1e-10
 
 
 @pytest.mark.parametrize("q2_pulse, quarters", [
@@ -253,6 +291,22 @@ def test_propagate_validation(device, zero_bias_params):
         with pytest.raises(ValueError, match="lie in \\(0, duration\\]"):
             propagate(zero_bias_params, flat_pulse(20.0), device.q2,
                       unitary_times=bad)
+
+
+@pytest.mark.parametrize("state, message", [
+    (-1, "integer in \\[0, 27\\)"),
+    (27, "integer in \\[0, 27\\)"),
+    (2.7, "integer in \\[0, 27\\)"),
+    (np.ones(26) / np.sqrt(26), "length 27"),
+    (np.zeros(27), "finite and normalized"),
+    (np.full(27, np.nan), "finite and normalized"),
+    (np.full(27, np.inf), "finite and normalized"),
+], ids=["negative", "too_large", "fractional", "short", "zero", "nan", "inf"])
+def test_propagate_rejects_a_bad_initial_state(device, zero_bias_params, state,
+                                              message):
+    with pytest.raises(ValueError, match=message):
+        propagate(zero_bias_params, flat_pulse(20.0), device.q2,
+                  initial_state=state, n_samples=10)
 
 
 def test_default_dt_resolves_fastest_mode(zero_bias_params):
