@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .device import Device, device_params
-from .dynamics import ChevronMap, chevron, fit_exchange, propagate
+from .dynamics import ChevronMap, chevron, fit_exchange, modulation_step, propagate
 from .effective import (COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS,
                         average_and_excursion, dressed_computational_basis,
                         modulated_couplings)
@@ -267,6 +267,15 @@ def gate_unitary(device: Device, spec: GateSpec):
     p = device_params(device, phic=spec.coupler_bias)
     prop = propagate(p, gate_pulse(spec), device.q2)
     return p, prop.unitary
+
+
+def _on_step_grid(pulse: FluxPulse, q2_spec, times) -> np.ndarray:
+    """times rounded onto the step grid of pulse, sorted and without repeats.
+
+    propagate cuts there with no partial step, so for free.
+    """
+    dt = modulation_step(pulse, q2_spec)
+    return dt * np.unique(np.round(np.asarray(times) / dt))
 
 
 #: Modulation frequency (GHz) of the probe pulse that fbar(A) is read
@@ -534,10 +543,13 @@ def calibrate_gate(
         template = gate_pulse(spec)
         start, stop, step = gate.duration_window
         durs = np.arange(start * tau, stop * tau, step)
+        # each row on its own step grid, which moves with the amplitude
         with _stage("chevron"):
             refined, duration, n_rows = _search_chevron(
-                lambda a: chevron(p, template, device.q2, [a], durs,
-                                  initial=gate.prepared, basis=basis),
+                lambda a: chevron(
+                    p, template, device.q2, [a],
+                    _on_step_grid(replace(template, amplitude=a), device.q2, durs),
+                    initial=gate.prepared, basis=basis),
                 amplitude)
         spec = replace(spec, amplitude=refined, duration=duration)
         report["refine"] = {
@@ -571,7 +583,7 @@ def calibrate_gate(
         grid = spec.duration + _TRIM_OFFSETS
         grid = grid[grid > 0.0]
         trim = propagate(p, replace(gate_pulse(spec), duration=float(grid[-1])),
-                         device.q2, unitary_times=grid)
+                         device.q2, times=grid)
         rows = [scored(t, u) for t, u in zip(grid, trim.unitaries)]
         fits = []  # (theta error, duration, fit, row)
         # a leaky candidate's fit warns; the report records that
@@ -603,11 +615,13 @@ def calibrate_gate(
     # Consistency: the fitted exchange rate at the refined amplitude
     # should tie the duration to tau*4g = 1 (iswap) or tau*2g = 1 (cz).
     with _stage("consistency"):
-        trace_pulse = replace(gate_pulse(spec), duration=3.0 * spec.duration)
-        tr = propagate(p, trace_pulse, device.q2,
-                       initial_state=COMPUTATIONAL_INDICES[col_init], n_samples=720)
-        pop = np.abs(tr.trajectory[:, COMPUTATIONAL_INDICES[col_watch]]) ** 2
-        ef = fit_exchange(tr.times, pop)
+        pulse = gate_pulse(spec)
+        times = _on_step_grid(pulse, device.q2,
+                              np.linspace(0.0, 3.0 * spec.duration, 721)[1:])
+        tr = propagate(p, replace(pulse, duration=float(times[-1])), device.q2,
+                       initial_state=COMPUTATIONAL_INDICES[col_init], times=times)
+        pop = np.abs(tr.states[:, COMPUTATIONAL_INDICES[col_watch]]) ** 2
+        ef = fit_exchange(times, pop)
         product = spec.duration * gate.cycles * ef.g
     report["consistency"] = {
         "g_fit_ghz": float(ef.g),

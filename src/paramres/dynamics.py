@@ -12,10 +12,11 @@ The step size follows the physics.  Each step is exact for its own
 Hamiltonian, so the static part of H costs no accuracy at any step size
 and only the modulation sets the error.  A modulated pulse takes its
 steps per period from a closed-form rule under an error budget
-(STEP_ERROR_BUDGET: 5e-4 on the gate's computational columns), and
-step_error measures what a run actually left.  A static pulse is exact
-at any step, and its step (default_dt) only places the trajectory
-samples.  Propagator snapshots are cut at exactly the requested times.
+(STEP_ERROR_BUDGET: 5e-4 on the gate's computational columns; the step
+is modulation_step), and step_error measures what a run actually left.
+A static pulse takes no steps: it evolves in closed form from one
+eigendecomposition.  States and propagators are cut at exactly the
+requested times.
 
 The drive is a pure sine, so a modulation period is fixed by its first
 quarter: the step Hamiltonians mirror about T/4 and 3T/4, and about a
@@ -51,12 +52,11 @@ class Propagation:
     """Result of one time-domain propagation."""
 
     unitary: np.ndarray          # final U in the bare product basis
-    dt: float                    # actual step size (ns)
+    dt: float                    # step size (ns); a static pulse's duration
     n_steps: int
     n_diagonalized: int          # step Hamiltonians diagonalized
-    times: np.ndarray            # sample times (ns), empty unless sampling requested
-    trajectory: np.ndarray       # sampled states (n_times x dim), empty likewise
-    unitaries: np.ndarray        # one propagator snapshot per requested time
+    unitaries: np.ndarray        # U(t) per requested time t, without an initial state
+    states: np.ndarray           # U(t) psi0 per requested time t, with one
     unitarity_defect: float
 
 
@@ -125,16 +125,6 @@ def _step_matrices(terms, series, dts):
         yield c, steps
 
 
-def default_dt(p: DeviceParams) -> float:
-    """Step of a static pulse, 1/(40 * max frequency), in ns.
-
-    A static pulse repeats one exact step, so dt only places its
-    trajectory samples: 40 per period of the fastest mode.
-    A modulated pulse takes its step from _steps_per_period instead.
-    """
-    return 1.0 / (40.0 * max(p.f1, p.f2, p.fc))
-
-
 #: Step-error budget of a modulated pulse propagated at dt=None: the
 #: largest error of the gate's computational columns, max|U B - U_ref B|
 #: with B the dressed 27x4 basis, that the steps per period may leave.
@@ -165,18 +155,27 @@ STEP_ERROR_BUDGET = 5e-4
 _STEP_MARGIN = 4.0
 
 
-def _steps_per_period(q2_pulse: FluxPulse, q2_spec) -> int:
-    """Steps per modulation period of q2_pulse under STEP_ERROR_BUDGET.
+def _is_modulated(q2_pulse: FluxPulse) -> bool:
+    return q2_pulse.mod_freq > 0 and q2_pulse.amplitude != 0.0
 
-    W is the swing of q2's frequency over 33 fluxes spanning the pulse's
-    excursion; the couplings' EJ^(1/4) scaling moves H far less and is
-    left out.
+
+def modulation_step(q2_pulse: FluxPulse, q2_spec) -> float:
+    """The step (ns) that propagate takes for q2_pulse at dt=None.
+
+    A modulated pulse takes m steps per modulation period under
+    STEP_ERROR_BUDGET.  W is the swing of q2's frequency over 33 fluxes
+    spanning the pulse's excursion; the couplings' EJ^(1/4) scaling
+    moves H far less and is left out.  Times dt*round(t/dt) lie on the
+    step grid, where propagate cuts for free.  A static pulse evolves in
+    one exact step, its duration.
     """
+    if not _is_modulated(q2_pulse):
+        return q2_pulse.duration
     flux = q2_pulse.phi_dc + q2_pulse.amplitude * np.linspace(-1.0, 1.0, 33)
     swing = float(np.ptp(transition_frequency(q2_spec, 2.0 * math.pi * flux)))
     m = math.sqrt(_STEP_MARGIN * math.pi ** 2 / 6.0 * swing
                   / (q2_pulse.mod_freq * STEP_ERROR_BUDGET))
-    return 8 * max(1, math.ceil(m / 8.0))
+    return (1.0 / q2_pulse.mod_freq) / (8 * max(1, math.ceil(m / 8.0)))
 
 
 def _initial_vector(state) -> np.ndarray:
@@ -199,51 +198,50 @@ def _initial_vector(state) -> np.ndarray:
 
 
 def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
-              initial_state=None, n_samples=0, unitary_times=None) -> Propagation:
-    """Propagate over the q2 pulse window and return the final unitary.
+              initial_state=None, times=None) -> Propagation:
+    """Propagate over the q2 pulse window and cut it at the requested times.
 
     p holds the model parameters at the DC biases (see
     device.device_params); the coupler stays at its bias in p.  q2_spec
     converts the instantaneous q2 flux to its frequency and coupling scale
     factors.
-    With n_samples > 0 and an initial_state (bare basis index or
-    normalized vector), the state trajectory is recorded at evenly spaced
-    step boundaries, the last at the pulse duration, which gives a
-    chevron duration axis from a single propagation.
 
-    unitary_times requests snapshots of the running propagator, one per
-    requested time in request order.  The snapshot at t is the final
-    unitary of the same pulse with duration t: the pulse is square, so
-    the truncated pulse takes the same steps up to t, and both end with
-    the same partial step.  A duration scan then costs one propagation
-    instead of one per duration.
+    times requests cuts of the evolution at times in (0, duration], one
+    per request in request order: U(t) in unitaries, or U(t) psi0 in
+    states with an initial_state (a bare basis index or a normalized
+    vector), whose cuts are evaluated on vectors.  The cut at t is the
+    final unitary of the same pulse with duration t: the pulse is square,
+    so the truncated pulse takes the same steps up to t, and both end
+    with the same partial step.  A duration scan then costs one
+    propagation instead of one per duration.  The final unitary, the cut
+    at the duration, is always returned.
 
-    The step: with dt=None a modulated pulse takes m steps per period,
-    a multiple of 8, from the closed-form rule that holds its error on
-    the computational columns to STEP_ERROR_BUDGET (_steps_per_period;
-    m = 80 for iSWAP and 160 for CZ20 at 0.28 GHz).  A static pulse is
-    exact at any step, so its dt (default_dt) only places the samples.
-    An explicit dt is snapped to the next multiple of 4 steps per period.
+    The step: with dt=None a modulated pulse takes modulation_step, m
+    steps per period with m a multiple of 8 under STEP_ERROR_BUDGET
+    (m = 80 for iSWAP and 160 for CZ20 at 0.28 GHz).  An explicit dt
+    must be finite and > 0; it is snapped to the next multiple of 4 steps
+    per period.  A static pulse is exact at any t, as
+    U(t) = Z exp(-2*pi*i*E*t) Z^T from the one eigendecomposition H = Z E Z^T:
+    it ignores dt and counts one step and one diagonalization.
 
-    A cut at time t takes s = floor(t/dt) whole steps and then one
-    partial step of length t - s*dt at its own midpoint (none when that
-    is below 1e-4 of a step).  The final unitary is the cut at the
-    duration, and its partial step also gives the last trajectory sample.
+    The cost of a cut: at time t a modulated pulse takes s = floor(t/dt)
+    whole steps by period reuse and then one partial step of length
+    t - s*dt at its own midpoint (none when that is below 1e-4 of a
+    step).  A cut on the step grid (dt*round(t/dt) with dt from
+    modulation_step) is free; each cut off it diagonalizes one partial
+    step.
 
     Period reuse: a modulated pulse has m steps per period, so the
-    Hamiltonian repeats every m steps; a DC pulse repeats its single step
-    (m = 1).
-    With P_k the product of the first k steps of a period, after
-    s = n*m + k steps (0 <= k < m) the propagator is P_k U_P^n, with
-    U_P^n = Z diag(exp(i*n*theta)) Z^H.  For m = 1, theta = -2*pi*E*dt
-    and Z come from the step's own parity-block eigenpairs (E, Z), so a
-    DC pulse costs one eigendecomposition; a longer period takes them
-    from the complex Schur form of U_P = P_m.  The prefixes sample the
-    periodic waveform, also past the end of a pulse shorter than its
-    period, whose cuts read only the prefixes it reaches.  So the cost
-    grows with the steps per period, the samples and the cuts, not with
-    duration/dt.  A state trajectory is evaluated at all its samples at
-    once, as P_k Z (exp(i*n*theta) * Z^H psi0); cuts go in batches.
+    Hamiltonian repeats every m steps.  With P_k the product of the first
+    k steps of a period, after s = n*m + k steps (0 <= k < m) the
+    propagator is P_k U_P^n, with U_P^n = Z diag(exp(i*n*theta)) Z^H and
+    (theta, Z) from the complex Schur form of U_P = P_m.  The prefixes
+    sample the periodic waveform, also past the end of a pulse shorter
+    than its period, whose cuts read only the prefixes it reaches.  So
+    the cost grows with the steps per period and the cuts, not with
+    duration/dt.  Cuts go in batches, as P_k Z (exp(i*n*theta) * Z^H x)
+    for x the identity or psi0; a static pulse is the case k = 0,
+    theta = -2*pi*E and n = t.
 
     Quarter symmetry: with q = m/4 and midpoints (j + 1/2)*dt, the flux
     enters H only through sin(2*pi*f*t), so step j repeats step 2q-1-j
@@ -259,47 +257,17 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     duration = q2_pulse.duration
     if duration <= 0:
         raise ValueError("pulse duration must be > 0")
-
-    # Snap dt to m steps per modulation period; an unmodulated pulse
-    # repeats every step and splits the duration into whole steps.
-    if q2_pulse.mod_freq > 0 and q2_pulse.amplitude != 0.0:
-        period = 1.0 / q2_pulse.mod_freq
-        if dt is None:
-            m = _steps_per_period(q2_pulse, q2_spec)
-        else:
-            # period/(4*dt) of a dt = period/m can round to an ulp above m/4
-            m = 4 * math.ceil(period / (4.0 * dt) - 1e-9)
-        dt = period / m
-    else:
-        dt = default_dt(p) if dt is None else dt
-        dt = duration / max(1, math.ceil(duration / dt))
-        m = 1
-
-    want_u = np.asarray([] if unitary_times is None else unitary_times, float).ravel()
+    if dt is not None and not 0.0 < dt < math.inf:  # NaN fails too
+        raise ValueError(f"step dt must be finite and > 0, got {dt!r}")
+    want = np.asarray([] if times is None else times, float).ravel()
     # written so that NaN fails the range test
-    if not np.all((want_u > 0.0) & (want_u <= duration + 1e-9)):
-        raise ValueError("unitary sample times must lie in (0, duration]")
-    # Cut times, the duration last: whole steps s and the partial step r.
-    # Times taken from the step grid (a chevron sample, a snapped
-    # duration) sit within summation noise of a boundary; only partial
-    # steps that are real are kept.
-    cuts = np.minimum(np.append(want_u, duration), duration)
-    s = np.floor(cuts / dt + 1e-9).astype(int)
-    r = cuts - s * dt
-    keep = r > 1e-4 * np.minimum(dt, cuts)
-    partial = np.flatnonzero(keep)
-    n_full = int(s[-1])
-    n_steps = n_full + int(keep[-1])
+    if not np.all((want > 0.0) & (want <= duration + 1e-9)):
+        raise ValueError("cut times must lie in (0, duration]")
+    psi = None if initial_state is None else _initial_vector(initial_state)
+    cuts = np.minimum(np.append(want, duration), duration)  # the duration last
 
     static_xx, static_diag = _static_terms(p)
     terms = (static_xx, XX_C2, XX_12, static_diag, NUM_2)
-    psi = None if initial_state is None else _initial_vector(initial_state)
-    sample_steps = np.array([], dtype=int)
-    if n_samples > 0:
-        if psi is None:
-            raise ValueError("trajectory sampling requires an initial state")
-        sample_steps = np.unique(np.linspace(1, n_steps, n_samples).round().astype(int))
-
     n_diagonalized = 0
 
     def steps(pulse, t_mid, lengths):
@@ -309,21 +277,36 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         series = _parameter_series(p, pulse, q2_spec, t_mid)
         return _step_matrices(terms, series, lengths)
 
-    if m == 1:
-        # The period is one step, so every in-period count k is 0 and the
-        # step's own eigenpairs diagonalize U_P: theta = -2*pi*E*dt and Z
-        # holds the (real) eigenvectors.
-        n_diagonalized = 1
-        series = _parameter_series(p, q2_pulse, q2_spec, np.array([0.5 * dt]))
+    if not _is_modulated(q2_pulse):
+        # one step of the whole duration, diagonalized once: the cut at t
+        # is Z exp(i*t*theta) Z^T with theta = -2*pi*E, with no prefix
+        dt, n_steps, n_diagonalized = duration, 1, 1
+        series = _parameter_series(p, q2_pulse, q2_spec, np.zeros(1))
         theta, z = np.zeros(DIM), np.zeros((DIM, DIM))
         for idx, evals, vecs in _step_eigenpairs(terms, series):
-            theta[idx] = -2.0 * math.pi * dt * evals[0]
+            theta[idx] = -2.0 * math.pi * evals[0]
             z[np.ix_(idx, idx)] = vecs[0]
+        s = np.zeros(len(cuts), dtype=int)
+        n, k, r = cuts, s, np.zeros(len(cuts))
 
         def prefix(k, y):
             return y  # P_0 = I
     else:
         from scipy.linalg import schur
+
+        # Snap dt to m steps per modulation period.  Cut times taken from
+        # the step grid sit within summation noise of a boundary; only
+        # partial steps that are real are kept.
+        period = 1.0 / q2_pulse.mod_freq
+        dt = modulation_step(q2_pulse, q2_spec) if dt is None else dt
+        # period/(4*dt) of a dt = period/m can round to an ulp above m/4
+        m = 4 * math.ceil(period / (4.0 * dt) - 1e-9)
+        dt = period / m
+        s = np.floor(cuts / dt + 1e-9).astype(int)
+        r = cuts - s * dt
+        r[r <= 1e-4 * np.minimum(dt, cuts)] = 0.0
+        n_steps = int(s[-1]) + int(r[-1] > 0.0)
+        n, k = np.divmod(s, m)
 
         # prefixes[h, k] = P_k for k <= q of the half h of the period,
         # stepped on the waveform for a whole period
@@ -334,8 +317,8 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         prefixes[:, 0] = np.eye(DIM)
         for h, a in enumerate(starts):
             for c, batch in steps(wave, (a + np.arange(q) + 0.5) * dt, np.full(q, dt)):
-                for k, step in enumerate(batch, c.start + 1):
-                    prefixes[h, k] = step @ prefixes[h, k - 1]
+                for j, step in enumerate(batch, c.start + 1):
+                    prefixes[h, j] = step @ prefixes[h, j - 1]
         halves = prefixes[:, -1].swapaxes(1, 2) @ prefixes[:, -1]
 
         def prefix(k, y):
@@ -367,42 +350,33 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         theta = np.angle(np.diag(schur_t))
     w = z.conj().T
 
-    def periodic(s, x):
-        """U(s) y for x = Z^H y and whole step counts s.
-
-        A state (1-D x) is evaluated at all counts at once, as
-        P_k Z (exp(i*n*theta) * x); a matrix in batches of counts.
-        """
-        n, k = np.divmod(s, m)
-        if x.ndim == 1:
-            y = (np.exp(1j * np.multiply.outer(n, theta)) * x) @ z.T
-            return prefix(k, y[:, :, None])[:, :, 0]
-        out = np.empty((len(s), DIM, DIM), dtype=complex)
-        for a in range(0, len(s), _EIGH_BATCH):
-            c = slice(a, a + _EIGH_BATCH)
+    def cut(i, x):
+        """U(t) y at the cuts i, for x = Z^H y of shape (DIM, columns)."""
+        out = np.empty((len(i), DIM, x.shape[1]), dtype=complex)
+        for a in range(0, len(i), _EIGH_BATCH):
+            c = i[a:a + _EIGH_BATCH]
             y = z @ (np.exp(1j * np.multiply.outer(n[c], theta))[:, :, None] * x)
-            out[c] = prefix(k[c], y)
+            out[a:a + _EIGH_BATCH] = prefix(k[c], y)
+        j = np.flatnonzero(r[i] > 0.0)
+        for c, batch in steps(q2_pulse, s[i[j]] * dt + 0.5 * r[i[j]], r[i[j]]):
+            out[j[c]] = batch @ out[j[c]]
         return out
 
-    unitaries = periodic(s, w)
-    for c, batch in steps(q2_pulse, s[partial] * dt + 0.5 * r[partial], r[partial]):
-        unitaries[partial[c]] = batch @ unitaries[partial[c]]
+    if psi is None:
+        unitaries = cut(np.arange(len(cuts)), w)
+        states = np.zeros((0, DIM), dtype=complex)
+    else:
+        unitaries = cut(np.array([len(want)]), w)
+        states = cut(np.arange(len(want)), (w @ psi)[:, None])[:, :, 0]
     u = unitaries[-1]
-    trajectory = np.zeros((len(sample_steps), DIM), dtype=complex)
-    if psi is not None:
-        whole = sample_steps <= n_full
-        trajectory[whole] = periodic(sample_steps[whole], w @ psi)
-        trajectory[~whole] = u @ psi
 
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(DIM))))
     if defect > UNITARITY_TOL:
         raise ValueError(
             f"unitarity drift {defect:.2e} exceeds {UNITARITY_TOL}; reduce dt")
     return Propagation(unitary=u, dt=dt, n_steps=n_steps,
-                       n_diagonalized=n_diagonalized,
-                       times=np.where(sample_steps < n_steps, sample_steps * dt, duration),
-                       trajectory=trajectory, unitaries=unitaries[:-1],
-                       unitarity_defect=defect)
+                       n_diagonalized=n_diagonalized, unitaries=unitaries[:-1],
+                       states=states, unitarity_defect=defect)
 
 
 def step_error(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, basis) -> float:
@@ -440,11 +414,12 @@ def chevron(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, amplitudes,
     """Population map versus q2 drive amplitude and pulse duration.
 
     q2_pulse acts as a template: its amplitude and duration are replaced by
-    the grid values (one propagation per amplitude; the duration axis comes
-    from trajectory samples), while the coupler stays at its bias in p.
-    From |10> the map records the |01> population (energy exchange); from
-    |11> it records the |11> return population.  Durations must be
-    positive and finite.
+    the grid values (one propagation per amplitude, cut at exactly each
+    duration), while the coupler stays at its bias in p.  From |10> the
+    map records the |01> population (energy exchange); from |11> it
+    records the |11> return population.  Durations must be positive and
+    finite; each one off the step grid of its row (see
+    propagate and modulation_step) costs a partial step.
 
     The prepared and recorded states are columns of ``basis``, a 27x4
     isometry onto the computational states (columns ordered as
@@ -471,14 +446,12 @@ def chevron(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, amplitudes,
     state_init = basis[:, COMPUTATIONAL_LABELS.index(initial)]
     bra_target = basis[:, COMPUTATIONAL_LABELS.index(target)].conj()
     t_max = float(durations.max())
-    n_dense = max(256, 4 * durations.size)
     pops = np.zeros((amplitudes.size, durations.size))
     for i, amp in enumerate(amplitudes):
         pulse = replace(q2_pulse, amplitude=float(amp), duration=t_max)
         prop = propagate(p, pulse, q2_spec, initial_state=state_init,
-                         n_samples=n_dense)
-        dense = np.abs(prop.trajectory @ bra_target) ** 2
-        pops[i] = np.interp(durations, prop.times, dense)
+                         times=durations)
+        pops[i] = np.abs(prop.states @ bra_target) ** 2
     return ChevronMap(amplitudes=amplitudes, durations=durations,
                       populations=pops, initial=initial, target=target)
 
@@ -606,15 +579,14 @@ def _resonant_traces(device, phic):
     p_res = device_params(device, phic=phic, phi2=phi2_res)
     st = static_couplings(p_res)
     duration = _SWEEP_PERIODS / max(2.0 * abs(st.g01), 4e-5)
+    times = np.linspace(0.0, duration, _SWEEP_SAMPLES + 1)[1:]
     traces = []
     for phi2 in phi2_res + _SWEEP_OFFSETS:
         p = device_params(device, phic=phic, phi2=phi2)
         pulse = FluxPulse(phi_dc=phi2, amplitude=0.0, duration=duration)
         prop = propagate(p, pulse, device.q2,
-                         initial_state=basis_index(1, 0, 0),
-                         n_samples=_SWEEP_SAMPLES)
-        traces.append((prop.times,
-                       np.abs(prop.trajectory[:, basis_index(0, 0, 1)]) ** 2))
+                         initial_state=basis_index(1, 0, 0), times=times)
+        traces.append((times, np.abs(prop.states[:, basis_index(0, 0, 1)]) ** 2))
     return p_res, st, traces
 
 
@@ -624,7 +596,8 @@ def coupling_vs_bias(device, phic_grid):
     For each coupler bias, q2 is flux-tuned so the dressed qubit
     frequencies coincide, then a bare q1 excitation is evolved at a small
     grid of q2 flux offsets spanning the crossing and each transferred
-    population trace is fitted with a decaying cosine.  The chevron
+    population trace, cut at evenly spaced exact times, is fitted with a
+    decaying cosine.  The chevron
     vertex, the slowest oscillation over the grid, runs at the exact
     level splitting 2*g.  Pulse durations scale with the expected swap
     period, so weakly coupled points get the longer traces they need.

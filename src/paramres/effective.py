@@ -239,7 +239,7 @@ def _is_sweet_spot(phi_dc: float) -> bool:
 _FOURIER_SAMPLES = 4096
 
 
-def _modulation_samples(q2_spec: TransmonSpec, pulse: FluxPulse):
+def _period_samples(q2_spec: TransmonSpec, pulse: FluxPulse):
     """(t, f2, f2_avg, f2_exc): the qubit-2 frequency, densely sampled
     over one modulation period, its time average and the amplitude of
     its component at twice the modulation frequency."""
@@ -267,7 +267,7 @@ def average_and_excursion(q2_spec: TransmonSpec, pulse: FluxPulse) -> tuple:
         flux_dc = pulse.phi_dc if pulse.mod_freq > 0 else pulse.phi_dc + pulse.amplitude
         f_dc = float(transition_frequency(q2_spec, 2.0 * np.pi * flux_dc))
         return f_dc, 0.0
-    return _modulation_samples(q2_spec, pulse)[2:]
+    return _period_samples(q2_spec, pulse)[2:]
 
 
 def numeric_fourier_weights(q2_spec: TransmonSpec, pulse: FluxPulse,
@@ -292,7 +292,7 @@ def _sidebands(q2_spec: TransmonSpec, pulse: FluxPulse, n_max: int) -> tuple:
     if pulse.amplitude == 0.0:
         return (*average_and_excursion(q2_spec, pulse), n,
                 (n == 0).astype(complex), spacing)
-    t, f2, f_avg, f_exc = _modulation_samples(q2_spec, pulse)
+    t, f2, f_avg, f_exc = _period_samples(q2_spec, pulse)
     theta = 2.0 * np.pi * cumulative_trapezoid(f2 - f_avg, t, initial=0.0)
     # harmonic m at exp(+i m wp t)
     harmonics = np.fft.ifft(np.exp(-1j * theta[:-1]))

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from paramres.calibration import (
 from paramres.device import device_params
 from paramres.dynamics import (STEP_ERROR_BUDGET, ChevronMap, chevron, propagate,
                                step_error)
-from paramres.effective import dressed_computational_basis
+from paramres.effective import COMPUTATIONAL_LABELS, dressed_computational_basis
 from paramres.fluxcontrol import instantaneous_flux
 from paramres.tomography import (average_fidelity, extract_virtual_z, fit_fsim,
                                  fsim_unitary, qubit_subspace_ptm, virtual_z_correct)
@@ -225,32 +226,44 @@ def test_search_raises_at_a_window_edge(device, monkeypatch):
 
 @pytest.fixture(scope="module")
 def default_calibrations(device):
-    """{kind: (spec, report, chevron calls, trim propagations)} of the
+    """{kind: (spec, report, chevron rows, trim propagations)} of the
     default calibrations."""
     out = {}
     for kind in GATES:
-        calls, trims = [], []
+        rows, trims = [], []
 
         def snapshots(*args, **kw):
             prop = propagate(*args, **kw)
-            if kw.get("unitary_times") is not None:
+            if kw.get("times") is not None and kw.get("initial_state") is None:
                 trims.append(prop)
             return prop
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(calibration, "chevron",
-                       lambda *args, **kw: calls.append(args[3]) or chevron(*args, **kw))
+                       lambda *args, **kw: rows.append(chevron(*args, **kw)) or rows[-1])
             mp.setattr(calibration, "propagate", snapshots)
             spec, report = calibrate_gate(device, kind)
-        out[kind] = (spec, report, len(calls), trims)
+        out[kind] = (spec, report, rows, trims)
     return out
 
 
 @pytest.mark.parametrize("kind", ["iswap", "cz20"])
 def test_refine_counts_its_chevron_rows(default_calibrations, kind):
-    _, report, calls, _ = default_calibrations[kind]
-    assert report["refine"]["chevron_rows"] == calls
-    assert calls <= 12
+    _, report, rows, _ = default_calibrations[kind]
+    assert report["refine"]["chevron_rows"] == len(rows)
+    assert len(rows) <= 12
+
+
+def test_dressed_cz20_row_reads_exact_cuts(device, default_calibrations):
+    # the row at the refined amplitude is the |11> return population of
+    # the truncated gate pulse at each of its durations, with no resampling
+    spec, _, rows, _ = default_calibrations["cz20"]
+    (row,) = [r for r in rows if r.amplitudes[0] == spec.amplitude]
+    p = device_params(device, phic=spec.coupler_bias)
+    psi = dressed_computational_basis(p)[:, COMPUTATIONAL_LABELS.index("11")]
+    for t, pop in zip(row.durations, row.populations[0]):
+        u = propagate(p, replace(gate_pulse(spec), duration=float(t)), device.q2).unitary
+        assert abs(pop - abs(psi.conj() @ u @ psi) ** 2) <= 1e-10
 
 
 @pytest.mark.parametrize("kind", ["iswap", "cz20"])

@@ -17,7 +17,6 @@ from paramres.dynamics import (
     _resonant_traces,
     chevron,
     coupling_vs_bias,
-    default_dt,
     fit_exchange,
     propagate,
     step_error,
@@ -45,9 +44,10 @@ def flat_pulse(duration: float, amplitude: float = 0.0,
 def exchange_populations(device, g: float, delta: float):
     """Full-model populations of |n1 nc n2>, starting in |100>, with the
     coupler disconnected, over 1.5 exchange periods."""
-    prop = propagate(exchange_params(g, delta), flat_pulse(1.5 / (2 * g)),
-                     device.q2, initial_state=9, n_samples=300)
-    return prop.times, np.abs(prop.trajectory) ** 2
+    times = np.linspace(0.0, 1.5 / (2 * g), 301)[1:]
+    prop = propagate(exchange_params(g, delta), flat_pulse(times[-1]),
+                     device.q2, initial_state=9, times=times)
+    return times, np.abs(prop.states) ** 2
 
 
 def test_resonant_exchange_matches_analytic(device):
@@ -109,7 +109,7 @@ def test_unitary_snapshots_match_truncated_pulses(device):
     times = [128 * dt, 256 * dt, 512 * dt]
     for amplitude, mod_freq in ((0.154, MOD_FREQ), (0.0, 0.0)):  # modulated, static
         pulse = flat_pulse(512 * dt, amplitude=amplitude, mod_freq=mod_freq)
-        prop = propagate(p, pulse, device.q2, dt=dt, unitary_times=times)
+        prop = propagate(p, pulse, device.q2, dt=dt, times=times)
         assert prop.unitaries.shape == (len(times), 27, 27)
         for t, u in zip(times, prop.unitaries):
             solo = propagate(
@@ -188,18 +188,25 @@ TIMES = [1.0, 3.1, 10.0, 20.0, 24.0, 25.4]
 ], ids=["modulated", "dc", "off_sweet_spot", "snapped", "sub_period",
         "sub_quarter", "off_sweet_spot_third_quarter", "sub_step", "tiny"])
 def test_period_reuse_matches_direct_stepping(device, q2_pulse, dt, times):
+    # cuts in reverse, every 7th step boundary, and a repeat; unitaries
+    # without an initial state, states with one
     p = device_params(device, phic=0.29472, phi2=q2_pulse.phi_dc)
     psi = np.zeros(27, dtype=complex)
     psi[9] = 1.0
-    prop = propagate(p, q2_pulse, device.q2, dt=dt,
-                     initial_state=psi, n_samples=40, unitary_times=times)
+    step = propagate(p, q2_pulse, device.q2, dt=dt).dt
+    cuts = [*times[::-1], *step * np.arange(1, int(q2_pulse.duration / step) + 1, 7),
+            times[0]]
+    prop = propagate(p, q2_pulse, device.q2, dt=dt, times=cuts)
+    kept = propagate(p, q2_pulse, device.q2, dt=dt, initial_state=psi, times=cuts)
     if q2_pulse.mod_freq > 0.0:
         assert round(1.0 / (q2_pulse.mod_freq * prop.dt)) % 4 == 0
+    assert prop.states.shape == (0, 27) and kept.unitaries.shape == (0, 27, 27)
     ref = stepped_propagators(p, q2_pulse, device.q2, prop.dt,
-                              [q2_pulse.duration, *times, *prop.times])
+                              [q2_pulse.duration, *cuts])
     assert np.max(np.abs(prop.unitary - ref[0])) < 1e-9
-    assert np.max(np.abs(prop.unitaries - ref[1:len(times) + 1])) < 1e-9
-    assert np.max(np.abs(prop.trajectory - ref[len(times) + 1:] @ psi)) < 1e-9
+    assert np.max(np.abs(kept.unitary - ref[0])) < 1e-9
+    assert np.max(np.abs(prop.unitaries - ref[1:])) < 1e-9
+    assert np.max(np.abs(kept.states - ref[1:] @ psi)) < 1e-9
 
 
 @pytest.mark.parametrize("q2_pulse", [
@@ -209,16 +216,21 @@ def test_period_reuse_matches_direct_stepping(device, q2_pulse, dt, times):
     FluxPulse(phi_dc=0.0, amplitude=0.05, duration=25.4),
 ], ids=["modulated", "off_sweet_spot", "sub_quarter", "static"])
 def test_snapshots_off_the_step_grid_are_truncated_pulses(device, q2_pulse):
-    # unsorted and repeated requests come back one per request, in order
+    # unsorted and repeated requests come back one per request, in order,
+    # as unitaries and, with an initial state, as states
     p = device_params(device, phic=0.29472, phi2=q2_pulse.phi_dc)
+    psi = np.full(27, 1.0 / np.sqrt(27))
     times = np.array([0.77, 0.131, 0.77, 0.4999]) * q2_pulse.duration
-    prop = propagate(p, q2_pulse, device.q2, unitary_times=times)
+    prop = propagate(p, q2_pulse, device.q2, times=times)
+    kept = propagate(p, q2_pulse, device.q2, initial_state=psi, times=times)
     assert prop.unitaries.shape == (len(times), 27, 27)
+    assert kept.states.shape == (len(times), 27)
     off_grid = np.abs(times / prop.dt - np.round(times / prop.dt))
     assert np.all(off_grid > 0.01)
-    for t, u in zip(times, prop.unitaries):
+    for t, u, state in zip(times, prop.unitaries, kept.states):
         solo = propagate(p, replace(q2_pulse, duration=float(t)), device.q2)
         assert np.max(np.abs(u - solo.unitary)) <= 1e-10
+        assert np.max(np.abs(state - solo.unitary @ psi)) <= 1e-10
 
 
 @pytest.mark.parametrize("q2_pulse, quarters", [
@@ -240,27 +252,26 @@ def test_diagonalizations_per_pulse(device, q2_pulse, quarters):
 
 
 def test_long_static_pulse_needs_no_per_step_arrays(device, zero_bias_params):
-    # 2 us at the default step is ~473k steps; period reuse makes the cost
-    # independent of that count
+    # 2 us of a static pulse is one exact step, whatever its duration
     tracemalloc.start()
     try:
         prop = propagate(zero_bias_params, flat_pulse(2000.0), device.q2,
-                         initial_state=9, n_samples=720)
+                         initial_state=9, times=np.linspace(0.0, 2000.0, 721)[1:])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert prop.n_steps > 400_000
+    assert prop.n_steps == 1
     assert peak < 5e6
     evals, vecs = np.linalg.eigh(build_hamiltonian(zero_bias_params))
     exact = (vecs * np.exp(-2j * np.pi * evals * 2000.0)) @ vecs.conj().T
     assert np.max(np.abs(prop.unitary - exact)) < 1e-8
-    assert prop.times[-1] == 2000.0
+    assert np.max(np.abs(prop.states[-1] - exact[:, 9])) < 1e-8
 
 
 def test_dc_pulse_evolves_in_closed_form_from_one_eigendecomposition(
         device, monkeypatch):
-    # a DC pulse repeats one step, whose eigenpairs are those of H: the
-    # whole trajectory is V exp(-2*pi*i*E*t) V^T psi0, with no Schur form
+    # a DC pulse is one step, whose eigenpairs are those of H: the state
+    # at any time is V exp(-2*pi*i*E*t) V^T psi0, with no Schur form
     import scipy.linalg
 
     def no_schur(*args, **kwargs):
@@ -270,14 +281,15 @@ def test_dc_pulse_evolves_in_closed_form_from_one_eigendecomposition(
     p = device_params(device, phic=0.29472)
     psi = np.zeros(27)
     psi[9] = 1.0
+    times = 300.0 * np.linspace(0.0, 1.0, 721)[1:] ** 1.5  # irregular
     prop = propagate(p, flat_pulse(300.0), device.q2, initial_state=psi,
-                     n_samples=720)
+                     times=times)
     assert prop.n_diagonalized == 1
-    assert prop.n_steps > 50_000
+    assert prop.n_steps == 1
     evals, vecs = np.linalg.eigh(build_hamiltonian(p))
-    exact = (np.exp(-2j * np.pi * np.multiply.outer(prop.times, evals))
+    exact = (np.exp(-2j * np.pi * np.multiply.outer(times, evals))
              * (vecs.T @ psi)) @ vecs.T
-    assert np.max(np.abs(prop.trajectory - exact)) < 1e-10
+    assert np.max(np.abs(prop.states - exact)) < 1e-10
     exact_u = (vecs * np.exp(-2j * np.pi * evals * 300.0)) @ vecs.T
     assert np.max(np.abs(prop.unitary - exact_u)) < 1e-10
 
@@ -285,12 +297,17 @@ def test_dc_pulse_evolves_in_closed_form_from_one_eigendecomposition(
 def test_propagate_validation(device, zero_bias_params):
     with pytest.raises(ValueError, match="duration must be > 0"):
         propagate(zero_bias_params, flat_pulse(0.0), device.q2)
-    with pytest.raises(ValueError, match="requires an initial state"):
-        propagate(zero_bias_params, flat_pulse(20.0), device.q2, n_samples=50)
     for bad in ([25.0], [np.nan]):
         with pytest.raises(ValueError, match="lie in \\(0, duration\\]"):
-            propagate(zero_bias_params, flat_pulse(20.0), device.q2,
-                      unitary_times=bad)
+            propagate(zero_bias_params, flat_pulse(20.0), device.q2, times=bad)
+
+
+@pytest.mark.parametrize("dt", [0.0, np.nan, np.inf, -0.1])
+@pytest.mark.parametrize("mod_freq", [0.0, MOD_FREQ], ids=["static", "modulated"])
+def test_propagate_rejects_a_bad_step(device, zero_bias_params, dt, mod_freq):
+    pulse = flat_pulse(20.0, amplitude=0.1, mod_freq=mod_freq)
+    with pytest.raises(ValueError, match="dt must be finite and > 0"):
+        propagate(zero_bias_params, pulse, device.q2, dt=dt)
 
 
 @pytest.mark.parametrize("state, message", [
@@ -306,13 +323,7 @@ def test_propagate_rejects_a_bad_initial_state(device, zero_bias_params, state,
                                               message):
     with pytest.raises(ValueError, match=message):
         propagate(zero_bias_params, flat_pulse(20.0), device.q2,
-                  initial_state=state, n_samples=10)
-
-
-def test_default_dt_resolves_fastest_mode(zero_bias_params):
-    # the step of static pulses only; modulated ones follow the budget
-    dt = default_dt(zero_bias_params)
-    assert dt == pytest.approx(1.0 / (40.0 * zero_bias_params.fc))
+                  initial_state=state)
 
 
 @pytest.mark.parametrize("amplitude, m", [(0.1566, 80), (0.3729, 160)],
@@ -326,6 +337,7 @@ def test_modulated_step_follows_the_error_budget(device, amplitude, m):
                       duration=30.0)
     prop = propagate(p, pulse, device.q2)
     assert round(PERIOD / prop.dt) == m
+    assert dynamics.modulation_step(pulse, device.q2) == prop.dt
     half = propagate(p, pulse, device.q2, dt=2.0 * prop.dt)
     assert round(PERIOD / half.dt) == m // 2
 
