@@ -49,6 +49,7 @@ from .effective import (COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS,
 from .fluxcontrol import FluxPulse
 from .tomography import (
     average_fidelity,
+    block_average_fidelity,
     coherence_fidelity_cz,
     coherence_fidelity_iswap,
     extract_virtual_z,
@@ -279,8 +280,10 @@ def _on_step_grid(pulse: FluxPulse, q2_spec, times) -> np.ndarray:
 
 
 #: Modulation frequency (GHz) of the probe pulse that fbar(A) is read
-#: from.  fbar is a period average of the flux waveform, so it does not
-#: depend on the period; at 1 GHz the sampled period is exactly 1 ns.
+#: from.  fbar is a period average of the flux waveform, and
+#: effective._period_samples samples one period in normalized time, so
+#: neither fbar nor its samples depend on this value; any positive one
+#: does.
 _PROBE_FREQ = 1.0
 
 
@@ -565,47 +568,46 @@ def calibrate_gate(
     # fractions of a nanosecond wide, while the process fidelity is
     # nearly flat across them.  Trim the duration to the best fidelity
     # among grid points where the swap angle is on target, or failing
-    # that to the smallest swap-angle error.  Candidates are fitted in
-    # falling fidelity, so the fits stop at the first one on target.
-    # Propagator snapshots make the whole grid cost a single propagation.
+    # that to the smallest swap-angle error.  Propagator snapshots make
+    # the whole grid cost a single propagation, projected onto the
+    # dressed basis in one product.  The candidates are ranked by the
+    # closed-form fidelity of their frame-corrected blocks, and only
+    # those fitted, in falling fidelity up to the first on target, get
+    # a PTM; the picked one's PTM gives the reported numbers.
     theta_target, phi_target = gate.fsim
     target_u = fsim_unitary(theta_target, phi_target)
-    ideal_pt = qubit_subspace_ptm(target_u)
-
-    def scored(tau_c, u):
-        m = basis.conj().T @ u @ basis
-        z1, z2 = extract_virtual_z(m, target_u)
-        corrected = qubit_subspace_ptm(virtual_z_correct(m, z1, z2))
-        return (average_fidelity(corrected, ideal_pt), float(tau_c), z1, z2,
-                corrected, m)
 
     with _stage("tomography"):
         grid = spec.duration + _TRIM_OFFSETS
         grid = grid[grid > 0.0]
         trim = propagate(p, replace(gate_pulse(spec), duration=float(grid[-1])),
                          device.q2, times=grid)
-        rows = [scored(t, u) for t, u in zip(grid, trim.unitaries)]
-        fits = []  # (theta error, duration, fit, row)
+        ms = basis.conj().T @ trim.unitaries @ basis
+        z1, z2 = extract_virtual_z(ms, target_u)
+        corrected = virtual_z_correct(ms, z1, z2)
+        ranked = np.argsort(-block_average_fidelity(corrected, target_u),
+                            kind="stable")
+        fits = []  # (theta error, duration, index, fit, corrected PTM)
         # a leaky candidate's fit warns; the report records that
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for row in sorted(rows, key=lambda r: r[0], reverse=True):
-                fit = fit_fsim(row[4])
+            for i in ranked:
+                pt = qubit_subspace_ptm(corrected[i])
+                fit = fit_fsim(pt)
                 err = abs(math.remainder(fit.theta - theta_target, math.tau))
-                fits.append((err, row[1], fit, row))
+                fits.append((err, float(grid[i]), i, fit, pt))
                 if err <= 0.015:
                     break
         # the one fit on target, else the smallest error (earlier on ties)
-        _, _, fit, best = min(fits)
-        f_avg, tau_best, z1, z2, corrected, m = best
-        spec = replace(spec, duration=tau_best, virtual_z=(z1, z2))
-        transfer = abs(m[col_watch, col_init]) ** 2
+        _, tau_best, i, fit, pt = min(fits)
+        spec = replace(spec, duration=tau_best, virtual_z=(z1[i], z2[i]))
+        transfer = abs(ms[i, col_watch, col_init]) ** 2
     report["tomography"] = {
-        "f_avg": float(f_avg),
+        "f_avg": average_fidelity(pt, qubit_subspace_ptm(target_u)),
         "theta_rad": fit.theta,
         "phi_rad": fit.phi,
-        "leakage": corrected.leakage,
-        "virtual_z_rad": [z1, z2],
+        "leakage": pt.leakage,
+        "virtual_z_rad": list(spec.virtual_z),
         "target_population": float(transfer),
         "duration_ns": tau_best,
         "dt_ns": trim.dt,

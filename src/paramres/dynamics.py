@@ -358,8 +358,9 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
             y = z @ (np.exp(1j * np.multiply.outer(n[c], theta))[:, :, None] * x)
             out[a:a + _EIGH_BATCH] = prefix(k[c], y)
         j = np.flatnonzero(r[i] > 0.0)
-        for c, batch in steps(q2_pulse, s[i[j]] * dt + 0.5 * r[i[j]], r[i[j]]):
-            out[j[c]] = batch @ out[j[c]]
+        if j.size:  # no partial step, no parameter series
+            for c, batch in steps(q2_pulse, s[i[j]] * dt + 0.5 * r[i[j]], r[i[j]]):
+                out[j[c]] = batch @ out[j[c]]
         return out
 
     if psi is None:

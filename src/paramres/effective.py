@@ -236,24 +236,33 @@ def _is_sweet_spot(phi_dc: float) -> bool:
     return min(r, 0.5 - r) < 1e-9
 
 
-_FOURIER_SAMPLES = 4096
+#: Samples of one modulation period.  q2's frequency is an analytic
+#: periodic function of time, so its Fourier coefficients, and with them
+#: the period average, the excursion and the integrated phase, converge
+#: exponentially in the samples: 256 agree with a Richardson-extrapolated
+#: trapezoid at 2^15 and 2^16 samples to 1e-13 for amplitudes up to
+#: 0.45 Phi0 and modulation frequencies from 0.01 to 0.3 GHz.
+_FOURIER_SAMPLES = 256
 
 
-def _period_samples(q2_spec: TransmonSpec, pulse: FluxPulse):
-    """(t, f2, f2_avg, f2_exc): the qubit-2 frequency, densely sampled
-    over one modulation period, its time average and the amplitude of
-    its component at twice the modulation frequency."""
-    from scipy.integrate import trapezoid
+def _period_samples(q2_spec: TransmonSpec, pulse: FluxPulse) -> tuple:
+    """(c, f2_avg, f2_exc): the Fourier coefficients c_k, k = 0..N/2, of
+    q2's frequency over one modulation period, its average and excursion.
 
+    q2's band is sampled at N = _FOURIER_SAMPLES points of one period in
+    normalized time t = j/N, with no repeated endpoint, so the samples do
+    not depend on the modulation frequency.  f2(t) = sum_k c_k
+    exp(2*pi*i*k*t) over k in (-N/2, N/2) with c_-k = conj(c_k): the
+    average frequency is c_0 and the component at twice the modulation
+    frequency has amplitude 2|c_2|.
+    """
     if pulse.mod_freq <= 0:
         raise ValueError("modulation frequency must be > 0")
-    period = 1.0 / pulse.mod_freq
-    t = np.linspace(0.0, period, _FOURIER_SAMPLES + 1)
-    flux = pulse.phi_dc + pulse.amplitude * np.sin(2.0 * np.pi * pulse.mod_freq * t)
+    t = np.arange(_FOURIER_SAMPLES) / _FOURIER_SAMPLES
+    flux = pulse.phi_dc + pulse.amplitude * np.sin(2.0 * np.pi * t)
     f2 = np.asarray(transition_frequency(q2_spec, 2.0 * np.pi * flux))
-    coeffs = np.fft.fft(f2[:-1]) / _FOURIER_SAMPLES
-    return (t, f2, float(trapezoid(f2, t) / period),
-            2.0 * float(np.abs(coeffs[2])))
+    c = np.fft.rfft(f2) / _FOURIER_SAMPLES
+    return c, float(c[0].real), 2.0 * float(np.abs(c[2]))
 
 
 def average_and_excursion(q2_spec: TransmonSpec, pulse: FluxPulse) -> tuple:
@@ -267,7 +276,7 @@ def average_and_excursion(q2_spec: TransmonSpec, pulse: FluxPulse) -> tuple:
         flux_dc = pulse.phi_dc if pulse.mod_freq > 0 else pulse.phi_dc + pulse.amplitude
         f_dc = float(transition_frequency(q2_spec, 2.0 * np.pi * flux_dc))
         return f_dc, 0.0
-    return _period_samples(q2_spec, pulse)[2:]
+    return _period_samples(q2_spec, pulse)[1:]
 
 
 def numeric_fourier_weights(q2_spec: TransmonSpec, pulse: FluxPulse,
@@ -284,18 +293,27 @@ def numeric_fourier_weights(q2_spec: TransmonSpec, pulse: FluxPulse,
 
 def _sidebands(q2_spec: TransmonSpec, pulse: FluxPulse, n_max: int) -> tuple:
     """(f2_avg, f2_exc, n, eps, spacing) from one sampling of q2's band;
-    see average_and_excursion and numeric_fourier_weights."""
-    from scipy.integrate import cumulative_trapezoid
+    see average_and_excursion and numeric_fourier_weights.
 
+    The phase theta(t) = 2*pi*int_0^t (f2 - f2_avg) is integrated term by
+    term in the Fourier series of _period_samples, in normalized time:
+    theta(t) = sum over k != 0, N/2 of c_k (exp(2*pi*i*k*t) - 1)/(i*k*f_m),
+    the N/2 term dropped as it has no unique sign of k.  The eps are the
+    discrete Fourier coefficients of exp(-i theta) at the same samples.
+    """
     n = np.arange(-n_max, n_max + 1)
     spacing = 2 if _is_sweet_spot(pulse.phi_dc) else 1
     if pulse.amplitude == 0.0:
         return (*average_and_excursion(q2_spec, pulse), n,
                 (n == 0).astype(complex), spacing)
-    t, f2, f_avg, f_exc = _period_samples(q2_spec, pulse)
-    theta = 2.0 * np.pi * cumulative_trapezoid(f2 - f_avg, t, initial=0.0)
+    c, f_avg, f_exc = _period_samples(q2_spec, pulse)
+    k = np.arange(1, _FOURIER_SAMPLES // 2)
+    phase = np.zeros_like(c)
+    phase[1:-1] = c[1:-1] / (1j * k * pulse.mod_freq)
+    # N irfft(phase) is the sum at t; its value at t = 0 is the sum at 0
+    theta = _FOURIER_SAMPLES * np.fft.irfft(phase, _FOURIER_SAMPLES)
     # harmonic m at exp(+i m wp t)
-    harmonics = np.fft.ifft(np.exp(-1j * theta[:-1]))
+    harmonics = np.fft.ifft(np.exp(-1j * (theta - theta[0])))
     return f_avg, f_exc, n, harmonics[(n * spacing) % _FOURIER_SAMPLES], spacing
 
 

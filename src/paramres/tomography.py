@@ -12,6 +12,8 @@ them.  Any other shape raises.
 - ``qubit_subspace_ptm`` builds the PTM and reports leakage separately,
 - ``extract_virtual_z`` / ``virtual_z_correct`` remove single-qubit
   frame phases the way the control electronics would,
+- ``block_average_fidelity`` scores blocks, one or a stack, against a
+  unitary target in closed form, without a PTM,
 - ``fit_fsim`` finds the closest member of the fSim(theta, phi) family,
 - ``phase_error`` and the ``coherence_fidelity_*`` helpers evaluate the
   analytic error-budget formulas.
@@ -152,10 +154,11 @@ ISWAP = fsim_unitary(-np.pi / 2.0, 0.0)
 CZ = fsim_unitary(0.0, np.pi)
 
 
-def _block(m) -> np.ndarray:
-    """``m`` as a complex 4x4 computational block; any other shape raises."""
+def _block(m, stacked: bool = False) -> np.ndarray:
+    """``m`` as a complex 4x4 computational block, or with ``stacked`` as a
+    stack (..., 4, 4) of them; any other shape raises."""
     m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4) or (m.ndim != 2 and not stacked):
         raise ValueError(f"expected a 4x4 block, got shape {m.shape}")
     return m
 
@@ -183,18 +186,17 @@ def qubit_subspace_ptm(m: np.ndarray) -> ProcessTensor:
     return ProcessTensor(ptm=ptm_of_unitary(m), leakage=subspace_leakage(m))
 
 
-def _virtual_z_block(z1: float, z2: float) -> np.ndarray:
-    """Rz(z1) x Rz(z2) on the computational subspace."""
-    half1 = np.exp(-0.5j * z1)
-    half2 = np.exp(-0.5j * z2)
-    return np.diag(
-        [
-            half1 * half2,
-            half1 / half2,
-            half2 / half1,
-            1.0 / (half1 * half2),
-        ]
-    ).astype(complex)
+def _virtual_z_phases(z1, z2) -> np.ndarray:
+    """The diagonal of Rz(z1) x Rz(z2) on the computational subspace,
+    shape (..., 4) for angles of shape (...).
+
+    It is exp(-i (s, d, -d, -s)) with s = (z1 + z2)/2 and d = (z1 - z2)/2,
+    taken in one array operation, so a stack of angles gives bit for bit
+    the phases of each angle pair alone.
+    """
+    s = 0.5 * (np.asarray(z1) + np.asarray(z2))
+    d = 0.5 * (np.asarray(z1) - np.asarray(z2))
+    return np.exp(-1j * np.stack([s, d, -d, -s], axis=-1))
 
 
 def extract_virtual_z(m: np.ndarray, target: np.ndarray):
@@ -211,53 +213,53 @@ def extract_virtual_z(m: np.ndarray, target: np.ndarray):
     in (z1, z2), so one choice remains: d + pi when |p_s - p_d| exceeds
     |p_s + p_d|.  Without it the two phasors can end up anti-aligned and
     the apparent fidelity collapses even for a near-perfect gate.
+
+    ``m`` may also be a stack (..., 4, 4) of blocks; z1 and z2 are then
+    arrays of its leading shape, each entry what the block alone gives.
     """
-    m = _block(m)
+    m = _block(m, stacked=True)
     t = np.asarray(target, dtype=complex)
     if t.shape != (4, 4):
         raise ValueError(f"target must be 4x4, got {t.shape}")
     # Row weights of Tr(T^dag R M): rows 0/3 carry e^{-is}/e^{+is},
     # rows 1/2 carry e^{-id}/e^{+id}.
-    c = np.einsum("ij,ij->i", t.conj(), m)
-    sum_s = abs(c[0]) + abs(c[3])
-    sum_d = abs(c[1]) + abs(c[2])
-    if sum_s < 1e-8 or sum_d < 1e-8:
+    c0, c1, c2, c3 = np.moveaxis((t.conj() * m).sum(axis=-1), -1, 0)
+    if np.any(np.minimum(abs(c0) + abs(c3), abs(c1) + abs(c2)) < 1e-8):
         raise ValueError(
             "virtual-Z extraction is ill-conditioned: the gate has no weight "
             "on part of the target's support"
         )
     # The e^{-is}/e^{+is} pair aligns at s = (arg c0 - arg c3)/2, the
     # d pair likewise; np.angle(0) = 0 keeps vanishing members harmless.
-    s = 0.5 * (np.angle(c[0]) - np.angle(c[3]))
-    d = 0.5 * (np.angle(c[1]) - np.angle(c[2]))
-    phasor_s = c[0] * np.exp(-1.0j * s) + c[3] * np.exp(1.0j * s)
-    phasor_d = c[1] * np.exp(-1.0j * d) + c[2] * np.exp(1.0j * d)
-    if abs(phasor_s - phasor_d) > abs(phasor_s + phasor_d):
-        d += np.pi
-    z1 = _wrap_angle(s + d)
-    z2 = _wrap_angle(s - d)
-    return z1, z2
+    s = 0.5 * (np.angle(c0) - np.angle(c3))
+    d = 0.5 * (np.angle(c1) - np.angle(c2))
+    phasor_s = c0 * np.exp(-1.0j * s) + c3 * np.exp(1.0j * s)
+    phasor_d = c1 * np.exp(-1.0j * d) + c2 * np.exp(1.0j * d)
+    d = np.where(abs(phasor_s - phasor_d) > abs(phasor_s + phasor_d), d + np.pi, d)
+    return _wrap_angle(s + d), _wrap_angle(s - d)
 
 
-def virtual_z_correct(obj, z1: float, z2: float):
+def virtual_z_correct(obj, z1, z2):
     """Apply the frame rotation Rz(z1) x Rz(z2) after a gate.
 
-    ``obj`` may be a 4x4 block (returns the corrected block) or a
+    ``obj`` may be a 4x4 block (returns the corrected block), a stack
+    (..., 4, 4) of blocks with angle arrays of its leading shape, or a
     ProcessTensor (returns a ProcessTensor with the rotation composed
     onto the channel).
     """
-    r = _virtual_z_block(z1, z2)
+    phases = _virtual_z_phases(z1, z2)
     if isinstance(obj, ProcessTensor):
         # rotating a shot-noise estimate can overshoot the entry bound
-        composed = np.clip(ptm_of_unitary(r) @ obj.ptm, -1.0, 1.0)
+        composed = np.clip(ptm_of_unitary(np.diag(phases)) @ obj.ptm, -1.0, 1.0)
         return ProcessTensor(ptm=composed, leakage=obj.leakage)
-    return r @ _block(obj)
+    return phases[..., :, None] * _block(obj, stacked=True)
 
 
-def _wrap_angle(a: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    a = float(np.mod(a + np.pi, 2.0 * np.pi) - np.pi)
-    return np.pi if a == -np.pi else a
+def _wrap_angle(a):
+    """Wrap angles into (-pi, pi]: a float for a scalar, else an array."""
+    a = np.mod(np.asarray(a, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+    a = np.where(a == -np.pi, np.pi, a)
+    return float(a) if a.ndim == 0 else a
 
 
 def _coerce_ptm(obj) -> np.ndarray:
@@ -279,6 +281,21 @@ def process_fidelity(ptm, ideal) -> float:
 def average_fidelity(ptm, ideal) -> float:
     """Average gate fidelity (4 F_pro + 1)/5 against a unitary ideal."""
     return (4.0 * process_fidelity(ptm, ideal) + 1.0) / 5.0
+
+
+def block_average_fidelity(m, target):
+    """Average fidelity of rho -> M rho M^dag against a unitary 4x4 target T.
+
+    The closed form (|Tr(T^dag M)|^2/4 + 1)/5 (Pedersen, Moller & Molmer,
+    Phys. Lett. A 367, 47 (2007)) is what
+    ``average_fidelity(qubit_subspace_ptm(M), ptm_of_unitary(T))`` gives
+    for any 4x4 block M, a leaky one too, without building a PTM.  ``m``
+    may be a stack (..., 4, 4); the result is then an array.
+    """
+    t = np.asarray(target, dtype=complex)
+    overlap = (t.conj() * _block(m, stacked=True)).sum(axis=(-2, -1))
+    f = (np.abs(overlap) ** 2 / 4.0 + 1.0) / 5.0
+    return float(f) if f.ndim == 0 else f
 
 
 def ptm_unitarity_defect(ptm) -> float:

@@ -115,11 +115,12 @@ def test_device_params_flux_units(device):
         device_params(device, phic=0.5)
 
 
-def scipy_modules_after(module: str) -> list:
-    """The scipy modules a fresh interpreter holds after importing module."""
+def scipy_modules_after(module: str, run: str = "") -> list:
+    """The scipy modules a fresh interpreter holds after importing module
+    and then running the statement run."""
     src = os.path.dirname(os.path.dirname(paramres.__file__))
     done = subprocess.run(
-        [sys.executable, "-c", f"import sys, {module}; "
+        [sys.executable, "-c", f"import sys, {module}\n{run}\n"
          "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         timeout=60)
@@ -138,3 +139,13 @@ def test_cli_imports_without_scipy_optimize_or_integrate():
     loaded = scipy_modules_after("paramres.cli")
     assert not [m for m in loaded if m.split(".")[:2] in (
         ["scipy", "optimize"], ["scipy", "integrate"], ["scipy", "linalg"])]
+
+
+def test_an_iswap_calibration_never_loads_scipy_integrate():
+    # the sideband weights and the average frequency are spectral sums
+    loaded = scipy_modules_after(
+        "paramres.calibration, paramres.device",
+        "paramres.calibration.calibrate_gate("
+        "paramres.device.load_bundled_device(), 'iswap')")
+    assert "scipy.optimize" in loaded  # the calibration did run
+    assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "integrate"]]

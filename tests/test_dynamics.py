@@ -268,6 +268,23 @@ def test_long_static_pulse_needs_no_per_step_arrays(device, zero_bias_params):
     assert np.max(np.abs(prop.states[-1] - exact[:, 9])) < 1e-8
 
 
+def test_static_pulse_samples_the_parameter_series_once(device, zero_bias_params,
+                                                        monkeypatch):
+    # no cut of a static pulse needs a partial step, so only its one
+    # eigendecomposition samples the q2 parameters
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return series(*args)
+
+    series = dynamics._parameter_series
+    monkeypatch.setattr(dynamics, "_parameter_series", counted)
+    propagate(zero_bias_params, flat_pulse(300.0), device.q2, initial_state=9,
+              times=np.linspace(0.0, 300.0, 721)[1:])
+    assert [len(t) for t in calls] == [1]
+
+
 def test_dc_pulse_evolves_in_closed_form_from_one_eigendecomposition(
         device, monkeypatch):
     # a DC pulse is one step, whose eigenpairs are those of H: the state

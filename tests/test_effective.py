@@ -213,6 +213,42 @@ def test_modulated_sideband_symmetry_at_sweet_spot(device, zero_bias_params):
         assert mc.sideband(n)["eps"] == pytest.approx(oracle, abs=1e-7)
 
 
+def _trapezoid_sidebands(q2_spec, pulse, samples, n_max=5):
+    """(f2_avg, f2_exc, eps) from a cumulative trapezoid over one period of
+    ``samples`` intervals; eps carries an O(1/samples^2) error."""
+    t = np.linspace(0.0, 1.0 / pulse.mod_freq, samples + 1)
+    flux = pulse.phi_dc + pulse.amplitude * np.sin(2.0 * np.pi * pulse.mod_freq * t)
+    f2 = transition_frequency(q2_spec, 2.0 * np.pi * flux)
+    h = t[1] - t[0]
+    f_avg = h * (f2.sum() - 0.5 * (f2[0] + f2[-1])) * pulse.mod_freq
+    df = f2 - f_avg
+    theta = 2.0 * np.pi * np.concatenate(([0.0], np.cumsum(0.5 * h * (df[1:] + df[:-1]))))
+    harmonics = np.fft.ifft(np.exp(-1j * theta[:-1]))
+    spacing = 2 if pulse.phi_dc == 0.0 else 1
+    coeffs = np.fft.fft(f2[:-1]) / samples
+    n = np.arange(-n_max, n_max + 1)
+    return f_avg, 2.0 * abs(coeffs[2]), harmonics[(n * spacing) % samples]
+
+
+@pytest.mark.parametrize("amplitude, mod_freq, phi_dc", [
+    (0.1545, 0.30, 0.0), (0.3728, 0.28, 0.0), (0.45, 0.05, 0.0),
+    (0.2, 0.28, 0.1), (0.45, 0.01, 0.0)])
+def test_sideband_weights_match_an_extrapolated_trapezoid(device, amplitude,
+                                                          mod_freq, phi_dc):
+    # the trapezoid's phase error is O(h^2), so (4 E(h/2) - E(h))/3 at
+    # 2^15 and 2^16 samples leaves O(h^4), far below the tolerance
+    pulse = FluxPulse(phi_dc=phi_dc, amplitude=amplitude, mod_freq=mod_freq,
+                      duration=100.0)
+    coarse = _trapezoid_sidebands(device.q2, pulse, 2 ** 15)
+    fine = _trapezoid_sidebands(device.q2, pulse, 2 ** 16)
+    eps_oracle = (4.0 * fine[2] - coarse[2]) / 3.0
+    n, eps, _ = numeric_fourier_weights(device.q2, pulse)
+    assert np.max(np.abs(eps - eps_oracle)) <= 1e-11
+    f_avg, f_exc = average_and_excursion(device.q2, pulse)
+    assert abs(f_avg - fine[0]) <= 1e-11
+    assert abs(f_exc - fine[1]) <= 1e-11
+
+
 def test_modulated_couplings_samples_the_band_once(device, zero_bias_params,
                                                   monkeypatch):
     pulse = FluxPulse(phi_dc=0.0, amplitude=0.10, mod_freq=0.29, duration=100.0)

@@ -15,6 +15,7 @@ from paramres.tomography import (
     CoherenceTimes,
     ProcessTensor,
     average_fidelity,
+    block_average_fidelity,
     coherence_fidelity_cz,
     coherence_fidelity_iswap,
     confusion_matrix,
@@ -177,6 +178,39 @@ def test_virtual_z_extraction_and_correction(rng):
         corrected = virtual_z_correct(qubit_subspace_ptm(u), got1, got2)
         assert average_fidelity(corrected, ptm_of_unitary(target)) == pytest.approx(
             1.0, abs=1e-10)
+
+
+def test_closed_form_fidelity_of_leaky_blocks_equals_the_ptm_path(rng):
+    # 4x4 corners of 27x27 unitaries: contractions that leak; corrected by
+    # their own virtual Z, as the duration trim ranks its candidates
+    blocks = np.array([haar_unitary(27, rng)[:4, :4] for _ in range(6)]
+                      + [haar_unitary(4, rng) for _ in range(2)])
+    assert min(subspace_leakage(m) for m in blocks) < 1e-12
+    assert max(subspace_leakage(m) for m in blocks) > 0.5
+    for target in (ISWAP, CZ):
+        z1, z2 = extract_virtual_z(blocks, target)
+        corrected = virtual_z_correct(blocks, z1, z2)
+        closed = block_average_fidelity(corrected, target)
+        assert closed.shape == (len(blocks),)
+        for m, f in zip(corrected, closed):
+            via_ptm = average_fidelity(qubit_subspace_ptm(m), ptm_of_unitary(target))
+            assert abs(f - via_ptm) <= 1e-12
+            assert block_average_fidelity(m, target) == f
+
+
+def test_stacked_virtual_z_equals_the_per_block_calls(rng):
+    blocks = np.array([haar_unitary(27, rng)[:4, :4] for _ in range(5)]
+                      + [haar_unitary(4, rng) for _ in range(3)]).reshape(2, 4, 4, 4)
+    for target in (ISWAP, CZ):
+        z1, z2 = extract_virtual_z(blocks, target)
+        assert z1.shape == z2.shape == (2, 4)
+        corrected = virtual_z_correct(blocks, z1, z2)
+        for idx in np.ndindex(2, 4):
+            one = extract_virtual_z(blocks[idx], target)
+            assert isinstance(one[0], float) and isinstance(one[1], float)
+            assert one == (z1[idx], z2[idx])
+            np.testing.assert_array_equal(
+                virtual_z_correct(blocks[idx], *one), corrected[idx])
 
 
 def test_virtual_z_correct_accepts_bare_unitary():

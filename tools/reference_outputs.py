@@ -3,10 +3,11 @@
     python tools/reference_outputs.py [src_dir]
 
 The document holds the GateSpec and report of ``calibrate_gate`` for
-iswap and cz20 at their defaults, small bare and dressed chevrons of
-both gates about their analytic operating points, and the dynamic and
-static couplings of ``coupling_vs_bias`` at the biases of acceptance
-criterion 5.  Keys are sorted and floats written as their ``repr``, so
+iswap and cz20 at their defaults, the sideband weights eps_n (n = -5..5,
+real and imaginary parts) of both gates at their analytic operating
+points, small bare and dressed chevrons about those points, and the
+dynamic and static couplings of ``coupling_vs_bias`` at the biases of
+acceptance criterion 5.  Keys are sorted and floats written as their ``repr``, so
 two checkouts that compute the same numbers print the same bytes:
 
     python tools/reference_outputs.py > change.json
@@ -46,13 +47,15 @@ def reference_outputs() -> dict:
     from paramres.effective import dressed_computational_basis
 
     device = load_bundled_device()
-    doc = {"calibrate_gate": {}, "chevron": {}}
+    doc = {"calibrate_gate": {}, "chevron": {}, "sidebands": {}}
     for kind, gate in GATES.items():
         spec, report = calibrate_gate(device, kind)
         doc["calibrate_gate"][kind] = {"spec": spec.to_dict(), "report": report}
 
-        p, a0, _, tau = operating_point(device, kind, gate.coupler_bias,
-                                        gate.mod_freq)
+        p, a0, mc, tau = operating_point(device, kind, gate.coupler_bias,
+                                         gate.mod_freq)
+        doc["sidebands"][kind] = {"n": mc.n, "eps_real": mc.eps.real,
+                                  "eps_imag": mc.eps.imag}
         amps = a0 + np.linspace(-0.002, 0.002, 3)
         durs = np.linspace(0.5 * tau, 1.5 * tau, 5)
         bases = {"bare": None, "dressed": dressed_computational_basis(p)}
