@@ -43,7 +43,7 @@ import numpy as np
 
 from .device import Device, device_params
 from .dynamics import ChevronMap, chevron, fit_exchange, modulation_step, propagate
-from .effective import (COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS,
+from .effective import (COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS, DIM,
                         average_and_excursion, dressed_computational_basis,
                         modulated_couplings)
 from .fluxcontrol import FluxPulse
@@ -568,12 +568,12 @@ def calibrate_gate(
     # fractions of a nanosecond wide, while the process fidelity is
     # nearly flat across them.  Trim the duration to the best fidelity
     # among grid points where the swap angle is on target, or failing
-    # that to the smallest swap-angle error.  Propagator snapshots make
-    # the whole grid cost a single propagation, projected onto the
-    # dressed basis in one product.  The candidates are ranked by the
-    # closed-form fidelity of their frame-corrected blocks, and only
-    # those fitted, in falling fidelity up to the first on target, get
-    # a PTM; the picked one's PTM gives the reported numbers.
+    # that to the smallest swap-angle error.  Cuts of the dressed
+    # columns U(t) B make the whole grid cost a single propagation,
+    # projected as B^H (U B) in one product.  The candidates are ranked
+    # by the closed-form fidelity of their frame-corrected blocks, and
+    # only those fitted, in falling fidelity up to the first on target,
+    # get a PTM; the picked one's PTM gives the reported numbers.
     theta_target, phi_target = gate.fsim
     target_u = fsim_unitary(theta_target, phi_target)
 
@@ -581,8 +581,8 @@ def calibrate_gate(
         grid = spec.duration + _TRIM_OFFSETS
         grid = grid[grid > 0.0]
         trim = propagate(p, replace(gate_pulse(spec), duration=float(grid[-1])),
-                         device.q2, times=grid)
-        ms = basis.conj().T @ trim.unitaries @ basis
+                         device.q2, columns=basis, times=grid)
+        ms = basis.conj().T @ trim.cuts
         z1, z2 = extract_virtual_z(ms, target_u)
         corrected = virtual_z_correct(ms, z1, z2)
         ranked = np.argsort(-block_average_fidelity(corrected, target_u),
@@ -621,8 +621,9 @@ def calibrate_gate(
         times = _on_step_grid(pulse, device.q2,
                               np.linspace(0.0, 3.0 * spec.duration, 721)[1:])
         tr = propagate(p, replace(pulse, duration=float(times[-1])), device.q2,
-                       initial_state=COMPUTATIONAL_INDICES[col_init], times=times)
-        pop = np.abs(tr.states[:, COMPUTATIONAL_INDICES[col_watch]]) ** 2
+                       columns=np.eye(DIM)[:, [COMPUTATIONAL_INDICES[col_init]]],
+                       times=times)
+        pop = np.abs(tr.cuts[:, COMPUTATIONAL_INDICES[col_watch], 0]) ** 2
         ef = fit_exchange(times, pop)
         product = spec.duration * gate.cycles * ef.g
     report["consistency"] = {

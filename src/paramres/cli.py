@@ -48,7 +48,7 @@ from .fluxcontrol import (apply_transfer, compensate_crosstalk,
 from .tomography import (PAULI_LABELS, CoherenceTimes, average_fidelity,
                          confusion_matrix, fit_fsim, fsim_unitary,
                          phase_error, ptm_of_unitary, ptm_unitarity_defect,
-                         simulate_qpt, virtual_z_correct, _wrap_angle)
+                         simulate_qpt, virtual_z_correct)
 
 OUT_DIR_ENV = "PARAMRES_OUT_DIR"
 FORMATS = ("csv", "json", "ini")
@@ -63,16 +63,14 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+def _json_default(x):
+    """The default= hook of json: an ndarray as a list, a numpy scalar as
+    the Python number it holds."""
     if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.floating, np.integer, np.bool_)):
+        return x.tolist()
+    if isinstance(x, np.generic):
         return x.item()
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _file_fingerprint(path) -> str:
@@ -111,7 +109,7 @@ def _fmt_cell(v) -> str:
 
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
@@ -197,7 +195,7 @@ class RunConfig:
         settings = {"device": _input_fingerprint(self.device_file),
                     "format": self.format, "seed": self.seed, "cmd": cmd,
                     **settings}
-        blob = json.dumps(_jsonable(settings), sort_keys=True)
+        blob = json.dumps(settings, sort_keys=True, default=_json_default)
         return {"tool": f"paramres {__version__}",
                 "config_hash": hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12],
                 "generated": _utc_now()}
@@ -408,7 +406,7 @@ def cmd_tomo(cfg: RunConfig, args) -> int:
         fit = fit_fsim(corrected)
     target = GATES[spec.kind].fsim
     f_avg = average_fidelity(corrected, ptm_of_unitary(fsim_unitary(*target)))
-    phase_err = phase_error(_wrap_angle(fit.phi - target[1]))
+    phase_err = phase_error(fit.phi - target[1])  # 2*pi-periodic: no wrap
 
     # R[i, j] = Tr(P_i E(P_j))/4: a row per output Pauli, a column per input
     ptm_path = cfg.table_path(f"ptm_{spec.kind}", meta, {

@@ -15,8 +15,10 @@ steps per period from a closed-form rule under an error budget
 (STEP_ERROR_BUDGET: 5e-4 on the gate's computational columns; the step
 is modulation_step), and step_error measures what a run actually left.
 A static pulse takes no steps: it evolves in closed form from one
-eigendecomposition.  States and propagators are cut at exactly the
-requested times.
+eigendecomposition.  A propagation evolves only the columns its caller
+reads, U(t) X for a 27xk isometry X (one prepared state, or the dressed
+computational basis of a gate block), cut at exactly the requested
+times; the full final unitary comes with it.
 
 The drive is a pure sine, so a modulation period is fixed by its first
 quarter: the step Hamiltonians mirror about T/4 and 3T/4, and about a
@@ -32,7 +34,6 @@ of Didier et al., PRA 97, 022330 (2018).
 """
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -55,8 +56,7 @@ class Propagation:
     dt: float                    # step size (ns); a static pulse's duration
     n_steps: int
     n_diagonalized: int          # step Hamiltonians diagonalized
-    unitaries: np.ndarray        # U(t) per requested time t, without an initial state
-    states: np.ndarray           # U(t) psi0 per requested time t, with one
+    cuts: np.ndarray             # U(t) X per requested time t, shape (n_times, 27, k)
     unitarity_defect: float
 
 
@@ -77,8 +77,8 @@ def _parameter_series(p, q2_pulse, q2_spec, t_mid):
     return {"f2": p.f2 + (f2_band - f2_dc), "g2c": p.g2c * r2, "g12": p.g12 * r2}
 
 
-# steps diagonalized per batched np.linalg.eigh call, propagator snapshots
-# per batch and period prefixes gathered per batch; bounds the work arrays
+# steps diagonalized per batched np.linalg.eigh call, cuts per batch and
+# period prefixes gathered per batch; bounds the work arrays
 _EIGH_BATCH = 64
 
 # Bare-state indices of even and odd total excitation.  The couplings
@@ -178,27 +178,22 @@ def modulation_step(q2_pulse: FluxPulse, q2_spec) -> float:
     return (1.0 / q2_pulse.mod_freq) / (8 * max(1, math.ceil(m / 8.0)))
 
 
-def _initial_vector(state) -> np.ndarray:
-    """The initial state of propagate as a normalized 27-vector.
+def _isometry(columns) -> np.ndarray:
+    """columns as a complex 27xk isometry, k >= 1.
 
-    state is a bare basis index, an integer in [0, 27), or a finite
-    normalized vector of length 27; anything else raises ValueError.
+    Anything that is not 2-D of 27 rows and at least one column, finite
+    and orthonormal to 1e-8 (max|X^H X - I|) raises ValueError.
     """
-    if np.isscalar(state):
-        if not isinstance(state, numbers.Integral) or not 0 <= state < DIM:
-            raise ValueError(f"initial state index must be an integer in [0, {DIM})")
-        return np.eye(DIM, dtype=complex)[state]
-    psi = np.asarray(state, dtype=complex)
-    if psi.shape != (DIM,):
-        raise ValueError(f"initial state vector must have length {DIM}")
-    norm = float(np.linalg.norm(psi))
-    if not abs(norm - 1.0) <= 1e-8:  # NaN and inf fail too
-        raise ValueError(f"initial state must be finite and normalized, got norm {norm}")
-    return psi
+    x = np.asarray(columns, dtype=complex)
+    if (x.ndim != 2 or x.shape[0] != DIM or x.shape[1] < 1 or not np.all(np.isfinite(x))
+            or np.max(np.abs(x.conj().T @ x - np.eye(x.shape[1]))) > 1e-8):
+        raise ValueError(f"columns must be a finite {DIM}xk isometry with k >= 1, "
+                         f"got shape {x.shape}")
+    return x
 
 
 def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
-              initial_state=None, times=None) -> Propagation:
+              columns=None, times=None) -> Propagation:
     """Propagate over the q2 pulse window and cut it at the requested times.
 
     p holds the model parameters at the DC biases (see
@@ -207,14 +202,16 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     factors.
 
     times requests cuts of the evolution at times in (0, duration], one
-    per request in request order: U(t) in unitaries, or U(t) psi0 in
-    states with an initial_state (a bare basis index or a normalized
-    vector), whose cuts are evaluated on vectors.  The cut at t is the
-    final unitary of the same pulse with duration t: the pulse is square,
-    so the truncated pulse takes the same steps up to t, and both end
-    with the same partial step.  A duration scan then costs one
-    propagation instead of one per duration.  The final unitary, the cut
-    at the duration, is always returned.
+    per request in request order: cuts[i] = U(t_i) X, of shape
+    (len(times), 27, k), for X = columns, a 27xk isometry (orthonormal
+    columns, k >= 1) that defaults to the identity.  Callers pass only
+    the columns they read: one prepared state, or the dressed basis B of
+    a gate block B^H (U B).  The cut at t is the final unitary of the
+    same pulse with duration t: the pulse is square, so the truncated
+    pulse takes the same steps up to t, and both end with the same
+    partial step.  A duration scan then costs one propagation instead of
+    one per duration.  The full final unitary, the cut at the duration,
+    is always returned as unitary and checked against UNITARITY_TOL.
 
     The step: with dt=None a modulated pulse takes modulation_step, m
     steps per period with m a multiple of 8 under STEP_ERROR_BUDGET
@@ -240,8 +237,8 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     than its period, whose cuts read only the prefixes it reaches.  So
     the cost grows with the steps per period and the cuts, not with
     duration/dt.  Cuts go in batches, as P_k Z (exp(i*n*theta) * Z^H x)
-    for x the identity or psi0; a static pulse is the case k = 0,
-    theta = -2*pi*E and n = t.
+    for x the identity (the final unitary) or X; a static pulse is the
+    case k = 0, theta = -2*pi*E and n = t.
 
     Quarter symmetry: with q = m/4 and midpoints (j + 1/2)*dt, the flux
     enters H only through sin(2*pi*f*t), so step j repeats step 2q-1-j
@@ -263,8 +260,8 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     # written so that NaN fails the range test
     if not np.all((want > 0.0) & (want <= duration + 1e-9)):
         raise ValueError("cut times must lie in (0, duration]")
-    psi = None if initial_state is None else _initial_vector(initial_state)
-    cuts = np.minimum(np.append(want, duration), duration)  # the duration last
+    cols = np.eye(DIM) if columns is None else _isometry(columns)
+    ends = np.minimum(np.append(want, duration), duration)  # the duration last
 
     static_xx, static_diag = _static_terms(p)
     terms = (static_xx, XX_C2, XX_12, static_diag, NUM_2)
@@ -286,8 +283,8 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         for idx, evals, vecs in _step_eigenpairs(terms, series):
             theta[idx] = -2.0 * math.pi * evals[0]
             z[np.ix_(idx, idx)] = vecs[0]
-        s = np.zeros(len(cuts), dtype=int)
-        n, k, r = cuts, s, np.zeros(len(cuts))
+        s = np.zeros(len(ends), dtype=int)
+        n, k, r = ends, s, np.zeros(len(ends))
 
         def prefix(k, y):
             return y  # P_0 = I
@@ -302,9 +299,9 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         # period/(4*dt) of a dt = period/m can round to an ulp above m/4
         m = 4 * math.ceil(period / (4.0 * dt) - 1e-9)
         dt = period / m
-        s = np.floor(cuts / dt + 1e-9).astype(int)
-        r = cuts - s * dt
-        r[r <= 1e-4 * np.minimum(dt, cuts)] = 0.0
+        s = np.floor(ends / dt + 1e-9).astype(int)
+        r = ends - s * dt
+        r[r <= 1e-4 * np.minimum(dt, ends)] = 0.0
         n_steps = int(s[-1]) + int(r[-1] > 0.0)
         n, k = np.divmod(s, m)
 
@@ -351,7 +348,7 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     w = z.conj().T
 
     def cut(i, x):
-        """U(t) y at the cuts i, for x = Z^H y of shape (DIM, columns)."""
+        """U(t) y at the cut times ends[i], for x = Z^H y of shape (DIM, k)."""
         out = np.empty((len(i), DIM, x.shape[1]), dtype=complex)
         for a in range(0, len(i), _EIGH_BATCH):
             c = i[a:a + _EIGH_BATCH]
@@ -363,21 +360,15 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
                 out[j[c]] = batch @ out[j[c]]
         return out
 
-    if psi is None:
-        unitaries = cut(np.arange(len(cuts)), w)
-        states = np.zeros((0, DIM), dtype=complex)
-    else:
-        unitaries = cut(np.array([len(want)]), w)
-        states = cut(np.arange(len(want)), (w @ psi)[:, None])[:, :, 0]
-    u = unitaries[-1]
+    u = cut(np.array([len(want)]), w)[0]
 
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(DIM))))
     if defect > UNITARITY_TOL:
         raise ValueError(
             f"unitarity drift {defect:.2e} exceeds {UNITARITY_TOL}; reduce dt")
     return Propagation(unitary=u, dt=dt, n_steps=n_steps,
-                       n_diagonalized=n_diagonalized, unitaries=unitaries[:-1],
-                       states=states, unitarity_defect=defect)
+                       n_diagonalized=n_diagonalized,
+                       cuts=cut(np.arange(len(want)), w @ cols), unitarity_defect=defect)
 
 
 def step_error(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, basis) -> float:
@@ -450,9 +441,9 @@ def chevron(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, amplitudes,
     pops = np.zeros((amplitudes.size, durations.size))
     for i, amp in enumerate(amplitudes):
         pulse = replace(q2_pulse, amplitude=float(amp), duration=t_max)
-        prop = propagate(p, pulse, q2_spec, initial_state=state_init,
+        prop = propagate(p, pulse, q2_spec, columns=state_init[:, None],
                          times=durations)
-        pops[i] = np.abs(prop.states @ bra_target) ** 2
+        pops[i] = np.abs(prop.cuts[:, :, 0] @ bra_target) ** 2
     return ChevronMap(amplitudes=amplitudes, durations=durations,
                       populations=pops, initial=initial, target=target)
 
@@ -586,8 +577,8 @@ def _resonant_traces(device, phic):
         p = device_params(device, phic=phic, phi2=phi2)
         pulse = FluxPulse(phi_dc=phi2, amplitude=0.0, duration=duration)
         prop = propagate(p, pulse, device.q2,
-                         initial_state=basis_index(1, 0, 0), times=times)
-        traces.append((times, np.abs(prop.states[:, basis_index(0, 0, 1)]) ** 2))
+                         columns=np.eye(DIM)[:, [basis_index(1, 0, 0)]], times=times)
+        traces.append((times, np.abs(prop.cuts[:, basis_index(0, 0, 1), 0]) ** 2))
     return p_res, st, traces
 
 

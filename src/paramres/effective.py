@@ -4,7 +4,8 @@ The module owns four things.  ``build_hamiltonian`` is the one
 Hamiltonian; ``dynamics.propagate`` takes its q2-independent part from
 the same helper.  ``dressed_computational_basis`` gives its eigenstates
 on the computational subspace, the basis that a dispersive readout
-sees and that callers project a propagator onto before tomography.
+sees: callers evolve its columns B with ``dynamics.propagate`` and
+project them, B^H (U B), before tomography.
 ``modulated_couplings`` gives the second-order qubit-qubit couplings of
 each sideband n with the coupler eliminated (Didier et al., PRA 97,
 022330 (2018)).  ``static_couplings`` is the n = 0 term of that
@@ -92,9 +93,10 @@ def dressed_computational_basis(p: DeviceParams) -> np.ndarray:
     Columns are the eigenvectors of the static Hamiltonian with the
     largest overlap on bare |00>, |01>, |10>, |11> (coupler in its
     ground state), each phase-fixed so the dominant bare amplitude is
-    real positive.  Projecting a propagator through this basis,
-    ``basis.conj().T @ u @ basis``, removes the static coupler admixture
-    that would otherwise masquerade as leakage.
+    real positive.  Projecting a propagator through this basis B,
+    B^H (U B) with U B the cuts of ``dynamics.propagate(..., columns=B)``,
+    removes the static coupler admixture that would otherwise masquerade
+    as leakage.
     """
     _, vecs = np.linalg.eigh(build_hamiltonian(p))
     basis = np.zeros((vecs.shape[0], 4), dtype=complex)

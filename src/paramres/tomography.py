@@ -3,11 +3,11 @@
 Everything here works on the 4x4 block of a gate on the computational
 subspace (both qubits in {0, 1}, coupler in its ground state): it builds
 the 16x16 Pauli transfer matrix (PTM) of that block and scores it
-against ideal targets.  The propagator of the three-body model lives on
-27 levels; callers project it onto the dressed computational states,
-``basis.conj().T @ u @ basis`` with ``basis`` from
-``effective.dressed_computational_basis``, as a dispersive readout sees
-them.  Any other shape raises.
+against ideal targets.  The three-body model lives on 27 levels;
+callers evolve only the dressed computational columns U B, with B from
+``effective.dressed_computational_basis`` passed as the ``columns`` of
+``dynamics.propagate``, and project them, B^H (U B), as a dispersive
+readout sees them.  Any other shape raises.
 
 - ``qubit_subspace_ptm`` builds the PTM and reports leakage separately,
 - ``extract_virtual_z`` / ``virtual_z_correct`` remove single-qubit
@@ -316,13 +316,19 @@ def fit_fsim(ptm) -> FSimFit:
     v = (1, cos theta, sin theta, e^{-i phi}), with H linear in the PTM.
     For fixed theta the phi terms reduce to 2 Re(e^{i phi} z(theta)),
     z = sum_{k<3} v_k H[k, 3], so the best phi is -arg z and contributes
-    2|z|.  What remains is a smooth function of theta alone: its maximum
-    is bracketed on a dense grid over (-pi, pi] and polished by bounded
-    Brent iteration, leaving the angles accurate to about 1e-8 rad.
+    2|z|.  What remains is a smooth function F(theta): its maximum is
+    bracketed on a 128-point grid over (-pi, pi], and the root of its
+    analytic slope between the grid neighbours of the grid maximum is
+    found by Brent's method to 1e-15 rad.  With u = (1, cos, sin), Q the
+    real part of H[:3, :3] and u' = (0, -sin theta, cos theta), the slope
+    is dF/dtheta = 2 u'^T Q u + 2 Re(conj(z) z')/|z|, z' = sum_k u'_k H[k, 3].
+    That leaves the angles accurate to the last bits of the PTM; a
+    search on F itself resolves theta only to the square root of its
+    rounding, about 1e-8 rad.
     A channel whose unital block is far from orthogonal is fit anyway,
     with a warning, since the fSim family is unitary.
     """
-    from scipy.optimize import minimize_scalar
+    from scipy.optimize import brentq
 
     r = _coerce_ptm(ptm)
     if ptm_unitarity_defect(r) > 0.05:
@@ -339,12 +345,17 @@ def fit_fsim(ptm) -> FSimFit:
         z = z_coef @ v
         return (v * (quad @ v)).sum(axis=0) + h[3, 3].real + 2.0 * np.abs(z), z
 
+    def slope(theta):
+        """dF/dtheta of best_over_phi at a scalar theta."""
+        v = np.array([1.0, np.cos(theta), np.sin(theta)])
+        dv = np.array([0.0, -v[2], v[1]])
+        z = z_coef @ v
+        return 2.0 * (dv @ quad @ v + (z.conjugate() * (z_coef @ dv)).real / abs(z))
+
     step = 2.0 * np.pi / 128
     grid = -np.pi + step * np.arange(1, 129)
     start = grid[np.argmax(best_over_phi(grid)[0])]
-    theta = minimize_scalar(lambda t: -best_over_phi(t)[0], method="bounded",
-                            bounds=(start - step, start + step),
-                            options={"xatol": 1e-12}).x
+    theta = brentq(slope, start - step, start + step, xtol=1e-15)
     f_pro, z = best_over_phi(theta)
     return FSimFit(
         theta=_wrap_angle(theta),

@@ -21,12 +21,15 @@ from paramres.dynamics import (
     propagate,
     step_error,
 )
-from paramres.effective import build_hamiltonian, exact_g01
+from paramres.effective import (build_hamiltonian, dressed_computational_basis,
+                                exact_g01)
 from paramres.fluxcontrol import FluxPulse
 from paramres.spectrum import DeviceParams
 
 MOD_FREQ = 0.28
 PERIOD = 1.0 / MOD_FREQ
+#: |100>, q1 excited, as the one column propagate evolves
+Q1_EXCITED = np.eye(27)[:, [9]]
 
 
 def exchange_params(g: float, delta: float = 0.0) -> DeviceParams:
@@ -46,8 +49,8 @@ def exchange_populations(device, g: float, delta: float):
     coupler disconnected, over 1.5 exchange periods."""
     times = np.linspace(0.0, 1.5 / (2 * g), 301)[1:]
     prop = propagate(exchange_params(g, delta), flat_pulse(times[-1]),
-                     device.q2, initial_state=9, times=times)
-    return times, np.abs(prop.states) ** 2
+                     device.q2, columns=Q1_EXCITED, times=times)
+    return times, np.abs(prop.cuts[:, :, 0]) ** 2
 
 
 def test_resonant_exchange_matches_analytic(device):
@@ -110,8 +113,8 @@ def test_unitary_snapshots_match_truncated_pulses(device):
     for amplitude, mod_freq in ((0.154, MOD_FREQ), (0.0, 0.0)):  # modulated, static
         pulse = flat_pulse(512 * dt, amplitude=amplitude, mod_freq=mod_freq)
         prop = propagate(p, pulse, device.q2, dt=dt, times=times)
-        assert prop.unitaries.shape == (len(times), 27, 27)
-        for t, u in zip(times, prop.unitaries):
+        assert prop.cuts.shape == (len(times), 27, 27)
+        for t, u in zip(times, prop.cuts):
             solo = propagate(
                 p, flat_pulse(float(t), amplitude=amplitude, mod_freq=mod_freq),
                 device.q2, dt=dt)
@@ -188,8 +191,8 @@ TIMES = [1.0, 3.1, 10.0, 20.0, 24.0, 25.4]
 ], ids=["modulated", "dc", "off_sweet_spot", "snapped", "sub_period",
         "sub_quarter", "off_sweet_spot_third_quarter", "sub_step", "tiny"])
 def test_period_reuse_matches_direct_stepping(device, q2_pulse, dt, times):
-    # cuts in reverse, every 7th step boundary, and a repeat; unitaries
-    # without an initial state, states with one
+    # cuts in reverse, every 7th step boundary, and a repeat; all 27
+    # columns by default, one column with psi
     p = device_params(device, phic=0.29472, phi2=q2_pulse.phi_dc)
     psi = np.zeros(27, dtype=complex)
     psi[9] = 1.0
@@ -197,16 +200,17 @@ def test_period_reuse_matches_direct_stepping(device, q2_pulse, dt, times):
     cuts = [*times[::-1], *step * np.arange(1, int(q2_pulse.duration / step) + 1, 7),
             times[0]]
     prop = propagate(p, q2_pulse, device.q2, dt=dt, times=cuts)
-    kept = propagate(p, q2_pulse, device.q2, dt=dt, initial_state=psi, times=cuts)
+    kept = propagate(p, q2_pulse, device.q2, dt=dt, columns=psi[:, None], times=cuts)
     if q2_pulse.mod_freq > 0.0:
         assert round(1.0 / (q2_pulse.mod_freq * prop.dt)) % 4 == 0
-    assert prop.states.shape == (0, 27) and kept.unitaries.shape == (0, 27, 27)
+    assert prop.cuts.shape == (len(cuts), 27, 27)
+    assert kept.cuts.shape == (len(cuts), 27, 1)
     ref = stepped_propagators(p, q2_pulse, device.q2, prop.dt,
                               [q2_pulse.duration, *cuts])
     assert np.max(np.abs(prop.unitary - ref[0])) < 1e-9
     assert np.max(np.abs(kept.unitary - ref[0])) < 1e-9
-    assert np.max(np.abs(prop.unitaries - ref[1:])) < 1e-9
-    assert np.max(np.abs(kept.states - ref[1:] @ psi)) < 1e-9
+    assert np.max(np.abs(prop.cuts - ref[1:])) < 1e-9
+    assert np.max(np.abs(kept.cuts[:, :, 0] - ref[1:] @ psi)) < 1e-9
 
 
 @pytest.mark.parametrize("q2_pulse", [
@@ -217,20 +221,20 @@ def test_period_reuse_matches_direct_stepping(device, q2_pulse, dt, times):
 ], ids=["modulated", "off_sweet_spot", "sub_quarter", "static"])
 def test_snapshots_off_the_step_grid_are_truncated_pulses(device, q2_pulse):
     # unsorted and repeated requests come back one per request, in order,
-    # as unitaries and, with an initial state, as states
+    # as U(t) X for X all 27 columns, one column and the 4-column dressed
+    # basis
     p = device_params(device, phic=0.29472, phi2=q2_pulse.phi_dc)
-    psi = np.full(27, 1.0 / np.sqrt(27))
     times = np.array([0.77, 0.131, 0.77, 0.4999]) * q2_pulse.duration
-    prop = propagate(p, q2_pulse, device.q2, times=times)
-    kept = propagate(p, q2_pulse, device.q2, initial_state=psi, times=times)
-    assert prop.unitaries.shape == (len(times), 27, 27)
-    assert kept.states.shape == (len(times), 27)
-    off_grid = np.abs(times / prop.dt - np.round(times / prop.dt))
+    inputs = (np.eye(27), np.full((27, 1), 1.0 / np.sqrt(27)),
+              dressed_computational_basis(p))
+    props = [propagate(p, q2_pulse, device.q2, columns=x, times=times) for x in inputs]
+    off_grid = np.abs(times / props[0].dt - np.round(times / props[0].dt))
     assert np.all(off_grid > 0.01)
-    for t, u, state in zip(times, prop.unitaries, kept.states):
+    for i, t in enumerate(times):
         solo = propagate(p, replace(q2_pulse, duration=float(t)), device.q2)
-        assert np.max(np.abs(u - solo.unitary)) <= 1e-10
-        assert np.max(np.abs(state - solo.unitary @ psi)) <= 1e-10
+        for x, prop in zip(inputs, props):
+            assert prop.cuts.shape == (len(times), 27, x.shape[1])
+            assert np.max(np.abs(prop.cuts[i] - solo.unitary @ x)) <= 1e-10
 
 
 @pytest.mark.parametrize("q2_pulse, quarters", [
@@ -256,7 +260,7 @@ def test_long_static_pulse_needs_no_per_step_arrays(device, zero_bias_params):
     tracemalloc.start()
     try:
         prop = propagate(zero_bias_params, flat_pulse(2000.0), device.q2,
-                         initial_state=9, times=np.linspace(0.0, 2000.0, 721)[1:])
+                         columns=Q1_EXCITED, times=np.linspace(0.0, 2000.0, 721)[1:])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -265,7 +269,7 @@ def test_long_static_pulse_needs_no_per_step_arrays(device, zero_bias_params):
     evals, vecs = np.linalg.eigh(build_hamiltonian(zero_bias_params))
     exact = (vecs * np.exp(-2j * np.pi * evals * 2000.0)) @ vecs.conj().T
     assert np.max(np.abs(prop.unitary - exact)) < 1e-8
-    assert np.max(np.abs(prop.states[-1] - exact[:, 9])) < 1e-8
+    assert np.max(np.abs(prop.cuts[-1] - exact[:, [9]])) < 1e-8
 
 
 def test_static_pulse_samples_the_parameter_series_once(device, zero_bias_params,
@@ -280,7 +284,7 @@ def test_static_pulse_samples_the_parameter_series_once(device, zero_bias_params
 
     series = dynamics._parameter_series
     monkeypatch.setattr(dynamics, "_parameter_series", counted)
-    propagate(zero_bias_params, flat_pulse(300.0), device.q2, initial_state=9,
+    propagate(zero_bias_params, flat_pulse(300.0), device.q2, columns=Q1_EXCITED,
               times=np.linspace(0.0, 300.0, 721)[1:])
     assert [len(t) for t in calls] == [1]
 
@@ -299,14 +303,14 @@ def test_dc_pulse_evolves_in_closed_form_from_one_eigendecomposition(
     psi = np.zeros(27)
     psi[9] = 1.0
     times = 300.0 * np.linspace(0.0, 1.0, 721)[1:] ** 1.5  # irregular
-    prop = propagate(p, flat_pulse(300.0), device.q2, initial_state=psi,
+    prop = propagate(p, flat_pulse(300.0), device.q2, columns=psi[:, None],
                      times=times)
     assert prop.n_diagonalized == 1
     assert prop.n_steps == 1
     evals, vecs = np.linalg.eigh(build_hamiltonian(p))
     exact = (np.exp(-2j * np.pi * np.multiply.outer(times, evals))
              * (vecs.T @ psi)) @ vecs.T
-    assert np.max(np.abs(prop.states - exact)) < 1e-10
+    assert np.max(np.abs(prop.cuts[:, :, 0] - exact)) < 1e-10
     exact_u = (vecs * np.exp(-2j * np.pi * evals * 300.0)) @ vecs.T
     assert np.max(np.abs(prop.unitary - exact_u)) < 1e-10
 
@@ -327,20 +331,18 @@ def test_propagate_rejects_a_bad_step(device, zero_bias_params, dt, mod_freq):
         propagate(zero_bias_params, pulse, device.q2, dt=dt)
 
 
-@pytest.mark.parametrize("state, message", [
-    (-1, "integer in \\[0, 27\\)"),
-    (27, "integer in \\[0, 27\\)"),
-    (2.7, "integer in \\[0, 27\\)"),
-    (np.ones(26) / np.sqrt(26), "length 27"),
-    (np.zeros(27), "finite and normalized"),
-    (np.full(27, np.nan), "finite and normalized"),
-    (np.full(27, np.inf), "finite and normalized"),
-], ids=["negative", "too_large", "fractional", "short", "zero", "nan", "inf"])
-def test_propagate_rejects_a_bad_initial_state(device, zero_bias_params, state,
-                                              message):
-    with pytest.raises(ValueError, match=message):
-        propagate(zero_bias_params, flat_pulse(20.0), device.q2,
-                  initial_state=state)
+@pytest.mark.parametrize("columns", [
+    np.ones((26, 1)) / np.sqrt(26),
+    np.zeros((27, 1)),
+    np.full((27, 1), np.nan),
+    np.full((27, 1), np.inf),
+    np.eye(27)[9],
+    np.zeros((27, 0)),
+    np.eye(27)[:, [9, 10]] @ np.array([[1.0, 0.6], [0.0, 0.8]]),  # unit columns
+], ids=["short", "zero", "nan", "inf", "vector", "no_column", "non_orthogonal"])
+def test_propagate_rejects_bad_columns(device, zero_bias_params, columns):
+    with pytest.raises(ValueError, match="columns must be a finite 27xk isometry"):
+        propagate(zero_bias_params, flat_pulse(20.0), device.q2, columns=columns)
 
 
 @pytest.mark.parametrize("amplitude, m", [(0.1566, 80), (0.3729, 160)],

@@ -121,7 +121,7 @@ def test_fit_fsim_round_trip(rng):
         d_phi = abs(np.remainder(fit.phi - phi + np.pi, 2 * np.pi) - np.pi)
         worst = max(worst, d_theta, d_phi)
         assert fit.fidelity_to_fit > 0.999
-    assert worst <= 1e-6
+    assert worst <= 1e-12
 
 
 def _shot_sampled_ptm(target):
