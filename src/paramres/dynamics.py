@@ -23,9 +23,11 @@ times; the full final unitary comes with it.
 The drive is a pure sine, so a modulation period is fixed by its first
 quarter: the step Hamiltonians mirror about T/4 and 3T/4, and about a
 sweet spot the second half repeats the first.  propagate diagonalizes
-one quarter (two off a sweet spot) and builds the rest of the period
-from matrix products (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
-(2009); Shirley, Phys. Rev. 138, B979 (1965)).
+only those distinct steps, one quarter (two off a sweet spot), and
+multiplies them out in period order into the prefixes of one period,
+which with the period's Floquet form give the propagator at any time
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009); Shirley,
+Phys. Rev. 138, B979 (1965)).
 
 Only qubit 2 is flux-modulated.  The coupler stays at the DC bias that
 set the parameters p (see device.device_params), so its frequency and
@@ -77,8 +79,8 @@ def _parameter_series(p, q2_pulse, q2_spec, t_mid):
     return {"f2": p.f2 + (f2_band - f2_dc), "g2c": p.g2c * r2, "g12": p.g12 * r2}
 
 
-# steps diagonalized per batched np.linalg.eigh call, cuts per batch and
-# period prefixes gathered per batch; bounds the work arrays
+# steps diagonalized per batched np.linalg.eigh call, and cuts per batch,
+# each gathering its prefix from the period's table; bounds the work arrays
 _EIGH_BATCH = 64
 
 # Bare-state indices of even and odd total excitation.  The couplings
@@ -121,7 +123,7 @@ def _step_matrices(terms, series, dts):
         for idx, evals, vecs in _step_eigenpairs(terms, batch):
             phases = np.exp(-2j * math.pi * evals * dts[c, None])
             steps[(slice(None), *np.ix_(idx, idx))] = ((vecs * phases[:, None, :])
-                                                       @ vecs.swapaxes(1, 2))
+                                                       @ vecs.transpose(0, 2, 1))
         yield c, steps
 
 
@@ -241,15 +243,14 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     case k = 0, theta = -2*pi*E and n = t.
 
     Quarter symmetry: with q = m/4 and midpoints (j + 1/2)*dt, the flux
-    enters H only through sin(2*pi*f*t), so step j repeats step 2q-1-j
-    (mirror about T/4) and step 2q+i repeats step 4q-1-i (mirror about
-    3T/4), for any phi_dc.  About a sweet spot the band and EJ are even
-    in the flux, so quarter 3 also repeats quarter 1.  Only the steps of
-    quarter 1 (and of quarter 3 off a sweet spot) are diagonalized.  Each
-    step S_j = exp(-2*pi*i*H_j*dt) is complex symmetric, since H_j is real
-    symmetric, so with Q = P_q the half period is G = Q^T Q, the
-    second-quarter prefixes are P_{q+k} = conj(P_{q-k}) G, and the second
-    half applies its own quarter rule after G.
+    enters H only through sin(2*pi*f*t), so within each half period step
+    j repeats step 2q-1-j (mirror about T/4 and 3T/4), for any phi_dc.
+    About a sweet spot the band and EJ are even in the flux, so the
+    second half also repeats the first.  Only the distinct steps, those
+    of quarter 1 (and of quarter 3 off a sweet spot), are diagonalized;
+    an index map sends each step of the period to its distinct step, and
+    the prefixes P_1 ... P_m are plain products of those steps in period
+    order.
     """
     duration = q2_pulse.duration
     if duration <= 0:
@@ -283,11 +284,8 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         for idx, evals, vecs in _step_eigenpairs(terms, series):
             theta[idx] = -2.0 * math.pi * evals[0]
             z[np.ix_(idx, idx)] = vecs[0]
-        s = np.zeros(len(ends), dtype=int)
+        s, table = np.zeros(len(ends), dtype=int), None
         n, k, r = ends, s, np.zeros(len(ends))
-
-        def prefix(k, y):
-            return y  # P_0 = I
     else:
         from scipy.linalg import schur
 
@@ -305,45 +303,26 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         n_steps = int(s[-1]) + int(r[-1] > 0.0)
         n, k = np.divmod(s, m)
 
-        # prefixes[h, k] = P_k for k <= q of the half h of the period,
-        # stepped on the waveform for a whole period
-        wave = replace(q2_pulse, duration=max(duration, period))
+        # order[j]: the distinct step that step j of the period repeats
+        # (see Quarter symmetry); first[u] is where step u first occurs
         q = m // 4
-        starts = (0,) if _is_sweet_spot(q2_pulse.phi_dc) else (0, 2 * q)
-        prefixes = np.empty((len(starts), q + 1, DIM, DIM), dtype=complex)
-        prefixes[:, 0] = np.eye(DIM)
-        for h, a in enumerate(starts):
-            for c, batch in steps(wave, (a + np.arange(q) + 0.5) * dt, np.full(q, dt)):
-                for j, step in enumerate(batch, c.start + 1):
-                    prefixes[h, j] = step @ prefixes[h, j - 1]
-        halves = prefixes[:, -1].swapaxes(1, 2) @ prefixes[:, -1]
-
-        def prefix(k, y):
-            """P_k y for in-period step counts k in [0, m], batched over k.
-
-            y is overwritten and returned.
-            """
-            second = k >= 2 * q
-            y[second] = halves[0] @ y[second]
-            h = second * (len(starts) - 1)
-            k = k - 2 * q * second
-            mirrored = k > q
-            # conj(P) G y = conj(P conj(G y)), which keeps prefixes unconjugated
-            for i, g in enumerate(halves):
-                at = mirrored & (h == i)
-                y[at] = (g @ y[at]).conj()
-            k = np.where(mirrored, 2 * q - k, k)
-            at = np.flatnonzero(k > 0)  # P_0 = I
-            for a in range(0, len(at), _EIGH_BATCH):
-                i = at[a:a + _EIGH_BATCH]
-                y[i] = prefixes[h[i], k[i]] @ y[i]
-            y[mirrored] = y[mirrored].conj()
-            return y
+        half = np.arange(m) % (2 * q)
+        order = np.minimum(half, 2 * q - 1 - half)
+        if not _is_sweet_spot(q2_pulse.phi_dc):
+            order[2 * q:] += q
+        first = np.unique(order, return_index=True)[1]
+        # the steps sample the waveform for a whole period
+        wave = replace(q2_pulse, duration=max(duration, period))
+        unique = np.concatenate([batch for _, batch in steps(
+            wave, (first + 0.5) * dt, np.full(len(first), dt))])
+        table = np.empty((m + 1, DIM, DIM), dtype=complex)  # table[k] = P_k
+        table[0] = np.eye(DIM)
+        for i in range(m):
+            np.matmul(unique[order[i]], table[i], out=table[i + 1])
 
         # U_P is unitary, so its complex Schur form is diagonal and
         # U_P^n = Z diag(exp(i*n*theta)) Z^H.
-        schur_t, z = schur(prefix(np.array([m]), np.eye(DIM, dtype=complex)[None])[0],
-                           output="complex")
+        schur_t, z = schur(table[m], output="complex")
         theta = np.angle(np.diag(schur_t))
     w = z.conj().T
 
@@ -353,7 +332,7 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         for a in range(0, len(i), _EIGH_BATCH):
             c = i[a:a + _EIGH_BATCH]
             y = z @ (np.exp(1j * np.multiply.outer(n[c], theta))[:, :, None] * x)
-            out[a:a + _EIGH_BATCH] = prefix(k[c], y)
+            out[a:a + _EIGH_BATCH] = y if table is None else table[k[c]] @ y
         j = np.flatnonzero(r[i] > 0.0)
         if j.size:  # no partial step, no parameter series
             for c, batch in steps(q2_pulse, s[i[j]] * dt + 0.5 * r[i[j]], r[i[j]]):
@@ -589,10 +568,12 @@ def coupling_vs_bias(device, phic_grid):
     frequencies coincide, then a bare q1 excitation is evolved at a small
     grid of q2 flux offsets spanning the crossing and each transferred
     population trace, cut at evenly spaced exact times, is fitted with a
-    decaying cosine.  The chevron
-    vertex, the slowest oscillation over the grid, runs at the exact
-    level splitting 2*g.  Pulse durations scale with the expected swap
-    period, so weakly coupled points get the longer traces they need.
+    decaying cosine.  The slowest oscillation over the grid is kept.  It
+    comes from the grid point nearest the chevron vertex, not from the
+    vertex itself, so g reads up to 0.3% above half the exact level
+    splitting at the weak biases (0.3122 against 0.3115 MHz at bias 0).
+    Pulse durations scale with the expected swap period, so weakly
+    coupled points get the longer traces they need.
     q1 stays at its upper sweet spot and the propagation keeps the full
     27-level space.  phic_grid must be a finite 1-D array.
 

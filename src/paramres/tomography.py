@@ -321,7 +321,9 @@ def fit_fsim(ptm) -> FSimFit:
     analytic slope between the grid neighbours of the grid maximum is
     found by Brent's method to 1e-15 rad.  With u = (1, cos, sin), Q the
     real part of H[:3, :3] and u' = (0, -sin theta, cos theta), the slope
-    is dF/dtheta = 2 u'^T Q u + 2 Re(conj(z) z')/|z|, z' = sum_k u'_k H[k, 3].
+    is dF/dtheta = 2 u'^T Q u + 2 Re(conj(z) z')/|z|, z' = sum_k u'_k H[k, 3];
+    where z = 0 (a channel with no |11> phase coherence) the phi term is
+    dropped, since 2|z| is flat there.
     That leaves the angles accurate to the last bits of the PTM; a
     search on F itself resolves theta only to the square root of its
     rounding, about 1e-8 rad.
@@ -350,7 +352,8 @@ def fit_fsim(ptm) -> FSimFit:
         v = np.array([1.0, np.cos(theta), np.sin(theta)])
         dv = np.array([0.0, -v[2], v[1]])
         z = z_coef @ v
-        return 2.0 * (dv @ quad @ v + (z.conjugate() * (z_coef @ dv)).real / abs(z))
+        dz = (z.conjugate() * (z_coef @ dv)).real / abs(z) if z != 0 else 0.0
+        return 2.0 * (dv @ quad @ v + dz)
 
     step = 2.0 * np.pi / 128
     grid = -np.pi + step * np.arange(1, 129)

@@ -272,6 +272,26 @@ def test_long_static_pulse_needs_no_per_step_arrays(device, zero_bias_params):
     assert np.max(np.abs(prop.cuts[-1] - exact[:, [9]])) < 1e-8
 
 
+def test_modulated_pulse_cost_does_not_grow_with_duration(device):
+    # a CZ20-strength pulse at 130 ns and at 20 us (896,000 steps): period
+    # reuse diagonalizes and stores one period's steps either way
+    p = device_params(device, phic=0.30534)
+    runs = []
+    for duration in (130.0, 20000.0):
+        pulse = FluxPulse(phi_dc=0.0, amplitude=0.3726, mod_freq=MOD_FREQ,
+                          duration=duration)
+        tracemalloc.start()
+        try:
+            prop = propagate(p, pulse, device.q2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        runs.append(prop)
+    assert runs[1].n_steps == 896_000
+    assert runs[0].n_diagonalized == runs[1].n_diagonalized
+
+
 def test_static_pulse_samples_the_parameter_series_once(device, zero_bias_params,
                                                         monkeypatch):
     # no cut of a static pulse needs a partial step, so only its one

@@ -167,6 +167,17 @@ def test_fit_fsim_warns_for_nonunitary_channel():
         fit_fsim(mix)
 
 
+@pytest.mark.parametrize("make_ptm", [
+    lambda: np.diag([1.0] + [0.0] * 15),
+    lambda: simulate_qpt(np.zeros((4, 4))),
+], ids=["depolarizing", "fully_leaked"])
+def test_fit_fsim_of_a_channel_without_phase_coherence(make_ptm):
+    # z = 0 at every theta, so the phi term of the slope must not divide by |z|
+    with pytest.warns(UserWarning, match="far from unitary"):
+        fit = fit_fsim(make_ptm())
+    assert np.isfinite(fit.theta) and np.isfinite(fit.phi)
+
+
 def test_virtual_z_extraction_and_correction(rng):
     for target in (ISWAP, CZ):
         z1, z2 = rng.uniform(-2.0, 2.0, size=2)
