@@ -587,7 +587,7 @@ def calibrate_gate(
         corrected = virtual_z_correct(ms, z1, z2)
         ranked = np.argsort(-block_average_fidelity(corrected, target_u),
                             kind="stable")
-        fits = []  # (theta error, duration, index, fit, corrected PTM)
+        fitted = []  # (theta error, duration, index, fit, corrected PTM)
         # a leaky candidate's fit warns; the report records that
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -595,11 +595,11 @@ def calibrate_gate(
                 pt = qubit_subspace_ptm(corrected[i])
                 fit = fit_fsim(pt)
                 err = abs(math.remainder(fit.theta - theta_target, math.tau))
-                fits.append((err, float(grid[i]), i, fit, pt))
+                fitted.append((err, float(grid[i]), i, fit, pt))
                 if err <= 0.015:
                     break
         # the one fit on target, else the smallest error (earlier on ties)
-        _, tau_best, i, fit, pt = min(fits)
+        _, tau_best, i, fit, pt = min(fitted)
         spec = replace(spec, duration=tau_best, virtual_z=(z1[i], z2[i]))
         transfer = abs(ms[i, col_watch, col_init]) ** 2
     report["tomography"] = {

@@ -43,7 +43,7 @@ import numpy as np
 
 from .effective import (COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS, DIM, NUM_1,
                         NUM_2, NUM_C, XX_12, XX_C2, _is_sweet_spot, _static_terms,
-                        basis_index)
+                        basis_index, min_gap, static_couplings)
 from .fluxcontrol import FluxPulse, instantaneous_flux
 from .spectrum import DeviceParams, transition_frequency, zero_point
 
@@ -70,6 +70,14 @@ def _parameter_series(p, q2_pulse, q2_spec, t_mid):
     scale with its zero-point charge fluctuation n_zpf (spectrum.zero_point,
     which goes as EJ^(1/4)) relative to the DC value.  f1, fc, g1c and the
     anharmonicities stay at their values in p.
+
+    That ratio is all the scaling: device_params, through
+    spectrum.coupling_strengths, also multiplies each coupling of q2 by
+    the flux-dependent factor (1 - (xi + xi2)/8), with xi that of its
+    partner, and the series leaves it at its DC value.  So at a q2 flux
+    A the series reads g2c and g12 above device_params(phi2=A): by 0.08%
+    at A = 0.155 Phi0 (iSWAP), 0.13% at 0.2 Phi0 and 0.40% at 0.373 Phi0
+    (CZ20), the same at both default coupler biases.
     """
     flux2 = 2.0 * math.pi * instantaneous_flux(q2_pulse, t_mid)
     flux_dc = 2.0 * math.pi * q2_pulse.phi_dc
@@ -519,25 +527,28 @@ def fit_exchange(times, populations) -> ExchangeFit:
                        n_evaluations=int(fit.nfev))
 
 
-#: coupling_vs_bias: swap periods per trace, samples per trace, and the q2
-#: flux offsets (flux quanta) spanning the crossing at each coupler bias
+#: coupling_vs_bias: swap periods per trace, samples per trace, and the
+#: half-width (flux quanta) of the q2 window about the model crossing in
+#: which the vertex is sought
 _SWEEP_PERIODS = 3.0
 _SWEEP_SAMPLES = 720
-_SWEEP_OFFSETS = np.linspace(-0.5, 0.5, 9) * 8e-4
+_VERTEX_WINDOW = 1e-3
 
 
-def _resonant_traces(device, phic):
-    """Exchange traces about the dressed q1-q2 resonance at a coupler bias.
+def _vertex_trace(device, phic):
+    """One exchange trace at the chevron vertex at a coupler bias.
 
-    q2 is flux-tuned so the dressed qubit frequencies coincide, then a
-    bare q1 excitation is evolved at each of the _SWEEP_OFFSETS of the q2
-    flux.  Returns (parameters at the resonance, their static couplings,
-    [(times, |01> population) per offset]).
+    The second-order model (static_couplings) puts the dressed q1-q2
+    crossing at a q2 flux root; its sign change proves that q2 can be
+    tuned onto q1.  The vertex is the q2 flux within _VERTEX_WINDOW of
+    that root where the exact |10>/|01> dressed gap is smallest
+    (effective.min_gap, the rule of exact_g01).  A bare q1 excitation is
+    evolved there for _SWEEP_PERIODS periods of that gap.  Returns
+    (parameters at the vertex, half the gap, times, |01> population).
     """
     from scipy.optimize import brentq
 
     from .device import device_params
-    from .effective import static_couplings
 
     def dressed_mismatch(phi2):
         st = static_couplings(device_params(device, phic=phic, phi2=phi2))
@@ -546,39 +557,32 @@ def _resonant_traces(device, phic):
     lo, hi = 0.0, 0.26
     if dressed_mismatch(lo) * dressed_mismatch(hi) > 0:
         raise ValueError(f"cannot tune q2 onto q1 at coupler bias {phic}")
-    phi2_res = brentq(dressed_mismatch, lo, hi, xtol=1e-12)
-    p_res = device_params(device, phic=phic, phi2=phi2_res)
-    st = static_couplings(p_res)
-    duration = _SWEEP_PERIODS / max(2.0 * abs(st.g01), 4e-5)
-    times = np.linspace(0.0, duration, _SWEEP_SAMPLES + 1)[1:]
-    traces = []
-    for phi2 in phi2_res + _SWEEP_OFFSETS:
-        p = device_params(device, phic=phic, phi2=phi2)
-        pulse = FluxPulse(phi_dc=phi2, amplitude=0.0, duration=duration)
-        prop = propagate(p, pulse, device.q2,
-                         columns=np.eye(DIM)[:, [basis_index(1, 0, 0)]], times=times)
-        traces.append((times, np.abs(prop.cuts[:, basis_index(0, 0, 1), 0]) ** 2))
-    return p_res, st, traces
+    root = brentq(dressed_mismatch, lo, hi, xtol=1e-12)
+    phi2, gap = min_gap(lambda x: device_params(device, phic=phic, phi2=x),
+                        root - _VERTEX_WINDOW, root + _VERTEX_WINDOW, 1e-9)
+    p = device_params(device, phic=phic, phi2=phi2)
+    times = np.linspace(0.0, _SWEEP_PERIODS / gap, _SWEEP_SAMPLES + 1)[1:]
+    pulse = FluxPulse(phi_dc=phi2, amplitude=0.0, duration=times[-1])
+    prop = propagate(p, pulse, device.q2,
+                     columns=np.eye(DIM)[:, [basis_index(1, 0, 0)]], times=times)
+    return p, 0.5 * gap, times, np.abs(prop.cuts[:, basis_index(0, 0, 1), 0]) ** 2
 
 
 def coupling_vs_bias(device, phic_grid):
     """Dynamically extracted |g01| versus coupler flux bias.
 
-    For each coupler bias, q2 is flux-tuned so the dressed qubit
-    frequencies coincide, then a bare q1 excitation is evolved at a small
-    grid of q2 flux offsets spanning the crossing and each transferred
-    population trace, cut at evenly spaced exact times, is fitted with a
-    decaying cosine.  The slowest oscillation over the grid is kept.  It
-    comes from the grid point nearest the chevron vertex, not from the
-    vertex itself, so g reads up to 0.3% above half the exact level
-    splitting at the weak biases (0.3122 against 0.3115 MHz at bias 0).
-    Pulse durations scale with the expected swap period, so weakly
-    coupled points get the longer traces they need.
-    q1 stays at its upper sweet spot and the propagation keeps the full
-    27-level space.  phic_grid must be a finite 1-D array.
+    For each coupler bias, q2 is flux-tuned to the chevron vertex, where
+    the exact |10>/|01> dressed gap is smallest (see _vertex_trace).  A
+    bare q1 excitation is evolved there, and its transferred population,
+    cut at evenly spaced exact times, is fitted once with a decaying
+    cosine; a fit that fails raises with the bias named.  The trace spans
+    a fixed number of periods of the exact splitting, so weakly coupled
+    points get the longer traces they need.  q1 stays at its upper sweet
+    spot and the propagation keeps the full 27-level space.  phic_grid
+    must be a finite 1-D array.
 
     Returns (measured |g01| array, static-model g01 array).  The static
-    prediction is evaluated at the same resonant operating point.
+    prediction is evaluated at the same vertex.
     """
     phic_grid = np.asarray(phic_grid, dtype=float)
     if phic_grid.ndim != 1:
@@ -589,16 +593,11 @@ def coupling_vs_bias(device, phic_grid):
     g_dyn = np.zeros(phic_grid.size)
     g_stat = np.zeros(phic_grid.size)
     for i, phic in enumerate(phic_grid):
-        _, st, traces = _resonant_traces(device, phic)
-        g_stat[i] = st.g01
-        fits = []
-        for times, pop01 in traces:
-            try:
-                fits.append(fit_exchange(times, pop01).g)
-            except ValueError:
-                continue
-        if not fits:
+        p, _, times, pop01 = _vertex_trace(device, phic)
+        g_stat[i] = static_couplings(p).g01
+        try:
+            g_dyn[i] = fit_exchange(times, pop01).g
+        except ValueError as exc:
             raise ValueError(
-                f"no exchange oscillation resolved at coupler bias {phic}")
-        g_dyn[i] = min(fits)
+                f"no exchange oscillation resolved at coupler bias {phic}") from exc
     return g_dyn, g_stat

@@ -1,6 +1,6 @@
 """The three-body model: its Hamiltonian and its effective couplings.
 
-The module owns four things.  ``build_hamiltonian`` is the one
+The module owns five things.  ``build_hamiltonian`` is the one
 Hamiltonian; ``dynamics.propagate`` takes its q2-independent part from
 the same helper.  ``dressed_computational_basis`` gives its eigenstates
 on the computational subspace, the basis that a dispersive readout
@@ -9,7 +9,10 @@ project them, B^H (U B), before tomography.
 ``modulated_couplings`` gives the second-order qubit-qubit couplings of
 each sideband n with the coupler eliminated (Didier et al., PRA 97,
 022330 (2018)).  ``static_couplings`` is the n = 0 term of that
-formula without modulation (weight 1, no shift).
+formula without modulation (weight 1, no shift).  ``min_gap`` finds
+the exact |10>/|01> avoided crossing, the oracle of those couplings
+(``exact_g01``) and the vertex where ``dynamics.coupling_vs_bias``
+measures.
 
 Each mode keeps its lowest three levels, so the full Hilbert space is
 27-dimensional with basis |n1 nc n2> and index 9*n1 + 3*nc + n2.
@@ -173,32 +176,48 @@ def static_couplings(p: DeviceParams) -> StaticEffective:
                            delta1=d1, delta2=d2)
 
 
+def _pair_gap(p: DeviceParams) -> float:
+    """The gap (GHz) between the two dressed eigenstates of build_hamiltonian(p)
+    with the most weight on bare |10> and |01>."""
+    vals, vecs = np.linalg.eigh(build_hamiltonian(p))
+    weight = (np.abs(vecs[basis_index(1, 0, 0), :])**2
+              + np.abs(vecs[basis_index(0, 0, 1), :])**2)
+    a, b = np.argsort(weight)[-2:]
+    return abs(vals[a] - vals[b])
+
+
+def min_gap(params_at, lo: float, hi: float, xatol: float) -> tuple:
+    """(x, gap): where in [lo, hi] the |10>/|01> dressed gap is smallest.
+
+    params_at maps x to DeviceParams; a bounded Brent search to xatol
+    minimizes the gap of params_at(x).  Where the gap falls all the way
+    to an edge, the search stops within 2*(xatol/3 + sqrt(eps)*|x|) of
+    it, so a minimum within 2*(xatol + sqrt(eps)*|x|) of an edge is no
+    avoided crossing in the window and raises ValueError.
+    """
+    from scipy.optimize import minimize_scalar
+
+    res = minimize_scalar(lambda x: _pair_gap(params_at(x)), bounds=(lo, hi),
+                          method="bounded", options={"xatol": xatol})
+    edge = 2.0 * (xatol + np.sqrt(np.finfo(float).eps) * abs(res.x))
+    if min(res.x - lo, hi - res.x) < edge:
+        raise ValueError("no avoided crossing found in sweep window")
+    return float(res.x), float(res.fun)
+
+
 def exact_g01(p: DeviceParams, window: float = 0.05) -> float:
     """Half the minimum single-excitation avoided-crossing gap, by eigensolver.
 
     Sweeps the bare qubit-2 frequency through qubit 1 and tracks the gap
-    between the two qubit-like dressed eigenstates.  Serves as the oracle for
-    static_couplings g01.
+    between the two qubit-like dressed eigenstates (min_gap, bracketed by
+    an 81-point grid).  Serves as the oracle for static_couplings g01.
     """
-    idx_10 = basis_index(1, 0, 0)
-    idx_01 = basis_index(0, 0, 1)
-
-    def gap(f2):
-        h = build_hamiltonian(replace(p, f2=f2))
-        vals, vecs = np.linalg.eigh(h)
-        weight = np.abs(vecs[idx_10, :])**2 + np.abs(vecs[idx_01, :])**2
-        a, b = np.argsort(weight)[-2:]
-        return abs(vals[a] - vals[b])
-
     grid = np.linspace(p.f1 - window, p.f1 + window, 81)
-    gaps = np.array([gap(f) for f in grid])
+    gaps = np.array([_pair_gap(replace(p, f2=f)) for f in grid])
     k = int(np.argmin(gaps))
     if k in (0, len(grid) - 1):
         raise ValueError("no avoided crossing found in sweep window")
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(gap, bounds=(grid[k - 1], grid[k + 1]), method="bounded",
-                          options={"xatol": 1e-12})
-    return 0.5 * float(res.fun)
+    return 0.5 * min_gap(lambda f: replace(p, f2=f), grid[k - 1], grid[k + 1], 1e-12)[1]
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,14 @@ from paramres.dynamics import (
     UNITARITY_TOL,
     _decaying_cosine,
     _parameter_series,
-    _resonant_traces,
+    _vertex_trace,
     chevron,
     coupling_vs_bias,
     fit_exchange,
     propagate,
     step_error,
 )
-from paramres.effective import (build_hamiltonian, dressed_computational_basis,
-                                exact_g01)
+from paramres.effective import basis_index, build_hamiltonian, dressed_computational_basis
 from paramres.fluxcontrol import FluxPulse
 from paramres.spectrum import DeviceParams
 
@@ -463,16 +462,64 @@ def test_decaying_cosine_jacobian_matches_central_differences():
                                    atol=1e-6 * np.max(np.abs(numeric)))
 
 
-@pytest.mark.parametrize("phic", [0.0, 0.04])
+#: the coupler biases of criterion 5 (tests/test_acceptance.py)
+SWEEP_BIASES = [0.0, 0.04, 0.17, 0.20, 0.23, 0.26, 0.29]
+
+
+def exact_vertex_gap(device, phic):
+    """The smallest exact |10>/|01> dressed gap over the q2 flux, from a
+    bounded search of the static Hamiltonian's eigenvalues in
+    [0.105, 0.112] Phi0."""
+    from scipy.optimize import minimize_scalar
+
+    def gap(phi2):
+        h = build_hamiltonian(device_params(device, phic=phic, phi2=phi2))
+        vals, vecs = np.linalg.eigh(h)
+        weight = (np.abs(vecs[basis_index(1, 0, 0)]) ** 2
+                  + np.abs(vecs[basis_index(0, 0, 1)]) ** 2)
+        a, b = np.argsort(weight)[-2:]
+        return abs(vals[a] - vals[b])
+
+    res = minimize_scalar(gap, bounds=(0.105, 0.112), method="bounded",
+                          options={"xatol": 1e-10})
+    assert 0.1085 < res.x < 0.1092  # the vertex, well inside the bounds
+    return res.fun
+
+
+@pytest.mark.parametrize("phic", SWEEP_BIASES)
 def test_exchange_fits_converge_on_sweep_traces(device, phic):
-    # the slowest oscillation over the nine detunings is the chevron vertex,
-    # which runs at the exact single-excitation splitting 2*g
-    p_res, _, traces = _resonant_traces(device, phic)
-    fits = [fit_exchange(times, pops) for times, pops in traces]
-    assert len(fits) == 9
-    assert max(f.n_evaluations for f in fits) <= 15
-    g_exact = abs(exact_g01(p_res))
-    assert abs(min(f.g for f in fits) - g_exact) / g_exact < 0.01
+    # one trace at the chevron vertex, which runs at the exact
+    # single-excitation splitting 2*g
+    _, g_vertex, times, pops = _vertex_trace(device, phic)
+    fit = fit_exchange(times, pops)
+    assert fit.n_evaluations <= 15
+    assert abs(fit.g - g_vertex) / g_vertex < 1e-4
+
+
+def test_coupling_vs_bias_reads_half_the_exact_vertex_gap(device):
+    g_dyn, _ = coupling_vs_bias(device, SWEEP_BIASES)
+    g_exact = np.array([exact_vertex_gap(device, b) for b in SWEEP_BIASES]) / 2.0
+    np.testing.assert_allclose(g_dyn, g_exact, rtol=1e-4, atol=0.0)
+
+
+def test_coupling_vs_bias_names_a_bias_where_q2_cannot_reach_q1(device):
+    # both q2 junctions at 0.8: q2 tops out at 3.43 GHz, below f1 = 3.80 GHz
+    squid = device.q2.squid
+    weak = replace(device, q2=replace(device.q2, squid=replace(
+        squid, ejs=0.8 * squid.ejs, ejl=0.8 * squid.ejl)))
+    assert device_params(weak).f2 < device_params(weak).f1 - 0.3
+    with pytest.raises(ValueError, match="cannot tune q2 onto q1 at coupler bias 0.29"):
+        coupling_vs_bias(weak, [0.29])
+
+
+def test_coupling_vs_bias_names_the_bias_of_a_failed_fit(device, monkeypatch):
+    def no_fit(times, populations):
+        raise ValueError("exchange fit did not converge")
+
+    monkeypatch.setattr(dynamics, "fit_exchange", no_fit)
+    with pytest.raises(ValueError,
+                       match="no exchange oscillation resolved at coupler bias 0.26"):
+        coupling_vs_bias(device, [0.26])
 
 
 def test_chevron_peaks_at_the_resonant_amplitude(device):

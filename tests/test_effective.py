@@ -14,6 +14,7 @@ from paramres.effective import (
     basis_index,
     build_hamiltonian,
     exact_g01,
+    min_gap,
     modulated_couplings,
     numeric_fourier_weights,
     static_couplings,
@@ -121,6 +122,17 @@ def test_exact_g01_requires_a_crossing_in_window():
                      etac=0.10, g1c=0.0923, g2c=0.01, g12=0.0)
     with pytest.raises(ValueError, match="no avoided crossing"):
         exact_g01(p, window=0.001)
+
+
+@pytest.mark.parametrize("window", [(0.105, 0.108), (0.1095, 0.112)],
+                         ids=["below", "above"])
+def test_min_gap_requires_a_crossing_in_window(device, window):
+    # at coupler bias 0.29 the vertex sits at 0.10901 Phi0, outside both
+    # windows, so the gap falls all the way to one edge
+    from paramres.device import device_params
+
+    with pytest.raises(ValueError, match="no avoided crossing"):
+        min_gap(lambda x: device_params(device, phic=0.29, phi2=x), *window, 1e-9)
 
 
 def test_static_couplings_rejects_coupler_resonance():
