@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .circuit import CapacitanceNetwork, CircuitEnergies, SquidSpec, energies_from_network
-from .spectrum import (DeviceParams, TransmonSpec, anharmonicity,
-                       coupling_strengths, transition_frequency)
+from .spectrum import DeviceParams, TransmonSpec, transmon_expansion
 
 _NETWORK_KEYS = ("c01", "c02", "c03", "c04", "c05", "c12",
                  "c13", "c23", "c24", "c34", "c35", "c45")
@@ -95,23 +94,30 @@ def save_device(path_or_file, device: Device):
 
 
 def device_params(device: Device, phi1=0.0, phic=0.0, phi2=0.0) -> DeviceParams:
-    """Three-body model parameters at the given DC fluxes (flux quanta)."""
+    """Three-body model parameters at the given DC fluxes (flux quanta).
+
+    One transmon expansion per mode gives its frequency and
+    anharmonicity.  Each coupling g_ab = (E_ab/sqrt(2)) (EJa/ECa EJb/ECb)^(1/4)
+    (1 - (xi_a + xi_b)/8), from coupling energy E_ab, inherits the EJ^(1/4)
+    flux dependence of both modes' zero-point charge fluctuations.
+    """
     for name, flux in (("phi1", phi1), ("phic", phic), ("phi2", phi2)):
         if not math.isfinite(flux):
             raise ValueError(f"{name} must be finite, got {flux}")
-    a1, ac, a2 = (2.0 * math.pi * phi1, 2.0 * math.pi * phic, 2.0 * math.pi * phi2)
-    g1c, g2c, g12 = coupling_strengths(
-        device.energies.e1c, device.energies.e2c, device.energies.e12,
-        device.q1, device.q2, device.coupler,
-        phi_e1=a1, phi_e2=a2, phi_ec=ac)
+    m1, mc, m2 = (transmon_expansion(spec, 2.0 * math.pi * flux) for spec, flux in
+                  ((device.q1, phi1), (device.coupler, phic), (device.q2, phi2)))
+
+    def coupling(e, spec_a, a, spec_b, b):
+        return (e / math.sqrt(2.0)) * (a.ej / spec_a.ec * b.ej / spec_b.ec) ** 0.25 \
+            * (1.0 - (a.xi + b.xi) / 8.0)
+
+    en = device.energies
     return DeviceParams(
-        f1=float(transition_frequency(device.q1, a1)),
-        f2=float(transition_frequency(device.q2, a2)),
-        fc=float(transition_frequency(device.coupler, ac)),
-        eta1=float(anharmonicity(device.q1, a1)),
-        eta2=float(anharmonicity(device.q2, a2)),
-        etac=float(anharmonicity(device.coupler, ac)),
-        g1c=float(g1c), g2c=float(g2c), g12=float(g12))
+        f1=float(m1.f01), f2=float(m2.f01), fc=float(mc.f01),
+        eta1=float(m1.eta), eta2=float(m2.eta), etac=float(mc.eta),
+        g1c=float(coupling(en.e1c, device.q1, m1, device.coupler, mc)),
+        g2c=float(coupling(en.e2c, device.q2, m2, device.coupler, mc)),
+        g12=float(coupling(en.e12, device.q1, m1, device.q2, m2)))
 
 
 def bundled_path(name: str):

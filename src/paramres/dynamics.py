@@ -41,11 +41,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .effective import (COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS, DIM, NUM_1,
-                        NUM_2, NUM_C, XX_12, XX_C2, _is_sweet_spot, _static_terms,
-                        basis_index, min_gap, static_couplings)
+from .effective import (_PARITY_BLOCKS, COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS, DIM,
+                        NUM_2, XX_12, XX_C2, _is_sweet_spot, _static_terms, basis_index,
+                        min_gap, static_couplings)
 from .fluxcontrol import FluxPulse, instantaneous_flux
-from .spectrum import DeviceParams, transition_frequency, zero_point
+from .spectrum import DeviceParams, transition_frequency, transmon_expansion
 
 UNITARITY_TOL = 1e-8
 
@@ -67,35 +67,29 @@ def _parameter_series(p, q2_pulse, q2_spec, t_mid):
 
     f2(t) = p.f2 + [band(flux(t)) - band(flux_dc)], so p remains the exact
     operating point at zero pulse amplitude.  The two couplings of q2
-    scale with its zero-point charge fluctuation n_zpf (spectrum.zero_point,
-    which goes as EJ^(1/4)) relative to the DC value.  f1, fc, g1c and the
-    anharmonicities stay at their values in p.
+    scale with its zero-point charge fluctuation n_zpf, which goes as
+    EJ^(1/4), relative to the DC value.  One spectrum.transmon_expansion
+    at the flux samples and one at the DC flux give both.  f1, fc, g1c
+    and the anharmonicities stay at their values in p.
 
-    That ratio is all the scaling: device_params, through
-    spectrum.coupling_strengths, also multiplies each coupling of q2 by
-    the flux-dependent factor (1 - (xi + xi2)/8), with xi that of its
-    partner, and the series leaves it at its DC value.  So at a q2 flux
-    A the series reads g2c and g12 above device_params(phi2=A): by 0.08%
-    at A = 0.155 Phi0 (iSWAP), 0.13% at 0.2 Phi0 and 0.40% at 0.373 Phi0
-    (CZ20), the same at both default coupler biases.
+    That ratio is all the scaling: device_params also multiplies each
+    coupling of q2 by the flux-dependent factor (1 - (xi + xi2)/8), with
+    xi that of its partner, and the series leaves it at its DC value.
+    So at a q2 flux A the series reads g2c and g12 above
+    device_params(phi2=A): by 0.08% at A = 0.155 Phi0 (iSWAP), 0.13% at
+    0.2 Phi0 and 0.40% at 0.373 Phi0 (CZ20), the same at both default
+    coupler biases.
     """
     flux2 = 2.0 * math.pi * instantaneous_flux(q2_pulse, t_mid)
-    flux_dc = 2.0 * math.pi * q2_pulse.phi_dc
-    f2_band = transition_frequency(q2_spec, flux2)
-    f2_dc = transition_frequency(q2_spec, flux_dc)
-    r2 = zero_point(q2_spec, flux2)[0] / zero_point(q2_spec, flux_dc)[0]
-    return {"f2": p.f2 + (f2_band - f2_dc), "g2c": p.g2c * r2, "g12": p.g12 * r2}
+    band = transmon_expansion(q2_spec, flux2)
+    dc = transmon_expansion(q2_spec, 2.0 * math.pi * q2_pulse.phi_dc)
+    r2 = band.n_zpf / dc.n_zpf
+    return {"f2": p.f2 + (band.f01 - dc.f01), "g2c": p.g2c * r2, "g12": p.g12 * r2}
 
 
 # steps diagonalized per batched np.linalg.eigh call, and cuts per batch,
 # each gathering its prefix from the period's table; bounds the work arrays
 _EIGH_BATCH = 64
-
-# Bare-state indices of even and odd total excitation.  The couplings
-# change the excitation number by 0 or 2, so no step mixes the two.
-_PARITY_BLOCKS = tuple(
-    np.flatnonzero((NUM_1 + NUM_C + NUM_2).astype(int) % 2 == r) for r in (0, 1))
-
 
 def _step_eigenpairs(terms, series):
     """Eigenpairs of the step Hamiltonians, one parity block at a time.
@@ -335,11 +329,19 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     w = z.conj().T
 
     def cut(i, x):
-        """U(t) y at the cut times ends[i], for x = Z^H y of shape (DIM, k)."""
+        """U(t) y at the cut times ends[i], for x = Z^H y of shape (DIM, k).
+
+        Floquet modes whose row of x is exactly zero do not reach y, so
+        they are left out of the phases and the product: a column of one
+        parity evolves in its own block alone.
+        """
+        live = np.flatnonzero(np.any(x != 0.0, axis=1))
+        z_live, theta_live, x = z[:, live], theta[live], x[live]
         out = np.empty((len(i), DIM, x.shape[1]), dtype=complex)
         for a in range(0, len(i), _EIGH_BATCH):
             c = i[a:a + _EIGH_BATCH]
-            y = z @ (np.exp(1j * np.multiply.outer(n[c], theta))[:, :, None] * x)
+            phases = np.exp(1j * np.multiply.outer(n[c], theta_live))
+            y = z_live @ (phases[:, :, None] * x)
             out[a:a + _EIGH_BATCH] = y if table is None else table[k[c]] @ y
         j = np.flatnonzero(r[i] > 0.0)
         if j.size:  # no partial step, no parameter series
@@ -353,9 +355,9 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     if defect > UNITARITY_TOL:
         raise ValueError(
             f"unitarity drift {defect:.2e} exceeds {UNITARITY_TOL}; reduce dt")
-    return Propagation(unitary=u, dt=dt, n_steps=n_steps,
-                       n_diagonalized=n_diagonalized,
-                       cuts=cut(np.arange(len(want)), w @ cols), unitarity_defect=defect)
+    cuts = cut(np.arange(len(want)), w @ cols)  # before n_diagonalized is read
+    return Propagation(unitary=u, dt=dt, n_steps=n_steps, n_diagonalized=n_diagonalized,
+                       cuts=cuts, unitarity_defect=defect)
 
 
 def step_error(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, basis) -> float:
@@ -540,8 +542,9 @@ def _vertex_trace(device, phic):
 
     The second-order model (static_couplings) puts the dressed q1-q2
     crossing at a q2 flux root; its sign change proves that q2 can be
-    tuned onto q1.  The vertex is the q2 flux within _VERTEX_WINDOW of
-    that root where the exact |10>/|01> dressed gap is smallest
+    tuned onto q1.  The root only centres the window, so 1e-6 Phi0 of it
+    is enough.  The vertex is the q2 flux within _VERTEX_WINDOW of that
+    root where the exact |10>/|01> dressed gap is smallest
     (effective.min_gap, the rule of exact_g01).  A bare q1 excitation is
     evolved there for _SWEEP_PERIODS periods of that gap.  Returns
     (parameters at the vertex, half the gap, times, |01> population).
@@ -557,7 +560,7 @@ def _vertex_trace(device, phic):
     lo, hi = 0.0, 0.26
     if dressed_mismatch(lo) * dressed_mismatch(hi) > 0:
         raise ValueError(f"cannot tune q2 onto q1 at coupler bias {phic}")
-    root = brentq(dressed_mismatch, lo, hi, xtol=1e-12)
+    root = brentq(dressed_mismatch, lo, hi, xtol=1e-6)
     phi2, gap = min_gap(lambda x: device_params(device, phic=phic, phi2=x),
                         root - _VERTEX_WINDOW, root + _VERTEX_WINDOW, 1e-9)
     p = device_params(device, phic=phic, phi2=phi2)

@@ -70,6 +70,11 @@ XX_1C = _kron3_pair(_SIGMA_X, _SIGMA_X, 0, 1)
 XX_C2 = _kron3_pair(_SIGMA_X, _SIGMA_X, 1, 2)
 XX_12 = _kron3_pair(_SIGMA_X, _SIGMA_X, 0, 2)
 
+# Bare-state indices of even and odd total excitation.  The couplings
+# change the excitation number by 0 or 2, so H never mixes the two.
+_PARITY_BLOCKS = tuple(
+    np.flatnonzero((NUM_1 + NUM_C + NUM_2).astype(int) % 2 == r) for r in (0, 1))
+
 
 def _static_terms(p: DeviceParams) -> tuple:
     """(g1c*XX_1C, diagonal without f2): the terms of H that q2's flux
@@ -176,12 +181,21 @@ def static_couplings(p: DeviceParams) -> StaticEffective:
                            delta1=d1, delta2=d2)
 
 
+# |10> and |01> in the odd block of _PARITY_BLOCKS, by their place in it
+_ODD = np.ix_(_PARITY_BLOCKS[1], _PARITY_BLOCKS[1])
+_ODD_PAIR = [int(np.searchsorted(_PARITY_BLOCKS[1], basis_index(*n)))
+             for n in ((1, 0, 0), (0, 0, 1))]
+
+
 def _pair_gap(p: DeviceParams) -> float:
     """The gap (GHz) between the two dressed eigenstates of build_hamiltonian(p)
-    with the most weight on bare |10> and |01>."""
-    vals, vecs = np.linalg.eigh(build_hamiltonian(p))
-    weight = (np.abs(vecs[basis_index(1, 0, 0), :])**2
-              + np.abs(vecs[basis_index(0, 0, 1), :])**2)
+    with the most weight on bare |10> and |01>.
+
+    Both states have odd excitation parity, so only that 13-state block of
+    H is diagonalized.
+    """
+    vals, vecs = np.linalg.eigh(build_hamiltonian(p)[_ODD])
+    weight = np.abs(vecs[_ODD_PAIR[0], :])**2 + np.abs(vecs[_ODD_PAIR[1], :])**2
     a, b = np.argsort(weight)[-2:]
     return abs(vals[a] - vals[b])
 

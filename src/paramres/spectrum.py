@@ -1,7 +1,15 @@
-"""Transmon level structure, zero-point fluctuations, and coupling strengths."""
+"""Transmon level structure and zero-point fluctuations.
+
+``transmon_expansion`` is the one copy of the transmon expansion: from
+one SQUID energy per flux it gives EJ, xi = sqrt(2 EC/EJ), f01, the
+anharmonicity and n_zpf, and ``transition_frequency``, ``anharmonicity``
+and ``zero_point`` read it.  ``device.device_params`` takes one
+expansion per mode and builds the couplings from their EJ and xi.
+"""
 
 import warnings
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -54,66 +62,55 @@ class DeviceParams:
             raise ValueError("anharmonicities must be > 0 (positive-magnitude convention)")
 
 
-def _ej_xi(spec: TransmonSpec, phi_e):
-    """(EJ, xi = sqrt(2 EC/EJ)) at external flux phi_e (radians), vectorized."""
+class Expansion(NamedTuple):
+    """One transmon expansion at a flux: EJ (GHz), xi = sqrt(2 EC/EJ),
+    f01 and the positive anharmonicity eta (GHz), and the zero-point
+    charge fluctuation n_zpf.  Arrays where the flux is an array."""
+
+    ej: Any
+    xi: Any
+    f01: Any
+    eta: Any
+    n_zpf: Any
+
+
+def transmon_expansion(spec: TransmonSpec, phi_e) -> Expansion:
+    """The transmon at external flux phi_e (radians), vectorized over phi_e.
+
+    One squid_energy call gives EJ, from which the sixth-order expansion
+    of the cosine (Koch et al., PRA 76, 042319 (2007)) gives the
+    number-diagonal levels E(n) = [omega + EC/2 (1 + xi/4)
+    - EC/2 (1 + 9 xi/16) n] n with omega = sqrt(8 EJ EC) - EC (1 + xi/4),
+    so f01 = E(1) - E(0) = omega - 5 xi EC/32 and
+    eta = f01 - f12 = EC (1 + 9 xi/16).  The oscillator's zero-point charge
+    fluctuation is n_zpf = (EJ/8EC)^(1/4)/sqrt(2).  A Josephson energy
+    that vanishes anywhere raises ValueError.
+    """
     ej, _ = squid_energy(spec.squid, phi_e)
     vanishing = np.asarray(ej) <= 1e-12
-    if np.any(vanishing):
+    if np.count_nonzero(vanishing):  # cheaper than np.any on a scalar
         flux = np.broadcast_to(phi_e, vanishing.shape)[vanishing][0] / (2.0 * np.pi)
         raise ValueError(f"{spec.label or 'transmon'}: vanishing Josephson energy "
                          f"at external flux {flux:.6g} flux quanta")
-    return ej, np.sqrt(2.0 * spec.ec / ej)
+    ec = spec.ec
+    xi = np.sqrt(2.0 * ec / ej)
+    omega = np.sqrt(8.0 * ej * ec) - ec * (1.0 + xi / 4.0)
+    return Expansion(ej=ej, xi=xi, f01=omega - 5.0 * xi * ec / 32.0,
+                     eta=ec * (1.0 + 9.0 * xi / 16.0),
+                     n_zpf=(ej / (8.0 * ec)) ** 0.25 / np.sqrt(2.0))
 
 
 def transition_frequency(spec: TransmonSpec, phi_e):
-    """|0> -> |1> frequency in GHz; vectorized over phi_e.
-
-    From the sixth-order expansion of the cosine, the number-diagonal
-    levels are E(n) = [omega + EC/2 (1 + xi/4) - EC/2 (1 + 9 xi/16) n] n
-    with omega = sqrt(8 EJ EC) - EC (1 + xi/4), so
-    f01 = E(1) - E(0) = omega - 5 xi EC/32.
-    """
-    ej, xi = _ej_xi(spec, phi_e)
-    ec = spec.ec
-    omega = np.sqrt(8.0 * ej * ec) - ec * (1.0 + xi / 4.0)
-    return omega - 5.0 * xi * ec / 32.0
+    """|0> -> |1> frequency in GHz; vectorized over phi_e (transmon_expansion)."""
+    return transmon_expansion(spec, phi_e).f01
 
 
 def anharmonicity(spec: TransmonSpec, phi_e):
-    """Positive anharmonicity magnitude eta = f01 - f12 = EC (1 + 9 xi/16) in GHz.
-
-    Same level ladder E(n) as transition_frequency.
-    """
-    _, xi = _ej_xi(spec, phi_e)
-    return spec.ec * (1.0 + 9.0 * xi / 16.0)
+    """Positive anharmonicity magnitude eta = f01 - f12 in GHz (transmon_expansion)."""
+    return transmon_expansion(spec, phi_e).eta
 
 
 def zero_point(spec: TransmonSpec, phi_e=0.0) -> tuple:
     """(n_zpf, phi_zpf) of the transmon oscillator mode; product is exactly 1/2."""
-    ej, _ = _ej_xi(spec, phi_e)
-    n_zpf = (ej / (8.0 * spec.ec)) ** 0.25 / np.sqrt(2.0)
-    phi_zpf = (8.0 * spec.ec / ej) ** 0.25 / np.sqrt(2.0)
-    return n_zpf, phi_zpf
-
-
-def coupling_strengths(e1c: float, e2c: float, e12: float,
-                       spec1: TransmonSpec, spec2: TransmonSpec,
-                       specc: TransmonSpec,
-                       phi_e1=0.0, phi_e2=0.0, phi_ec=0.0) -> tuple:
-    """(g1c, g2c, g12) in GHz from coupling energies and TransmonSpec inputs.
-
-    The couplings inherit an EJ^(1/4) flux dependence from the zero-point
-    charge fluctuations of each mode; phi_e1/phi_e2/phi_ec are the external
-    fluxes (radians) at which the respective EJ values are taken.
-    """
-    ej1, xi1 = _ej_xi(spec1, phi_e1)
-    ej2, xi2 = _ej_xi(spec2, phi_e2)
-    ejc, xic = _ej_xi(specc, phi_ec)
-    g1c = (e1c / np.sqrt(2.0)) * (ej1 / spec1.ec * ejc / specc.ec) ** 0.25 \
-        * (1.0 - (xic + xi1) / 8.0)
-    g2c = (e2c / np.sqrt(2.0)) * (ej2 / spec2.ec * ejc / specc.ec) ** 0.25 \
-        * (1.0 - (xic + xi2) / 8.0)
-    g12 = (e12 / np.sqrt(2.0)) * (ej1 / spec1.ec * ej2 / spec2.ec) ** 0.25 \
-        * (1.0 - (xi1 + xi2) / 8.0)
-    return g1c, g2c, g12
-
+    n_zpf = transmon_expansion(spec, phi_e).n_zpf
+    return n_zpf, 0.5 / n_zpf

@@ -24,6 +24,9 @@ def test_summary_of_pairs_of_runs():
     assert (s["change"]["q1"], s["change"]["median"], s["change"]["q3"]) == (0.31, 0.32, 0.33)
     # pair 3 is a loss: 0.43 > 0.42
     assert s["change_better_pairs"] == 4
+    assert s["median_gain"] == pytest.approx(0.14)
+    # 4 of 5 pairs is below 9 of 10, however large the gain
+    assert s["claim_holds"] is False
 
 
 def test_higher_is_better_and_ties_do_not_count():
@@ -43,3 +46,36 @@ def test_summary_rejects_unpaired_or_unknown_direction():
         bench_pairs.summarize([1.0], [1.0], "s", "lower")
     with pytest.raises(ValueError, match="better must be"):
         bench_pairs.summarize([1.0, 2.0], [1.0, 2.0], "s", "faster")
+
+
+def _pairs(gains, parent=(1.0, 1.1, 0.9, 1.0, 1.2, 0.8, 1.0, 1.05, 0.95, 1.0)):
+    """Ten pairs of runs, the change lower than the parent by gains[i]."""
+    return list(parent), [p - g for p, g in zip(parent, gains)]
+
+
+def test_claim_needs_nine_of_ten_pairs_and_a_gap_beyond_the_parent_iqr():
+    parent, change = _pairs([0.3] * 9 + [-0.1])
+    s = bench_pairs.summarize(parent, change, "s", "lower")
+    assert s["change_better_pairs"] == 9
+    assert s["median_gain"] > s["parent"]["iqr"] == pytest.approx(0.075)
+    assert s["claim_holds"] is True
+    # the same wins with a median gap inside the parent's spread
+    parent, change = _pairs([0.05] * 9 + [-0.1])
+    s = bench_pairs.summarize(parent, change, "s", "lower")
+    assert s["change_better_pairs"] == 9 and s["median_gain"] < s["parent"]["iqr"]
+    assert s["claim_holds"] is False
+    # a tie counts for neither side: 8 wins, 1 tie, 1 loss
+    parent, change = _pairs([0.3] * 8 + [0.0, -0.1])
+    s = bench_pairs.summarize(parent, change, "s", "lower")
+    assert s["change_better_pairs"] == 8 and s["claim_holds"] is False
+
+
+def test_claim_on_a_higher_is_better_metric():
+    parent, change = _pairs([-0.3] * 10)
+    s = bench_pairs.summarize(parent, change, "frac", "higher")
+    assert s["change_better_pairs"] == 10
+    assert s["median_gain"] == pytest.approx(0.3)
+    assert s["claim_holds"] is True
+    s = bench_pairs.summarize(change, parent, "frac", "higher")
+    assert s["change_better_pairs"] == 0 and s["median_gain"] == pytest.approx(-0.3)
+    assert s["claim_holds"] is False

@@ -108,6 +108,44 @@ def test_device_params_flux_dependence(device):
     assert pc.g12 == pytest.approx(p0.g12, rel=1e-12)
 
 
+def test_device_params_expands_each_mode_once(device, monkeypatch):
+    from paramres import spectrum
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return energy(*args)
+
+    energy = spectrum.squid_energy
+    monkeypatch.setattr(spectrum, "squid_energy", counted)
+    device_params(device, phi1=0.01, phic=0.2, phi2=0.1)
+    assert len(calls) == 3
+
+
+def test_device_params_couplings_equal_the_reference_formula(device):
+    # g_ab = (E_ab/sqrt(2)) (EJa/ECa EJb/ECb)^(1/4) (1 - (xi_a + xi_b)/8)
+    from paramres.circuit import squid_energy
+
+    def ej_xi(spec, flux):
+        ej, _ = squid_energy(spec.squid, 2.0 * np.pi * flux)
+        return ej, np.sqrt(2.0 * spec.ec / ej)
+
+    en = device.energies
+    for phi1, phic, phi2 in ((0.0, 0.0, 0.0), (0.01, 0.2, 0.1), (-0.03, 0.3, 0.37)):
+        (ej1, xi1), (ejc, xic), (ej2, xi2) = (ej_xi(s, f) for s, f in (
+            (device.q1, phi1), (device.coupler, phic), (device.q2, phi2)))
+        ec1, ecc, ec2 = device.q1.ec, device.coupler.ec, device.q2.ec
+        p = device_params(device, phi1=phi1, phic=phic, phi2=phi2)
+        ref = ((en.e1c / np.sqrt(2.0)) * (ej1 / ec1 * ejc / ecc) ** 0.25
+               * (1.0 - (xic + xi1) / 8.0),
+               (en.e2c / np.sqrt(2.0)) * (ej2 / ec2 * ejc / ecc) ** 0.25
+               * (1.0 - (xic + xi2) / 8.0),
+               (en.e12 / np.sqrt(2.0)) * (ej1 / ec1 * ej2 / ec2) ** 0.25
+               * (1.0 - (xi1 + xi2) / 8.0))
+        np.testing.assert_allclose((p.g1c, p.g2c, p.g12), ref, rtol=1e-14, atol=0.0)
+
+
 def test_device_params_flux_units(device):
     # flux arguments are in units of the flux quantum: half a quantum
     # parks the symmetric coupler at its (vanishing-EJ) singularity

@@ -334,6 +334,45 @@ def test_dc_pulse_evolves_in_closed_form_from_one_eigendecomposition(
     assert np.max(np.abs(prop.unitary - exact_u)) < 1e-10
 
 
+@pytest.mark.parametrize("columns", [
+    (np.eye(27)[:, [0]] + np.eye(27)[:, [9]]) / np.sqrt(2.0),
+    np.eye(27)[:, [0, 9]],
+], ids=["superposition", "one_column_per_parity"])
+def test_static_cuts_of_mixed_parity_columns(device, columns):
+    # (|000> + |100>)/sqrt(2) reaches the Floquet modes of both parity
+    # blocks; of the columns |000> and |100>, each reaches its own block's
+    p = device_params(device, phic=0.29472, phi2=0.1)
+    times = 300.0 * np.linspace(0.0, 1.0, 97)[1:] ** 1.5
+    prop = propagate(p, flat_pulse(300.0), device.q2, columns=columns, times=times)
+    evals, vecs = np.linalg.eigh(build_hamiltonian(p))
+    exact = np.array([(vecs * np.exp(-2j * np.pi * evals * t)) @ (vecs.T @ columns)
+                      for t in times])
+    assert prop.cuts.shape == exact.shape
+    assert np.max(np.abs(prop.cuts - exact)) < 1e-10
+
+
+def test_diagonalizations_count_the_partial_steps_of_cuts(device, monkeypatch):
+    # a CZ20-strength pulse whose duration is on its step grid, cut at 10
+    # times off it: the 40 distinct steps of a quarter period and one
+    # partial step per cut, each sampled once by the parameter series
+    sampled = []
+
+    def counted(*args):
+        sampled.append(len(args[-1]))
+        return series(*args)
+
+    series = dynamics._parameter_series
+    monkeypatch.setattr(dynamics, "_parameter_series", counted)
+    p = device_params(device, phic=0.30534)
+    pulse = FluxPulse(phi_dc=0.0, amplitude=0.3726, mod_freq=MOD_FREQ, duration=130.0)
+    dt = dynamics.modulation_step(pulse, device.q2)
+    pulse = replace(pulse, duration=dt * round(pulse.duration / dt))
+    prop = propagate(p, pulse, device.q2, columns=Q1_EXCITED,
+                     times=dt * (500.0 * np.arange(1, 11) + 0.37))
+    assert sum(sampled) == 40 + 10
+    assert prop.n_diagonalized == sum(sampled)
+
+
 def test_propagate_validation(device, zero_bias_params):
     with pytest.raises(ValueError, match="duration must be > 0"):
         propagate(zero_bias_params, flat_pulse(0.0), device.q2)

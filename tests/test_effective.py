@@ -10,6 +10,7 @@ from paramres.effective import (
     NUM_1,
     NUM_2,
     NUM_C,
+    _pair_gap,
     average_and_excursion,
     basis_index,
     build_hamiltonian,
@@ -133,6 +134,26 @@ def test_min_gap_requires_a_crossing_in_window(device, window):
 
     with pytest.raises(ValueError, match="no avoided crossing"):
         min_gap(lambda x: device_params(device, phic=0.29, phi2=x), *window, 1e-9)
+
+
+@pytest.mark.parametrize("phic", [0.0, 0.04, 0.17, 0.20, 0.23, 0.26, 0.29])
+def test_pair_gap_equals_the_full_eigensolve_at_the_sweep_vertices(device, phic):
+    # the odd parity block holds |10> and |01>; the full 27-state H,
+    # diagonalized here, gives the same gap at each criterion-5 vertex.
+    # Each eigensolve rounds its eigenvalues by about eps*||H||, which
+    # near bias 0 (a gap of 0.6 MHz under levels of 3.8 GHz) exceeds
+    # 1e-12 of the gap, so that floor bounds the difference there.
+    from paramres.dynamics import _vertex_trace
+
+    p = _vertex_trace(device, phic)[0]
+    h = build_hamiltonian(p)
+    vals, vecs = np.linalg.eigh(h)
+    weight = (np.abs(vecs[basis_index(1, 0, 0)]) ** 2
+              + np.abs(vecs[basis_index(0, 0, 1)]) ** 2)
+    a, b = np.argsort(weight)[-2:]
+    full = abs(vals[a] - vals[b])
+    floor = np.finfo(float).eps * np.linalg.norm(h, 2)
+    assert _pair_gap(p) == pytest.approx(full, rel=1e-12, abs=floor)
 
 
 def test_static_couplings_rejects_coupler_resonance():

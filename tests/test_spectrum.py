@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paramres.circuit import SquidSpec
+from paramres.circuit import SquidSpec, squid_energy
 from paramres.spectrum import (
     TRANSMON_REGIME_MIN_RATIO,
     DeviceParams,
     TransmonSpec,
     anharmonicity,
     transition_frequency,
+    transmon_expansion,
     zero_point,
 )
 
@@ -81,6 +82,36 @@ def test_transition_frequency_vectorizes():
     vec = np.asarray(transition_frequency(spec, grid))
     scalars = [float(transition_frequency(spec, p)) for p in grid]
     np.testing.assert_allclose(vec, scalars, rtol=1e-13)
+
+
+def reference_expansion(spec: TransmonSpec, phi_e) -> dict:
+    """The transmon formulas as each reader once evaluated them on its own."""
+    ej, _ = squid_energy(spec.squid, phi_e)
+    ec = spec.ec
+    xi = np.sqrt(2.0 * ec / ej)
+    omega = np.sqrt(8.0 * ej * ec) - ec * (1.0 + xi / 4.0)
+    return {"ej": ej, "xi": xi, "f01": omega - 5.0 * xi * ec / 32.0,
+            "eta": ec * (1.0 + 9.0 * xi / 16.0),
+            "n_zpf": (ej / (8.0 * ec)) ** 0.25 / np.sqrt(2.0),
+            "phi_zpf": (8.0 * ec / ej) ** 0.25 / np.sqrt(2.0)}
+
+
+@pytest.mark.parametrize("d", [0.0, 0.5])
+def test_expansion_equals_the_reference_formulas(d):
+    spec = make_transmon(0.235, 9.66, d=d)
+    grid = np.linspace(-0.45, 0.45, 91) * 2.0 * np.pi
+    ref = reference_expansion(spec, grid)
+    got = transmon_expansion(spec, grid)
+    for field in got._fields:
+        np.testing.assert_allclose(getattr(got, field), ref[field], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(transition_frequency(spec, grid), ref["f01"],
+                               rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(anharmonicity(spec, grid), ref["eta"], rtol=1e-14, atol=0.0)
+    for value, key in zip(zero_point(spec, grid), ("n_zpf", "phi_zpf")):
+        np.testing.assert_allclose(value, ref[key], rtol=1e-14, atol=0.0)
+    scalar = transmon_expansion(spec, float(grid[7]))
+    assert all(getattr(scalar, f) == pytest.approx(ref[f][7], rel=1e-14, abs=0.0)
+               for f in got._fields)
 
 
 def test_frequency_vs_flux_band_shape():

@@ -8,9 +8,12 @@ Pair i runs ``python3 bench/run.py --workload W --seed i --seconds S
 first in odd pairs and the change first in even pairs.  Each run's
 metrics are read from the last line of its output, a JSON object.  For
 every end-to-end metric of the change's BENCHMARK.json the tool prints
-the median and quartiles of each side and the number of pairs in which
-the change reads strictly better.  ``--workload`` may be given more than
-once.  With ``--out`` the result is written as JSON in the layout of the
+the median and quartiles of each side, the number of pairs in which
+the change reads strictly better, and whether a gain claim on that metric
+holds: the change reads better in at least 9 of 10 pairs (ties count for
+neither side) and its median beats the parent's by more than the parent's
+interquartile range.  ``--workload`` may be given more than once.
+With ``--out`` the result is written as JSON in the layout of the
 BENCH_<n>.json files.
 """
 
@@ -25,7 +28,10 @@ PROTOCOL = (
     "Pair i uses seed i on both sides; the parent runs first in odd pairs and "
     "the change first in even pairs. Runs are sequential, one process at a "
     "time. 'runs' lists the values in pair order; 'change_better_pairs' counts "
-    "pairs in which the change reads strictly better.")
+    "pairs in which the change reads strictly better; 'median_gain' is the "
+    "parent's median minus the change's, signed so that a gain is positive; "
+    "'claim_holds' is true when the change is better in at least 9 of 10 "
+    "pairs and 'median_gain' exceeds the parent's IQR.")
 
 
 def side_summary(runs):
@@ -47,9 +53,12 @@ def summarize(parent_runs, change_runs, unit, better):
         raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (c - p) < 0.0 for p, c in zip(parent_runs, change_runs))
+    parent, change = side_summary(parent_runs), side_summary(change_runs)
+    gain = sign * (parent["median"] - change["median"])
     return {"unit": unit, "better": better, "pairs": len(parent_runs),
-            "parent": side_summary(parent_runs),
-            "change": side_summary(change_runs), "change_better_pairs": wins}
+            "parent": parent, "change": change, "change_better_pairs": wins,
+            "median_gain": gain,
+            "claim_holds": 10 * wins >= 9 * len(parent_runs) and gain > parent["iqr"]}
 
 
 def run_bench(root, workload, seed, seconds):
@@ -109,7 +118,8 @@ def main(argv=None):
                   f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}]  change "
                   f"{s['change']['median']:.6g} [{s['change']['q1']:.6g}, "
                   f"{s['change']['q3']:.6g}]  change_better_pairs "
-                  f"{s['change_better_pairs']}/{s['pairs']}")
+                  f"{s['change_better_pairs']}/{s['pairs']}  claim "
+                  f"{'holds' if s['claim_holds'] else 'fails'}")
     machine = dict(envs["change"])
     doc = {
         "command": ("python3 bench/run.py --workload <workload> --seed <pair> "
