@@ -292,43 +292,35 @@ def _average_frequency(q2_spec, amplitude: float) -> float:
     return average_and_excursion(q2_spec, sweet_spot_pulse(amplitude, _PROBE_FREQ))[0]
 
 
-def _resonant_amplitude(q2_spec, target: float, name: str) -> float:
-    """The amplitude A in [0, _AMPLITUDE_MAX] with fbar(A) = target.
+def find_resonance_amplitude(kind: str, q2_spec, p) -> float:
+    """Modulation amplitude putting the average q2 frequency on resonance.
 
-    fbar falls monotonically from the sweet spot, so the root is unique
-    when it exists; bracketed Brent finds it to 1e-12 Phi0.  A target
-    within 1 kHz of fbar(0) gives 0.  A target outside [fbar(0.45),
-    fbar(0)] raises "resonance unreachable", naming ``name``.
+    Solves fbar(A) = target for A in [0, _AMPLITUDE_MAX], where the
+    target is f1 (iswap), f1 - eta1 (cz20) or f1 + eta2 (cz02).  fbar
+    falls monotonically from the sweet spot, so the root is unique when
+    it exists; bracketed Brent finds it to 1e-12 Phi0, and a target
+    within 1 kHz of fbar(0) gives 0.  The modulation frequency does not
+    enter: it reaches the gate only through the sideband weights.  A
+    target outside [fbar(_AMPLITUDE_MAX), fbar(0)] raises "resonance
+    unreachable", which is how a cz02 request on this device fails.
     """
     from scipy.optimize import brentq
 
+    if not isinstance(kind, str) or kind not in _TRANSITIONS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    target = _TRANSITIONS[kind](p)
     top = _average_frequency(q2_spec, 0.0)
     if abs(top - target) < _RESIDUAL_TOL:
         return 0.0
     bottom = _average_frequency(q2_spec, _AMPLITUDE_MAX)
     if not bottom <= target <= top:
         raise ValueError(
-            f"resonance unreachable: {name} needs an average frequency of "
+            f"resonance unreachable: {kind} needs an average frequency of "
             f"{target:.4f} GHz, but modulation reaches only "
             f"[{bottom:.4f}, {top:.4f}] GHz"
         )
-    return float(brentq(lambda a: _average_frequency(q2_spec, a) - target,
-                        0.0, _AMPLITUDE_MAX, xtol=1e-12))
-
-
-def find_resonance_amplitude(kind: str, q2_spec, p) -> float:
-    """Modulation amplitude putting the average q2 frequency on resonance.
-
-    Solves fbar(A) = target, where the target is f1 (iswap), f1 - eta1
-    (cz20) or f1 + eta2 (cz02).  The modulation frequency does not
-    enter: it reaches the gate only through the sideband weights.  A
-    target out of reach raises "resonance unreachable", which is how a
-    cz02 request on this device fails.
-    """
-    if not isinstance(kind, str) or kind not in _TRANSITIONS:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    target = _TRANSITIONS[kind](p)
-    amplitude = _resonant_amplitude(q2_spec, target, kind)
+    amplitude = float(brentq(lambda a: _average_frequency(q2_spec, a) - target,
+                             0.0, _AMPLITUDE_MAX, xtol=1e-12))
     residual = _average_frequency(q2_spec, amplitude) - target
     if abs(residual) > _RESIDUAL_TOL:
         raise ValueError(
@@ -339,16 +331,16 @@ def find_resonance_amplitude(kind: str, q2_spec, p) -> float:
 
 @dataclass(frozen=True)
 class CollisionMap:
-    """Sideband collision frequencies versus modulation amplitude.
+    """Second-sideband collisions over the amplitudes a calibration could visit.
 
-    Each curve, keyed by transition name, is the modulation frequency
-    (GHz) at which the n = -2 sideband of that transition becomes
-    resonant; modulating below any curve risks driving that transition
-    parasitically.
+    ``worst`` maps each parametric transition (iswap, cz20, cz02) to its
+    largest collision frequency (GHz): the modulation frequency at which
+    the n = -2 sideband of that transition becomes resonant somewhere in
+    the amplitude range.  Modulating below it risks driving that
+    transition parasitically.
     """
 
-    amplitudes: np.ndarray
-    curves: dict
+    worst: dict
     guard_band: float
     recommended_min: float  # GHz
 
@@ -358,38 +350,37 @@ class CollisionMap:
 
 
 def sideband_collision_map(p, q2_spec, guard_band: float = 0.020) -> CollisionMap:
-    """Map of second-sideband collision frequencies over the amplitudes
-    a calibration could visit.
+    """Worst second-sideband collision of each transition over the
+    amplitudes a calibration could visit.
 
-    The grid holds 48 amplitudes from zero to the edge where fbar lies
-    30 MHz below the deepest gate target (CZ20's, f1 - eta1), or to
+    The amplitudes run from zero to the edge where fbar lies 30 MHz
+    below the deepest gate target (CZ20's, f1 - eta1), or to
     _AMPLITUDE_MAX if modulation cannot reach that far.  The collision
     frequencies are |fbar - target| / 2 for each parametric transition
     (iswap, cz20, cz02); the recommended minimum modulation frequency is
-    the largest collision over the grid plus the guard band.
+    the largest of them plus the guard band.
 
-    Each curve is V-shaped in fbar and fbar falls monotonically with A,
-    so the largest collision sits at an end of the grid.  On the bundled
-    device it is cz02 at the edge, and the recommendation is
+    Each collision is V-shaped in fbar and fbar falls monotonically with
+    A, so its largest value over the range sits at one of the two ends:
+    fbar(0), and the floor where modulation reaches it, else
+    fbar(_AMPLITUDE_MAX).  Those two band averages are all the map
+    computes.  On the bundled device the
+    worst is cz02 at the edge, and the recommendation is
     (eta1 + eta2 + 30 MHz) / 2 + guard_band (269 MHz at the default
     guard band) at every coupler bias, since f1, eta1 and eta2 do not
-    depend on it: the points inside the grid never set the
-    recommendation, and neither does the modulation frequency.
+    depend on it; neither does the modulation frequency.
     """
     if not guard_band >= 0.0:  # NaN fails too
         raise ValueError(f"guard band must be >= 0, got {guard_band!r}")
+    if guard_band == math.inf:
+        raise ValueError("guard band must be finite, got inf")
     floor = min(_TRANSITIONS[kind](p) for kind in GATES) - 0.030
-    try:
-        edge = _resonant_amplitude(q2_spec, floor, "the collision-grid edge")
-    except ValueError:  # modulation cannot pull fbar down to the floor
-        edge = _AMPLITUDE_MAX
-    amplitudes = np.linspace(0.0, edge, 48)
-    fbar = np.array([_average_frequency(q2_spec, a) for a in amplitudes])
-    curves = {name: np.abs(fbar - target(p)) / 2.0
-              for name, target in _TRANSITIONS.items()}
-    recommended = max(c.max() for c in curves.values()) + guard_band
-    return CollisionMap(amplitudes=amplitudes, curves=curves,
-                        guard_band=guard_band, recommended_min=float(recommended))
+    top, bottom = (_average_frequency(q2_spec, a) for a in (0.0, _AMPLITUDE_MAX))
+    ends = (top, floor if bottom <= floor <= top else bottom)
+    worst = {name: max(abs(f - target(p)) for f in ends) / 2.0
+             for name, target in _TRANSITIONS.items()}
+    return CollisionMap(worst=worst, guard_band=guard_band,
+                        recommended_min=float(max(worst.values()) + guard_band))
 
 
 def set_duration(kind: str, g_eff: float) -> float:

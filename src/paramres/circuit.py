@@ -77,19 +77,17 @@ class SquidSpec:
 
 
 def squid_energy(spec: SquidSpec, phi_e):
-    """Effective Josephson energy and junction-asymmetry phase of a SQUID.
+    """Effective Josephson energy (GHz) of a SQUID at external flux phi_e.
 
-    phi_e is the external flux through the loop in radians (2*pi per flux
-    quantum).  Returns (ej, phi0) with ej in GHz.  Accepts scalars or arrays.
+    phi_e is the flux through the loop in radians (2*pi per flux
+    quantum); EJ = sqrt(ejs^2 + ejl^2 + 2 ejs ejl cos(phi_e)).  Returns a
+    float for a scalar flux and an array for an array.  The junction
+    asymmetry also shifts the phase of the effective junction, but that
+    phase drops out of the transmon levels and is not computed.
     """
-    phi_e = np.asarray(phi_e, dtype=float)
     ej = np.sqrt(spec.ejs**2 + spec.ejl**2
                  + 2.0 * spec.ejs * spec.ejl * np.cos(phi_e))
-    asym = (spec.ejs - spec.ejl) / (spec.ejs + spec.ejl)
-    phi0 = np.arctan(asym * np.tan(phi_e / 2.0))
-    if ej.ndim == 0:
-        return float(ej), float(phi0)
-    return ej, phi0
+    return float(ej) if np.ndim(ej) == 0 else ej
 
 
 def mode_capacitance_matrix(net: CapacitanceNetwork) -> np.ndarray:

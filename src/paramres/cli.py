@@ -136,7 +136,8 @@ class RunConfig:
     """Effective run settings: INI values overridden by flags and environment."""
 
     def __init__(self, args):
-        self.cp = configparser.ConfigParser()
+        # values are taken literally: a % in a path is a %
+        self.cp = configparser.ConfigParser(interpolation=None)
         path = getattr(args, "config", None)
         if path is not None:
             try:

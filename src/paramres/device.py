@@ -37,7 +37,7 @@ class Device:
 
 def load_device(path) -> Device:
     """Read a device INI file; see data/device.ini for the documented schema."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         read = cp.read(path)
     except configparser.Error as exc:

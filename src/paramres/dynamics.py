@@ -530,7 +530,7 @@ def fit_exchange(times, populations) -> ExchangeFit:
 
 
 #: coupling_vs_bias: swap periods per trace, samples per trace, and the
-#: half-width (flux quanta) of the q2 window about the model crossing in
+#: half-width (flux quanta) of the q2 window about the bare crossing in
 #: which the vertex is sought
 _SWEEP_PERIODS = 3.0
 _SWEEP_SAMPLES = 720
@@ -540,29 +540,36 @@ _VERTEX_WINDOW = 1e-3
 def _vertex_trace(device, phic):
     """One exchange trace at the chevron vertex at a coupler bias.
 
-    The second-order model (static_couplings) puts the dressed q1-q2
-    crossing at a q2 flux root; its sign change proves that q2 can be
-    tuned onto q1.  The root only centres the window, so 1e-6 Phi0 of it
-    is enough.  The vertex is the q2 flux within _VERTEX_WINDOW of that
-    root where the exact |10>/|01> dressed gap is smallest
-    (effective.min_gap, the rule of exact_g01).  A bare q1 excitation is
-    evolved there for _SWEEP_PERIODS periods of that gap.  Returns
-    (parameters at the vertex, half the gap, times, |01> population).
+    The window is centred where q2's band meets q1's frequency, both
+    bare and q1 at its upper sweet spot (transition_frequency alone);
+    the sign change of that mismatch proves that q2 can be tuned onto
+    q1.  The dressed vertex lies a fraction of a mPhi0 from the bare
+    crossing, so 1e-6 Phi0 of it is enough.  The vertex is the q2 flux
+    within _VERTEX_WINDOW of that crossing where the exact |10>/|01>
+    dressed gap is smallest (effective.min_gap, the rule of exact_g01);
+    a vertex outside the window raises with the bias named.  A bare q1
+    excitation is evolved there for _SWEEP_PERIODS periods of that gap.
+    Returns (parameters at the vertex, half the gap, times, |01>
+    population).
     """
     from scipy.optimize import brentq
 
     from .device import device_params
 
-    def dressed_mismatch(phi2):
-        st = static_couplings(device_params(device, phic=phic, phi2=phi2))
-        return st.f01_2 - st.f01_1
+    f1 = transition_frequency(device.q1, 0.0)
+
+    def bare_mismatch(phi2):
+        return transition_frequency(device.q2, 2.0 * math.pi * phi2) - f1
 
     lo, hi = 0.0, 0.26
-    if dressed_mismatch(lo) * dressed_mismatch(hi) > 0:
+    if bare_mismatch(lo) * bare_mismatch(hi) > 0:
         raise ValueError(f"cannot tune q2 onto q1 at coupler bias {phic}")
-    root = brentq(dressed_mismatch, lo, hi, xtol=1e-6)
-    phi2, gap = min_gap(lambda x: device_params(device, phic=phic, phi2=x),
-                        root - _VERTEX_WINDOW, root + _VERTEX_WINDOW, 1e-9)
+    crossing = brentq(bare_mismatch, lo, hi, xtol=1e-6)
+    try:
+        phi2, gap = min_gap(lambda x: device_params(device, phic=phic, phi2=x),
+                            crossing - _VERTEX_WINDOW, crossing + _VERTEX_WINDOW, 1e-9)
+    except ValueError as exc:
+        raise ValueError(f"{exc} at coupler bias {phic}") from exc
     p = device_params(device, phic=phic, phi2=phi2)
     times = np.linspace(0.0, _SWEEP_PERIODS / gap, _SWEEP_SAMPLES + 1)[1:]
     pulse = FluxPulse(phi_dc=phi2, amplitude=0.0, duration=times[-1])
@@ -575,10 +582,12 @@ def coupling_vs_bias(device, phic_grid):
     """Dynamically extracted |g01| versus coupler flux bias.
 
     For each coupler bias, q2 is flux-tuned to the chevron vertex, where
-    the exact |10>/|01> dressed gap is smallest (see _vertex_trace).  A
-    bare q1 excitation is evolved there, and its transferred population,
-    cut at evenly spaced exact times, is fitted once with a decaying
-    cosine; a fit that fails raises with the bias named.  The trace spans
+    the exact |10>/|01> dressed gap is smallest, sought within a window
+    about the bare q1-q2 crossing (see _vertex_trace).  A bare q1
+    excitation is evolved there, and its transferred population, cut at
+    evenly spaced exact times, is fitted once with a decaying cosine.  A
+    q2 that cannot reach q1, a vertex outside the window and a fit that
+    fails each raise with the bias named.  The trace spans
     a fixed number of periods of the exact splitting, so weakly coupled
     points get the longer traces they need.  q1 stays at its upper sweet
     spot and the propagation keeps the full 27-level space.  phic_grid

@@ -86,7 +86,7 @@ def transmon_expansion(spec: TransmonSpec, phi_e) -> Expansion:
     fluctuation is n_zpf = (EJ/8EC)^(1/4)/sqrt(2).  A Josephson energy
     that vanishes anywhere raises ValueError.
     """
-    ej, _ = squid_energy(spec.squid, phi_e)
+    ej = squid_energy(spec.squid, phi_e)
     vanishing = np.asarray(ej) <= 1e-12
     if np.count_nonzero(vanishing):  # cheaper than np.any on a scalar
         flux = np.broadcast_to(phi_e, vanishing.shape)[vanishing][0] / (2.0 * np.pi)

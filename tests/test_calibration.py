@@ -29,7 +29,8 @@ from paramres.calibration import (
 from paramres.device import device_params
 from paramres.dynamics import (STEP_ERROR_BUDGET, ChevronMap, chevron, propagate,
                                step_error)
-from paramres.effective import COMPUTATIONAL_LABELS, dressed_computational_basis
+from paramres.effective import (COMPUTATIONAL_LABELS, average_and_excursion,
+                                dressed_computational_basis)
 from paramres.fluxcontrol import instantaneous_flux
 from paramres.tomography import (average_fidelity, extract_virtual_z, fit_fsim,
                                  fsim_unitary, qubit_subspace_ptm, virtual_z_correct)
@@ -125,7 +126,6 @@ def test_resonance_amplitude_places_average_frequency(device):
     p = device_params(device, phic=DEFAULT_COUPLER_BIAS["iswap"])
     amp = find_resonance_amplitude("iswap", device.q2, p)
     assert 0.0 < amp < 0.45
-    from paramres.effective import average_and_excursion
     from paramres.fluxcontrol import FluxPulse
 
     probe = FluxPulse(phi_dc=0.0, amplitude=amp, mod_freq=MOD_FREQ,
@@ -155,19 +155,84 @@ def test_default_coupler_biases_give_documented_couplings(device, kind, g_target
 def test_collision_map_recommendation(device):
     p = device_params(device, phic=DEFAULT_COUPLER_BIAS["iswap"])
     cmap = sideband_collision_map(p, device.q2, guard_band=0.020)
-    assert cmap.amplitudes[0] == 0.0 and cmap.amplitudes[-1] <= 0.45
-    assert sorted(cmap.curves) == ["cz02", "cz20", "iswap"]
-    worst = max(curve.max() for curve in cmap.curves.values())
+    assert sorted(cmap.worst) == ["cz02", "cz20", "iswap"]
+    worst = max(cmap.worst.values())
     assert cmap.recommended_min == pytest.approx(worst + 0.020, abs=1e-12)
     # margin is positive above the recommendation and negative below it
     assert cmap.margin(cmap.recommended_min + 0.01) > 0
     assert cmap.margin(cmap.recommended_min - 0.01) < 0
 
 
+def dense_collision_max(p, q2_spec) -> float:
+    """The largest n = -2 collision over a 48-amplitude grid from 0 to the
+    amplitude where fbar meets the floor 30 MHz below f1 - eta1, or to
+    the top of the amplitude range when modulation cannot reach it."""
+    from scipy.optimize import brentq
+
+    def fbar(a):
+        return average_and_excursion(q2_spec, calibration.sweet_spot_pulse(a, 1.0))[0]
+
+    a_max = calibration._AMPLITUDE_MAX
+    floor = p.f1 - p.eta1 - 0.030
+    edge = a_max
+    if fbar(a_max) <= floor <= fbar(0.0):
+        edge = brentq(lambda a: fbar(a) - floor, 0.0, a_max, xtol=1e-12)
+    f = np.array([fbar(a) for a in np.linspace(0.0, edge, 48)])
+    return max(np.abs(f - target).max() / 2.0
+               for target in (p.f1, p.f1 - p.eta1, p.f1 + p.eta2))
+
+
+def scaled_q2(device, ejs: float, ejl: float):
+    """q2 with its junction energies scaled by (ejs, ejl)."""
+    squid = device.q2.squid
+    return replace(device.q2, squid=replace(squid, ejs=ejs * squid.ejs,
+                                            ejl=ejl * squid.ejl))
+
+
+@pytest.mark.parametrize("guard_band", [0.0, 0.02])
+@pytest.mark.parametrize("q2", ["bundled", "below_floor", "above_floor"])
+def test_collision_limit_equals_the_dense_map(device, q2, guard_band):
+    # The limit read from the two ends of the amplitude range equals the
+    # largest collision of a dense amplitude grid at several coupler biases:
+    # for the bundled q2, for a q2 whose band tops out below the floor
+    # (junctions at 0.8) and for one whose modulation cannot pull fbar
+    # down to the floor (a strongly asymmetric SQUID).
+    q2_spec = {"bundled": device.q2,
+               "below_floor": scaled_q2(device, 0.8, 0.8),
+               "above_floor": scaled_q2(device, 0.1, 1.3)}[q2]
+    for phic in (0.0, 0.17, DEFAULT_COUPLER_BIAS["iswap"], DEFAULT_COUPLER_BIAS["cz20"]):
+        p = device_params(device, phic=phic)
+        cmap = sideband_collision_map(p, q2_spec, guard_band=guard_band)
+        assert cmap.recommended_min == pytest.approx(
+            dense_collision_max(p, q2_spec) + guard_band, abs=1e-12)
+
+
+def test_collision_limit_reads_two_band_averages(device, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return band(*args)
+
+    band = calibration.average_and_excursion
+    monkeypatch.setattr(calibration, "average_and_excursion", counted)
+    p = device_params(device, phic=DEFAULT_COUPLER_BIAS["cz20"])
+    sideband_collision_map(p, device.q2)
+    assert len(calls) <= 2
+
+
 def test_collision_map_rejects_negative_guard_band(device, zero_bias_params):
     for guard_band in (-0.001, float("nan")):
         with pytest.raises(ValueError, match=f"guard band must be >= 0, got {guard_band}"):
             sideband_collision_map(zero_bias_params, device.q2, guard_band=guard_band)
+
+
+def test_collision_map_rejects_an_infinite_guard_band(device, zero_bias_params):
+    # an infinite limit would reach the report as a non-JSON Infinity
+    with pytest.raises(ValueError, match="guard band must be finite, got inf"):
+        sideband_collision_map(zero_bias_params, device.q2, guard_band=math.inf)
+    with pytest.raises(CalibrationError, match="collision: guard band must be finite"):
+        calibrate_gate(device, "iswap", guard_band=math.inf, refine=False)
 
 
 XATOL = calibration._AMPLITUDE_XATOL

@@ -1,6 +1,7 @@
 """Circuit quantization: capacitance network and charging energies."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -155,35 +156,40 @@ def test_closed_forms_converge_to_exact_inversion():
 
 def test_symmetric_squid_energy():
     spec = SquidSpec(ejs=9.0, ejl=9.0)
-    ej, phi0 = squid_energy(spec, 0.0)
+    ej = squid_energy(spec, 0.0)
     assert ej == pytest.approx(18.0, rel=1e-12)
-    assert phi0 == pytest.approx(0.0, abs=1e-12)
-    ej_half, _ = squid_energy(spec, np.pi / 2)
+    ej_half = squid_energy(spec, np.pi / 2)
     assert ej_half == pytest.approx(18.0 * np.cos(np.pi / 4), rel=1e-12)
 
 
 def test_asymmetric_squid_energy_floor_and_phase():
     spec = SquidSpec(ejs=2.0, ejl=8.0)
-    ej_pi, phi0_pi = squid_energy(spec, np.pi)
+    ej_pi = squid_energy(spec, np.pi)
     assert ej_pi == pytest.approx(8.0 - 2.0, rel=1e-12)
-    ej0, phi00 = squid_energy(spec, 0.0)
+    ej0 = squid_energy(spec, 0.0)
     assert ej0 == pytest.approx(10.0, rel=1e-12)
-    assert phi00 == pytest.approx(0.0, abs=1e-12)
-    # Junction asymmetry tilts the effective phase offset away from zero
-    # between the extremes.
-    _, phi0_mid = squid_energy(spec, np.pi / 2)
-    assert phi0_mid != pytest.approx(0.0, abs=1e-6)
-    assert abs(phi0_pi) < np.pi
+    # a quarter turn of phase adds the junction energies in quadrature
+    assert squid_energy(spec, np.pi / 2) == pytest.approx(np.hypot(2.0, 8.0), rel=1e-12)
 
 
 def test_squid_energy_broadcasts_over_flux_arrays():
     spec = SquidSpec(ejs=3.0, ejl=7.0)
     phis = np.linspace(0.0, 2 * np.pi, 17)
-    ej, phi0 = squid_energy(spec, phis)
-    assert ej.shape == phis.shape and phi0.shape == phis.shape
+    ej = squid_energy(spec, phis)
+    assert ej.shape == phis.shape
     scalar = [squid_energy(spec, p) for p in phis]
-    np.testing.assert_allclose(ej, [s[0] for s in scalar], rtol=1e-12)
-    np.testing.assert_allclose(phi0, [s[1] for s in scalar], rtol=1e-12)
+    np.testing.assert_allclose(ej, scalar, rtol=1e-12)
+
+
+def test_squid_energy_is_ej_alone():
+    # a float for a scalar flux, an array for an array: no asymmetry phase
+    spec = SquidSpec(ejs=3.0, ejl=7.0)
+    ej = squid_energy(spec, 0.3)
+    assert type(ej) is float
+    assert ej == pytest.approx(math.sqrt(58.0 + 42.0 * math.cos(0.3)), rel=1e-14)
+    band = squid_energy(spec, np.array([0.0, 0.3]))
+    assert isinstance(band, np.ndarray) and band.shape == (2,)
+    assert band[1] == pytest.approx(ej, rel=1e-14)
 
 
 def test_squid_spec_rejects_nonpositive_junctions():

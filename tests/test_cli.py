@@ -237,6 +237,8 @@ def test_malformed_config_value(capsys, tmp_path):
     for command, text, message in [
         (("sweep", "coupling"), "[sweep]\npoints = many\n",
          "config [sweep] points: not an integer"),
+        (("sweep", "coupling"), "[sweep]\npoints = 5%\n",
+         "config [sweep] points: not an integer: '5%'"),
         (("sweep", "coupling"), "[sweep]\nphic_stop_phi0 = inf\n",
          "config [sweep] phic_stop_phi0: not a finite number: 'inf'"),
         (("calibrate", "iswap"), "[gate.iswap]\nguard_band_ghz = nan\n",
@@ -268,6 +270,24 @@ def test_malformed_config_value(capsys, tmp_path):
         assert code == 1
         assert message in err
         assert not out_dir.exists()
+
+
+def test_percent_signs_in_config_values_are_literal(capsys, tmp_path):
+    # no interpolation: a % is taken as it stands, and a bad value with one
+    # fails with its labelled error, not a configparser traceback
+    cfgf = tmp_path / "c.ini"
+    cfgf.write_text(f"[run]\nout_dir = {tmp_path / 'x100%'}\n[sweep]\npoints = 2\n")
+    code, _, err = run(capsys, "sweep", "coupling", "--config", str(cfgf))
+    assert code == 0, err
+    assert (tmp_path / "x100%" / "sweep_coupling.csv").exists()
+
+    dev = tmp_path / "device.ini"
+    dev.write_text(bundled_path("device.ini").read_text().replace(
+        "ejs_ghz = ", "ejs_ghz = 9% ", 1))
+    cfgf.write_text(f"[device]\nfile = {dev}\n")
+    code, _, err = run(capsys, "device", "show", "--config", str(cfgf))
+    assert code == 1
+    assert err.startswith("error: bad or missing junction energy in [qubit1]")
 
 
 def test_tomo_requires_gatespec(capsys, tmp_path):
@@ -503,6 +523,24 @@ def test_calibrate_and_tomo_chain(capsys, tmp_path):
     ptm = np.array([[float(c) for c in table[label]] for label in PAULI_LABELS]).T
     ideal = ptm_of_unitary(fsim_unitary(-np.pi / 2, 0.0))
     assert average_fidelity(ptm, ideal) == vals["F_avg"]
+
+
+@pytest.mark.parametrize("token,kind", [("iswap", "iswap"), ("cz", "cz20")])
+def test_noiseless_tomo_reproduces_the_calibrated_angles(capsys, tmp_path, token, kind):
+    # tomo rebuilds the gate from its spec alone; without shots it scores
+    # the same channel as the calibration report.  F_avg differs by design:
+    # the simulated QPT spreads leaked population over the four outcomes.
+    cfgf = tmp_path / "run.ini"
+    cfgf.write_text(f"[tomo]\ngatespec_file = {tmp_path / f'gatespec_{kind}.json'}\n"
+                    "shots = 0\n")
+    code, _, err = run(capsys, "calibrate", token, "--out-dir", str(tmp_path))
+    assert code == 0, err
+    code, _, err = run(capsys, "tomo", "--config", str(cfgf), "--out-dir", str(tmp_path))
+    assert code == 0, err
+    calibrated = json.loads((tmp_path / f"report_{kind}.json").read_text())["tomography"]
+    tomo = json.loads((tmp_path / f"tomo_report_{kind}.json").read_text())
+    for key in ("theta_rad", "phi_rad", "leakage"):
+        assert tomo[key] == pytest.approx(calibrated[key], abs=1e-10), key
 
 
 def test_tomo_shot_noise_reproducible_by_seed(capsys, tmp_path, monkeypatch):

@@ -128,7 +128,7 @@ def test_device_params_couplings_equal_the_reference_formula(device):
     from paramres.circuit import squid_energy
 
     def ej_xi(spec, flux):
-        ej, _ = squid_energy(spec.squid, 2.0 * np.pi * flux)
+        ej = squid_energy(spec.squid, 2.0 * np.pi * flux)
         return ej, np.sqrt(2.0 * spec.ec / ej)
 
     en = device.energies

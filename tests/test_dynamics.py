@@ -561,6 +561,39 @@ def test_coupling_vs_bias_names_the_bias_of_a_failed_fit(device, monkeypatch):
         coupling_vs_bias(device, [0.26])
 
 
+def test_vertex_trace_reads_no_second_order_model(device, monkeypatch):
+    # The window is centred on the bare crossing: the only device_params
+    # calls are the vertex search's and the one at the vertex.
+    from paramres import device as device_module
+
+    counts = {"device_params": 0, "static_couplings": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(device_module, "device_params",
+                        counted("device_params", device_module.device_params))
+    monkeypatch.setattr(dynamics, "static_couplings",
+                        counted("static_couplings", dynamics.static_couplings))
+    for phic in SWEEP_BIASES:
+        counts.update(device_params=0, static_couplings=0)
+        _vertex_trace(device, phic)
+        assert counts["device_params"] <= 11, phic
+        assert counts["static_couplings"] == 0, phic
+
+
+def test_coupling_vs_bias_names_a_bias_whose_vertex_is_outside_the_window(
+        device, monkeypatch):
+    # the vertex at bias 0 lies 0.07-0.22 mPhi0 from the bare crossing
+    monkeypatch.setattr(dynamics, "_VERTEX_WINDOW", 2e-5)
+    with pytest.raises(ValueError, match="no avoided crossing found in sweep "
+                                         "window at coupler bias 0.0"):
+        coupling_vs_bias(device, [0.0])
+
+
 def test_chevron_peaks_at_the_resonant_amplitude(device):
     p = device_params(device, phic=0.29472)
     a_res = find_resonance_amplitude("iswap", device.q2, p)

@@ -86,7 +86,7 @@ def test_transition_frequency_vectorizes():
 
 def reference_expansion(spec: TransmonSpec, phi_e) -> dict:
     """The transmon formulas as each reader once evaluated them on its own."""
-    ej, _ = squid_energy(spec.squid, phi_e)
+    ej = squid_energy(spec.squid, phi_e)
     ec = spec.ec
     xi = np.sqrt(2.0 * ec / ej)
     omega = np.sqrt(8.0 * ej * ec) - ec * (1.0 + xi / 4.0)
