@@ -98,9 +98,11 @@ GATES = {
                        "coupler bias; the CZ operating point can differ"),
 }
 
-GATE_KINDS = tuple(GATES)
 DEFAULT_MOD_FREQ = {kind: gate.mod_freq for kind, gate in GATES.items()}
-DEFAULT_COUPLER_BIAS = {kind: gate.coupler_bias for kind, gate in GATES.items()}
+
+#: Default guard band (GHz) of the sideband collision check: the
+#: recommended minimum modulation frequency clears the worst collision by it.
+GUARD_BAND = 0.020
 
 #: Resonance target (GHz) of each parametric transition: the average q2
 #: frequency at which its n = 0 sideband drives it.  cz02 (|11> <-> |02>)
@@ -166,8 +168,8 @@ class GateSpec:
     resonance_residual: float = 0.0  # GHz, recorded root residual
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"kind must be one of {GATE_KINDS}, got {self.kind!r}")
+        if self.kind not in GATES:
+            raise ValueError(f"kind must be one of {tuple(GATES)}, got {self.kind!r}")
         for name in ("amplitude", "mod_freq", "duration", "coupler_bias",
                      "resonance_residual"):
             if not math.isfinite(getattr(self, name)):
@@ -260,7 +262,7 @@ def gate_pulse(spec: GateSpec) -> FluxPulse:
 
 
 def gate_unitary(device: Device, spec: GateSpec):
-    """Propagate a calibrated gate; returns (device params, 27x27 unitary).
+    """Propagate a calibrated gate; returns (device params, DIMxDIM unitary).
 
     The pulse takes propagate's default step, the error-budget step of a
     modulated pulse, as the duration trim of calibrate_gate does.
@@ -349,7 +351,7 @@ class CollisionMap:
         return mod_freq - self.recommended_min
 
 
-def sideband_collision_map(p, q2_spec, guard_band: float = 0.020) -> CollisionMap:
+def sideband_collision_map(p, q2_spec, guard_band: float = GUARD_BAND) -> CollisionMap:
     """Worst second-sideband collision of each transition over the
     amplitudes a calibration could visit.
 
@@ -467,7 +469,7 @@ def calibrate_gate(
     kind: str,
     coupler_bias: float | None = None,
     mod_freq: float | None = None,
-    guard_band: float = 0.020,
+    guard_band: float = GUARD_BAND,
     refine: bool = True,
 ):
     """Full calibration pipeline; returns (GateSpec, report dict).

@@ -36,8 +36,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .calibration import (AMPLITUDE_WINDOW, GATES, CalibrationError, calibrate_gate,
-                          gate_unitary, load_gatespec, operating_point,
+from .calibration import (AMPLITUDE_WINDOW, GATES, GUARD_BAND, CalibrationError,
+                          calibrate_gate, gate_unitary, load_gatespec, operating_point,
                           sweet_spot_pulse)
 from .device import (bundled_path, device_params, load_bundled_device,
                      load_device, save_device)
@@ -340,7 +340,7 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
     kind, section = _GATE_TOKENS[args.kind]
     coupler_bias = cfg.getfloat(section, "coupler_bias_phi0", None)
     mod_freq = cfg.getfloat(section, "mod_freq_ghz", None)
-    guard_band = cfg.getfloat(section, "guard_band_ghz", 0.020)
+    guard_band = cfg.getfloat(section, "guard_band_ghz", GUARD_BAND)
     refine = cfg.getbool(section, "refine", True)
     coherence = {}  # in the field order of CoherenceTimes
     if cfg.cp.has_section("coherence"):

@@ -4,8 +4,8 @@ The integrator is a piecewise-constant midpoint rule: the Hamiltonian is
 sampled at step midpoints and each step applies exp(-i*2*pi*H(t_mid)*dt)
 through an exact eigendecomposition, so every step is exactly unitary and
 the global error is second order in dt.  The Hamiltonian conserves the
-excitation parity, so each step is diagonalized in its 14- and
-13-dimensional parity blocks.  Propagation happens in the lab frame;
+excitation parity, so each step is diagonalized in its parity blocks
+(effective.parity_blocks).  Propagation happens in the lab frame;
 single-qubit phases are stripped afterwards (see tomography).
 
 The step size follows the physics.  Each step is exact for its own
@@ -16,7 +16,7 @@ steps per period from a closed-form rule under an error budget
 is modulation_step), and step_error measures what a run actually left.
 A static pulse takes no steps: it evolves in closed form from one
 eigendecomposition.  A propagation evolves only the columns its caller
-reads, U(t) X for a 27xk isometry X (one prepared state, or the dressed
+reads, U(t) X for a DIMxk isometry X (one prepared state, or the dressed
 computational basis of a gate block), cut at exactly the requested
 times; the full final unitary comes with it.
 
@@ -41,10 +41,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .effective import (_PARITY_BLOCKS, COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS, DIM,
-                        NUM_2, XX_12, XX_C2, _is_sweet_spot, _static_terms, basis_index,
-                        min_gap, static_couplings)
-from .fluxcontrol import FluxPulse, instantaneous_flux
+from .effective import (COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS, DIM, basis_index,
+                        min_gap, parity_blocks, static_couplings)
+from .fluxcontrol import FluxPulse, instantaneous_flux, is_sweet_spot
 from .spectrum import DeviceParams, transition_frequency, transmon_expansion
 
 UNITARITY_TOL = 1e-8
@@ -58,7 +57,7 @@ class Propagation:
     dt: float                    # step size (ns); a static pulse's duration
     n_steps: int
     n_diagonalized: int          # step Hamiltonians diagonalized
-    cuts: np.ndarray             # U(t) X per requested time t, shape (n_times, 27, k)
+    cuts: np.ndarray             # U(t) X per requested time t, shape (n_times, DIM, k)
     unitarity_defect: float
 
 
@@ -91,30 +90,21 @@ def _parameter_series(p, q2_pulse, q2_spec, t_mid):
 # each gathering its prefix from the period's table; bounds the work arrays
 _EIGH_BATCH = 64
 
-def _step_eigenpairs(terms, series):
+def _step_eigenpairs(p, series):
     """Eigenpairs of the step Hamiltonians, one parity block at a time.
 
-    terms = (static_xx, xx_c2, xx_12, static_diag, num2) define the real
-    symmetric Hamiltonian of effective.build_hamiltonian: static_xx and
-    static_diag hold the terms that do not move with q2
-    (effective._static_terms), series the q2 parameters at the step
-    midpoints (see _parameter_series).  Yields (idx, evals, vecs) for each
-    block idx of _PARITY_BLOCKS, batched over the steps.
+    series holds the q2 parameters at the step midpoints (see
+    _parameter_series).  Yields (idx, evals, vecs) for each block idx of
+    effective.parity_blocks, batched over the steps.
     """
-    static_xx, xx_c2, xx_12, static_diag, num2 = terms
-    for idx in _PARITY_BLOCKS:
-        block = np.ix_(idx, idx)
-        diag = np.arange(len(idx))
-        h = (static_xx[block] + np.multiply.outer(series["g2c"], xx_c2[block])
-             + np.multiply.outer(series["g12"], xx_12[block]))
-        h[:, diag, diag] += static_diag[idx] + np.outer(series["f2"], num2[idx])
+    for idx, h in parity_blocks(p, **series):
         yield (idx, *np.linalg.eigh(h))
 
 
-def _step_matrices(terms, series, dts):
+def _step_matrices(p, series, dts):
     """Yield (c, steps): the midpoint steps of the slice c of dts, batched.
 
-    terms and series are those of _step_eigenpairs and dts the step
+    p and series are those of _step_eigenpairs and dts the step
     lengths.  Each step is exp(-i*2*pi*H*dt), built from the
     eigendecomposition of H in each parity block.
     """
@@ -122,7 +112,7 @@ def _step_matrices(terms, series, dts):
         c = slice(a, a + _EIGH_BATCH)
         steps = np.zeros((len(dts[c]), DIM, DIM), dtype=complex)
         batch = {key: values[c] for key, values in series.items()}
-        for idx, evals, vecs in _step_eigenpairs(terms, batch):
+        for idx, evals, vecs in _step_eigenpairs(p, batch):
             phases = np.exp(-2j * math.pi * evals * dts[c, None])
             steps[(slice(None), *np.ix_(idx, idx))] = ((vecs * phases[:, None, :])
                                                        @ vecs.transpose(0, 2, 1))
@@ -131,7 +121,7 @@ def _step_matrices(terms, series, dts):
 
 #: Step-error budget of a modulated pulse propagated at dt=None: the
 #: largest error of the gate's computational columns, max|U B - U_ref B|
-#: with B the dressed 27x4 basis, that the steps per period may leave.
+#: with B the dressed DIMx4 basis, that the steps per period may leave.
 #:
 #: The rule behind it.  Over one step of length h about its midpoint,
 #: the exact exponent differs from the midpoint step's by the Taylor term
@@ -183,9 +173,9 @@ def modulation_step(q2_pulse: FluxPulse, q2_spec) -> float:
 
 
 def _isometry(columns) -> np.ndarray:
-    """columns as a complex 27xk isometry, k >= 1.
+    """columns as a complex DIMxk isometry, k >= 1.
 
-    Anything that is not 2-D of 27 rows and at least one column, finite
+    Anything that is not 2-D of DIM rows and at least one column, finite
     and orthonormal to 1e-8 (max|X^H X - I|) raises ValueError.
     """
     x = np.asarray(columns, dtype=complex)
@@ -207,7 +197,7 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
 
     times requests cuts of the evolution at times in (0, duration], one
     per request in request order: cuts[i] = U(t_i) X, of shape
-    (len(times), 27, k), for X = columns, a 27xk isometry (orthonormal
+    (len(times), DIM, k), for X = columns, a DIMxk isometry (orthonormal
     columns, k >= 1) that defaults to the identity.  Callers pass only
     the columns they read: one prepared state, or the dressed basis B of
     a gate block B^H (U B).  The cut at t is the final unitary of the
@@ -266,8 +256,6 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     cols = np.eye(DIM) if columns is None else _isometry(columns)
     ends = np.minimum(np.append(want, duration), duration)  # the duration last
 
-    static_xx, static_diag = _static_terms(p)
-    terms = (static_xx, XX_C2, XX_12, static_diag, NUM_2)
     n_diagonalized = 0
 
     def steps(pulse, t_mid, lengths):
@@ -275,7 +263,7 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         nonlocal n_diagonalized
         n_diagonalized += len(t_mid)
         series = _parameter_series(p, pulse, q2_spec, t_mid)
-        return _step_matrices(terms, series, lengths)
+        return _step_matrices(p, series, lengths)
 
     if not _is_modulated(q2_pulse):
         # one step of the whole duration, diagonalized once: the cut at t
@@ -283,7 +271,7 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         dt, n_steps, n_diagonalized = duration, 1, 1
         series = _parameter_series(p, q2_pulse, q2_spec, np.zeros(1))
         theta, z = np.zeros(DIM), np.zeros((DIM, DIM))
-        for idx, evals, vecs in _step_eigenpairs(terms, series):
+        for idx, evals, vecs in _step_eigenpairs(p, series):
             theta[idx] = -2.0 * math.pi * evals[0]
             z[np.ix_(idx, idx)] = vecs[0]
         s, table = np.zeros(len(ends), dtype=int), None
@@ -310,7 +298,7 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         q = m // 4
         half = np.arange(m) % (2 * q)
         order = np.minimum(half, 2 * q - 1 - half)
-        if not _is_sweet_spot(q2_pulse.phi_dc):
+        if not is_sweet_spot(q2_pulse.phi_dc):
             order[2 * q:] += q
         first = np.unique(order, return_index=True)[1]
         # the steps sample the waveform for a whole period
@@ -365,7 +353,7 @@ def step_error(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, basis) -> float:
 
     The midpoint rule is second order, so with m steps per period
     U(m) - U(m/2) is three times U(m) - U to leading order; the estimate
-    is max|(U(m) - U(m/2)) B| / 3 on the columns of the 27xk isometry
+    is max|(U(m) - U(m/2)) B| / 3 on the columns of the DIMxk isometry
     ``basis``.  It costs two propagations, at m and at m/2 steps per
     period.
     """
@@ -402,7 +390,7 @@ def chevron(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, amplitudes,
     finite; each one off the step grid of its row (see
     propagate and modulation_step) costs a partial step.
 
-    The prepared and recorded states are columns of ``basis``, a 27x4
+    The prepared and recorded states are columns of ``basis``, a DIMx4
     isometry onto the computational states (columns ordered as
     ``effective.COMPUTATIONAL_LABELS``); the default is the bare states.
     With ``effective.dressed_computational_basis`` they are the dressed
@@ -423,7 +411,7 @@ def chevron(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, amplitudes,
     basis = np.asarray(np.eye(DIM)[:, COMPUTATIONAL_INDICES] if basis is None
                        else basis, dtype=complex)
     if basis.shape != (DIM, 4):
-        raise ValueError(f"basis must be a 27x4 isometry, got {basis.shape}")
+        raise ValueError(f"basis must be a {DIM}x4 isometry, got {basis.shape}")
     state_init = basis[:, COMPUTATIONAL_LABELS.index(initial)]
     bra_target = basis[:, COMPUTATIONAL_LABELS.index(target)].conj()
     t_max = float(durations.max())
@@ -590,8 +578,8 @@ def coupling_vs_bias(device, phic_grid):
     fails each raise with the bias named.  The trace spans
     a fixed number of periods of the exact splitting, so weakly coupled
     points get the longer traces they need.  q1 stays at its upper sweet
-    spot and the propagation keeps the full 27-level space.  phic_grid
-    must be a finite 1-D array.
+    spot and the propagation keeps all DIM states.  phic_grid must be a
+    finite 1-D array.
 
     Returns (measured |g01| array, static-model g01 array).  The static
     prediction is evaluated at the same vertex.

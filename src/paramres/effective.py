@@ -1,8 +1,14 @@
-"""The three-body model: its Hamiltonian and its effective couplings.
+"""The three-body model: its Hilbert space, its Hamiltonian and its
+effective couplings.
 
-The module owns five things.  ``build_hamiltonian`` is the one
-Hamiltonian; ``dynamics.propagate`` takes its q2-independent part from
-the same helper.  ``dressed_computational_basis`` gives its eigenstates
+``STATES`` is the truncation: the kept product states |n1 nc n2>, in
+basis order.  ``DIM``, ``basis_index``, the computational indices and
+every operator are read off it, so a change of the kept space is a
+change of that one table.  ``build_hamiltonian`` is the static
+Hamiltonian as one DIMxDIM matrix; ``parity_blocks`` gives its
+excitation-parity blocks batched over samples of q2's frequency and
+couplings, the step Hamiltonians that ``dynamics.propagate``
+diagonalizes.  ``dressed_computational_basis`` gives its eigenstates
 on the computational subspace, the basis that a dispersive readout
 sees: callers evolve its columns B with ``dynamics.propagate`` and
 project them, B^H (U B), before tomography.
@@ -13,67 +19,66 @@ formula without modulation (weight 1, no shift).  ``min_gap`` finds
 the exact |10>/|01> avoided crossing, the oracle of those couplings
 (``exact_g01``) and the vertex where ``dynamics.coupling_vs_bias``
 measures.
-
-Each mode keeps its lowest three levels, so the full Hilbert space is
-27-dimensional with basis |n1 nc n2> and index 9*n1 + 3*nc + n2.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fluxcontrol import FluxPulse
+from .fluxcontrol import FluxPulse, is_sweet_spot
 from .spectrum import DeviceParams, TransmonSpec, transition_frequency
 
 LEVELS = 3
-DIM = LEVELS**3
 
-# Index of |n1 nc n2| in the product basis.
+#: The kept product states (n1, nc, n2), in basis order: each mode's
+#: lowest LEVELS levels, so index 9*n1 + 3*nc + n2.
+STATES = tuple(itertools.product(range(LEVELS), repeat=3))
+DIM = len(STATES)
+_INDEX = {state: i for i, state in enumerate(STATES)}
+
+
 def basis_index(n1: int, nc: int, n2: int) -> int:
-    return 9 * n1 + 3 * nc + n2
+    """Index of |n1 nc n2> in STATES; a state that is not kept raises."""
+    try:
+        return _INDEX[(n1, nc, n2)]
+    except KeyError:
+        raise ValueError(f"|{n1} {nc} {n2}> is not one of the {DIM} kept states") from None
 
 
 # Two-qubit computational subspace |q1 q2> with the coupler in |0>: the
 # labels and the bare indices of its states, in the column order of every
-# 27x4 isometry onto it.
+# DIMx4 isometry onto it.
 COMPUTATIONAL_LABELS = ("00", "01", "10", "11")
 COMPUTATIONAL_INDICES = (basis_index(0, 0, 0), basis_index(0, 0, 1),
                          basis_index(1, 0, 0), basis_index(1, 0, 1))
 
-_SIGMA = np.diag([1.0, np.sqrt(2.0)], k=1)      # lowering operator, 3 levels
-_SIGMA_X = _SIGMA + _SIGMA.T
-_NUM = np.diag([0.0, 1.0, 2.0])
-_P2 = np.diag([0.0, 0.0, 1.0])
-_EYE = np.eye(3)
+# The occupations of every kept state, one row per state (q1, coupler, q2)
+_N = np.array(STATES)
+
+# Diagonal operators, stored as vectors: the number n of each mode and
+# its anharmonic ladder n(n-1)/2, in integers first so that n = 0 gives +0.0
+NUM_1, NUM_C, NUM_2 = np.ascontiguousarray(_N.T, dtype=float)
+P2_1, P2_C, P2_2 = np.ascontiguousarray(_N.T * (_N.T - 1) // 2, dtype=float)
 
 
-def _kron3(a, b, c):
-    return np.kron(a, np.kron(b, c))
+def _exchange(a: int, b: int) -> np.ndarray:
+    """x_a x_b between kept states, with x the sum of one mode's lowering
+    and raising operators: one quantum into or out of each of modes a and
+    b, the third unchanged, with amplitude sqrt(max n_a) * sqrt(max n_b)."""
+    moved = np.zeros(3, dtype=int)
+    moved[[a, b]] = 1
+    hop = np.all(np.abs(_N[:, None, :] - _N[None, :, :]) == moved, axis=2)
+    top = np.sqrt(np.maximum(_N[:, None, :], _N[None, :, :]))
+    return np.where(hop, top[..., a] * top[..., b], 0.0)
 
 
-def _kron3_pair(op_a, op_b, slot_a, slot_b):
-    ops = [_EYE, _EYE, _EYE]
-    ops[slot_a] = op_a
-    ops[slot_b] = op_b
-    return _kron3(*ops)
+XX_1C, XX_C2, XX_12 = _exchange(0, 1), _exchange(1, 2), _exchange(0, 2)
 
-
-# Structure operators, built once.  Diagonal parts are stored as vectors.
-NUM_1 = np.real(np.diag(_kron3(_NUM, _EYE, _EYE)))
-NUM_C = np.real(np.diag(_kron3(_EYE, _NUM, _EYE)))
-NUM_2 = np.real(np.diag(_kron3(_EYE, _EYE, _NUM)))
-P2_1 = np.real(np.diag(_kron3(_P2, _EYE, _EYE)))
-P2_C = np.real(np.diag(_kron3(_EYE, _P2, _EYE)))
-P2_2 = np.real(np.diag(_kron3(_EYE, _EYE, _P2)))
-XX_1C = _kron3_pair(_SIGMA_X, _SIGMA_X, 0, 1)
-XX_C2 = _kron3_pair(_SIGMA_X, _SIGMA_X, 1, 2)
-XX_12 = _kron3_pair(_SIGMA_X, _SIGMA_X, 0, 2)
-
-# Bare-state indices of even and odd total excitation.  The couplings
-# change the excitation number by 0 or 2, so H never mixes the two.
-_PARITY_BLOCKS = tuple(
-    np.flatnonzero((NUM_1 + NUM_C + NUM_2).astype(int) % 2 == r) for r in (0, 1))
+# Kept states of even and odd total excitation.  The couplings change the
+# excitation number by 0 or 2, so H never mixes the two.
+_PARITY_BLOCKS = tuple(np.flatnonzero(_N.sum(axis=1) % 2 == r) for r in (0, 1))
 
 
 def _static_terms(p: DeviceParams) -> tuple:
@@ -85,8 +90,8 @@ def _static_terms(p: DeviceParams) -> tuple:
 
 
 def build_hamiltonian(p: DeviceParams) -> np.ndarray:
-    """The static three-body Hamiltonian in GHz, a real symmetric 27x27
-    array in the product basis |n1 nc n2>.
+    """The static three-body Hamiltonian in GHz, a real symmetric DIMxDIM
+    array in the basis STATES.
 
     The charge-charge couplings keep their counter-rotating parts, so the
     total excitation number is not conserved, only its parity.
@@ -95,8 +100,26 @@ def build_hamiltonian(p: DeviceParams) -> np.ndarray:
     return np.diag(diag + p.f2 * NUM_2) + xx_1c + p.g2c * XX_C2 + p.g12 * XX_12
 
 
+def parity_blocks(p: DeviceParams, f2, g2c, g12):
+    """Yield (idx, h) for each excitation-parity block idx of STATES.
+
+    h[s] is the block idx of build_hamiltonian with q2's frequency and
+    couplings at the samples f2[s], g2c[s] and g12[s] (1-D arrays of one
+    length) and every other parameter from p: the step Hamiltonians of
+    dynamics.propagate, batched over its steps.
+    """
+    static_xx, static_diag = _static_terms(p)
+    for idx in _PARITY_BLOCKS:
+        block = np.ix_(idx, idx)
+        diag = np.arange(len(idx))
+        h = (static_xx[block] + np.multiply.outer(g2c, XX_C2[block])
+             + np.multiply.outer(g12, XX_12[block]))
+        h[:, diag, diag] += static_diag[idx] + np.outer(f2, NUM_2[idx])
+        yield idx, h
+
+
 def dressed_computational_basis(p: DeviceParams) -> np.ndarray:
-    """27x4 isometry onto the dressed computational states at bias ``p``.
+    """DIMx4 isometry onto the dressed computational states at bias ``p``.
 
     Columns are the eigenvectors of the static Hamiltonian with the
     largest overlap on bare |00>, |01>, |10>, |11> (coupler in its
@@ -191,8 +214,8 @@ def _pair_gap(p: DeviceParams) -> float:
     """The gap (GHz) between the two dressed eigenstates of build_hamiltonian(p)
     with the most weight on bare |10> and |01>.
 
-    Both states have odd excitation parity, so only that 13-state block of
-    H is diagonalized.
+    Both states have odd excitation parity, so only that block of H is
+    diagonalized.
     """
     vals, vecs = np.linalg.eigh(build_hamiltonian(p)[_ODD])
     weight = np.abs(vecs[_ODD_PAIR[0], :])**2 + np.abs(vecs[_ODD_PAIR[1], :])**2
@@ -234,14 +257,18 @@ def exact_g01(p: DeviceParams, window: float = 0.05) -> float:
     return 0.5 * min_gap(lambda f: replace(p, f2=f), grid[k - 1], grid[k + 1], 1e-12)[1]
 
 
+#: The sidebands n of modulated_couplings run over [-SIDEBAND_MAX, SIDEBAND_MAX].
+SIDEBAND_MAX = 5
+
+
 @dataclass(frozen=True)
 class ModulatedCouplings:
     """Per-sideband weights and effective couplings under flux modulation.
 
-    Index n runs over [-n_max, n_max]; at a flux sweet spot the qubit
-    frequency oscillates at twice the modulation frequency, so sideband n
-    sits at a shift of 2*n*mod_freq, otherwise n*mod_freq.  The weights
-    eps are the numeric Fourier coefficients of the phase factor.
+    Index n runs over [-SIDEBAND_MAX, SIDEBAND_MAX]; at a flux sweet spot
+    the qubit frequency oscillates at twice the modulation frequency, so
+    sideband n sits at a shift of 2*n*mod_freq, otherwise n*mod_freq.  The
+    weights eps are the numeric Fourier coefficients of the phase factor.
     Keeping only the 2*mod_freq component of the qubit frequency would
     give the Bessel weights J_n(f2_exc / 2 mod_freq); the 4*mod_freq
     harmonic interferes with J_2, so at a sweet spot |eps_n| = |eps_-n|
@@ -263,12 +290,6 @@ class ModulatedCouplings:
             raise IndexError(f"sideband {n} outside computed range")
         return {"n": int(n), "eps": self.eps[k], "g01": self.g01[k],
                 "g02": self.g02[k], "g20": self.g20[k]}
-
-
-def _is_sweet_spot(phi_dc: float) -> bool:
-    # Band extrema sit at integer and half-integer flux quanta.
-    r = phi_dc % 0.5
-    return min(r, 0.5 - r) < 1e-9
 
 
 #: Samples of one modulation period.  q2's frequency is an analytic
@@ -314,8 +335,7 @@ def average_and_excursion(q2_spec: TransmonSpec, pulse: FluxPulse) -> tuple:
     return _period_samples(q2_spec, pulse)[1:]
 
 
-def numeric_fourier_weights(q2_spec: TransmonSpec, pulse: FluxPulse,
-                            n_max: int = 5) -> tuple:
+def numeric_fourier_weights(q2_spec: TransmonSpec, pulse: FluxPulse) -> tuple:
     """Sideband weights eps_n from the Fourier expansion of the phase factor.
 
     Integrates the accumulated phase of the modulated qubit over one period
@@ -323,10 +343,10 @@ def numeric_fourier_weights(q2_spec: TransmonSpec, pulse: FluxPulse,
     with spacing 2 at a flux sweet spot and 1 elsewhere.
     Returns (n, eps, spacing) with eps complex.
     """
-    return _sidebands(q2_spec, pulse, n_max)[2:]
+    return _sidebands(q2_spec, pulse)[2:]
 
 
-def _sidebands(q2_spec: TransmonSpec, pulse: FluxPulse, n_max: int) -> tuple:
+def _sidebands(q2_spec: TransmonSpec, pulse: FluxPulse) -> tuple:
     """(f2_avg, f2_exc, n, eps, spacing) from one sampling of q2's band;
     see average_and_excursion and numeric_fourier_weights.
 
@@ -336,8 +356,8 @@ def _sidebands(q2_spec: TransmonSpec, pulse: FluxPulse, n_max: int) -> tuple:
     the N/2 term dropped as it has no unique sign of k.  The eps are the
     discrete Fourier coefficients of exp(-i theta) at the same samples.
     """
-    n = np.arange(-n_max, n_max + 1)
-    spacing = 2 if _is_sweet_spot(pulse.phi_dc) else 1
+    n = np.arange(-SIDEBAND_MAX, SIDEBAND_MAX + 1)
+    spacing = 2 if is_sweet_spot(pulse.phi_dc) else 1
     if pulse.amplitude == 0.0:
         return (*average_and_excursion(q2_spec, pulse), n,
                 (n == 0).astype(complex), spacing)
@@ -352,9 +372,10 @@ def _sidebands(q2_spec: TransmonSpec, pulse: FluxPulse, n_max: int) -> tuple:
     return f_avg, f_exc, n, harmonics[(n * spacing) % _FOURIER_SAMPLES], spacing
 
 
-def modulated_couplings(p: DeviceParams, pulse: FluxPulse, q2_spec: TransmonSpec,
-                        n_max: int = 5) -> ModulatedCouplings:
-    """Effective couplings g01_n, g02_n, g20_n for sidebands n in [-n_max, n_max].
+def modulated_couplings(p: DeviceParams, pulse: FluxPulse,
+                        q2_spec: TransmonSpec) -> ModulatedCouplings:
+    """Effective couplings g01_n, g02_n, g20_n for sidebands n in
+    [-SIDEBAND_MAX, SIDEBAND_MAX].
 
     Detunings use the average modulated frequency, Delta2 = fc - f2_avg; each
     sideband shifts the qubit-2 denominators by n*spacing*mod_freq.  The
@@ -366,7 +387,7 @@ def modulated_couplings(p: DeviceParams, pulse: FluxPulse, q2_spec: TransmonSpec
     drives g02, so its denominator Delta2 + eta2 - shift is not guarded and
     g02 keeps the value the formula gives near its collision.
     """
-    f_avg, f_exc, n, eps, spacing = _sidebands(q2_spec, pulse, n_max)
+    f_avg, f_exc, n, eps, spacing = _sidebands(q2_spec, pulse)
     d2 = p.fc - f_avg
     shift = n * spacing * pulse.mod_freq
 

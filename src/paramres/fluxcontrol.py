@@ -28,6 +28,13 @@ class FluxPulse:
             raise ValueError("mod_freq must be >= 0")
 
 
+def is_sweet_spot(phi_dc: float) -> bool:
+    """Whether a DC flux (flux quanta) sits at a sweet spot: the band
+    extrema of a SQUID transmon sit at integer and half-integer flux quanta."""
+    r = phi_dc % 0.5
+    return min(r, 0.5 - r) < 1e-9
+
+
 def instantaneous_flux(pulse: FluxPulse, t):
     """Flux on the target line at time t (ns), in flux quanta.
 

@@ -3,8 +3,9 @@
 Everything here works on the 4x4 block of a gate on the computational
 subspace (both qubits in {0, 1}, coupler in its ground state): it builds
 the 16x16 Pauli transfer matrix (PTM) of that block and scores it
-against ideal targets.  The three-body model lives on 27 levels;
-callers evolve only the dressed computational columns U B, with B from
+against ideal targets.  The three-body model lives on the DIM kept
+states of ``effective.STATES``; callers evolve only the dressed
+computational columns U B, with B from
 ``effective.dressed_computational_basis`` passed as the ``columns`` of
 ``dynamics.propagate``, and project them, B^H (U B), as a dispersive
 readout sees them.  Any other shape raises.

@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 from scipy.special import jv
 
 from paramres.calibration import (
-    DEFAULT_COUPLER_BIAS,
+    GATES,
     CalibrationError,
     calibrate_gate,
     sideband_collision_map,
@@ -203,7 +203,7 @@ def test_criterion_08_crosstalk_inversion_and_compensation():
 
 
 def test_criterion_09_collision_map_recommendation(device):
-    p = device_params(device, phic=DEFAULT_COUPLER_BIAS["iswap"])
+    p = device_params(device, phic=GATES["iswap"].coupler_bias)
     cmap = sideband_collision_map(p, device.q2)
     rec_mhz = cmap.recommended_min * 1e3
     assert 260.0 <= rec_mhz <= 300.0

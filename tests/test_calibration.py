@@ -11,10 +11,9 @@ import pytest
 from paramres import calibration
 from paramres.calibration import (
     AMPLITUDE_WINDOW,
-    DEFAULT_COUPLER_BIAS,
     DEFAULT_MOD_FREQ,
-    GATE_KINDS,
     GATES,
+    GUARD_BAND,
     CalibrationError,
     GateSpec,
     calibrate_gate,
@@ -29,7 +28,7 @@ from paramres.calibration import (
 from paramres.device import device_params
 from paramres.dynamics import (STEP_ERROR_BUDGET, ChevronMap, chevron, propagate,
                                step_error)
-from paramres.effective import (COMPUTATIONAL_LABELS, average_and_excursion,
+from paramres.effective import (COMPUTATIONAL_LABELS, DIM, average_and_excursion,
                                 dressed_computational_basis)
 from paramres.fluxcontrol import instantaneous_flux
 from paramres.tomography import (average_fidelity, extract_virtual_z, fit_fsim,
@@ -40,14 +39,15 @@ MOD_FREQ = 0.28
 
 def iswap_spec(**overrides) -> GateSpec:
     base = dict(kind="iswap", amplitude=0.155, mod_freq=MOD_FREQ,
-                duration=55.0, coupler_bias=DEFAULT_COUPLER_BIAS["iswap"])
+                duration=55.0, coupler_bias=GATES["iswap"].coupler_bias)
     base.update(overrides)
     return GateSpec(**base)
 
 
 def test_gate_spec_validation():
-    assert GATE_KINDS == ("iswap", "cz20")
-    with pytest.raises(ValueError, match="kind must be one of"):
+    assert tuple(GATES) == ("iswap", "cz20")
+    with pytest.raises(ValueError, match=r"^kind must be one of \('iswap', 'cz20'\), "
+                                         r"got 'bell'$"):
         iswap_spec(kind="bell")
     with pytest.raises(ValueError, match="duration"):
         iswap_spec(duration=0.0)
@@ -123,7 +123,7 @@ def test_set_duration_quarter_and_half_periods():
 
 
 def test_resonance_amplitude_places_average_frequency(device):
-    p = device_params(device, phic=DEFAULT_COUPLER_BIAS["iswap"])
+    p = device_params(device, phic=GATES["iswap"].coupler_bias)
     amp = find_resonance_amplitude("iswap", device.q2, p)
     assert 0.0 < amp < 0.45
     from paramres.fluxcontrol import FluxPulse
@@ -135,7 +135,7 @@ def test_resonance_amplitude_places_average_frequency(device):
 
 
 def test_resonance_amplitude_unreachable_target(device):
-    p = device_params(device, phic=DEFAULT_COUPLER_BIAS["cz20"])
+    p = device_params(device, phic=GATES["cz20"].coupler_bias)
     with pytest.raises(ValueError, match="resonance unreachable"):
         find_resonance_amplitude("cz02", device.q2, p)
 
@@ -145,7 +145,7 @@ def test_resonance_amplitude_unreachable_target(device):
 def test_default_coupler_biases_give_documented_couplings(device, kind, g_target):
     # the targets stated with DEFAULT_COUPLER_BIAS, to 5 kHz
     key = {"iswap": "g01", "cz20": "g20"}[kind]
-    _, _, mc, tau = operating_point(device, kind, DEFAULT_COUPLER_BIAS[kind],
+    _, _, mc, tau = operating_point(device, kind, GATES[kind].coupler_bias,
                                     DEFAULT_MOD_FREQ[kind])
     g = abs(mc.sideband(0)[key])
     assert g == pytest.approx(g_target, abs=5e-6)
@@ -153,8 +153,9 @@ def test_default_coupler_biases_give_documented_couplings(device, kind, g_target
 
 
 def test_collision_map_recommendation(device):
-    p = device_params(device, phic=DEFAULT_COUPLER_BIAS["iswap"])
-    cmap = sideband_collision_map(p, device.q2, guard_band=0.020)
+    p = device_params(device, phic=GATES["iswap"].coupler_bias)
+    cmap = sideband_collision_map(p, device.q2)
+    assert cmap.guard_band == GUARD_BAND == 0.020
     assert sorted(cmap.worst) == ["cz02", "cz20", "iswap"]
     worst = max(cmap.worst.values())
     assert cmap.recommended_min == pytest.approx(worst + 0.020, abs=1e-12)
@@ -200,7 +201,7 @@ def test_collision_limit_equals_the_dense_map(device, q2, guard_band):
     q2_spec = {"bundled": device.q2,
                "below_floor": scaled_q2(device, 0.8, 0.8),
                "above_floor": scaled_q2(device, 0.1, 1.3)}[q2]
-    for phic in (0.0, 0.17, DEFAULT_COUPLER_BIAS["iswap"], DEFAULT_COUPLER_BIAS["cz20"]):
+    for phic in (0.0, 0.17, GATES["iswap"].coupler_bias, GATES["cz20"].coupler_bias):
         p = device_params(device, phic=phic)
         cmap = sideband_collision_map(p, q2_spec, guard_band=guard_band)
         assert cmap.recommended_min == pytest.approx(
@@ -216,7 +217,7 @@ def test_collision_limit_reads_two_band_averages(device, monkeypatch):
 
     band = calibration.average_and_excursion
     monkeypatch.setattr(calibration, "average_and_excursion", counted)
-    p = device_params(device, phic=DEFAULT_COUPLER_BIAS["cz20"])
+    p = device_params(device, phic=GATES["cz20"].coupler_bias)
     sideband_collision_map(p, device.q2)
     assert len(calls) <= 2
 
@@ -299,7 +300,7 @@ def default_calibrations(device):
 
         def snapshots(*args, **kw):
             prop = propagate(*args, **kw)
-            if np.shape(kw.get("columns")) == (27, 4):  # the dressed basis
+            if np.shape(kw.get("columns")) == (DIM, 4):  # the dressed basis
                 trims.append(prop)
             return prop
 
@@ -355,7 +356,7 @@ def test_refined_amplitude_is_a_local_optimum_of_the_chevron(
 def test_report_scores_the_gate_unitary(device, default_calibrations, kind):
     # the trim snapshots are the calibrated gate's own unitary, at its step
     spec, report, _, (trim,) = default_calibrations[kind]
-    assert trim.cuts.shape == (len(calibration._TRIM_OFFSETS), 27, 4)
+    assert trim.cuts.shape == (len(calibration._TRIM_OFFSETS), DIM, 4)
     p, u = gate_unitary(device, spec)
     basis = dressed_computational_basis(p)
     m = basis.conj().T @ u @ basis
@@ -438,8 +439,8 @@ def test_cz20_meets_criterion_7_off_the_default_frequency(device, offset_mhz):
 def test_gate_unitary_is_unitary(device):
     spec = iswap_spec(amplitude=0.1546, duration=30.0)
     p, u = gate_unitary(device, spec)
-    assert u.shape == (27, 27)
-    assert np.max(np.abs(u @ u.conj().T - np.eye(27))) < 1e-8
+    assert u.shape == (DIM, DIM)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(DIM))) < 1e-8
     assert p.fc < 5.915  # parameters taken at the gate's coupler bias
 
 

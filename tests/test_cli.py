@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from paramres.calibration import calibrate_gate
+from paramres.calibration import GATES, calibrate_gate
 from paramres.cli import main
 from paramres.device import bundled_path, load_device
 from paramres.tomography import (PAULI_LABELS, average_fidelity, fsim_unitary,
@@ -231,6 +231,14 @@ def test_missing_config_file(capsys, tmp_path):
     assert "config file not found" in err
 
 
+def test_config_file_without_section_header_is_a_labelled_error(capsys, tmp_path):
+    cfgf = tmp_path / "headless.ini"
+    cfgf.write_text("points = 3\n")
+    code, _, err = run(capsys, "sweep", "coupling", "--config", str(cfgf))
+    assert code == 1
+    assert err.startswith("error: config parse error: File contains no section headers.")
+
+
 def test_malformed_config_value(capsys, tmp_path):
     cfgf = tmp_path / "c.ini"
     out_dir = tmp_path / "out"
@@ -270,6 +278,67 @@ def test_malformed_config_value(capsys, tmp_path):
         assert code == 1
         assert message in err
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command,text,message", [
+    (("chevron",), "[chevron]\ngate = cz02\n",
+     "config [chevron] gate: must be iswap or cz, got 'cz02'"),
+    (("chevron",), "[chevron]\nbasis = lab\n",
+     "config [chevron] basis: must be dressed or bare, got 'lab'"),
+    (("calibrate", "iswap"),
+     "[coherence]\nt1_q1_us = 70\nt1_q2_us = 56\nt2star_q1_us = 14\n",
+     "config [coherence] t2star_q2_us is required"),
+], ids=["chevron_gate", "chevron_basis", "coherence_key"])
+def test_config_choices_fail_by_key(capsys, tmp_path, command, text, message):
+    cfgf = tmp_path / "c.ini"
+    cfgf.write_text(text)
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, *command, "--config", str(cfgf), "--out-dir", str(out_dir))
+    assert (code, err) == (1, f"error: {message}\n")
+    assert not out_dir.exists()
+
+
+def test_unreadable_device_file_fails_by_name(capsys, tmp_path):
+    absent = tmp_path / "absent.ini"
+    cfgf = tmp_path / "c.ini"
+    cfgf.write_text(f"[device]\nfile = {absent}\n")
+    code, _, err = run(capsys, "flux", "invert", "--config", str(cfgf),
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith(f"error: cannot read {absent}: ")
+
+
+def test_device_fingerprint_ignores_generated_lines_of_a_text_file(capsys, tmp_path):
+    # a device file is fingerprinted as text: a "# generated" line does not
+    # move the config hash, any other change does
+    text = bundled_path("device.ini").read_text()
+    hashes = {}
+    for name, body in (("plain", text), ("generated", "# generated: 2026-01-01\n" + text),
+                       ("commented", "# note\n" + text)):
+        dev = tmp_path / f"{name}.ini"
+        dev.write_text(body)
+        cfgf = tmp_path / f"{name}_run.ini"
+        cfgf.write_text(f"[device]\nfile = {dev}\n")
+        out_dir = tmp_path / name
+        code, _, err = run(capsys, "flux", "invert", "--config", str(cfgf),
+                           "--format", "json", "--out-dir", str(out_dir))
+        assert code == 0, err
+        doc = json.loads((out_dir / "compensation.json").read_text())
+        hashes[name] = doc["meta"]["config_hash"]
+    assert hashes["generated"] == hashes["plain"] != hashes["commented"]
+
+
+def test_calibrate_cz_reports_the_coherence_note(capsys, tmp_path):
+    # the CZ coherence limit uses the iSWAP bias coherence times, and says so
+    cfgf = tmp_path / "run.ini"
+    cfgf.write_text("[gate.cz]\nrefine = false\n[coherence]\nt1_q1_us = 70\n"
+                    "t1_q2_us = 56\nt2star_q1_us = 14\nt2star_q2_us = 10\n")
+    code, _, err = run(capsys, "calibrate", "cz", "--config", str(cfgf),
+                       "--out-dir", str(tmp_path))
+    assert code == 0, err
+    coherence = json.loads((tmp_path / "report_cz20.json").read_text())["coherence"]
+    assert coherence["note"] == GATES["cz20"].coherence_note != ""
+    assert 0.9 < coherence["f_avg_limit"] < 1.0
 
 
 def test_percent_signs_in_config_values_are_literal(capsys, tmp_path):

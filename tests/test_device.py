@@ -84,6 +84,25 @@ def test_load_device_rejects_nan_by_name(tmp_path, key, message):
         load_device(path)
 
 
+@pytest.mark.parametrize("drop, message", [
+    ("[qubit2]", r"^device file missing \[qubit2\] section$"),
+    ("[network]", r"^device file missing \[network\] section$"),
+    ("c12_ff", r"^bad or missing capacitance in \[network\]: No option 'c12_ff'"),
+], ids=("qubit2", "network", "c12_ff"))
+def test_load_device_names_what_is_missing(tmp_path, drop, message):
+    # drop one section (its header and keys) or one key of the bundled file
+    kept, skipping = [], False
+    for line in bundled_path("device.ini").read_text(encoding="utf-8").splitlines():
+        if line.startswith("["):
+            skipping = line == drop
+        if not (skipping or line.startswith(drop)):
+            kept.append(line)
+    path = tmp_path / "partial.ini"
+    path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_device(path)
+
+
 def test_load_device_missing_file():
     with pytest.raises(ValueError, match="device file not found"):
         load_device("/nonexistent/device.ini")

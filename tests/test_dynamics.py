@@ -21,14 +21,15 @@ from paramres.dynamics import (
     propagate,
     step_error,
 )
-from paramres.effective import basis_index, build_hamiltonian, dressed_computational_basis
+from paramres.effective import (COMPUTATIONAL_INDICES, DIM, basis_index, build_hamiltonian,
+                                dressed_computational_basis)
 from paramres.fluxcontrol import FluxPulse
 from paramres.spectrum import DeviceParams
 
 MOD_FREQ = 0.28
 PERIOD = 1.0 / MOD_FREQ
 #: |100>, q1 excited, as the one column propagate evolves
-Q1_EXCITED = np.eye(27)[:, [9]]
+Q1_EXCITED = np.eye(DIM)[:, [basis_index(1, 0, 0)]]
 
 
 def exchange_params(g: float, delta: float = 0.0) -> DeviceParams:
@@ -52,13 +53,17 @@ def exchange_populations(device, g: float, delta: float):
     return times, np.abs(prop.cuts[:, :, 0]) ** 2
 
 
+Q2_POP = basis_index(0, 0, 1)  # the column of |001> in exchange_populations
+Q1_POP = basis_index(1, 0, 0)
+
+
 def test_resonant_exchange_matches_analytic(device):
     # the only correction to the rotating-frame result is the tiny
     # Bloch-Siegert shift of the direct coupling
     g = 0.004
     times, pops = exchange_populations(device, g, 0.0)
     analytic = np.sin(2 * np.pi * g * times) ** 2
-    assert np.max(np.abs(pops[:, 1] - analytic)) < 1e-4
+    assert np.max(np.abs(pops[:, Q2_POP] - analytic)) < 1e-4
 
 
 def test_detuned_exchange_matches_generalized_rabi(device):
@@ -66,7 +71,7 @@ def test_detuned_exchange_matches_generalized_rabi(device):
     omega = np.hypot(g, delta / 2.0)
     times, pops = exchange_populations(device, g, delta)
     analytic = (g / omega) ** 2 * np.sin(2 * np.pi * omega * times) ** 2
-    assert np.max(np.abs(pops[:, 1] - analytic)) < 1e-4
+    assert np.max(np.abs(pops[:, Q2_POP] - analytic)) < 1e-4
 
 
 def test_full_model_reduces_to_exchange_when_couplings_vanish(device):
@@ -76,7 +81,7 @@ def test_full_model_reduces_to_exchange_when_couplings_vanish(device):
     g = 0.004
     for delta in (0.0, 0.003):
         _, pops = exchange_populations(device, g, delta)
-        leak = np.max(np.abs(pops[:, 1] + pops[:, 9] - 1.0))
+        leak = np.max(np.abs(pops[:, Q2_POP] + pops[:, Q1_POP] - 1.0))
         assert 1e-7 < leak < 1e-5
 
 
@@ -112,7 +117,7 @@ def test_unitary_snapshots_match_truncated_pulses(device):
     for amplitude, mod_freq in ((0.154, MOD_FREQ), (0.0, 0.0)):  # modulated, static
         pulse = flat_pulse(512 * dt, amplitude=amplitude, mod_freq=mod_freq)
         prop = propagate(p, pulse, device.q2, dt=dt, times=times)
-        assert prop.cuts.shape == (len(times), 27, 27)
+        assert prop.cuts.shape == (len(times), DIM, DIM)
         for t, u in zip(times, prop.cuts):
             solo = propagate(
                 p, flat_pulse(float(t), amplitude=amplitude, mod_freq=mod_freq),
@@ -136,7 +141,7 @@ def stepped_propagators(p, q2_pulse, q2_spec, dt, times):
         pk = replace(p, **{key: float(series[key][0]) for key in series})
         return expm(-2j * np.pi * build_hamiltonian(pk) * (t1 - t0))
 
-    u = [np.eye(27, dtype=complex)]
+    u = [np.eye(DIM, dtype=complex)]
     for k in range(whole.max()):
         u.append(step(k * dt, (k + 1) * dt) @ u[-1])
     return np.array([u[s] if t - s * dt < 1e-12 else step(s * dt, t) @ u[s]
@@ -190,11 +195,10 @@ TIMES = [1.0, 3.1, 10.0, 20.0, 24.0, 25.4]
 ], ids=["modulated", "dc", "off_sweet_spot", "snapped", "sub_period",
         "sub_quarter", "off_sweet_spot_third_quarter", "sub_step", "tiny"])
 def test_period_reuse_matches_direct_stepping(device, q2_pulse, dt, times):
-    # cuts in reverse, every 7th step boundary, and a repeat; all 27
+    # cuts in reverse, every 7th step boundary, and a repeat; all DIM
     # columns by default, one column with psi
     p = device_params(device, phic=0.29472, phi2=q2_pulse.phi_dc)
-    psi = np.zeros(27, dtype=complex)
-    psi[9] = 1.0
+    psi = Q1_EXCITED[:, 0].astype(complex)
     step = propagate(p, q2_pulse, device.q2, dt=dt).dt
     cuts = [*times[::-1], *step * np.arange(1, int(q2_pulse.duration / step) + 1, 7),
             times[0]]
@@ -202,8 +206,8 @@ def test_period_reuse_matches_direct_stepping(device, q2_pulse, dt, times):
     kept = propagate(p, q2_pulse, device.q2, dt=dt, columns=psi[:, None], times=cuts)
     if q2_pulse.mod_freq > 0.0:
         assert round(1.0 / (q2_pulse.mod_freq * prop.dt)) % 4 == 0
-    assert prop.cuts.shape == (len(cuts), 27, 27)
-    assert kept.cuts.shape == (len(cuts), 27, 1)
+    assert prop.cuts.shape == (len(cuts), DIM, DIM)
+    assert kept.cuts.shape == (len(cuts), DIM, 1)
     ref = stepped_propagators(p, q2_pulse, device.q2, prop.dt,
                               [q2_pulse.duration, *cuts])
     assert np.max(np.abs(prop.unitary - ref[0])) < 1e-9
@@ -220,11 +224,11 @@ def test_period_reuse_matches_direct_stepping(device, q2_pulse, dt, times):
 ], ids=["modulated", "off_sweet_spot", "sub_quarter", "static"])
 def test_snapshots_off_the_step_grid_are_truncated_pulses(device, q2_pulse):
     # unsorted and repeated requests come back one per request, in order,
-    # as U(t) X for X all 27 columns, one column and the 4-column dressed
+    # as U(t) X for X all DIM columns, one column and the 4-column dressed
     # basis
     p = device_params(device, phic=0.29472, phi2=q2_pulse.phi_dc)
     times = np.array([0.77, 0.131, 0.77, 0.4999]) * q2_pulse.duration
-    inputs = (np.eye(27), np.full((27, 1), 1.0 / np.sqrt(27)),
+    inputs = (np.eye(DIM), np.full((DIM, 1), 1.0 / np.sqrt(DIM)),
               dressed_computational_basis(p))
     props = [propagate(p, q2_pulse, device.q2, columns=x, times=times) for x in inputs]
     off_grid = np.abs(times / props[0].dt - np.round(times / props[0].dt))
@@ -232,7 +236,7 @@ def test_snapshots_off_the_step_grid_are_truncated_pulses(device, q2_pulse):
     for i, t in enumerate(times):
         solo = propagate(p, replace(q2_pulse, duration=float(t)), device.q2)
         for x, prop in zip(inputs, props):
-            assert prop.cuts.shape == (len(times), 27, x.shape[1])
+            assert prop.cuts.shape == (len(times), DIM, x.shape[1])
             assert np.max(np.abs(prop.cuts[i] - solo.unitary @ x)) <= 1e-10
 
 
@@ -268,7 +272,7 @@ def test_long_static_pulse_needs_no_per_step_arrays(device, zero_bias_params):
     evals, vecs = np.linalg.eigh(build_hamiltonian(zero_bias_params))
     exact = (vecs * np.exp(-2j * np.pi * evals * 2000.0)) @ vecs.conj().T
     assert np.max(np.abs(prop.unitary - exact)) < 1e-8
-    assert np.max(np.abs(prop.cuts[-1] - exact[:, [9]])) < 1e-8
+    assert np.max(np.abs(prop.cuts[-1] - exact @ Q1_EXCITED)) < 1e-8
 
 
 def test_modulated_pulse_cost_does_not_grow_with_duration(device):
@@ -319,8 +323,7 @@ def test_dc_pulse_evolves_in_closed_form_from_one_eigendecomposition(
 
     monkeypatch.setattr(scipy.linalg, "schur", no_schur)
     p = device_params(device, phic=0.29472)
-    psi = np.zeros(27)
-    psi[9] = 1.0
+    psi = Q1_EXCITED[:, 0]
     times = 300.0 * np.linspace(0.0, 1.0, 721)[1:] ** 1.5  # irregular
     prop = propagate(p, flat_pulse(300.0), device.q2, columns=psi[:, None],
                      times=times)
@@ -335,8 +338,8 @@ def test_dc_pulse_evolves_in_closed_form_from_one_eigendecomposition(
 
 
 @pytest.mark.parametrize("columns", [
-    (np.eye(27)[:, [0]] + np.eye(27)[:, [9]]) / np.sqrt(2.0),
-    np.eye(27)[:, [0, 9]],
+    (np.eye(DIM)[:, [basis_index(0, 0, 0)]] + Q1_EXCITED) / np.sqrt(2.0),
+    np.eye(DIM)[:, [basis_index(0, 0, 0), basis_index(1, 0, 0)]],
 ], ids=["superposition", "one_column_per_parity"])
 def test_static_cuts_of_mixed_parity_columns(device, columns):
     # (|000> + |100>)/sqrt(2) reaches the Floquet modes of both parity
@@ -390,16 +393,17 @@ def test_propagate_rejects_a_bad_step(device, zero_bias_params, dt, mod_freq):
 
 
 @pytest.mark.parametrize("columns", [
-    np.ones((26, 1)) / np.sqrt(26),
-    np.zeros((27, 1)),
-    np.full((27, 1), np.nan),
-    np.full((27, 1), np.inf),
-    np.eye(27)[9],
-    np.zeros((27, 0)),
-    np.eye(27)[:, [9, 10]] @ np.array([[1.0, 0.6], [0.0, 0.8]]),  # unit columns
+    np.ones((DIM - 1, 1)) / np.sqrt(DIM - 1),
+    np.zeros((DIM, 1)),
+    np.full((DIM, 1), np.nan),
+    np.full((DIM, 1), np.inf),
+    Q1_EXCITED[:, 0],
+    np.zeros((DIM, 0)),
+    np.eye(DIM)[:, [basis_index(1, 0, 0), basis_index(1, 0, 1)]]
+    @ np.array([[1.0, 0.6], [0.0, 0.8]]),  # unit columns
 ], ids=["short", "zero", "nan", "inf", "vector", "no_column", "non_orthogonal"])
 def test_propagate_rejects_bad_columns(device, zero_bias_params, columns):
-    with pytest.raises(ValueError, match="columns must be a finite 27xk isometry"):
+    with pytest.raises(ValueError, match=f"columns must be a finite {DIM}xk isometry"):
         propagate(zero_bias_params, flat_pulse(20.0), device.q2, columns=columns)
 
 
@@ -431,7 +435,7 @@ def test_explicit_dt_of_whole_steps_per_period_snaps_to_them(
 
 def test_step_error_of_a_static_pulse_vanishes(device, zero_bias_params):
     # a static pulse is exact at any step
-    basis = np.eye(27)[:, [0, 1, 9, 10]]
+    basis = np.eye(DIM)[:, COMPUTATIONAL_INDICES]
     assert step_error(zero_bias_params, flat_pulse(20.0), device.q2, basis) < 1e-12
 
 
@@ -615,7 +619,7 @@ def test_chevron_validation(device, zero_bias_params):
     with pytest.raises(ValueError, match="initial state must be"):
         chevron(zero_bias_params, pulse, device.q2, [0.1], [10.0],
                 initial="20")
-    with pytest.raises(ValueError, match="27x4 isometry"):
+    with pytest.raises(ValueError, match=f"{DIM}x4 isometry"):
         chevron(zero_bias_params, pulse, device.q2, [0.1], [10.0],
                 basis=np.eye(4))
     for bad in ([-20.0, 10.0], [-3.3], [0.0], [np.nan, 10.0], [np.inf]):

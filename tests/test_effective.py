@@ -1,15 +1,24 @@
-"""Static and flux-modulated effective couplings."""
+"""The kept states, the Hamiltonian, and static and flux-modulated
+effective couplings."""
+
+import itertools
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import jv
 
+from paramres import effective
 from paramres.effective import (
     COMPUTATIONAL_INDICES,
     DIM,
+    LEVELS,
     NUM_1,
     NUM_2,
     NUM_C,
+    SIDEBAND_MAX,
+    STATES,
     _pair_gap,
     average_and_excursion,
     basis_index,
@@ -18,6 +27,7 @@ from paramres.effective import (
     min_gap,
     modulated_couplings,
     numeric_fourier_weights,
+    parity_blocks,
     static_couplings,
 )
 from paramres.fluxcontrol import FluxPulse
@@ -37,6 +47,16 @@ def test_basis_index_layout():
     assert basis_index(1, 0, 0) == 9
     assert basis_index(2, 2, 2) == 26
     assert COMPUTATIONAL_INDICES == (0, 1, 9, 10)
+
+
+def test_basis_index_rejects_states_that_are_not_kept():
+    # a state outside STATES neither aliases a kept state nor indexes past
+    # the end: basis_index(0, 1, 3) once read |020> and (3, 0, 0) read 27
+    assert [basis_index(*state) for state in STATES] == list(range(DIM))
+    for state in itertools.product(range(-1, LEVELS + 2), repeat=3):
+        if state not in STATES:
+            with pytest.raises(ValueError, match=re.escape("|%d %d %d> is not one" % state)):
+                basis_index(*state)
 
 
 def test_hamiltonian_diagonal_energies(dispersive_params):
@@ -59,15 +79,59 @@ def test_hamiltonian_is_real_symmetric(dispersive_params):
 
 
 TOTAL_EXCITATION = NUM_1 + NUM_C + NUM_2
-_LOWER = np.diag([1.0, np.sqrt(2.0)], k=1)  # one mode's lowering operator
+
+# The product of each mode's lowest _D levels holds every kept state;
+# operators built on it by Kronecker products and restricted to STATES
+# are the references of the operators that effective reads off STATES.
+_D = max(map(max, STATES)) + 1
+_KEPT = [int(np.ravel_multi_index(state, (_D,) * 3)) for state in STATES]
+_LOWER = np.diag(np.sqrt(np.arange(1.0, _D)), k=1)  # one mode's lowering operator
+
+
+def kron_op(ops: dict) -> np.ndarray:
+    """np.kron of ops[slot] for each mode slot (the identity elsewhere),
+    restricted to the kept states."""
+    full = [ops.get(slot, np.eye(_D)) for slot in range(3)]
+    return np.kron(full[0], np.kron(full[1], full[2]))[np.ix_(_KEPT, _KEPT)]
 
 
 def exchange_op(slot_a: int, slot_b: int) -> np.ndarray:
     """Rotating-wave exchange a_a^dag a_b + h.c. between two of the modes."""
-    ops = [np.eye(3)] * 3
-    ops[slot_a], ops[slot_b] = _LOWER.T, _LOWER
-    term = np.kron(ops[0], np.kron(ops[1], ops[2]))
+    term = kron_op({slot_a: _LOWER.T, slot_b: _LOWER})
     return term + term.T
+
+
+def test_operators_equal_their_kronecker_reference():
+    # byte for byte, so a -0.0 where the reference holds +0.0 fails
+    num = np.diag(np.arange(float(_D)))
+    ladder = np.diag([n * (n - 1) / 2 for n in range(_D)])  # n(n-1)/2, +0.0 at n = 0
+    x = _LOWER + _LOWER.T
+    for slot, mode in enumerate("1C2"):
+        for name, op in ((f"NUM_{mode}", num), (f"P2_{mode}", ladder)):
+            ours, reference = getattr(effective, name), np.diag(kron_op({slot: op}))
+            assert ours.shape == (DIM,) and ours.tobytes() == reference.tobytes(), name
+    for name, slots in (("XX_1C", (0, 1)), ("XX_C2", (1, 2)), ("XX_12", (0, 2))):
+        ours, reference = getattr(effective, name), kron_op(dict.fromkeys(slots, x))
+        assert ours.shape == (DIM, DIM) and ours.tobytes() == reference.tobytes(), name
+
+
+def test_parity_blocks_are_the_blocks_of_the_hamiltonian(zero_bias_params):
+    # each block, batched over q2 samples, equals that block of
+    # build_hamiltonian byte for byte, and H is exactly 0 between parities
+    p = zero_bias_params
+    f2 = p.f2 + np.linspace(-0.4, 0.05, 7)
+    g2c, g12 = (g * np.linspace(0.9, 1.02, 7) for g in (p.g2c, p.g12))
+    blocks = list(parity_blocks(p, f2, g2c, g12))
+    assert [h.shape for _, h in blocks] == [(7, len(idx), len(idx)) for idx, _ in blocks]
+    for parity, (idx, _) in enumerate(blocks):
+        assert np.all(TOTAL_EXCITATION[idx] % 2 == parity)
+    (even, _), (odd, _) = blocks
+    np.testing.assert_array_equal(np.sort(np.concatenate([even, odd])), np.arange(DIM))
+    for s in range(len(f2)):
+        h = build_hamiltonian(replace(p, f2=f2[s], g2c=g2c[s], g12=g12[s]))
+        for idx, block in blocks:
+            assert block[s].tobytes() == h[np.ix_(idx, idx)].tobytes()
+        assert np.all(h[np.ix_(even, odd)] == 0.0)
 
 
 def rotating_wave_part(h: np.ndarray) -> np.ndarray:
@@ -91,7 +155,7 @@ def test_rwa_conserves_total_excitation(dispersive_params):
 
 def test_counter_rotating_block_only_in_full_model(dispersive_params):
     # the counter-rotating parts of the XX couplings change N by two, so H
-    # keeps the parity (-1)^N, which the 14+13 block split relies on
+    # keeps the parity (-1)^N, which parity_blocks relies on
     h_full = build_hamiltonian(dispersive_params)
     counter = h_full - rotating_wave_part(h_full)
     n = TOTAL_EXCITATION
@@ -138,7 +202,7 @@ def test_min_gap_requires_a_crossing_in_window(device, window):
 
 @pytest.mark.parametrize("phic", [0.0, 0.04, 0.17, 0.20, 0.23, 0.26, 0.29])
 def test_pair_gap_equals_the_full_eigensolve_at_the_sweep_vertices(device, phic):
-    # the odd parity block holds |10> and |01>; the full 27-state H,
+    # the odd parity block holds |10> and |01>; the full DIMxDIM H,
     # diagonalized here, gives the same gap at each criterion-5 vertex.
     # Each eigensolve rounds its eigenvalues by about eps*||H||, which
     # near bias 0 (a gap of 0.6 MHz under levels of 3.8 GHz) exceeds
@@ -187,7 +251,7 @@ def test_fourier_weights_match_bessel_at_small_amplitude(device):
 
 def test_fourier_weights_are_normalized(device):
     pulse = FluxPulse(phi_dc=0.0, amplitude=0.15, mod_freq=0.28, duration=100.0)
-    _, eps, _ = numeric_fourier_weights(device.q2, pulse, n_max=5)
+    _, eps, _ = numeric_fourier_weights(device.q2, pulse)
     total = np.sum(np.abs(eps) ** 2)
     assert 0.995 < total <= 1.0 + 1e-9
 
@@ -301,9 +365,12 @@ def test_modulated_couplings_samples_the_band_once(device, zero_bias_params,
 
 def test_sideband_out_of_range(device, zero_bias_params):
     pulse = FluxPulse(phi_dc=0.0, amplitude=0.05, mod_freq=0.3, duration=100.0)
-    mc = modulated_couplings(zero_bias_params, pulse, device.q2, n_max=3)
-    with pytest.raises(IndexError, match="outside computed range"):
-        mc.sideband(4)
+    mc = modulated_couplings(zero_bias_params, pulse, device.q2)
+    np.testing.assert_array_equal(mc.n, np.arange(-SIDEBAND_MAX, SIDEBAND_MAX + 1))
+    assert mc.sideband(SIDEBAND_MAX)["n"] == SIDEBAND_MAX
+    for n in (-SIDEBAND_MAX - 1, SIDEBAND_MAX + 1):
+        with pytest.raises(IndexError, match="outside computed range"):
+            mc.sideband(n)
 
 
 def test_modulated_couplings_guards_coupler_collision(device, zero_bias_params):
