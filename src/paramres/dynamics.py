@@ -3,10 +3,8 @@
 The integrator is a piecewise-constant midpoint rule: the Hamiltonian is
 sampled at step midpoints and each step applies exp(-i*2*pi*H(t_mid)*dt)
 through an exact eigendecomposition, so every step is exactly unitary and
-the global error is second order in dt.  The Hamiltonian conserves the
-excitation parity, so each step is diagonalized in its parity blocks
-(effective.parity_blocks).  Propagation happens in the lab frame;
-single-qubit phases are stripped afterwards (see tomography).
+the global error is second order in dt.  Propagation happens in the lab
+frame; single-qubit phases are stripped afterwards (see tomography).
 
 The step size follows the physics.  Each step is exact for its own
 Hamiltonian, so the static part of H costs no accuracy at any step size
@@ -18,14 +16,23 @@ A static pulse takes no steps: it evolves in closed form from one
 eigendecomposition.  A propagation evolves only the columns its caller
 reads, U(t) X for a DIMxk isometry X (one prepared state, or the dressed
 computational basis of a gate block), cut at exactly the requested
-times; the full final unitary comes with it.
+times and at the duration.
+
+The Hamiltonian conserves the excitation parity, so H and every
+propagator are block diagonal in effective.PARITY_BLOCKS, and each block
+evolves on its own.  A propagation evolves only the blocks that X
+reaches: a block whose rows of X are all exactly zero is never
+diagonalized, multiplied or cut.  One prepared state of a definite
+parity, such as a dressed computational state, evolves in its block
+alone; the identity and a gate block's basis reach both.
 
 The drive is a pure sine, so a modulation period is fixed by its first
 quarter: the step Hamiltonians mirror about T/4 and 3T/4, and about a
 sweet spot the second half repeats the first.  propagate diagonalizes
 only those distinct steps, one quarter (two off a sweet spot), and
 multiplies them out in period order into the prefixes of one period,
-which with the period's Floquet form give the propagator at any time
+which with the period's Floquet form give the propagator at any time,
+block by block
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009); Shirley,
 Phys. Rev. 138, B979 (1965)).
 
@@ -41,8 +48,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .effective import (COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS, DIM, basis_index,
-                        min_gap, parity_blocks, static_couplings)
+from .effective import (COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS, DIM, PARITY_BLOCKS,
+                        basis_index, min_gap, parity_blocks, static_couplings)
 from .fluxcontrol import FluxPulse, instantaneous_flux, is_sweet_spot
 from .spectrum import DeviceParams, transition_frequency, transmon_expansion
 
@@ -53,12 +60,12 @@ UNITARITY_TOL = 1e-8
 class Propagation:
     """Result of one time-domain propagation."""
 
-    unitary: np.ndarray          # final U in the bare product basis
+    unitary: np.ndarray          # U(T) X at the duration T, shape (DIM, k); U(T) for X = I
     dt: float                    # step size (ns); a static pulse's duration
     n_steps: int
-    n_diagonalized: int          # step Hamiltonians diagonalized
+    n_diagonalized: int          # step Hamiltonians diagonalized, in the blocks X reaches
     cuts: np.ndarray             # U(t) X per requested time t, shape (n_times, DIM, k)
-    unitarity_defect: float
+    unitarity_defect: float      # largest max|U_b(T)^H U_b(T) - I| of an evolved block b
 
 
 def _parameter_series(p, q2_pulse, q2_spec, t_mid):
@@ -90,32 +97,22 @@ def _parameter_series(p, q2_pulse, q2_spec, t_mid):
 # each gathering its prefix from the period's table; bounds the work arrays
 _EIGH_BATCH = 64
 
-def _step_eigenpairs(p, series):
-    """Eigenpairs of the step Hamiltonians, one parity block at a time.
-
-    series holds the q2 parameters at the step midpoints (see
-    _parameter_series).  Yields (idx, evals, vecs) for each block idx of
-    effective.parity_blocks, batched over the steps.
-    """
-    for idx, h in parity_blocks(p, **series):
-        yield (idx, *np.linalg.eigh(h))
-
-
-def _step_matrices(p, series, dts):
+def _step_matrices(p, series, dts, blocks):
     """Yield (c, steps): the midpoint steps of the slice c of dts, batched.
 
-    p and series are those of _step_eigenpairs and dts the step
-    lengths.  Each step is exp(-i*2*pi*H*dt), built from the
-    eigendecomposition of H in each parity block.
+    series holds the q2 parameters at the step midpoints (see
+    _parameter_series) and dts the step lengths.  steps[b] is
+    exp(-i*2*pi*H*dt) in the parity block blocks[b] (see
+    effective.parity_blocks), from the eigendecomposition of H there.
     """
     for a in range(0, len(dts), _EIGH_BATCH):
         c = slice(a, a + _EIGH_BATCH)
-        steps = np.zeros((len(dts[c]), DIM, DIM), dtype=complex)
         batch = {key: values[c] for key, values in series.items()}
-        for idx, evals, vecs in _step_eigenpairs(p, batch):
+        steps = []
+        for _, h in parity_blocks(p, **batch, blocks=blocks):
+            evals, vecs = np.linalg.eigh(h)
             phases = np.exp(-2j * math.pi * evals * dts[c, None])
-            steps[(slice(None), *np.ix_(idx, idx))] = ((vecs * phases[:, None, :])
-                                                       @ vecs.transpose(0, 2, 1))
+            steps.append((vecs * phases[:, None, :]) @ vecs.transpose(0, 2, 1))
         yield c, steps
 
 
@@ -200,12 +197,22 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     (len(times), DIM, k), for X = columns, a DIMxk isometry (orthonormal
     columns, k >= 1) that defaults to the identity.  Callers pass only
     the columns they read: one prepared state, or the dressed basis B of
-    a gate block B^H (U B).  The cut at t is the final unitary of the
-    same pulse with duration t: the pulse is square, so the truncated
+    a gate block B^H (U B).  The cut at t is the unitary that the same
+    pulse with duration t returns: the pulse is square, so the truncated
     pulse takes the same steps up to t, and both end with the same
     partial step.  A duration scan then costs one propagation instead of
-    one per duration.  The full final unitary, the cut at the duration,
-    is always returned as unitary and checked against UNITARITY_TOL.
+    one per duration.  The cut at the duration, U(T) X of shape (DIM, k),
+    is always returned as unitary; for the default X = I it is the full
+    unitary U(T).
+
+    Parity blocks: H keeps the excitation parity, so U(t) is block
+    diagonal in effective.PARITY_BLOCKS.  Only the blocks in which X has
+    a nonzero row are evolved: their steps, prefixes, Floquet forms and
+    cuts are computed block by block, and the rows of U(t) X outside
+    them are exactly zero.  A column of one parity, such as a dressed
+    computational state, costs one block.  Each evolved block's U_b(T)
+    is checked against UNITARITY_TOL; unitarity_defect is the largest
+    max|U_b^H U_b - I|.
 
     The step: with dt=None a modulated pulse takes modulation_step, m
     steps per period with m a multiple of 8 under STEP_ERROR_BUDGET
@@ -219,20 +226,23 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     whole steps by period reuse and then one partial step of length
     t - s*dt at its own midpoint (none when that is below 1e-4 of a
     step).  A cut on the step grid (dt*round(t/dt) with dt from
-    modulation_step) is free; each cut off it diagonalizes one partial
-    step.
+    modulation_step) costs a product per evolved block; each cut off it
+    diagonalizes one partial step in each evolved block, and counts one
+    diagonalization however many blocks it takes.
 
     Period reuse: a modulated pulse has m steps per period, so the
     Hamiltonian repeats every m steps.  With P_k the product of the first
     k steps of a period, after s = n*m + k steps (0 <= k < m) the
     propagator is P_k U_P^n, with U_P^n = Z diag(exp(i*n*theta)) Z^H and
-    (theta, Z) from the complex Schur form of U_P = P_m.  The prefixes
-    sample the periodic waveform, also past the end of a pulse shorter
-    than its period, whose cuts read only the prefixes it reaches.  So
-    the cost grows with the steps per period and the cuts, not with
-    duration/dt.  Cuts go in batches, as P_k Z (exp(i*n*theta) * Z^H x)
-    for x the identity (the final unitary) or X; a static pulse is the
-    case k = 0, theta = -2*pi*E and n = t.
+    (theta, Z) from the complex Schur form of U_P = P_m, each of them
+    per evolved block (Shirley's Floquet form is block diagonal too).
+    The prefixes sample the periodic waveform, also past the end of a
+    pulse shorter than its period, whose cuts read only the prefixes it
+    reaches.  So the cost grows with the steps per period, the cuts and
+    the evolved blocks, not with duration/dt.  Cuts go in batches, as
+    P_k Z (exp(i*n*theta) * Z^H x) in each block for x the block's
+    identity (U_b(T)) or its rows of X; a static pulse is the case
+    k = 0, theta = -2*pi*E and n = t.
 
     Quarter symmetry: with q = m/4 and midpoints (j + 1/2)*dt, the flux
     enters H only through sin(2*pi*f*t), so within each half period step
@@ -254,6 +264,9 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     if not np.all((want > 0.0) & (want <= duration + 1e-9)):
         raise ValueError("cut times must lie in (0, duration]")
     cols = np.eye(DIM) if columns is None else _isometry(columns)
+    # H never leaves a parity block, so a block without a nonzero row of
+    # the columns evolves nothing that is read
+    blocks = [idx for idx in PARITY_BLOCKS if np.any(cols[idx] != 0.0)]
     ends = np.minimum(np.append(want, duration), duration)  # the duration last
 
     n_diagonalized = 0
@@ -263,18 +276,20 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         nonlocal n_diagonalized
         n_diagonalized += len(t_mid)
         series = _parameter_series(p, pulse, q2_spec, t_mid)
-        return _step_matrices(p, series, lengths)
+        return _step_matrices(p, series, lengths, blocks)
 
+    # floquet[b] = (theta, Z, table) of blocks[b]: the propagator after
+    # n periods and k steps is table[k] Z diag(exp(i*n*theta)) Z^H
+    floquet = []
     if not _is_modulated(q2_pulse):
         # one step of the whole duration, diagonalized once: the cut at t
         # is Z exp(i*t*theta) Z^T with theta = -2*pi*E, with no prefix
         dt, n_steps, n_diagonalized = duration, 1, 1
         series = _parameter_series(p, q2_pulse, q2_spec, np.zeros(1))
-        theta, z = np.zeros(DIM), np.zeros((DIM, DIM))
-        for idx, evals, vecs in _step_eigenpairs(p, series):
-            theta[idx] = -2.0 * math.pi * evals[0]
-            z[np.ix_(idx, idx)] = vecs[0]
-        s, table = np.zeros(len(ends), dtype=int), None
+        for _, h in parity_blocks(p, **series, blocks=blocks):
+            evals, vecs = np.linalg.eigh(h[0])
+            floquet.append((-2.0 * math.pi * evals, vecs, None))
+        s = np.zeros(len(ends), dtype=int)
         n, k, r = ends, s, np.zeros(len(ends))
     else:
         from scipy.linalg import schur
@@ -303,49 +318,54 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         first = np.unique(order, return_index=True)[1]
         # the steps sample the waveform for a whole period
         wave = replace(q2_pulse, duration=max(duration, period))
-        unique = np.concatenate([batch for _, batch in steps(
-            wave, (first + 0.5) * dt, np.full(len(first), dt))])
-        table = np.empty((m + 1, DIM, DIM), dtype=complex)  # table[k] = P_k
-        table[0] = np.eye(DIM)
-        for i in range(m):
-            np.matmul(unique[order[i]], table[i], out=table[i + 1])
+        batches = [batch for _, batch in steps(wave, (first + 0.5) * dt,
+                                               np.full(len(first), dt))]
+        for unique in map(np.concatenate, zip(*batches)):
+            table = np.empty((m + 1, *unique.shape[1:]), dtype=complex)  # table[k] = P_k
+            table[0] = np.eye(len(table[0]))
+            for i in range(m):
+                np.matmul(unique[order[i]], table[i], out=table[i + 1])
+            # U_P is unitary, so its complex Schur form is diagonal and
+            # U_P^n = Z diag(exp(i*n*theta)) Z^H.
+            schur_t, z = schur(table[m], output="complex")
+            floquet.append((np.angle(np.diag(schur_t)), z, table))
 
-        # U_P is unitary, so its complex Schur form is diagonal and
-        # U_P^n = Z diag(exp(i*n*theta)) Z^H.
-        schur_t, z = schur(table[m], output="complex")
-        theta = np.angle(np.diag(schur_t))
-    w = z.conj().T
-
-    def cut(i, x):
-        """U(t) y at the cut times ends[i], for x = Z^H y of shape (DIM, k).
-
-        Floquet modes whose row of x is exactly zero do not reach y, so
-        they are left out of the phases and the product: a column of one
-        parity evolves in its own block alone.
-        """
-        live = np.flatnonzero(np.any(x != 0.0, axis=1))
-        z_live, theta_live, x = z[:, live], theta[live], x[live]
-        out = np.empty((len(i), DIM, x.shape[1]), dtype=complex)
-        for a in range(0, len(i), _EIGH_BATCH):
-            c = i[a:a + _EIGH_BATCH]
-            phases = np.exp(1j * np.multiply.outer(n[c], theta_live))
-            y = z_live @ (phases[:, :, None] * x)
-            out[a:a + _EIGH_BATCH] = y if table is None else table[k[c]] @ y
+    def cut(i, ys):
+        """U(t) y in each block at the cut times ends[i], for ys[b] the
+        rows of blocks[b] of the columns y: one array of shape
+        (len(i), len(blocks[b]), k) per block."""
+        outs = []
+        for (theta, z, table), y in zip(floquet, ys):
+            x = z.conj().T @ y
+            out = np.empty((len(i), *y.shape), dtype=complex)
+            for a in range(0, len(i), _EIGH_BATCH):
+                c = i[a:a + _EIGH_BATCH]
+                phases = np.exp(1j * np.multiply.outer(n[c], theta))
+                zx = z @ (phases[:, :, None] * x)
+                out[a:a + _EIGH_BATCH] = zx if table is None else table[k[c]] @ zx
+            outs.append(out)
         j = np.flatnonzero(r[i] > 0.0)
         if j.size:  # no partial step, no parameter series
             for c, batch in steps(q2_pulse, s[i[j]] * dt + 0.5 * r[i[j]], r[i[j]]):
-                out[j[c]] = batch @ out[j[c]]
-        return out
+                for out, step in zip(outs, batch):
+                    out[j[c]] = step @ out[j[c]]
+        return outs
 
-    u = cut(np.array([len(want)]), w)[0]
-
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(DIM))))
+    final = [u[0] for u in cut(np.array([len(want)]),
+                               [np.eye(len(idx)) for idx in blocks])]
+    defect = max(float(np.max(np.abs(u.conj().T @ u - np.eye(len(u))))) for u in final)
     if defect > UNITARITY_TOL:
         raise ValueError(
             f"unitarity drift {defect:.2e} exceeds {UNITARITY_TOL}; reduce dt")
-    cuts = cut(np.arange(len(want)), w @ cols)  # before n_diagonalized is read
-    return Propagation(unitary=u, dt=dt, n_steps=n_steps, n_diagonalized=n_diagonalized,
-                       cuts=cuts, unitarity_defect=defect)
+    unitary = np.zeros((DIM, cols.shape[1]), dtype=complex)
+    cuts = np.zeros((len(want), *unitary.shape), dtype=complex)
+    # before n_diagonalized is read
+    parts = cut(np.arange(len(want)), [cols[idx] for idx in blocks])
+    for idx, u, part in zip(blocks, final, parts):
+        unitary[idx] = u @ cols[idx]
+        cuts[:, idx] = part
+    return Propagation(unitary=unitary, dt=dt, n_steps=n_steps,
+                       n_diagonalized=n_diagonalized, cuts=cuts, unitarity_defect=defect)
 
 
 def step_error(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, basis) -> float:
@@ -354,12 +374,12 @@ def step_error(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, basis) -> float:
     The midpoint rule is second order, so with m steps per period
     U(m) - U(m/2) is three times U(m) - U to leading order; the estimate
     is max|(U(m) - U(m/2)) B| / 3 on the columns of the DIMxk isometry
-    ``basis``.  It costs two propagations, at m and at m/2 steps per
-    period.
+    ``basis``.  It costs two propagations of those columns, at m and at
+    m/2 steps per period.
     """
-    full = propagate(p, q2_pulse, q2_spec)
-    half = propagate(p, q2_pulse, q2_spec, dt=2.0 * full.dt)
-    return float(np.max(np.abs((full.unitary - half.unitary) @ basis))) / 3.0
+    full = propagate(p, q2_pulse, q2_spec, columns=basis)
+    half = propagate(p, q2_pulse, q2_spec, dt=2.0 * full.dt, columns=basis)
+    return float(np.max(np.abs(full.unitary - half.unitary))) / 3.0
 
 
 @dataclass(frozen=True)

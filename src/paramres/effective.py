@@ -5,13 +5,15 @@ effective couplings.
 basis order.  ``DIM``, ``basis_index``, the computational indices and
 every operator are read off it, so a change of the kept space is a
 change of that one table.  ``build_hamiltonian`` is the static
-Hamiltonian as one DIMxDIM matrix; ``parity_blocks`` gives its
-excitation-parity blocks batched over samples of q2's frequency and
-couplings, the step Hamiltonians that ``dynamics.propagate``
-diagonalizes.  ``dressed_computational_basis`` gives its eigenstates
-on the computational subspace, the basis that a dispersive readout
-sees: callers evolve its columns B with ``dynamics.propagate`` and
-project them, B^H (U B), before tomography.
+Hamiltonian as one DIMxDIM matrix.  H keeps the excitation parity,
+so it is block diagonal in ``PARITY_BLOCKS``, the index lists of the
+even and odd states; ``parity_blocks`` gives those blocks batched over
+samples of q2's frequency and couplings, the step Hamiltonians that
+``dynamics.propagate`` diagonalizes in the blocks its columns reach.
+``dressed_computational_basis`` gives its eigenstates on the
+computational subspace, the basis that a dispersive readout sees, each
+exactly zero outside its own block: callers evolve its columns B with
+``dynamics.propagate`` and project them, B^H (U B), before tomography.
 ``modulated_couplings`` gives the second-order qubit-qubit couplings of
 each sideband n with the coupler eliminated (Didier et al., PRA 97,
 022330 (2018)).  ``static_couplings`` is the n = 0 term of that
@@ -76,9 +78,9 @@ def _exchange(a: int, b: int) -> np.ndarray:
 
 XX_1C, XX_C2, XX_12 = _exchange(0, 1), _exchange(1, 2), _exchange(0, 2)
 
-# Kept states of even and odd total excitation.  The couplings change the
-# excitation number by 0 or 2, so H never mixes the two.
-_PARITY_BLOCKS = tuple(np.flatnonzero(_N.sum(axis=1) % 2 == r) for r in (0, 1))
+#: Indices of the kept states of even and of odd total excitation.  The
+#: couplings change the excitation number by 0 or 2, so H never mixes the two.
+PARITY_BLOCKS = tuple(np.flatnonzero(_N.sum(axis=1) % 2 == r) for r in (0, 1))
 
 
 def _static_terms(p: DeviceParams) -> tuple:
@@ -100,8 +102,9 @@ def build_hamiltonian(p: DeviceParams) -> np.ndarray:
     return np.diag(diag + p.f2 * NUM_2) + xx_1c + p.g2c * XX_C2 + p.g12 * XX_12
 
 
-def parity_blocks(p: DeviceParams, f2, g2c, g12):
-    """Yield (idx, h) for each excitation-parity block idx of STATES.
+def parity_blocks(p: DeviceParams, f2, g2c, g12, blocks=PARITY_BLOCKS):
+    """Yield (idx, h) for each excitation-parity block idx of blocks, a
+    subsequence of PARITY_BLOCKS.
 
     h[s] is the block idx of build_hamiltonian with q2's frequency and
     couplings at the samples f2[s], g2c[s] and g12[s] (1-D arrays of one
@@ -109,7 +112,7 @@ def parity_blocks(p: DeviceParams, f2, g2c, g12):
     dynamics.propagate, batched over its steps.
     """
     static_xx, static_diag = _static_terms(p)
-    for idx in _PARITY_BLOCKS:
+    for idx in blocks:
         block = np.ix_(idx, idx)
         diag = np.arange(len(idx))
         h = (static_xx[block] + np.multiply.outer(g2c, XX_C2[block])
@@ -124,13 +127,19 @@ def dressed_computational_basis(p: DeviceParams) -> np.ndarray:
     Columns are the eigenvectors of the static Hamiltonian with the
     largest overlap on bare |00>, |01>, |10>, |11> (coupler in its
     ground state), each phase-fixed so the dominant bare amplitude is
-    real positive.  Projecting a propagator through this basis B,
-    B^H (U B) with U B the cuts of ``dynamics.propagate(..., columns=B)``,
-    removes the static coupler admixture that would otherwise masquerade
-    as leakage.
+    real positive.  Each parity block of H is diagonalized on its own,
+    so a column is exactly zero outside its block, and a propagation of
+    a column evolves that block alone.  Projecting a propagator through
+    this basis B, B^H (U B) with U B the cuts of
+    ``dynamics.propagate(..., columns=B)``, removes the static coupler
+    admixture that would otherwise masquerade as leakage.
     """
-    _, vecs = np.linalg.eigh(build_hamiltonian(p))
-    basis = np.zeros((vecs.shape[0], 4), dtype=complex)
+    h = build_hamiltonian(p)
+    vecs = np.zeros((DIM, DIM))
+    for idx in PARITY_BLOCKS:
+        block = np.ix_(idx, idx)
+        vecs[block] = np.linalg.eigh(h[block])[1]
+    basis = np.zeros((DIM, 4), dtype=complex)
     used: set[int] = set()
     for col, idx in enumerate(COMPUTATIONAL_INDICES):
         order = np.argsort(-np.abs(vecs[idx, :]) ** 2)
@@ -204,9 +213,9 @@ def static_couplings(p: DeviceParams) -> StaticEffective:
                            delta1=d1, delta2=d2)
 
 
-# |10> and |01> in the odd block of _PARITY_BLOCKS, by their place in it
-_ODD = np.ix_(_PARITY_BLOCKS[1], _PARITY_BLOCKS[1])
-_ODD_PAIR = [int(np.searchsorted(_PARITY_BLOCKS[1], basis_index(*n)))
+# |10> and |01> in the odd block of PARITY_BLOCKS, by their place in it
+_ODD = np.ix_(PARITY_BLOCKS[1], PARITY_BLOCKS[1])
+_ODD_PAIR = [int(np.searchsorted(PARITY_BLOCKS[1], basis_index(*n)))
              for n in ((1, 0, 0), (0, 0, 1))]
 
 

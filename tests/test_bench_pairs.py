@@ -79,3 +79,17 @@ def test_claim_on_a_higher_is_better_metric():
     s = bench_pairs.summarize(change, parent, "frac", "higher")
     assert s["change_better_pairs"] == 0 and s["median_gain"] == pytest.approx(-0.3)
     assert s["claim_holds"] is False
+
+
+def test_values_within_a_relative_tolerance_of_1e_9_are_ties():
+    # an accept_margin that rose by 1.85e-11 in every pair, with no spread
+    # on either side: no pair is better and no claim holds
+    parent = [0.14695381258209528] * 10
+    change = [0.14695381260063411] * 10
+    s = bench_pairs.summarize(parent, change, "frac", "higher")
+    assert s["change_better_pairs"] == 0
+    assert s["median_gain"] == pytest.approx(1.85e-11, rel=1e-2)
+    assert s["claim_holds"] is False
+    # 1e-8 relative is no tie
+    s = bench_pairs.summarize(parent, [x * (1.0 + 1e-8) for x in parent], "frac", "higher")
+    assert s["change_better_pairs"] == 10 and s["claim_holds"] is True

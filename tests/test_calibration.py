@@ -28,7 +28,8 @@ from paramres.calibration import (
 from paramres.device import device_params
 from paramres.dynamics import (STEP_ERROR_BUDGET, ChevronMap, chevron, propagate,
                                step_error)
-from paramres.effective import (COMPUTATIONAL_LABELS, DIM, average_and_excursion,
+from paramres.effective import (COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS, DIM,
+                                PARITY_BLOCKS, average_and_excursion,
                                 dressed_computational_basis)
 from paramres.fluxcontrol import instantaneous_flux
 from paramres.tomography import (average_fidelity, extract_virtual_z, fit_fsim,
@@ -330,6 +331,43 @@ def test_dressed_cz20_row_reads_exact_cuts(device, default_calibrations):
     for t, pop in zip(row.durations, row.populations[0]):
         u = propagate(p, replace(gate_pulse(spec), duration=float(t)), device.q2).unitary
         assert abs(pop - abs(psi.conj() @ u @ psi) ** 2) <= 1e-10
+
+
+@pytest.mark.parametrize("kind, parity", [("iswap", 1), ("cz20", 0)])
+def test_a_dressed_chevron_row_evolves_one_parity_block(device, default_calibrations,
+                                                        monkeypatch, kind, parity):
+    # the prepared dressed |10> (odd) or |11> (even) reaches one parity
+    # block, so its row diagonalizes that block's steps alone; the dressed
+    # 4-column trim reaches both.  The row reads what an evolution of all
+    # DIM columns, projected the same way, reads.
+    spec, _, rows, _ = default_calibrations[kind]
+    gate = GATES[kind]
+    (row,) = [r for r in rows if r.amplitudes[0] == spec.amplitude]
+    p = device_params(device, phic=spec.coupler_bias)
+    basis = dressed_computational_basis(p)
+    init, target = (basis[:, COMPUTATIONAL_LABELS.index(label)]
+                    for label in (gate.prepared, gate.recorded))
+    prepared = COMPUTATIONAL_INDICES[COMPUTATIONAL_LABELS.index(gate.prepared)]
+    assert prepared in PARITY_BLOCKS[parity]
+    sizes = set()
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.add(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    chev = chevron(p, gate_pulse(spec), device.q2, row.amplitudes, row.durations,
+                   initial=gate.prepared, basis=basis)
+    assert sizes == {len(PARITY_BLOCKS[parity])}
+    sizes.clear()
+    propagate(p, gate_pulse(spec), device.q2, columns=basis, times=[spec.duration])
+    assert sizes == {len(idx) for idx in PARITY_BLOCKS}
+    monkeypatch.undo()
+    pulse = replace(gate_pulse(spec), duration=float(row.durations.max()))
+    full = propagate(p, pulse, device.q2, columns=np.eye(DIM), times=row.durations)
+    assert np.max(np.abs(np.abs(target.conj() @ full.cuts @ init) ** 2
+                         - chev.populations[0])) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["iswap", "cz20"])

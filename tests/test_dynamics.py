@@ -211,7 +211,7 @@ def test_period_reuse_matches_direct_stepping(device, q2_pulse, dt, times):
     ref = stepped_propagators(p, q2_pulse, device.q2, prop.dt,
                               [q2_pulse.duration, *cuts])
     assert np.max(np.abs(prop.unitary - ref[0])) < 1e-9
-    assert np.max(np.abs(kept.unitary - ref[0])) < 1e-9
+    assert np.max(np.abs(kept.unitary[:, 0] - ref[0] @ psi)) < 1e-9
     assert np.max(np.abs(prop.cuts - ref[1:])) < 1e-9
     assert np.max(np.abs(kept.cuts[:, :, 0] - ref[1:] @ psi)) < 1e-9
 
@@ -271,7 +271,7 @@ def test_long_static_pulse_needs_no_per_step_arrays(device, zero_bias_params):
     assert peak < 5e6
     evals, vecs = np.linalg.eigh(build_hamiltonian(zero_bias_params))
     exact = (vecs * np.exp(-2j * np.pi * evals * 2000.0)) @ vecs.conj().T
-    assert np.max(np.abs(prop.unitary - exact)) < 1e-8
+    assert np.max(np.abs(prop.unitary - exact @ Q1_EXCITED)) < 1e-8
     assert np.max(np.abs(prop.cuts[-1] - exact @ Q1_EXCITED)) < 1e-8
 
 
@@ -334,7 +334,7 @@ def test_dc_pulse_evolves_in_closed_form_from_one_eigendecomposition(
              * (vecs.T @ psi)) @ vecs.T
     assert np.max(np.abs(prop.cuts[:, :, 0] - exact)) < 1e-10
     exact_u = (vecs * np.exp(-2j * np.pi * evals * 300.0)) @ vecs.T
-    assert np.max(np.abs(prop.unitary - exact_u)) < 1e-10
+    assert np.max(np.abs(prop.unitary[:, 0] - exact_u @ psi)) < 1e-10
 
 
 @pytest.mark.parametrize("columns", [

@@ -17,12 +17,14 @@ from paramres.effective import (
     NUM_1,
     NUM_2,
     NUM_C,
+    PARITY_BLOCKS,
     SIDEBAND_MAX,
     STATES,
     _pair_gap,
     average_and_excursion,
     basis_index,
     build_hamiltonian,
+    dressed_computational_basis,
     exact_g01,
     min_gap,
     modulated_couplings,
@@ -132,6 +134,24 @@ def test_parity_blocks_are_the_blocks_of_the_hamiltonian(zero_bias_params):
         for idx, block in blocks:
             assert block[s].tobytes() == h[np.ix_(idx, idx)].tobytes()
         assert np.all(h[np.ix_(even, odd)] == 0.0)
+
+
+@pytest.mark.parametrize("phic", [0.29472, 0.30534], ids=["iswap", "cz20"])
+def test_dressed_basis_lies_in_the_parity_block_of_its_state(device, phic):
+    # each column is exactly 0 outside the block of its bare state, so a
+    # propagation of it evolves one block, and it is the eigenvector of
+    # the full H up to phase
+    from paramres.device import device_params
+
+    p = device_params(device, phic=phic)
+    basis = dressed_computational_basis(p)
+    _, vecs = np.linalg.eigh(build_hamiltonian(p))
+    for col, index in enumerate(COMPUTATIONAL_INDICES):
+        other = PARITY_BLOCKS[1 - int(TOTAL_EXCITATION[index]) % 2]
+        assert np.all(basis[other, col] == 0.0)
+        v = vecs[:, np.argmax(np.abs(vecs.T @ basis[:, col]))]
+        overlap = v @ basis[:, col]
+        assert np.max(np.abs(basis[:, col] - overlap / abs(overlap) * v)) < 1e-12
 
 
 def rotating_wave_part(h: np.ndarray) -> np.ndarray:

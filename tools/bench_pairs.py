@@ -9,12 +9,13 @@ first in odd pairs and the change first in even pairs.  Each run's
 metrics are read from the last line of its output, a JSON object.  For
 every end-to-end metric of the change's BENCHMARK.json the tool prints
 the median and quartiles of each side, the number of pairs in which
-the change reads strictly better, and whether a gain claim on that metric
-holds: the change reads better in at least 9 of 10 pairs (ties count for
-neither side) and its median beats the parent's by more than the parent's
-interquartile range.  ``--workload`` may be given more than once.
-With ``--out`` the result is written as JSON in the layout of the
-BENCH_<n>.json files.
+the change reads better, and whether a gain claim on that metric holds:
+the change reads better in at least 9 of 10 pairs and its median beats
+the parent's by more than the parent's interquartile range.  Two values
+that agree to TIE_RTOL relative are a tie: such a pair counts for
+neither side, and such a median gain holds no claim.  ``--workload``
+may be given more than once.  With ``--out`` the result is written as
+JSON in the layout of the BENCH_<n>.json files.
 """
 
 import argparse
@@ -24,14 +25,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+#: Relative tolerance within which two values of a metric are a tie.
+TIE_RTOL = 1e-9
+
 PROTOCOL = (
     "Pair i uses seed i on both sides; the parent runs first in odd pairs and "
     "the change first in even pairs. Runs are sequential, one process at a "
     "time. 'runs' lists the values in pair order; 'change_better_pairs' counts "
-    "pairs in which the change reads strictly better; 'median_gain' is the "
-    "parent's median minus the change's, signed so that a gain is positive; "
+    "pairs in which the change reads better; 'median_gain' is the parent's "
+    "median minus the change's, signed so that a gain is positive; "
     "'claim_holds' is true when the change is better in at least 9 of 10 "
-    "pairs and 'median_gain' exceeds the parent's IQR.")
+    "pairs and 'median_gain' exceeds the parent's IQR. Values that agree to "
+    f"{TIE_RTOL:g} relative are a tie: neither better in a pair nor a median gain.")
 
 
 def side_summary(runs):
@@ -39,6 +44,12 @@ def side_summary(runs):
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1,
             "runs": list(runs)}
+
+
+def _better(a, b, sign):
+    """Whether a reads better than b by more than TIE_RTOL; sign is 1 when
+    lower is better and -1 when higher is."""
+    return sign * (a - b) < 0.0 and abs(a - b) > TIE_RTOL * max(abs(a), abs(b))
 
 
 def summarize(parent_runs, change_runs, unit, better):
@@ -52,13 +63,14 @@ def summarize(parent_runs, change_runs, unit, better):
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
     sign = 1.0 if better == "lower" else -1.0
-    wins = sum(sign * (c - p) < 0.0 for p, c in zip(parent_runs, change_runs))
+    wins = sum(_better(c, p, sign) for p, c in zip(parent_runs, change_runs))
     parent, change = side_summary(parent_runs), side_summary(change_runs)
     gain = sign * (parent["median"] - change["median"])
     return {"unit": unit, "better": better, "pairs": len(parent_runs),
             "parent": parent, "change": change, "change_better_pairs": wins,
             "median_gain": gain,
-            "claim_holds": 10 * wins >= 9 * len(parent_runs) and gain > parent["iqr"]}
+            "claim_holds": (10 * wins >= 9 * len(parent_runs) and gain > parent["iqr"]
+                            and _better(change["median"], parent["median"], sign))}
 
 
 def run_bench(root, workload, seed, seconds):
