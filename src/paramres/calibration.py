@@ -155,6 +155,13 @@ def _gate(kind: str) -> GateKind:
     return GATES[kind]
 
 
+#: JSON key of each numeric GateSpec field, in field order; the last,
+#: resonance_residual_ghz, may be absent and then reads 0.
+_SPEC_KEYS = {"amplitude": "amplitude_phi0", "mod_freq": "mod_freq_ghz",
+              "duration": "duration_ns", "coupler_bias": "coupler_bias_phi0",
+              "resonance_residual": "resonance_residual_ghz"}
+
+
 @dataclass(frozen=True)
 class GateSpec:
     """Settings fully describing one calibrated parametric gate."""
@@ -170,8 +177,7 @@ class GateSpec:
     def __post_init__(self):
         if self.kind not in GATES:
             raise ValueError(f"kind must be one of {tuple(GATES)}, got {self.kind!r}")
-        for name in ("amplitude", "mod_freq", "duration", "coupler_bias",
-                     "resonance_residual"):
+        for name in _SPEC_KEYS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.duration <= 0.0:
@@ -190,15 +196,8 @@ class GateSpec:
             raise ValueError(f"virtual_z must be finite, got {self.virtual_z}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "amplitude_phi0": self.amplitude,
-            "mod_freq_ghz": self.mod_freq,
-            "duration_ns": self.duration,
-            "coupler_bias_phi0": self.coupler_bias,
-            "virtual_z_rad": list(self.virtual_z),
-            "resonance_residual_ghz": self.resonance_residual,
-        }
+        return {"kind": self.kind, "virtual_z_rad": list(self.virtual_z),
+                **{key: getattr(self, name) for name, key in _SPEC_KEYS.items()}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GateSpec":
@@ -224,21 +223,22 @@ class GateSpec:
         zs = field("virtual_z_rad", [0.0, 0.0])
         if not isinstance(zs, list):
             raise ValueError(f"gate spec field 'virtual_z_rad': not a list: {zs!r}")
-        return cls(
-            kind=field("kind"),
-            amplitude=number("amplitude_phi0", field("amplitude_phi0")),
-            mod_freq=number("mod_freq_ghz", field("mod_freq_ghz")),
-            duration=number("duration_ns", field("duration_ns")),
-            coupler_bias=number("coupler_bias_phi0", field("coupler_bias_phi0")),
-            virtual_z=tuple(number("virtual_z_rad", z) for z in zs),
-            resonance_residual=number("resonance_residual_ghz",
-                                      field("resonance_residual_ghz", 0.0)),
-        )
+        # read in field order, so a spec with several faults reports the first
+        kind = field("kind")
+        *required, (residual, residual_key) = _SPEC_KEYS.items()
+        values = {name: number(key, field(key)) for name, key in required}
+        values["virtual_z"] = tuple(number("virtual_z_rad", z) for z in zs)
+        values[residual] = number(residual_key, field(residual_key, 0.0))
+        return cls(kind=kind, **values)
 
 
 def load_gatespec(path) -> GateSpec:
+    """GateSpec from a JSON file; a ValueError names the file."""
     with open(path, encoding="utf-8") as fh:
-        return GateSpec.from_dict(json.load(fh))
+        try:
+            return GateSpec.from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def sweet_spot_pulse(amplitude: float, mod_freq: float,
@@ -261,15 +261,19 @@ def gate_pulse(spec: GateSpec) -> FluxPulse:
     return sweet_spot_pulse(spec.amplitude, spec.mod_freq, spec.duration)
 
 
-def gate_unitary(device: Device, spec: GateSpec):
-    """Propagate a calibrated gate; returns (device params, DIMxDIM unitary).
+def gate_block(device: Device, spec: GateSpec) -> np.ndarray:
+    """The calibrated gate's 4x4 block B^H (U B) on the dressed
+    computational basis B.
 
-    The pulse takes propagate's default step, the error-budget step of a
-    modulated pulse, as the duration trim of calibrate_gate does.
+    U B is cut at spec.duration at propagate's default step, the
+    error-budget step of a modulated pulse, exactly as the duration trim
+    of calibrate_gate cuts it, so the block is the one its report scores.
     """
     p = device_params(device, phic=spec.coupler_bias)
-    prop = propagate(p, gate_pulse(spec), device.q2)
-    return p, prop.unitary
+    basis = dressed_computational_basis(p)
+    cut = propagate(p, gate_pulse(spec), device.q2, columns=basis,
+                    times=[spec.duration]).cuts
+    return (basis.conj().T @ cut)[0]
 
 
 def _on_step_grid(pulse: FluxPulse, q2_spec, times) -> np.ndarray:
@@ -482,8 +486,8 @@ def calibrate_gate(
     labeled with the stage name.  A cz02 request fails at the resonance
     stage on this device topology.
 
-    The tomography section scores the unitary that gate_unitary returns
-    for the calibrated spec, at the step it reports as ``dt_ns``.
+    The tomography section scores the block that gate_block returns for
+    the calibrated spec, at the step it reports as ``dt_ns``.
     """
     with _stage("setup"):
         if not isinstance(kind, str) or kind not in _TRANSITIONS:
@@ -563,10 +567,11 @@ def calibrate_gate(
     # among grid points where the swap angle is on target, or failing
     # that to the smallest swap-angle error.  Cuts of the dressed
     # columns U(t) B make the whole grid cost a single propagation,
-    # projected as B^H (U B) in one product.  The candidates are ranked
-    # by the closed-form fidelity of their frame-corrected blocks, and
-    # only those fitted, in falling fidelity up to the first on target,
-    # get a PTM; the picked one's PTM gives the reported numbers.
+    # projected as B^H (U B) in one product; gate_block cuts the picked
+    # duration the same way.  The candidates are ranked by the
+    # closed-form fidelity of their frame-corrected blocks, and only
+    # those fitted, in falling fidelity up to the first on target, get a
+    # PTM; the picked one's PTM gives the reported numbers.
     theta_target, phi_target = gate.fsim
     target_u = fsim_unitary(theta_target, phi_target)
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import (AMPLITUDE_WINDOW, GATES, GUARD_BAND, CalibrationError,
-                          calibrate_gate, gate_unitary, load_gatespec, operating_point,
+                          calibrate_gate, gate_block, load_gatespec, operating_point,
                           sweet_spot_pulse)
 from .device import (bundled_path, device_params, load_bundled_device,
                      load_device, save_device)
@@ -376,6 +376,12 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
 
 
 def cmd_tomo(cfg: RunConfig, args) -> int:
+    """Simulated process tomography of the gate in [tomo] gatespec_file.
+
+    The gate is its dressed 4x4 block from gate_block, the block that
+    the calibration report scored; the sampled PTM is then virtual-Z
+    corrected and fitted to fSim angles.
+    """
     spec_file = cfg.get("tomo", "gatespec_file", None)
     if spec_file is None:
         raise ValueError("config [tomo] gatespec_file is required")
@@ -390,10 +396,7 @@ def cmd_tomo(cfg: RunConfig, args) -> int:
                     **{f"readout_{k}": v for k, v in fids.items()})
 
     spec = load_gatespec(spec_file)
-    device = cfg.load_device()
-    p, u = gate_unitary(device, spec)
-    basis = dressed_computational_basis(p)
-    m = basis.conj().T @ u @ basis
+    m = gate_block(cfg.load_device(), spec)
     confusions = None
     if any(v < 1.0 for v in fids.values()):
         confusions = (confusion_matrix(fids["f0_q1"], fids["f1_q1"]),
@@ -505,24 +508,22 @@ def _build_parser() -> argparse.ArgumentParser:
                     "gates on a tunable-coupler transmon pair")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    device = sub.add_parser("device", help="device file utilities")
-    device_sub = device.add_subparsers(dest="action", required=True,
-                                       metavar="action")
-    show = device_sub.add_parser("show", parents=[common],
-                                 help="print derived device parameters")
-    show.set_defaults(func=cmd_device_show)
+    def command(actions, name, help, func):
+        """The parser of one command, with the common options."""
+        cmd = actions.add_parser(name, parents=[common], help=help)
+        cmd.set_defaults(func=func)
+        return cmd
 
-    sweep = sub.add_parser("sweep", help="parameter sweeps")
-    sweep_sub = sweep.add_subparsers(dest="action", required=True,
-                                     metavar="action")
-    coupling = sweep_sub.add_parser(
-        "coupling", parents=[common],
-        help="static effective couplings versus coupler flux")
-    coupling.set_defaults(func=cmd_sweep_coupling)
+    def two_word(group, help, *action):
+        """A command group of one action, such as ``device show``."""
+        command(sub.add_parser(group, help=help).add_subparsers(
+            dest="action", required=True, metavar="action"), *action)
 
-    chev = sub.add_parser("chevron", parents=[common],
-                          help="population map versus amplitude and duration")
-    chev.set_defaults(func=cmd_chevron)
+    two_word("device", "device file utilities",
+             "show", "print derived device parameters", cmd_device_show)
+    two_word("sweep", "parameter sweeps", "coupling",
+             "static effective couplings versus coupler flux", cmd_sweep_coupling)
+    command(sub, "chevron", "population map versus amplitude and duration", cmd_chevron)
 
     cal = sub.add_parser("calibrate", parents=[common],
                          help="run the full gate calibration pipeline")
@@ -530,25 +531,13 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="gate to calibrate (cz is the |11>-|20> phase gate)")
     cal.set_defaults(func=cmd_calibrate)
 
-    tomo = sub.add_parser("tomo", parents=[common],
-                          help="process tomography of a calibrated gate")
-    tomo.set_defaults(func=cmd_tomo)
-
-    flux = sub.add_parser("flux", help="flux crosstalk utilities")
-    flux_sub = flux.add_subparsers(dest="action", required=True,
-                                   metavar="action")
-    invert = flux_sub.add_parser(
-        "invert", parents=[common],
-        help="bias settings compensating crosstalk for a target flux vector")
-    invert.set_defaults(func=cmd_flux_invert)
-
-    transfer = sub.add_parser("transfer", help="flux-line transfer utilities")
-    transfer_sub = transfer.add_subparsers(dest="action", required=True,
-                                           metavar="action")
-    apply_p = transfer_sub.add_parser(
-        "apply", parents=[common],
-        help="scale a requested amplitude by the line transfer function")
-    apply_p.set_defaults(func=cmd_transfer_apply)
+    command(sub, "tomo", "process tomography of a calibrated gate", cmd_tomo)
+    two_word("flux", "flux crosstalk utilities", "invert",
+             "bias settings compensating crosstalk for a target flux vector",
+             cmd_flux_invert)
+    two_word("transfer", "flux-line transfer utilities", "apply",
+             "scale a requested amplitude by the line transfer function",
+             cmd_transfer_apply)
     return parser
 
 

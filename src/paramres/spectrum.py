@@ -60,6 +60,9 @@ class DeviceParams:
             raise ValueError("transition frequencies must be > 0")
         if not all(eta > 0 for eta in (self.eta1, self.eta2, self.etac)):
             raise ValueError("anharmonicities must be > 0 (positive-magnitude convention)")
+        for name in ("g1c", "g2c", "g12"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 class Expansion(NamedTuple):

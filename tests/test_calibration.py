@@ -18,8 +18,8 @@ from paramres.calibration import (
     GateSpec,
     calibrate_gate,
     find_resonance_amplitude,
+    gate_block,
     gate_pulse,
-    gate_unitary,
     load_gatespec,
     operating_point,
     set_duration,
@@ -89,6 +89,20 @@ def test_gate_spec_from_dict_requires_json_numbers(key, value, message):
     d[key] = value
     with pytest.raises(ValueError, match=re.escape(message)):
         GateSpec.from_dict(d)
+
+
+def test_gate_spec_from_dict_reports_the_first_faulty_field():
+    # fields are read in field order: kind, the four required numbers,
+    # virtual_z, then the optional resonance residual
+    d = {**iswap_spec().to_dict(), "amplitude_phi0": "a", "virtual_z_rad": [0, "z"],
+         "resonance_residual_ghz": "r"}
+    for key in ("amplitude_phi0", "virtual_z_rad", "resonance_residual_ghz"):
+        with pytest.raises(ValueError, match=f"^gate spec field '{key}': not a number"):
+            GateSpec.from_dict(d)
+        d[key] = [0.0, 0.0] if key == "virtual_z_rad" else 0.0
+    d.pop("kind")
+    with pytest.raises(ValueError, match="^gate spec is missing field 'kind'$"):
+        GateSpec.from_dict({**d, "duration_ns": "d"})
 
 
 def test_gate_spec_from_dict_accepts_integers():
@@ -392,12 +406,10 @@ def test_refined_amplitude_is_a_local_optimum_of_the_chevron(
 
 @pytest.mark.parametrize("kind", ["iswap", "cz20"])
 def test_report_scores_the_gate_unitary(device, default_calibrations, kind):
-    # the trim snapshots are the calibrated gate's own unitary, at its step
+    # the trim cuts the calibrated gate's own block, at its step, bit for bit
     spec, report, _, (trim,) = default_calibrations[kind]
     assert trim.cuts.shape == (len(calibration._TRIM_OFFSETS), DIM, 4)
-    p, u = gate_unitary(device, spec)
-    basis = dressed_computational_basis(p)
-    m = basis.conj().T @ u @ basis
+    m = gate_block(device, spec)
     target = fsim_unitary(*GATES[kind].fsim)
     z1, z2 = extract_virtual_z(m, target)
     corrected = qubit_subspace_ptm(virtual_z_correct(m, z1, z2))
@@ -406,9 +418,10 @@ def test_report_scores_the_gate_unitary(device, default_calibrations, kind):
     scores = {"f_avg": average_fidelity(corrected, qubit_subspace_ptm(target)),
               "theta_rad": fit.theta, "phi_rad": fit.phi, "leakage": corrected.leakage}
     for key, value in scores.items():
-        assert abs(tomo[key] - value) <= 1e-12, key
-    np.testing.assert_allclose(tomo["virtual_z_rad"], [z1, z2], rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(spec.virtual_z, [z1, z2], rtol=0.0, atol=1e-12)
+        assert tomo[key] == value, key
+    assert tomo["virtual_z_rad"] == [z1, z2]
+    assert spec.virtual_z == (z1, z2)
+    p = device_params(device, phic=spec.coupler_bias)
     assert tomo["dt_ns"] == propagate(p, gate_pulse(spec), device.q2).dt
 
 
@@ -474,12 +487,11 @@ def test_cz20_meets_criterion_7_off_the_default_frequency(device, offset_mhz):
     assert abs(math.remainder(tomo["phi_rad"] - math.pi, math.tau)) <= 0.1
 
 
-def test_gate_unitary_is_unitary(device):
-    spec = iswap_spec(amplitude=0.1546, duration=30.0)
-    p, u = gate_unitary(device, spec)
-    assert u.shape == (DIM, DIM)
-    assert np.max(np.abs(u @ u.conj().T - np.eye(DIM))) < 1e-8
-    assert p.fc < 5.915  # parameters taken at the gate's coupler bias
+def test_gate_block_is_the_dressed_block_of_the_gate(device, default_calibrations):
+    m = gate_block(device, default_calibrations["iswap"][0])
+    assert m.shape == (4, 4)
+    leakage = 1.0 - np.trace(m.conj().T @ m).real / 4.0
+    assert 0.0 <= leakage <= 1e-3
 
 
 @pytest.mark.parametrize("mod_freq,message", [

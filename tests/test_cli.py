@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,6 +494,17 @@ def test_tomo_bad_input_is_a_labelled_error(capsys, tmp_path, doc, tomo, message
     assert err.startswith("error: ") and message in err
 
 
+def test_tomo_names_a_truncated_gatespec_file(capsys, tmp_path):
+    spec = tmp_path / "gatespec.json"
+    spec.write_text(json.dumps(_GATESPEC)[:40])
+    cfgf = tmp_path / "run.ini"
+    cfgf.write_text(f"[tomo]\ngatespec_file = {spec}\n")
+    code, _, err = run(capsys, "tomo", "--config", str(cfgf),
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith(f"error: {spec}: Expecting ")
+
+
 def test_tomo_json_format_writes_the_ptm_as_json(capsys, tmp_path):
     spec = tmp_path / "gatespec.json"
     spec.write_text(json.dumps(_GATESPEC))
@@ -686,3 +698,22 @@ def test_every_command_writes_the_one_layout(capsys, tmp_path):
             assert len(lines) > 4
     for stem in tables:
         assert_same_table(dirs["csv"] / f"{stem}.csv", dirs["json"] / f"{stem}.json")
+
+
+#: Every parser of the CLI: the top level, the four command groups and the
+#: seven commands, in the order of the golden file.
+_HELP_COMMANDS = [(), ("device",), ("device", "show"), ("sweep",), ("sweep", "coupling"),
+                  ("chevron",), ("calibrate",), ("tomo",), ("flux",), ("flux", "invert"),
+                  ("transfer",), ("transfer", "apply")]
+
+
+def test_help_texts_match_the_golden_file(capsys, monkeypatch):
+    # cli_help.txt holds each --help text after a "$ paramres ... --help"
+    # line, at an 80-column terminal
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for words in _HELP_COMMANDS:
+        code, out, _ = run(capsys, *words, "--help")
+        assert code == 0
+        texts.append(f"$ paramres {' '.join((*words, '--help'))}\n{out}")
+    assert "".join(texts) == (Path(__file__).parent / "cli_help.txt").read_text()

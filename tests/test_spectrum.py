@@ -1,5 +1,7 @@
 """Transmon spectrum: perturbative levels against charge-basis diagonalization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,3 +151,14 @@ def test_device_params_validation():
     with pytest.raises(ValueError, match="positive-magnitude convention"):
         DeviceParams(f1=4, f2=4, fc=6, eta1=-0.2, eta2=0.2, etac=0.1,
                      g1c=0.1, g2c=0.1, g12=0.005)
+
+
+@pytest.mark.parametrize("name", ["g1c", "g2c", "g12"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_device_params_rejects_a_non_finite_coupling_by_name(name, value):
+    # a non-finite coupling would otherwise reach propagate, whose eigh
+    # fails with a LinAlgError that the CLI does not catch
+    p = DeviceParams(f1=4, f2=4, fc=6, eta1=0.2, eta2=0.2, etac=0.1,
+                     g1c=0.1, g2c=0.1, g12=0.005)
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        replace(p, **{name: value})

@@ -9,10 +9,9 @@ floats as their ``repr``) holding the refinement's amplitude shift,
 duration and chevron rows, and the gate's duration, f_avg, fSim angle
 errors, leakage, step error (``dynamics.step_error`` of the calibrated
 gate on its dressed computational columns) and duration-coupling
-product.  A key that the calibrated package does not report, or a
-function that it lacks, prints as null, and a failed
-calibration prints its stage and message, so two checkouts can be
-compared line by line:
+product.  A key that the calibrated package does not report prints as
+null, and a failed calibration prints its stage and message, so two
+checkouts can be compared line by line:
 
     python tools/mod_freq_scan.py > change.jsonl
     python tools/mod_freq_scan.py ../parent/src > parent.jsonl
@@ -42,8 +41,6 @@ def scan():
     from paramres.effective import dressed_computational_basis
 
     def step_error(spec):
-        if not hasattr(dynamics, "step_error"):
-            return None
         p = device_params(device, phic=spec.coupler_bias)
         return dynamics.step_error(p, gate_pulse(spec), device.q2,
                                    dressed_computational_basis(p))
