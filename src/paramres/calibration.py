@@ -128,8 +128,10 @@ AMPLITUDE_WINDOW = 0.006
 #: frequencies 20 kHz apart, or when the chevron rows moved by 1e-5.
 _AMPLITUDE_XATOL = 5e-6
 
-#: Duration offsets (ns) of the trim candidates about the refined duration.
-_TRIM_OFFSETS = np.arange(-4.0, 4.0001, 0.0625)
+#: Half-width (ns) of the duration trim's window about the refined
+#: duration, and the pool (rad): the largest swap-angle error on target.
+_TRIM_SPAN = 4.0
+_THETA_POOL = 0.005
 
 
 class CalibrationError(RuntimeError):
@@ -268,6 +270,8 @@ def gate_block(device: Device, spec: GateSpec) -> np.ndarray:
     U B is cut at spec.duration at propagate's default step, the
     error-budget step of a modulated pulse, exactly as the duration trim
     of calibrate_gate cuts it, so the block is the one its report scores.
+    A calibrated duration lies on that step grid, so the cut takes no
+    partial step.
     """
     p = device_params(device, phic=spec.coupler_bias)
     basis = dressed_computational_basis(p)
@@ -564,27 +568,34 @@ def calibrate_gate(
     # oscillates at its detuning (a few ns period) and its zeros are
     # fractions of a nanosecond wide, while the process fidelity is
     # nearly flat across them.  Trim the duration to the best fidelity
-    # among grid points where the swap angle is on target, or failing
-    # that to the smallest swap-angle error.  Cuts of the dressed
-    # columns U(t) B make the whole grid cost a single propagation,
-    # projected as B^H (U B) in one product; gate_block cuts the picked
-    # duration the same way.  The candidates are ranked by the
-    # closed-form fidelity of their frame-corrected blocks, and only
-    # those fitted, in falling fidelity up to the first on target, get a
-    # PTM; the picked one's PTM gives the reported numbers.
+    # among the times where the swap angle lies within _THETA_POOL of
+    # its target, or failing that to the smallest swap-angle error.  The
+    # candidates are every step-grid time within _TRIM_SPAN of the
+    # duration, so no cut, and no gate_block at the pick, takes a partial
+    # step; cuts of the dressed columns U(t) B make them cost a single
+    # propagation, projected as B^H (U B) in one product.  Only the
+    # candidates fitted get a PTM: in falling closed-form fidelity of
+    # their frame-corrected blocks, first those whose closed-form swap
+    # angle atan2(|M_01,10| + |M_10,01|, |M_01,01| + |M_10,10|) lies in
+    # the pool, up to the first whose fitted angle does.  The picked
+    # one's PTM gives the reported numbers.
     theta_target, phi_target = gate.fsim
     target_u = fsim_unitary(theta_target, phi_target)
 
     with _stage("tomography"):
-        grid = spec.duration + _TRIM_OFFSETS
-        grid = grid[grid > 0.0]
-        trim = propagate(p, replace(gate_pulse(spec), duration=float(grid[-1])),
+        pulse = gate_pulse(spec)
+        dt = modulation_step(pulse, device.q2)
+        grid = dt * np.arange(max(1, math.ceil((spec.duration - _TRIM_SPAN) / dt)),
+                              math.floor((spec.duration + _TRIM_SPAN) / dt) + 1)
+        trim = propagate(p, replace(pulse, duration=float(grid[-1])),
                          device.q2, columns=basis, times=grid)
         ms = basis.conj().T @ trim.cuts
         z1, z2 = extract_virtual_z(ms, target_u)
         corrected = virtual_z_correct(ms, z1, z2)
-        ranked = np.argsort(-block_average_fidelity(corrected, target_u),
-                            kind="stable")
+        mag = np.abs(corrected)
+        swap = np.arctan2(mag[:, 1, 2] + mag[:, 2, 1], mag[:, 1, 1] + mag[:, 2, 2])
+        ranked = np.lexsort((-block_average_fidelity(corrected, target_u),
+                             np.abs(swap - abs(theta_target)) > _THETA_POOL))
         fitted = []  # (theta error, duration, index, fit, corrected PTM)
         # a leaky candidate's fit warns; the report records that
         with warnings.catch_warnings(record=True) as caught:
@@ -594,7 +605,7 @@ def calibrate_gate(
                 fit = fit_fsim(pt)
                 err = abs(math.remainder(fit.theta - theta_target, math.tau))
                 fitted.append((err, float(grid[i]), i, fit, pt))
-                if err <= 0.015:
+                if err <= _THETA_POOL:
                     break
         # the one fit on target, else the smallest error (earlier on ties)
         _, tau_best, i, fit, pt = min(fitted)

@@ -29,10 +29,10 @@ alone; the identity and a gate block's basis reach both.
 The drive is a pure sine, so a modulation period is fixed by its first
 quarter: the step Hamiltonians mirror about T/4 and 3T/4, and about a
 sweet spot the second half repeats the first.  propagate diagonalizes
-only those distinct steps, one quarter (two off a sweet spot), and
-multiplies them out in period order into the prefixes of one period,
-which with the period's Floquet form give the propagator at any time,
-block by block
+only those distinct steps, one quarter (two off a sweet spot), builds
+the prefixes of one period from the products over those quarters, and
+with the period's Floquet form gives the propagator at any time, block
+by block
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009); Shirley,
 Phys. Rev. 138, B979 (1965)).
 
@@ -183,6 +183,23 @@ def _isometry(columns) -> np.ndarray:
     return x
 
 
+def _half_period(quarter, h) -> np.ndarray:
+    """Write into h[:2q + 1], and return h, the prefixes H_0 = I, H_1, ...,
+    H_2q of a half period whose step j < q is quarter[j] and whose step
+    q + j mirrors step q - 1 - j.
+
+    Each step V exp(-i*phi) V^T, with V real, is complex symmetric, so
+    with A = H_q the mirrored prefixes are H_{q+j} = conj(H_{q-j}) A^T A:
+    q plain products and one batched one.
+    """
+    q = len(quarter)
+    h[0] = np.eye(len(h[0]))
+    for j in range(q):
+        np.matmul(quarter[j], h[j], out=h[j + 1])
+    np.matmul(h[q - 1::-1].conj(), h[q].T @ h[q], out=h[q + 1:2 * q + 1])
+    return h
+
+
 def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
               columns=None, times=None) -> Propagation:
     """Propagate over the q2 pulse window and cut it at the requested times.
@@ -225,8 +242,10 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     The cost of a cut: at time t a modulated pulse takes s = floor(t/dt)
     whole steps by period reuse and then one partial step of length
     t - s*dt at its own midpoint (none when that is below 1e-4 of a
-    step).  A cut on the step grid (dt*round(t/dt) with dt from
-    modulation_step) costs a product per evolved block; each cut off it
+    step).  A cut on the step grid (dt*k, with dt from modulation_step)
+    costs a few products per evolved block and no diagonalization, so a
+    scan over grid times, the duration among them, diagonalizes the
+    period's distinct steps and nothing else.  Each cut off the grid
     diagonalizes one partial step in each evolved block, and counts one
     diagonalization however many blocks it takes.
 
@@ -239,7 +258,10 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     The prefixes sample the periodic waveform, also past the end of a
     pulse shorter than its period, whose cuts read only the prefixes it
     reaches.  So the cost grows with the steps per period, the cuts and
-    the evolved blocks, not with duration/dt.  Cuts go in batches, as
+    the evolved blocks, not with duration/dt.  Of the m prefixes only
+    those of quarter 1 (and of quarter 3 off a sweet spot) are plain
+    sequential products; the rest follow in two batched products, three
+    off a sweet spot (see Quarter symmetry and _half_period).  Cuts go in batches, as
     P_k Z (exp(i*n*theta) * Z^H x) in each block for x the block's
     identity (U_b(T)) or its rows of X; a static pulse is the case
     k = 0, theta = -2*pi*E and n = t.
@@ -249,10 +271,11 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     j repeats step 2q-1-j (mirror about T/4 and 3T/4), for any phi_dc.
     About a sweet spot the band and EJ are even in the flux, so the
     second half also repeats the first.  Only the distinct steps, those
-    of quarter 1 (and of quarter 3 off a sweet spot), are diagonalized;
-    an index map sends each step of the period to its distinct step, and
-    the prefixes P_1 ... P_m are plain products of those steps in period
-    order.
+    of quarter 1 (and of quarter 3 off a sweet spot), are diagonalized.
+    Each step is complex symmetric, so with A = P_q the mirrored quarter
+    2 reads P_{q+j} = conj(P_{q-j}) A^T A, and the second half
+    P_{2q+j} = H_j P_2q, with H_j the first half's prefixes P_j at a
+    sweet spot, else those built the same way from quarter 3.
     """
     duration = q2_pulse.duration
     if duration <= 0:
@@ -308,23 +331,22 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         n_steps = int(s[-1]) + int(r[-1] > 0.0)
         n, k = np.divmod(s, m)
 
-        # order[j]: the distinct step that step j of the period repeats
-        # (see Quarter symmetry); first[u] is where step u first occurs
+        # the distinct steps (see Quarter symmetry): quarter 1, and
+        # quarter 3 off a sweet spot
         q = m // 4
-        half = np.arange(m) % (2 * q)
-        order = np.minimum(half, 2 * q - 1 - half)
-        if not is_sweet_spot(q2_pulse.phi_dc):
-            order[2 * q:] += q
-        first = np.unique(order, return_index=True)[1]
+        sweet = is_sweet_spot(q2_pulse.phi_dc)
+        first = np.arange(q) if sweet else np.r_[0:q, 2 * q:3 * q]
         # the steps sample the waveform for a whole period
         wave = replace(q2_pulse, duration=max(duration, period))
         batches = [batch for _, batch in steps(wave, (first + 0.5) * dt,
                                                np.full(len(first), dt))]
         for unique in map(np.concatenate, zip(*batches)):
             table = np.empty((m + 1, *unique.shape[1:]), dtype=complex)  # table[k] = P_k
-            table[0] = np.eye(len(table[0]))
-            for i in range(m):
-                np.matmul(unique[order[i]], table[i], out=table[i + 1])
+            _half_period(unique[:q], table)
+            second = (table if sweet else
+                      _half_period(unique[q:], np.empty_like(table[:2 * q + 1])))
+            # P_{2q+j} = H_j P_2q, with H_j the prefixes of the second half
+            np.matmul(second[1:2 * q + 1], table[2 * q], out=table[2 * q + 1:])
             # U_P is unitary, so its complex Schur form is diagonal and
             # U_P^n = Z diag(exp(i*n*theta)) Z^H.
             schur_t, z = schur(table[m], output="complex")

@@ -7,6 +7,7 @@ and ``zero_point`` read it.  ``device.device_params`` takes one
 expansion per mode and builds the couplings from their EJ and xi.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Any, NamedTuple
@@ -60,8 +61,9 @@ class DeviceParams:
             raise ValueError("transition frequencies must be > 0")
         if not all(eta > 0 for eta in (self.eta1, self.eta2, self.etac)):
             raise ValueError("anharmonicities must be > 0 (positive-magnitude convention)")
-        for name in ("g1c", "g2c", "g12"):
-            if not np.isfinite(getattr(self, name)):
+        # +inf passes the tests above
+        for name in ("f1", "f2", "fc", "eta1", "eta2", "etac", "g1c", "g2c", "g12"):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 

@@ -408,7 +408,7 @@ def test_refined_amplitude_is_a_local_optimum_of_the_chevron(
 def test_report_scores_the_gate_unitary(device, default_calibrations, kind):
     # the trim cuts the calibrated gate's own block, at its step, bit for bit
     spec, report, _, (trim,) = default_calibrations[kind]
-    assert trim.cuts.shape == (len(calibration._TRIM_OFFSETS), DIM, 4)
+    assert trim.cuts.shape == ({"iswap": 179, "cz20": 359}[kind], DIM, 4)
     m = gate_block(device, spec)
     target = fsim_unitary(*GATES[kind].fsim)
     z1, z2 = extract_virtual_z(m, target)
@@ -487,6 +487,35 @@ def test_cz20_meets_criterion_7_off_the_default_frequency(device, offset_mhz):
     assert abs(math.remainder(tomo["phi_rad"] - math.pi, math.tau)) <= 0.1
 
 
+@pytest.mark.parametrize("offset_mhz", [-5, -3, 1, 3, 5, 10])
+def test_iswap_meets_criterion_6_off_the_default_frequency(device, offset_mhz):
+    _, report = calibrate_gate(device, "iswap", mod_freq=0.28 + offset_mhz * 1e-3)
+    tomo = report["tomography"]
+    assert tomo["f_avg"] >= 0.999
+    assert abs(tomo["theta_rad"] + math.pi / 2) <= 0.01
+    assert abs(tomo["phi_rad"]) <= 0.05
+    assert tomo["leakage"] <= 1e-3
+    assert report["consistency"]["duration_coupling_product"] == pytest.approx(
+        1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("kind, distinct", [("iswap", 20), ("cz20", 40)])
+def test_the_trim_and_the_gate_block_take_no_partial_step(device, default_calibrations,
+                                                          monkeypatch, kind, distinct):
+    # every trim candidate, and so the picked duration, lies on the step
+    # grid: the propagation diagonalizes only the distinct steps of one
+    # period (a quarter of them at the sweet spot), in each parity block.
+    # Steps are diagonalized in stacks; the dressed basis is one matrix
+    # per block.
+    spec, _, _, (trim,) = default_calibrations[kind]
+    assert trim.n_diagonalized == distinct
+    eigh, steps = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda h: np.ndim(h) == 3 and steps.append(len(h)) or eigh(h))
+    gate_block(device, spec)
+    assert sum(steps) == len(PARITY_BLOCKS) * distinct
+
+
 def test_gate_block_is_the_dressed_block_of_the_gate(device, default_calibrations):
     m = gate_block(device, default_calibrations["iswap"][0])
     assert m.shape == (4, 4)
@@ -549,7 +578,7 @@ def test_trim_records_the_warnings_of_the_candidates_it_fits(device, monkeypatch
                         lambda ptm: calls.append(ptm) or fit_fsim(ptm))
     spec, report = calibrate_gate(device, "cz20", mod_freq=0.2805, refine=False)
     tomo = report["tomography"]
-    assert 1 <= len(calls) <= 10  # of 129 candidates
+    assert 1 <= len(calls) <= 10  # of 359 candidates
     assert tomo["warnings"] == [
         "channel is far from unitary; the fSim fit may not be meaningful"] * len(calls)
     assert abs(tomo["theta_rad"]) <= 0.015

@@ -13,6 +13,7 @@ from paramres.device import device_params
 from paramres.dynamics import (
     UNITARITY_TOL,
     _decaying_cosine,
+    _half_period,
     _parameter_series,
     _vertex_trace,
     chevron,
@@ -161,6 +162,22 @@ def test_stepped_propagators_cut_exactly_at_each_time(device):
 
 
 TIMES = [1.0, 3.1, 10.0, 20.0, 24.0, 25.4]
+
+
+@pytest.mark.parametrize("q", [1, 2, 20])
+def test_half_period_prefixes_match_plain_products(rng, q):
+    # steps V exp(-i*phi) V^T with V real orthogonal: the mirrored
+    # quarter read off the first agrees with multiplying step by step
+    d = 14
+    steps = []
+    for _ in range(q):
+        v = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        steps.append((v * np.exp(-1j * rng.uniform(0, 2 * np.pi, d))) @ v.T)
+    plain = [np.eye(d)]
+    for step in steps + steps[::-1]:
+        plain.append(step @ plain[-1])
+    h = _half_period(np.array(steps), np.empty((2 * q + 1, d, d), dtype=complex))
+    assert np.max(np.abs(h - np.array(plain))) <= 1e-13
 
 
 @pytest.mark.parametrize("q2_pulse, dt, times", [

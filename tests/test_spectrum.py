@@ -162,3 +162,13 @@ def test_device_params_rejects_a_non_finite_coupling_by_name(name, value):
                      g1c=0.1, g2c=0.1, g12=0.005)
     with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
         replace(p, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "fc", "eta1", "eta2", "etac"])
+def test_device_params_rejects_an_infinite_frequency_by_name(name):
+    # +inf passes the positivity checks, and propagate's eigh would then
+    # fail with a LinAlgError that the CLI does not catch
+    p = DeviceParams(f1=4, f2=4, fc=6, eta1=0.2, eta2=0.2, etac=0.1,
+                     g1c=0.1, g2c=0.1, g12=0.005)
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+        replace(p, **{name: float("inf")})
