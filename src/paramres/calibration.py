@@ -275,9 +275,8 @@ def gate_block(device: Device, spec: GateSpec) -> np.ndarray:
     """
     p = device_params(device, phic=spec.coupler_bias)
     basis = dressed_computational_basis(p)
-    cut = propagate(p, gate_pulse(spec), device.q2, columns=basis,
-                    times=[spec.duration]).cuts
-    return (basis.conj().T @ cut)[0]
+    cut = propagate(p, gate_pulse(spec), device.q2, columns=basis).cuts[-1]
+    return basis.conj().T @ cut
 
 
 def _on_step_grid(pulse: FluxPulse, q2_spec, times) -> np.ndarray:

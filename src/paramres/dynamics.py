@@ -16,7 +16,7 @@ A static pulse takes no steps: it evolves in closed form from one
 eigendecomposition.  A propagation evolves only the columns its caller
 reads, U(t) X for a DIMxk isometry X (one prepared state, or the dressed
 computational basis of a gate block), cut at exactly the requested
-times and at the duration.
+times, the duration by default.
 
 The Hamiltonian conserves the excitation parity, so H and every
 propagator are block diagonal in effective.PARITY_BLOCKS, and each block
@@ -60,12 +60,11 @@ UNITARITY_TOL = 1e-8
 class Propagation:
     """Result of one time-domain propagation."""
 
-    unitary: np.ndarray          # U(T) X at the duration T, shape (DIM, k); U(T) for X = I
     dt: float                    # step size (ns); a static pulse's duration
-    n_steps: int
+    n_steps: int                 # steps to the latest cut; 1 for a static pulse
     n_diagonalized: int          # step Hamiltonians diagonalized, in the blocks X reaches
-    cuts: np.ndarray             # U(t) X per requested time t, shape (n_times, DIM, k)
-    unitarity_defect: float      # largest max|U_b(T)^H U_b(T) - I| of an evolved block b
+    cuts: np.ndarray             # U(t_i) X per cut time t_i (T by default), (n_times, DIM, k)
+    unitarity_defect: float      # largest max|U_P^H U_P - I| of an evolved block's period U_P
 
 
 def _parameter_series(p, q2_pulse, q2_spec, t_mid):
@@ -209,27 +208,29 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     converts the instantaneous q2 flux to its frequency and coupling scale
     factors.
 
-    times requests cuts of the evolution at times in (0, duration], one
-    per request in request order: cuts[i] = U(t_i) X, of shape
-    (len(times), DIM, k), for X = columns, a DIMxk isometry (orthonormal
-    columns, k >= 1) that defaults to the identity.  Callers pass only
+    times, a nonempty 1-D array, requests cuts of the evolution at times
+    in (0, duration], one per request in request order: cuts[i] =
+    U(t_i) X, of shape (len(times), DIM, k), for X = columns, a DIMxk
+    isometry (orthonormal columns, k >= 1) that defaults to the identity.
+    times defaults to [duration], so that cuts[-1] is U(T) X, the full
+    unitary U(T) for the default X.  Callers pass only
     the columns they read: one prepared state, or the dressed basis B of
     a gate block B^H (U B).  The cut at t is the unitary that the same
     pulse with duration t returns: the pulse is square, so the truncated
     pulse takes the same steps up to t, and both end with the same
     partial step.  A duration scan then costs one propagation instead of
-    one per duration.  The cut at the duration, U(T) X of shape (DIM, k),
-    is always returned as unitary; for the default X = I it is the full
-    unitary U(T).
+    one per duration.
 
     Parity blocks: H keeps the excitation parity, so U(t) is block
     diagonal in effective.PARITY_BLOCKS.  Only the blocks in which X has
     a nonzero row are evolved: their steps, prefixes, Floquet forms and
     cuts are computed block by block, and the rows of U(t) X outside
     them are exactly zero.  A column of one parity, such as a dressed
-    computational state, costs one block.  Each evolved block's U_b(T)
-    is checked against UNITARITY_TOL; unitarity_defect is the largest
-    max|U_b^H U_b - I|.
+    computational state, costs one block.  Every cut of a block is built
+    on its period propagator U_P (see Period reuse), or on a static
+    pulse's eigenvectors Z, so that matrix is checked against
+    UNITARITY_TOL; unitarity_defect is the largest max|U_P^H U_P - I|
+    (or Z's).
 
     The step: with dt=None a modulated pulse takes modulation_step, m
     steps per period with m a multiple of 8 under STEP_ERROR_BUDGET
@@ -261,10 +262,10 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     the evolved blocks, not with duration/dt.  Of the m prefixes only
     those of quarter 1 (and of quarter 3 off a sweet spot) are plain
     sequential products; the rest follow in two batched products, three
-    off a sweet spot (see Quarter symmetry and _half_period).  Cuts go in batches, as
-    P_k Z (exp(i*n*theta) * Z^H x) in each block for x the block's
-    identity (U_b(T)) or its rows of X; a static pulse is the case
-    k = 0, theta = -2*pi*E and n = t.
+    off a sweet spot (see Quarter symmetry and _half_period).  Cuts go in
+    batches, as P_k Z (exp(i*n*theta) * Z^H x) in each block for x the
+    block's rows of X; a static pulse is the case k = 0,
+    theta = -2*pi*E and n = t.
 
     Quarter symmetry: with q = m/4 and midpoints (j + 1/2)*dt, the flux
     enters H only through sin(2*pi*f*t), so within each half period step
@@ -282,7 +283,9 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         raise ValueError("pulse duration must be > 0")
     if dt is not None and not 0.0 < dt < math.inf:  # NaN fails too
         raise ValueError(f"step dt must be finite and > 0, got {dt!r}")
-    want = np.asarray([] if times is None else times, float).ravel()
+    want = np.asarray([duration] if times is None else times, float)
+    if want.ndim != 1 or want.size == 0:
+        raise ValueError(f"times must be a nonempty 1-D array, got shape {want.shape}")
     # written so that NaN fails the range test
     if not np.all((want > 0.0) & (want <= duration + 1e-9)):
         raise ValueError("cut times must lie in (0, duration]")
@@ -290,7 +293,7 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     # H never leaves a parity block, so a block without a nonzero row of
     # the columns evolves nothing that is read
     blocks = [idx for idx in PARITY_BLOCKS if np.any(cols[idx] != 0.0)]
-    ends = np.minimum(np.append(want, duration), duration)  # the duration last
+    ends = np.minimum(want, duration)
 
     n_diagonalized = 0
 
@@ -328,7 +331,7 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         s = np.floor(ends / dt + 1e-9).astype(int)
         r = ends - s * dt
         r[r <= 1e-4 * np.minimum(dt, ends)] = 0.0
-        n_steps = int(s[-1]) + int(r[-1] > 0.0)
+        n_steps = int(np.max(s + (r > 0.0)))  # to the latest cut
         n, k = np.divmod(s, m)
 
         # the distinct steps (see Quarter symmetry): quarter 1, and
@@ -352,42 +355,35 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
             schur_t, z = schur(table[m], output="complex")
             floquet.append((np.angle(np.diag(schur_t)), z, table))
 
-    def cut(i, ys):
-        """U(t) y in each block at the cut times ends[i], for ys[b] the
-        rows of blocks[b] of the columns y: one array of shape
-        (len(i), len(blocks[b]), k) per block."""
-        outs = []
-        for (theta, z, table), y in zip(floquet, ys):
-            x = z.conj().T @ y
-            out = np.empty((len(i), *y.shape), dtype=complex)
-            for a in range(0, len(i), _EIGH_BATCH):
-                c = i[a:a + _EIGH_BATCH]
-                phases = np.exp(1j * np.multiply.outer(n[c], theta))
-                zx = z @ (phases[:, :, None] * x)
-                out[a:a + _EIGH_BATCH] = zx if table is None else table[k[c]] @ zx
-            outs.append(out)
-        j = np.flatnonzero(r[i] > 0.0)
-        if j.size:  # no partial step, no parameter series
-            for c, batch in steps(q2_pulse, s[i[j]] * dt + 0.5 * r[i[j]], r[i[j]]):
-                for out, step in zip(outs, batch):
-                    out[j[c]] = step @ out[j[c]]
-        return outs
-
-    final = [u[0] for u in cut(np.array([len(want)]),
-                               [np.eye(len(idx)) for idx in blocks])]
-    defect = max(float(np.max(np.abs(u.conj().T @ u - np.eye(len(u))))) for u in final)
+    # every cut of a block is built on its period propagator U_P = P_m,
+    # or on a static pulse's eigenvectors, so a drift of the steps shows there
+    defect = max(float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
+                 for u in (z if table is None else table[-1] for _, z, table in floquet))
     if defect > UNITARITY_TOL:
         raise ValueError(
             f"unitarity drift {defect:.2e} exceeds {UNITARITY_TOL}; reduce dt")
-    unitary = np.zeros((DIM, cols.shape[1]), dtype=complex)
-    cuts = np.zeros((len(want), *unitary.shape), dtype=complex)
-    # before n_diagonalized is read
-    parts = cut(np.arange(len(want)), [cols[idx] for idx in blocks])
-    for idx, u, part in zip(blocks, final, parts):
-        unitary[idx] = u @ cols[idx]
+
+    # U(t) X in each evolved block, one array of shape (len(want), len(idx), k)
+    parts = []
+    for idx, (theta, z, table) in zip(blocks, floquet):
+        x = z.conj().T @ cols[idx]
+        out = np.empty((len(want), *x.shape), dtype=complex)
+        for a in range(0, len(want), _EIGH_BATCH):
+            c = slice(a, a + _EIGH_BATCH)
+            phases = np.exp(1j * np.multiply.outer(n[c], theta))
+            zx = z @ (phases[:, :, None] * x)
+            out[c] = zx if table is None else table[k[c]] @ zx
+        parts.append(out)
+    j = np.flatnonzero(r > 0.0)
+    if j.size:  # no partial step, no parameter series
+        for c, batch in steps(q2_pulse, s[j] * dt + 0.5 * r[j], r[j]):
+            for out, step in zip(parts, batch):
+                out[j[c]] = step @ out[j[c]]
+    cuts = np.zeros((len(want), DIM, cols.shape[1]), dtype=complex)
+    for idx, part in zip(blocks, parts):
         cuts[:, idx] = part
-    return Propagation(unitary=unitary, dt=dt, n_steps=n_steps,
-                       n_diagonalized=n_diagonalized, cuts=cuts, unitarity_defect=defect)
+    return Propagation(dt=dt, n_steps=n_steps, n_diagonalized=n_diagonalized,
+                       cuts=cuts, unitarity_defect=defect)
 
 
 def step_error(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, basis) -> float:
@@ -395,13 +391,13 @@ def step_error(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, basis) -> float:
 
     The midpoint rule is second order, so with m steps per period
     U(m) - U(m/2) is three times U(m) - U to leading order; the estimate
-    is max|(U(m) - U(m/2)) B| / 3 on the columns of the DIMxk isometry
-    ``basis``.  It costs two propagations of those columns, at m and at
-    m/2 steps per period.
+    is max|(U(m) - U(m/2)) B| / 3 at the duration, on the columns of the
+    DIMxk isometry ``basis``.  It costs two propagations of those
+    columns, at m and at m/2 steps per period, each cut at the duration.
     """
     full = propagate(p, q2_pulse, q2_spec, columns=basis)
     half = propagate(p, q2_pulse, q2_spec, dt=2.0 * full.dt, columns=basis)
-    return float(np.max(np.abs(full.unitary - half.unitary))) / 3.0
+    return float(np.max(np.abs(full.cuts[-1] - half.cuts[-1]))) / 3.0
 
 
 @dataclass(frozen=True)
@@ -428,9 +424,10 @@ def chevron(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, amplitudes,
     the grid values (one propagation per amplitude, cut at exactly each
     duration), while the coupler stays at its bias in p.  From |10> the
     map records the |01> population (energy exchange); from |11> it
-    records the |11> return population.  Durations must be positive and
-    finite; each one off the step grid of its row (see
-    propagate and modulation_step) costs a partial step.
+    records the |11> return population.  Both grids must be 1-D and
+    nonempty, the durations positive and finite; each one off the step
+    grid of its row (see propagate and modulation_step) costs a partial
+    step.
 
     The prepared and recorded states are columns of ``basis``, a DIMx4
     isometry onto the computational states (columns ordered as
@@ -443,8 +440,9 @@ def chevron(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, amplitudes,
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     durations = np.asarray(durations, dtype=float)
-    if amplitudes.size == 0 or durations.size == 0:
-        raise ValueError("chevron grids must be nonempty")
+    if amplitudes.ndim != 1 or durations.ndim != 1 or 0 in (amplitudes.size, durations.size):
+        raise ValueError("chevron grids must be nonempty 1-D arrays, got shapes "
+                         f"{amplitudes.shape} and {durations.shape}")
     if not np.all(np.isfinite(durations) & (durations > 0.0)):
         raise ValueError("chevron durations must be positive and finite")
     if initial not in _CHEVRON_TARGETS:

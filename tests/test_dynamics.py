@@ -92,7 +92,7 @@ def test_static_branch_agrees_with_stepped_propagation(device, zero_bias_params)
     stepped = propagate(zero_bias_params,
                         flat_pulse(dur, amplitude=1e-12, mod_freq=MOD_FREQ),
                         device.q2)
-    assert np.max(np.abs(static.unitary - stepped.unitary)) < 1e-8
+    assert np.max(np.abs(static.cuts[-1] - stepped.cuts[-1])) < 1e-8
 
 
 def test_step_halving_error_ratio_is_second_order(device, zero_bias_params):
@@ -103,7 +103,7 @@ def test_step_halving_error_ratio_is_second_order(device, zero_bias_params):
                          flat_pulse(dur, amplitude=0.1546, mod_freq=MOD_FREQ),
                          device.q2, dt=PERIOD / m)
         assert prop.unitarity_defect < UNITARITY_TOL
-        return prop.unitary
+        return prop.cuts[-1]
 
     ref = unitary(2048)
     errs = [np.max(np.abs(unitary(m) - ref)) for m in (64, 128, 256)]
@@ -123,7 +123,7 @@ def test_unitary_snapshots_match_truncated_pulses(device):
             solo = propagate(
                 p, flat_pulse(float(t), amplitude=amplitude, mod_freq=mod_freq),
                 device.q2, dt=dt)
-            assert np.max(np.abs(u - solo.unitary)) < 1e-10
+            assert np.max(np.abs(u - solo.cuts[-1])) < 1e-10
 
 
 def stepped_propagators(p, q2_pulse, q2_spec, dt, times):
@@ -225,12 +225,9 @@ def test_period_reuse_matches_direct_stepping(device, q2_pulse, dt, times):
         assert round(1.0 / (q2_pulse.mod_freq * prop.dt)) % 4 == 0
     assert prop.cuts.shape == (len(cuts), DIM, DIM)
     assert kept.cuts.shape == (len(cuts), DIM, 1)
-    ref = stepped_propagators(p, q2_pulse, device.q2, prop.dt,
-                              [q2_pulse.duration, *cuts])
-    assert np.max(np.abs(prop.unitary - ref[0])) < 1e-9
-    assert np.max(np.abs(kept.unitary[:, 0] - ref[0] @ psi)) < 1e-9
-    assert np.max(np.abs(prop.cuts - ref[1:])) < 1e-9
-    assert np.max(np.abs(kept.cuts[:, :, 0] - ref[1:] @ psi)) < 1e-9
+    ref = stepped_propagators(p, q2_pulse, device.q2, prop.dt, cuts)
+    assert np.max(np.abs(prop.cuts - ref)) < 1e-9
+    assert np.max(np.abs(kept.cuts[:, :, 0] - ref @ psi)) < 1e-9
 
 
 @pytest.mark.parametrize("q2_pulse", [
@@ -254,7 +251,7 @@ def test_snapshots_off_the_step_grid_are_truncated_pulses(device, q2_pulse):
         solo = propagate(p, replace(q2_pulse, duration=float(t)), device.q2)
         for x, prop in zip(inputs, props):
             assert prop.cuts.shape == (len(times), DIM, x.shape[1])
-            assert np.max(np.abs(prop.cuts[i] - solo.unitary @ x)) <= 1e-10
+            assert np.max(np.abs(prop.cuts[i] - solo.cuts[-1] @ x)) <= 1e-10
 
 
 @pytest.mark.parametrize("q2_pulse, quarters", [
@@ -275,6 +272,34 @@ def test_diagonalizations_per_pulse(device, q2_pulse, quarters):
         assert prop.n_diagonalized == quarters * m // 4 + 1
 
 
+def test_a_cut_at_an_off_grid_duration_diagonalizes_its_partial_step_once(device):
+    # 25.4 ns is 7 periods and 7.17 steps of 64 per period: the 16 distinct
+    # steps of a quarter period and one partial step, which the cut at
+    # the duration takes once
+    p = device_params(device, phic=0.29472)
+    pulse = FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=25.4)
+    prop = propagate(p, pulse, device.q2, dt=PERIOD / 64, times=[25.4])
+    assert prop.n_diagonalized == 64 // 4 + 1
+
+
+@pytest.mark.parametrize("q2_pulse", [
+    FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=25.4),
+    FluxPulse(phi_dc=0.08, amplitude=0.02, mod_freq=MOD_FREQ, duration=25.4),
+], ids=["sweet_spot", "off_sweet_spot"])
+def test_unitarity_drift_of_the_steps_is_caught(device, q2_pulse, monkeypatch):
+    # every step scaled by 1 + 1e-6, in quarter 1 and, off a sweet spot,
+    # in quarter 3: the period propagator drifts by about 2e-6 per step
+    def drifting(*args):
+        for c, steps in step_matrices(*args):
+            yield c, [(1.0 + 1e-6) * step for step in steps]
+
+    step_matrices = dynamics._step_matrices
+    monkeypatch.setattr(dynamics, "_step_matrices", drifting)
+    p = device_params(device, phic=0.29472, phi2=q2_pulse.phi_dc)
+    with pytest.raises(ValueError, match="unitarity drift"):
+        propagate(p, q2_pulse, device.q2, dt=PERIOD / 48)
+
+
 def test_long_static_pulse_needs_no_per_step_arrays(device, zero_bias_params):
     # 2 us of a static pulse is one exact step, whatever its duration
     tracemalloc.start()
@@ -288,7 +313,6 @@ def test_long_static_pulse_needs_no_per_step_arrays(device, zero_bias_params):
     assert peak < 5e6
     evals, vecs = np.linalg.eigh(build_hamiltonian(zero_bias_params))
     exact = (vecs * np.exp(-2j * np.pi * evals * 2000.0)) @ vecs.conj().T
-    assert np.max(np.abs(prop.unitary - exact @ Q1_EXCITED)) < 1e-8
     assert np.max(np.abs(prop.cuts[-1] - exact @ Q1_EXCITED)) < 1e-8
 
 
@@ -351,7 +375,7 @@ def test_dc_pulse_evolves_in_closed_form_from_one_eigendecomposition(
              * (vecs.T @ psi)) @ vecs.T
     assert np.max(np.abs(prop.cuts[:, :, 0] - exact)) < 1e-10
     exact_u = (vecs * np.exp(-2j * np.pi * evals * 300.0)) @ vecs.T
-    assert np.max(np.abs(prop.unitary[:, 0] - exact_u @ psi)) < 1e-10
+    assert np.max(np.abs(prop.cuts[-1][:, 0] - exact_u @ psi)) < 1e-10
 
 
 @pytest.mark.parametrize("columns", [
@@ -399,6 +423,13 @@ def test_propagate_validation(device, zero_bias_params):
     for bad in ([25.0], [np.nan]):
         with pytest.raises(ValueError, match="lie in \\(0, duration\\]"):
             propagate(zero_bias_params, flat_pulse(20.0), device.q2, times=bad)
+
+
+@pytest.mark.parametrize("times", [[], [[1.0, 2.0]]], ids=["empty", "2d"])
+def test_propagate_rejects_times_that_are_not_a_nonempty_vector(
+        device, zero_bias_params, times):
+    with pytest.raises(ValueError, match="times must be a nonempty 1-D array"):
+        propagate(zero_bias_params, flat_pulse(20.0), device.q2, times=times)
 
 
 @pytest.mark.parametrize("dt", [0.0, np.nan, np.inf, -0.1])
@@ -642,6 +673,14 @@ def test_chevron_validation(device, zero_bias_params):
     for bad in ([-20.0, 10.0], [-3.3], [0.0], [np.nan, 10.0], [np.inf]):
         with pytest.raises(ValueError, match="durations must be positive and finite"):
             chevron(zero_bias_params, pulse, device.q2, [0.1], bad)
+
+
+@pytest.mark.parametrize("amplitudes, durations", [
+    ([0.1], [[5.0, 6.0]]), ([[0.1, 0.2]], [5.0])], ids=["durations", "amplitudes"])
+def test_chevron_rejects_a_2d_grid(device, zero_bias_params, amplitudes, durations):
+    pulse = flat_pulse(30.0, amplitude=0.1, mod_freq=MOD_FREQ)
+    with pytest.raises(ValueError, match="chevron grids must be nonempty 1-D arrays"):
+        chevron(zero_bias_params, pulse, device.q2, amplitudes, durations)
 
 
 def test_dynamic_coupling_matches_static_prediction_at_one_bias(device):
