@@ -25,6 +25,7 @@ except the timestamp, which sits on its own ``generated`` line.
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -489,7 +490,14 @@ def cmd_transfer_apply(cfg: RunConfig, args) -> int:
                     compensated_request_phi0=requested / ratio, file=out)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every command, built once per process.
+
+    Each command's parser holds the name of its ``cmd_*`` function, which
+    main looks up on this module at call time, so a function rebound on
+    the module after the first build is the one that runs.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE",
                         help="run configuration INI file")
@@ -511,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(actions, name, help, func):
         """The parser of one command, with the common options."""
         cmd = actions.add_parser(name, parents=[common], help=help)
-        cmd.set_defaults(func=func)
+        cmd.set_defaults(handler=func.__name__)
         return cmd
 
     def two_word(group, help, *action):
@@ -529,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="run the full gate calibration pipeline")
     cal.add_argument("kind", choices=tuple(_GATE_TOKENS),
                      help="gate to calibrate (cz is the |11>-|20> phase gate)")
-    cal.set_defaults(func=cmd_calibrate)
+    cal.set_defaults(handler=cmd_calibrate.__name__)
 
     command(sub, "tomo", "process tomography of a calibrated gate", cmd_tomo)
     two_word("flux", "flux crosstalk utilities", "invert",
@@ -549,9 +557,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         cfg = RunConfig(args)
-        if cfg.format == "ini" and args.func is not cmd_device_show:
+        if cfg.format == "ini" and args.handler != "cmd_device_show":
             raise ValueError("--format ini is only supported by 'device show'")
-        return args.func(cfg, args)
+        return globals()[args.handler](cfg, args)
     except CalibrationError as exc:
         print(f"error: calibration failed at stage {exc}", file=sys.stderr)
         return 1

@@ -92,27 +92,24 @@ def _parameter_series(p, q2_pulse, q2_spec, t_mid):
     return {"f2": p.f2 + (band.f01 - dc.f01), "g2c": p.g2c * r2, "g12": p.g12 * r2}
 
 
-# steps diagonalized per batched np.linalg.eigh call, and cuts per batch,
-# each gathering its prefix from the period's table; bounds the work arrays
-_EIGH_BATCH = 64
+# cuts per batch: each batch gathers its cuts' prefixes from the period's
+# table and takes their partial steps at once; bounds the work arrays
+_CUT_BATCH = 64
 
 def _step_matrices(p, series, dts, blocks):
-    """Yield (c, steps): the midpoint steps of the slice c of dts, batched.
+    """The midpoint steps of lengths dts, one stack per block of blocks.
 
     series holds the q2 parameters at the step midpoints (see
-    _parameter_series) and dts the step lengths.  steps[b] is
-    exp(-i*2*pi*H*dt) in the parity block blocks[b] (see
-    effective.parity_blocks), from the eigendecomposition of H there.
+    _parameter_series).  steps[b][i] is exp(-i*2*pi*H_i*dts[i]) in the
+    parity block blocks[b] (see effective.parity_blocks), from the
+    eigendecomposition of H_i there.
     """
-    for a in range(0, len(dts), _EIGH_BATCH):
-        c = slice(a, a + _EIGH_BATCH)
-        batch = {key: values[c] for key, values in series.items()}
-        steps = []
-        for _, h in parity_blocks(p, **batch, blocks=blocks):
-            evals, vecs = np.linalg.eigh(h)
-            phases = np.exp(-2j * math.pi * evals * dts[c, None])
-            steps.append((vecs * phases[:, None, :]) @ vecs.transpose(0, 2, 1))
-        yield c, steps
+    steps = []
+    for _, h in parity_blocks(p, **series, blocks=blocks):
+        evals, vecs = np.linalg.eigh(h)
+        phases = np.exp(-2j * math.pi * evals * dts[:, None])
+        steps.append((vecs * phases[:, None, :]) @ vecs.transpose(0, 2, 1))
+    return steps
 
 
 #: Step-error budget of a modulated pulse propagated at dt=None: the
@@ -262,9 +259,11 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     the evolved blocks, not with duration/dt.  Of the m prefixes only
     those of quarter 1 (and of quarter 3 off a sweet spot) are plain
     sequential products; the rest follow in two batched products, three
-    off a sweet spot (see Quarter symmetry and _half_period).  Cuts go in
-    batches, as P_k Z (exp(i*n*theta) * Z^H x) in each block for x the
-    block's rows of X; a static pulse is the case k = 0,
+    off a sweet spot (see Quarter symmetry and _half_period).  The cuts
+    go in one loop over batches of _CUT_BATCH requests: a batch reads
+    each cut as P_k Z (exp(i*n*theta) * Z^H x) in each block, for x the
+    block's rows of X, and then takes the partial steps of its off-grid
+    cuts, diagonalized together; a static pulse is the case k = 0,
     theta = -2*pi*E and n = t.
 
     Quarter symmetry: with q = m/4 and midpoints (j + 1/2)*dt, the flux
@@ -294,15 +293,6 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     # the columns evolves nothing that is read
     blocks = [idx for idx in PARITY_BLOCKS if np.any(cols[idx] != 0.0)]
     ends = np.minimum(want, duration)
-
-    n_diagonalized = 0
-
-    def steps(pulse, t_mid, lengths):
-        """Batches of the steps of the given midpoints and lengths."""
-        nonlocal n_diagonalized
-        n_diagonalized += len(t_mid)
-        series = _parameter_series(p, pulse, q2_spec, t_mid)
-        return _step_matrices(p, series, lengths, blocks)
 
     # floquet[b] = (theta, Z, table) of blocks[b]: the propagator after
     # n periods and k steps is table[k] Z diag(exp(i*n*theta)) Z^H
@@ -341,9 +331,9 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         first = np.arange(q) if sweet else np.r_[0:q, 2 * q:3 * q]
         # the steps sample the waveform for a whole period
         wave = replace(q2_pulse, duration=max(duration, period))
-        batches = [batch for _, batch in steps(wave, (first + 0.5) * dt,
-                                               np.full(len(first), dt))]
-        for unique in map(np.concatenate, zip(*batches)):
+        n_diagonalized = len(first)
+        series = _parameter_series(p, wave, q2_spec, (first + 0.5) * dt)
+        for unique in _step_matrices(p, series, np.full(len(first), dt), blocks):
             table = np.empty((m + 1, *unique.shape[1:]), dtype=complex)  # table[k] = P_k
             _half_period(unique[:q], table)
             second = (table if sweet else
@@ -363,26 +353,29 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         raise ValueError(
             f"unitarity drift {defect:.2e} exceeds {UNITARITY_TOL}; reduce dt")
 
-    # U(t) X in each evolved block, one array of shape (len(want), len(idx), k)
-    parts = []
-    for idx, (theta, z, table) in zip(blocks, floquet):
-        x = z.conj().T @ cols[idx]
-        out = np.empty((len(want), *x.shape), dtype=complex)
-        for a in range(0, len(want), _EIGH_BATCH):
-            c = slice(a, a + _EIGH_BATCH)
-            phases = np.exp(1j * np.multiply.outer(n[c], theta))
-            zx = z @ (phases[:, :, None] * x)
-            out[c] = zx if table is None else table[k[c]] @ zx
-        parts.append(out)
-    j = np.flatnonzero(r > 0.0)
-    if j.size:  # no partial step, no parameter series
-        for c, batch in steps(q2_pulse, s[j] * dt + 0.5 * r[j], r[j]):
-            for out, step in zip(parts, batch):
-                out[j[c]] = step @ out[j[c]]
+    # the cuts off the step grid, each ending with one partial step; no
+    # partial step, no parameter series
+    off = np.flatnonzero(r > 0.0)
+    if len(off):
+        series = _parameter_series(p, q2_pulse, q2_spec, s[off] * dt + 0.5 * r[off])
+    xs = [z.conj().T @ cols[idx] for idx, (_, z, _) in zip(blocks, floquet)]
     cuts = np.zeros((len(want), DIM, cols.shape[1]), dtype=complex)
-    for idx, part in zip(blocks, parts):
-        cuts[:, idx] = part
-    return Propagation(dt=dt, n_steps=n_steps, n_diagonalized=n_diagonalized,
+    starts = range(0, len(want), _CUT_BATCH)
+    # the batch of cuts from a on holds the off-grid cuts off[lo:hi]
+    edges = np.searchsorted(off, [*starts, len(want)])
+    for a, lo, hi in zip(starts, edges, edges[1:]):
+        c = slice(a, a + _CUT_BATCH)
+        if hi > lo:
+            j = off[lo:hi] - a
+            batch = {key: values[lo:hi] for key, values in series.items()}
+            partial = _step_matrices(p, batch, r[off[lo:hi]], blocks)
+        for b, (idx, x, (theta, z, table)) in enumerate(zip(blocks, xs, floquet)):
+            zx = z @ (np.exp(1j * np.multiply.outer(n[c], theta))[:, :, None] * x)
+            out = zx if table is None else table[k[c]] @ zx
+            if hi > lo:
+                out[j] = partial[b] @ out[j]
+            cuts[c, idx] = out
+    return Propagation(dt=dt, n_steps=n_steps, n_diagonalized=n_diagonalized + len(off),
                        cuts=cuts, unitarity_defect=defect)
 
 

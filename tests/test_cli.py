@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from paramres import cli
 from paramres.calibration import GATES, calibrate_gate
 from paramres.cli import main
 from paramres.device import bundled_path, load_device
@@ -180,6 +181,22 @@ def test_format_ini_is_rejected_outside_device_show(capsys, tmp_path):
     assert code == 1
     assert "config [run] format" in err
     assert not out_dir.exists()
+
+
+def test_main_builds_one_parser_and_runs_the_function_bound_at_call_time(
+        capsys, monkeypatch):
+    # the argparse tree is built once per process, and each call looks its
+    # command function up on the module, so a function rebound after the
+    # first call (as a tracer rebinds cmd_calibrate) is the one that runs
+    cli._build_parser.cache_clear()
+    code, out, _ = run(capsys, "device", "show")
+    assert code == 0 and "qubit1 : f01" in out
+    ran = []
+    monkeypatch.setattr(cli, "cmd_device_show",
+                        lambda cfg, args: ran.append(cfg.format) or 7)
+    code, _, _ = run(capsys, "device", "show", "--format", "ini")
+    assert code == 7 and ran == ["ini"]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_transfer_apply_defaults(capsys, tmp_path):

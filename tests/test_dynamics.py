@@ -282,6 +282,29 @@ def test_a_cut_at_an_off_grid_duration_diagonalizes_its_partial_step_once(device
     assert prop.n_diagonalized == 64 // 4 + 1
 
 
+@pytest.mark.parametrize("dressed", [False, True], ids=["one_column", "dressed_basis"])
+def test_cuts_across_batches_equal_cuts_requested_in_small_chunks(device, dressed):
+    # 152 unsorted requests, half of them off the step grid and at least
+    # 12 of them repeats, span three batches of cuts; requested 40 at a
+    # time, each call takes one batch
+    p = device_params(device, phic=0.29472)
+    pulse = FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=40.0)
+    dt = PERIOD / 64
+    rng = np.random.default_rng(11)
+    on_grid = dt * rng.integers(1, int(40.0 / dt) + 1, 70)
+    off_grid = dt * (rng.integers(0, int(40.0 / dt), 70) + rng.uniform(0.05, 0.95, 70))
+    times = np.concatenate([on_grid, off_grid, on_grid[:6], off_grid[:6]])
+    rng.shuffle(times)
+    columns = dressed_computational_basis(p) if dressed else Q1_EXCITED
+    whole = propagate(p, pulse, device.q2, dt=dt, columns=columns, times=times)
+    chunks = [propagate(p, pulse, device.q2, dt=dt, columns=columns, times=times[a:a + 40])
+              for a in range(0, len(times), 40)]
+    assert np.max(np.abs(whole.cuts - np.concatenate([c.cuts for c in chunks]))) < 1e-12
+    # the 16 distinct steps of a quarter period, and one partial step per
+    # off-grid request, repeats included
+    assert whole.n_diagonalized == 64 // 4 + 76
+
+
 @pytest.mark.parametrize("q2_pulse", [
     FluxPulse(phi_dc=0.0, amplitude=0.12, mod_freq=MOD_FREQ, duration=25.4),
     FluxPulse(phi_dc=0.08, amplitude=0.02, mod_freq=MOD_FREQ, duration=25.4),
@@ -290,8 +313,7 @@ def test_unitarity_drift_of_the_steps_is_caught(device, q2_pulse, monkeypatch):
     # every step scaled by 1 + 1e-6, in quarter 1 and, off a sweet spot,
     # in quarter 3: the period propagator drifts by about 2e-6 per step
     def drifting(*args):
-        for c, steps in step_matrices(*args):
-            yield c, [(1.0 + 1e-6) * step for step in steps]
+        return [(1.0 + 1e-6) * steps for steps in step_matrices(*args)]
 
     step_matrices = dynamics._step_matrices
     monkeypatch.setattr(dynamics, "_step_matrices", drifting)
