@@ -282,10 +282,12 @@ def gate_block(device: Device, spec: GateSpec) -> np.ndarray:
 def _on_step_grid(pulse: FluxPulse, q2_spec, times) -> np.ndarray:
     """times rounded onto the step grid of pulse, sorted and without repeats.
 
-    propagate cuts there with no partial step, so for free.
+    propagate cuts there with no partial step, so for free.  A time
+    under half a step rounds up to one step, since propagate cuts only
+    at times > 0.
     """
     dt = modulation_step(pulse, q2_spec)
-    return dt * np.unique(np.round(np.asarray(times) / dt))
+    return dt * np.unique(np.maximum(1, np.round(np.asarray(times) / dt)))
 
 
 #: Modulation frequency (GHz) of the probe pulse that fbar(A) is read
@@ -566,18 +568,19 @@ def calibrate_gate(
     # envelope; the residual swap angle of the spectator channel
     # oscillates at its detuning (a few ns period) and its zeros are
     # fractions of a nanosecond wide, while the process fidelity is
-    # nearly flat across them.  Trim the duration to the best fidelity
-    # among the times where the swap angle lies within _THETA_POOL of
-    # its target, or failing that to the smallest swap-angle error.  The
-    # candidates are every step-grid time within _TRIM_SPAN of the
-    # duration, so no cut, and no gate_block at the pick, takes a partial
-    # step; cuts of the dressed columns U(t) B make them cost a single
-    # propagation, projected as B^H (U B) in one product.  Only the
-    # candidates fitted get a PTM: in falling closed-form fidelity of
-    # their frame-corrected blocks, first those whose closed-form swap
-    # angle atan2(|M_01,10| + |M_10,01|, |M_01,01| + |M_10,10|) lies in
-    # the pool, up to the first whose fitted angle does.  The picked
-    # one's PTM gives the reported numbers.
+    # nearly flat across them.  The candidates are every step-grid time
+    # within _TRIM_SPAN of the duration, so no cut, and no gate_block at
+    # the pick, takes a partial step; cuts of the dressed columns U(t) B
+    # make them cost a single propagation, projected as B^H (U B) in one
+    # product.  They are ranked by a closed-form screen: first those whose
+    # closed-form swap angle atan2(|M_01,10| + |M_10,01|, |M_01,01| +
+    # |M_10,10|) lies within _THETA_POOL of its target, then the rest,
+    # each group in falling closed-form fidelity of the frame-corrected
+    # blocks.  They are fitted in that order, and the trim picks the first
+    # whose fitted swap angle lies in the pool, or failing that the
+    # smallest fitted error.  So the pick is the first screened candidate
+    # whose fit is on target, which need not be the best fidelity among
+    # the times on target.  The picked one's PTM gives the reported numbers.
     theta_target, phi_target = gate.fsim
     target_u = fsim_unitary(theta_target, phi_target)
 
@@ -586,6 +589,9 @@ def calibrate_gate(
         dt = modulation_step(pulse, device.q2)
         grid = dt * np.arange(max(1, math.ceil((spec.duration - _TRIM_SPAN) / dt)),
                               math.floor((spec.duration + _TRIM_SPAN) / dt) + 1)
+        if not len(grid):
+            raise ValueError(f"no step-grid time within {_TRIM_SPAN} ns of the "
+                             f"duration {float(spec.duration)!r} ns at step {dt!r} ns")
         trim = propagate(p, replace(pulse, duration=float(grid[-1])),
                          device.q2, columns=basis, times=grid)
         ms = basis.conj().T @ trim.cuts

@@ -7,7 +7,7 @@ modes live in the pad-difference variables (1m, 2m); the pad-sum variables
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,12 +46,11 @@ class CapacitanceNetwork:
     c45: float
 
     def __post_init__(self):
-        for name in ("c01", "c02", "c03", "c04", "c05", "c12",
-                     "c13", "c23", "c24", "c34", "c35", "c45"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             # written so that NaN fails too
             if not (0 <= value < math.inf):
-                raise ValueError(f"capacitance {name} must be >= 0 and finite, "
+                raise ValueError(f"capacitance {field.name} must be >= 0 and finite, "
                                  f"got {value}")
 
 

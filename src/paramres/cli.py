@@ -32,6 +32,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -43,7 +44,7 @@ from .calibration import (AMPLITUDE_WINDOW, GATES, GUARD_BAND, CalibrationError,
 from .device import (bundled_path, device_params, load_bundled_device,
                      load_device, save_device)
 from .dynamics import chevron
-from .effective import dressed_computational_basis, static_couplings
+from .effective import StaticEffective, dressed_computational_basis, static_couplings
 from .fluxcontrol import (apply_transfer, compensate_crosstalk,
                           load_crosstalk_csv, load_transfer_csv)
 from .tomography import (PAULI_LABELS, CoherenceTimes, average_fidelity,
@@ -249,17 +250,9 @@ def cmd_sweep_coupling(cfg: RunConfig, args) -> int:
         p = device_params(device, phi1=phi1, phic=float(phic), phi2=phi2)
         fcs.append(p.fc)
         effs.append(static_couplings(p))
-    columns = {
-        "phic_phi0": phics,
-        "fc_ghz": fcs,
-        "f01_1_ghz": [e.f01_1 for e in effs],
-        "f01_2_ghz": [e.f01_2 for e in effs],
-        "g01_ghz": [e.g01 for e in effs],
-        "g02_ghz": [e.g02 for e in effs],
-        "g20_ghz": [e.g20 for e in effs],
-        "delta1_ghz": [e.delta1 for e in effs],
-        "delta2_ghz": [e.delta2 for e in effs],
-    }
+    columns = {"phic_phi0": phics, "fc_ghz": fcs,
+               **{f"{field.name}_ghz": [getattr(e, field.name) for e in effs]
+                  for field in fields(StaticEffective)}}
     path = cfg.table_path("sweep_coupling", meta, columns)
 
     g01 = np.array(columns["g01_ghz"])
@@ -475,7 +468,7 @@ def cmd_transfer_apply(cfg: RunConfig, args) -> int:
     meta = cfg.meta("transfer apply", transfer=_input_fingerprint(path),
                     requested_amp_phi0=requested, mod_freq_ghz=mod_freq)
 
-    ratio = apply_transfer(table, 1.0, mod_freq)
+    ratio = apply_transfer(table, mod_freq)
     result = {
         "meta": meta,
         "requested_amp_phi0": requested,
@@ -533,11 +526,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "static effective couplings versus coupler flux", cmd_sweep_coupling)
     command(sub, "chevron", "population map versus amplitude and duration", cmd_chevron)
 
-    cal = sub.add_parser("calibrate", parents=[common],
-                         help="run the full gate calibration pipeline")
-    cal.add_argument("kind", choices=tuple(_GATE_TOKENS),
-                     help="gate to calibrate (cz is the |11>-|20> phase gate)")
-    cal.set_defaults(handler=cmd_calibrate.__name__)
+    command(sub, "calibrate", "run the full gate calibration pipeline",
+            cmd_calibrate).add_argument(
+        "kind", choices=tuple(_GATE_TOKENS),
+        help="gate to calibrate (cz is the |11>-|20> phase gate)")
 
     command(sub, "tomo", "process tomography of a calibrated gate", cmd_tomo)
     two_word("flux", "flux crosstalk utilities", "invert",

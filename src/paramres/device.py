@@ -14,13 +14,12 @@ fitted to, and the tests pin the device to them.
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .circuit import CapacitanceNetwork, CircuitEnergies, SquidSpec, energies_from_network
 from .spectrum import DeviceParams, TransmonSpec, transmon_expansion
 
-_NETWORK_KEYS = ("c01", "c02", "c03", "c04", "c05", "c12",
-                 "c13", "c23", "c24", "c34", "c35", "c45")
+_NETWORK_KEYS = tuple(field.name for field in fields(CapacitanceNetwork))
 _ELEMENT_SECTIONS = ("qubit1", "coupler", "qubit2")
 
 
@@ -73,11 +72,9 @@ def load_device(path) -> Device:
     )
 
 
-def save_device(path_or_file, device: Device):
-    """Write a device INI that load_device reads back to an identical Device.
-
-    Accepts a path or an open text stream (e.g. sys.stdout).
-    """
+def save_device(stream, device: Device):
+    """Write to a text stream (e.g. sys.stdout) a device INI that
+    load_device reads back to an identical Device."""
     cp = configparser.ConfigParser()
     for section, spec in zip(_ELEMENT_SECTIONS, (device.q1, device.coupler, device.q2)):
         cp.add_section(section)
@@ -86,11 +83,7 @@ def save_device(path_or_file, device: Device):
     cp.add_section("network")
     for key in _NETWORK_KEYS:
         cp.set("network", key + "_ff", f"{getattr(device.network, key):.17g}")
-    if hasattr(path_or_file, "write"):
-        cp.write(path_or_file)
-    else:
-        with open(path_or_file, "w") as fh:
-            cp.write(fh)
+    cp.write(stream)
 
 
 def device_params(device: Device, phi1=0.0, phic=0.0, phi2=0.0) -> DeviceParams:

@@ -55,6 +55,14 @@ from .spectrum import DeviceParams, transition_frequency, transmon_expansion
 
 UNITARITY_TOL = 1e-8
 
+#: Largest prefix table (bytes) of one modulation period that propagate
+#: builds: m + 1 complex matrices per evolved parity block.  At the
+#: calibrated amplitudes, with both blocks, that is 0.45 MiB (iSWAP) and
+#: 0.90 MiB (CZ20) at 0.28 GHz, 2.2 and 4.7 MiB at 10 MHz, and 69 and
+#: 148 MiB at 10 kHz; m grows as f_m^(-1/2), so 1e-9 GHz would take 6.7
+#: and 14.5 GiB.
+_PERIOD_TABLE_LIMIT = 64 * 2**20
+
 
 @dataclass(frozen=True)
 class Propagation:
@@ -233,9 +241,12 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
     steps per period with m a multiple of 8 under STEP_ERROR_BUDGET
     (m = 80 for iSWAP and 160 for CZ20 at 0.28 GHz).  An explicit dt
     must be finite and > 0; it is snapped to the next multiple of 4 steps
-    per period.  A static pulse is exact at any t, as
-    U(t) = Z exp(-2*pi*i*E*t) Z^T from the one eigendecomposition H = Z E Z^T:
-    it ignores dt and counts one step and one diagonalization.
+    per period.  A period whose prefix table would exceed
+    _PERIOD_TABLE_LIMIT raises ValueError, naming the modulation
+    frequency and m, before any step is built.  A static pulse is exact
+    at any t, as U(t) = Z exp(-2*pi*i*E*t) Z^T from the one
+    eigendecomposition H = Z E Z^T: it ignores dt and counts one step and
+    one diagonalization.
 
     The cost of a cut: at time t a modulated pulse takes s = floor(t/dt)
     whole steps by period reuse and then one partial step of length
@@ -308,8 +319,6 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         s = np.zeros(len(ends), dtype=int)
         n, k, r = ends, s, np.zeros(len(ends))
     else:
-        from scipy.linalg import schur
-
         # Snap dt to m steps per modulation period.  Cut times taken from
         # the step grid sit within summation noise of a boundary; only
         # partial steps that are real are kept.
@@ -318,6 +327,12 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         # period/(4*dt) of a dt = period/m can round to an ulp above m/4
         m = 4 * math.ceil(period / (4.0 * dt) - 1e-9)
         dt = period / m
+        size = (m + 1) * sum(len(idx) ** 2 for idx in blocks) * 16
+        if size > _PERIOD_TABLE_LIMIT:
+            raise ValueError(
+                f"modulation frequency {q2_pulse.mod_freq!r} GHz takes m = {m} steps "
+                f"per period, a period table of {size / 2**20:.0f} MiB over the "
+                f"{_PERIOD_TABLE_LIMIT / 2**20:.0f} MiB limit")
         s = np.floor(ends / dt + 1e-9).astype(int)
         r = ends - s * dt
         r[r <= 1e-4 * np.minimum(dt, ends)] = 0.0
@@ -333,6 +348,8 @@ def propagate(p: DeviceParams, q2_pulse: FluxPulse, q2_spec, dt=None,
         wave = replace(q2_pulse, duration=max(duration, period))
         n_diagonalized = len(first)
         series = _parameter_series(p, wave, q2_spec, (first + 0.5) * dt)
+        from scipy.linalg import schur
+
         for unique in _step_matrices(p, series, np.full(len(first), dt), blocks):
             table = np.empty((m + 1, *unique.shape[1:]), dtype=complex)  # table[k] = P_k
             _half_period(unique[:q], table)

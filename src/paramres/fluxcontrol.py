@@ -110,9 +110,8 @@ class TransferTable:
             raise ValueError("transfer ratios must lie in (0, 1.5]")
 
 
-def apply_transfer(table: TransferTable, requested_amp: float,
-                   mod_freq: float) -> float:
-    """Amplitude reaching the qubit for a requested amplitude at mod_freq (GHz).
+def apply_transfer(table: TransferTable, mod_freq: float) -> float:
+    """Achieved/requested amplitude ratio at mod_freq (GHz).
 
     Linear interpolation between table knots; frequencies outside the table
     range are an error rather than an extrapolation.
@@ -122,8 +121,27 @@ def apply_transfer(table: TransferTable, requested_amp: float,
         raise ValueError(
             f"modulation frequency {mod_freq} GHz outside transfer table "
             f"range [{f[0]}, {f[-1]}] GHz")
-    ratio = float(np.interp(mod_freq, f, table.ratios))
-    return requested_amp * ratio
+    return float(np.interp(mod_freq, f, table.ratios))
+
+
+def _data_lines(path, skip=("#",)) -> list:
+    """(line number, line, cells) of each data line of a CSV file: the
+    stripped line and its comma-separated cells, for each line that is
+    not blank and does not start with a prefix in skip."""
+    with open(path) as fh:
+        lines = [(lineno, raw.strip()) for lineno, raw in enumerate(fh, 1)]
+    return [(lineno, line, [c.strip() for c in line.split(",")])
+            for lineno, line in lines if line and not line.startswith(skip)]
+
+
+def _numbers(path, lineno, line, cells, count: int, expected: str) -> list:
+    """cells as count floats; anything else raises, naming the file and line."""
+    if len(cells) == count:
+        try:
+            return [float(c) for c in cells]
+        except ValueError:
+            pass
+    raise ValueError(f"{path} line {lineno}: expected {expected}, got {line!r}")
 
 
 def load_crosstalk_csv(path) -> CrosstalkMatrix:
@@ -131,21 +149,13 @@ def load_crosstalk_csv(path) -> CrosstalkMatrix:
     labels = []
     rows = []
     header = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            if header is None:
-                header = cells[1:]
-                continue
-            labels.append(cells[0])
-            try:
-                rows.append([float(c) for c in cells[1:]])
-            except ValueError:
-                raise ValueError(f"{path} line {lineno}: expected a label and "
-                                 f"numbers, got {line!r}") from None
+    for lineno, line, cells in _data_lines(path):
+        if header is None:
+            header = cells[1:]
+            continue
+        labels.append(cells[0])
+        rows.append(_numbers(path, lineno, line, cells[1:], len(header),
+                             f"a label and {len(header)} numbers"))
     if header is None or not rows:
         raise ValueError(f"no crosstalk data found in {path}")
     if labels != header:
@@ -158,23 +168,12 @@ def load_crosstalk_csv(path) -> CrosstalkMatrix:
 
 def load_transfer_csv(path) -> TransferTable:
     """Read a transfer table from CSV with columns mod_freq_ghz,amplitude_ratio."""
-    freqs = []
-    ratios = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("mod_freq"):
-                continue
-            try:
-                f, r = (float(c) for c in line.split(","))
-            except ValueError:
-                raise ValueError(f"{path} line {lineno}: expected mod_freq_ghz,"
-                                 f"amplitude_ratio, got {line!r}") from None
-            freqs.append(f)
-            ratios.append(r)
-    if not freqs:
+    rows = [_numbers(path, lineno, line, cells, 2, "mod_freq_ghz,amplitude_ratio")
+            for lineno, line, cells in _data_lines(path, skip=("#", "mod_freq"))]
+    if not rows:
         raise ValueError(f"no transfer data found in {path}")
+    freqs, ratios = np.array(rows).T
     try:
-        return TransferTable(mod_freqs=np.array(freqs), ratios=np.array(ratios))
+        return TransferTable(mod_freqs=freqs, ratios=ratios)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -403,14 +403,12 @@ def coherence_fidelity_cz(ct: CoherenceTimes, tau_ns: float) -> float:
     return 1.0 - relax - dephase
 
 
-def confusion_matrix(fidelity0: float, fidelity1: float | None = None) -> np.ndarray:
+def confusion_matrix(fidelity0: float, fidelity1: float) -> np.ndarray:
     """2x2 readout confusion matrix, columns indexed by the true state.
 
-    ``fidelity0`` is the probability of reading |0> as 0; ``fidelity1``
-    defaults to the same value (symmetric readout).
+    ``fidelity0`` is the probability of reading |0> as 0, and
+    ``fidelity1`` that of reading |1> as 1.
     """
-    if fidelity1 is None:
-        fidelity1 = fidelity0
     for f in (fidelity0, fidelity1):
         if not 0.0 <= f <= 1.0:
             raise ValueError("readout fidelities must lie in [0, 1]")

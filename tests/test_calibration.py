@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,8 +27,8 @@ from paramres.calibration import (
     sideband_collision_map,
 )
 from paramres.device import device_params
-from paramres.dynamics import (STEP_ERROR_BUDGET, ChevronMap, chevron, propagate,
-                               step_error)
+from paramres.dynamics import (STEP_ERROR_BUDGET, ChevronMap, chevron, modulation_step,
+                               propagate, step_error)
 from paramres.effective import (COMPUTATIONAL_INDICES, COMPUTATIONAL_LABELS, DIM,
                                 PARITY_BLOCKS, average_and_excursion,
                                 dressed_computational_basis)
@@ -534,6 +535,38 @@ def test_calibrate_rejects_a_bad_mod_freq_at_the_resonance_stage(device, mod_fre
     with pytest.raises(CalibrationError, match=message) as err:
         calibrate_gate(device, "iswap", mod_freq=mod_freq)
     assert err.value.stage == "resonance"
+
+
+def test_gate_block_at_a_tiny_mod_freq_fails_before_the_period_table(device):
+    # at 1e-9 GHz one period takes m ~ 1.2e6 steps, a table of about 7 GiB
+    spec = iswap_spec(mod_freq=1e-9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"modulation frequency 1e-09 GHz takes "
+                                             r"m = \d+ steps per period"):
+            gate_block(device, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
+@pytest.mark.parametrize("refine, stage, message", [
+    (True, "chevron", "modulation frequency 1e-09 GHz takes m = "),
+    (False, "tomography", "no step-grid time within 4.0 ns of the duration"),
+], ids=["refine", "no_refine"])
+def test_calibrate_at_a_tiny_mod_freq_fails_with_its_stage(device, refine, stage,
+                                                           message):
+    with pytest.raises(CalibrationError, match=message) as err:
+        calibrate_gate(device, "iswap", mod_freq=1e-9, refine=refine)
+    assert err.value.stage == stage
+
+
+def test_on_step_grid_rounds_a_time_under_half_a_step_up_to_one_step(device):
+    pulse = gate_pulse(iswap_spec())
+    dt = modulation_step(pulse, device.q2)
+    times = calibration._on_step_grid(pulse, device.q2, [0.4 * dt, 3.2 * dt])
+    np.testing.assert_array_equal(times, [dt, 3.0 * dt])
 
 
 def test_calibrate_rejects_unknown_kind(device):

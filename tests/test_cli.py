@@ -110,6 +110,19 @@ def test_sweep_coupling_json_format(capsys, tmp_path):
     assert g01[0] > 0 > g01[-1]  # sign change across the sweep
 
 
+def test_sweep_coupling_columns_are_pinned(capsys, tmp_path):
+    assert run(capsys, "sweep", "coupling", "--out-dir", str(tmp_path))[0] == 0
+    assert run(capsys, "sweep", "coupling", "--format", "json",
+               "--out-dir", str(tmp_path))[0] == 0
+    header = [line for line in (tmp_path / "sweep_coupling.csv").read_text().splitlines()
+              if not line.startswith("#")][0]
+    assert header == ("phic_phi0,fc_ghz,f01_1_ghz,f01_2_ghz,g01_ghz,g02_ghz,g20_ghz,"
+                      "delta1_ghz,delta2_ghz")
+    # the JSON artifact holds the same columns, its keys sorted
+    doc = json.loads((tmp_path / "sweep_coupling.json").read_text())
+    assert list(doc["columns"]) == sorted(header.split(","))
+
+
 def test_out_dir_environment_variable(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PARAMRES_OUT_DIR", str(tmp_path))
     code, _, _ = run(capsys, "sweep", "coupling")
@@ -509,6 +522,22 @@ def test_tomo_bad_input_is_a_labelled_error(capsys, tmp_path, doc, tomo, message
                        "--out-dir", str(tmp_path / "out"))
     assert code == 1
     assert err.startswith("error: ") and message in err
+
+
+def test_a_tiny_mod_freq_is_a_labelled_error(capsys, tmp_path):
+    # at 1e-9 GHz one modulation period would take millions of steps
+    spec = tmp_path / "gatespec.json"
+    spec.write_text(json.dumps({**_GATESPEC, "mod_freq_ghz": 1e-9}))
+    cfgf = tmp_path / "run.ini"
+    cfgf.write_text(f"[gate.iswap]\nmod_freq_ghz = 1e-9\n[tomo]\ngatespec_file = {spec}\n")
+    for argv, message in (
+            (["calibrate", "iswap"], "error: calibration failed at stage chevron: "
+                                     "modulation frequency 1e-09 GHz takes m = "),
+            (["tomo"], "error: modulation frequency 1e-09 GHz takes m = ")):
+        code, _, err = run(capsys, *argv, "--config", str(cfgf),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_tomo_names_a_truncated_gatespec_file(capsys, tmp_path):

@@ -4,11 +4,13 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import paramres
+from paramres.circuit import CapacitanceNetwork
 from paramres.device import (
     bundled_path,
     device_params,
@@ -50,7 +52,8 @@ def test_bundled_device_coupling_targets(device, zero_bias_params):
 
 def test_device_ini_round_trip(tmp_path, device):
     path = tmp_path / "dev.ini"
-    save_device(path, device)
+    with open(path, "w") as fh:
+        save_device(fh, device)
     again = load_device(path)
     for attr in ("q1", "q2", "coupler"):
         a, b = getattr(device, attr), getattr(again, attr)
@@ -66,6 +69,16 @@ def test_save_device_accepts_stream(device):
     text = buf.getvalue()
     assert text.startswith("[qubit1]")
     assert "[network]" in text and "[coupler]" in text
+
+
+def test_save_device_writes_the_network_in_field_order(device):
+    buf = io.StringIO()
+    save_device(buf, device)
+    network = buf.getvalue().split("[network]\n")[1]
+    keys = [line.split(" = ")[0] for line in network.splitlines() if " = " in line]
+    assert keys == ["c01_ff", "c02_ff", "c03_ff", "c04_ff", "c05_ff", "c12_ff",
+                    "c13_ff", "c23_ff", "c24_ff", "c34_ff", "c35_ff", "c45_ff"]
+    assert keys == [field.name + "_ff" for field in fields(CapacitanceNetwork)]
 
 
 @pytest.mark.parametrize("key, message", [

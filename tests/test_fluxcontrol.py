@@ -124,6 +124,13 @@ def test_crosstalk_csv_error_paths(tmp_path):
     not_number.write_text("line,a,b\na,1.0,0.1\n# comment\nb,x,1.0\n")
     with pytest.raises(ValueError, match=r"ct\.csv line 4: .*'b,x,1\.0'"):
         load_crosstalk_csv(not_number)
+    # a row with fewer or more numbers than the header has labels
+    for row in ("c,0.1,1", "c,0.1,1,0.1,0"):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text(f"line,q1,c,q2\nq1,1,0.1,0\n{row}\nq2,0,0.1,1\n")
+        with pytest.raises(ValueError, match=rf"ragged\.csv line 3: expected a label "
+                                             rf"and 3 numbers, got '{row}'"):
+            load_crosstalk_csv(ragged)
 
 
 def test_transfer_table_validation():
@@ -140,10 +147,10 @@ def test_transfer_table_validation():
 def test_apply_transfer_interpolates_and_guards_range():
     table = TransferTable(mod_freqs=np.array([0.1, 0.2, 0.4]),
                           ratios=np.array([1.0, 0.8, 0.4]))
-    assert apply_transfer(table, 0.1, 0.2) == pytest.approx(0.08)
-    assert apply_transfer(table, 1.0, 0.3) == pytest.approx(0.6)
+    assert apply_transfer(table, 0.2) == pytest.approx(0.8)
+    assert apply_transfer(table, 0.3) == pytest.approx(0.6)
     with pytest.raises(ValueError, match="outside transfer table range"):
-        apply_transfer(table, 0.1, 0.05)
+        apply_transfer(table, 0.05)
 
 
 def test_bundled_transfer_table_loads():
@@ -151,7 +158,7 @@ def test_bundled_transfer_table_loads():
     assert table.mod_freqs[0] <= 0.1 and table.mod_freqs[-1] >= 0.5
     assert np.all(np.diff(table.ratios) < 0)
     # attenuation grows with frequency for the single-pole response
-    assert apply_transfer(table, 1.0, 0.5) < apply_transfer(table, 1.0, 0.1)
+    assert apply_transfer(table, 0.5) < apply_transfer(table, 0.1)
 
 
 def test_load_transfer_csv_rejects_empty(tmp_path):

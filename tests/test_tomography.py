@@ -270,10 +270,8 @@ def test_confusion_matrix_shape_and_validation():
     cm = confusion_matrix(0.97, 0.93)
     np.testing.assert_allclose(cm.sum(axis=0), 1.0, atol=1e-12)
     assert cm[0, 0] == 0.97 and cm[1, 1] == 0.93
-    np.testing.assert_allclose(confusion_matrix(0.95),
-                               confusion_matrix(0.95, 0.95), atol=1e-15)
     with pytest.raises(ValueError, match="lie in \\[0, 1\\]"):
-        confusion_matrix(1.2)
+        confusion_matrix(1.2, 0.9)
 
 
 def test_readout_compensation_round_trip(rng):
@@ -297,7 +295,7 @@ def test_readout_compensation_round_trip(rng):
 
 
 def test_readout_compensation_validation():
-    c = confusion_matrix(0.95)
+    c = confusion_matrix(0.95, 0.95)
     with pytest.raises(ValueError, match="nonnegative"):
         readout_compensation(np.array([1.0, -0.1, 0.0, 0.1]), (c, c))
     for bad in (np.nan, np.inf):
